@@ -300,6 +300,13 @@ def cmd_sample(args) -> int:
     return _emit(report_document(command, "pe6", [report], total_ms), [report], args)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="preproj",
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", parents=[common], help="numeric cross-check of the theorem"
     )
     p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--trials", type=int, required=True)
+    p_sample.add_argument("--trials", type=positive_int, required=True)
     p_sample.add_argument("--field", type=int, help="prime p for GF(p) arithmetic")
     p_sample.set_defaults(func=cmd_sample)
     return parser

@@ -68,14 +68,16 @@ def run_derivation_catalog(params: DeformationParameters) -> VerificationReport:
     psi = s.psi
     alpha, beta, gamma = s.alpha, s.beta, s.gamma
 
+    # f is expanded modulo paths of length >= N (see FreeElement.mul)
     f_free = params.as_free_element()
-    f_xy = corner_embedding()(f_free)
+    n = pe6.nilpotency_degree
+    f_xy = corner_embedding()(f_free, below=n)
     f_xyp = GeneratorMap(
         builtin_quiver("L2"),
         quiver,
         {"x": x, "y": b2p * a2p},
         vertex_map={0: 3},
-    )(f_free)
+    )(f_free, below=n)
 
     def chain(label: str, algebra, expressions):
         for k in range(len(expressions) - 1):

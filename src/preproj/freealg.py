@@ -15,6 +15,7 @@ generators used in the isomorphism verification.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -135,10 +136,31 @@ class FreeElement:
             return self.scale(other)
         if not isinstance(other, FreeElement):
             return NotImplemented
+        return self.mul(other)
+
+    def mul(self, other: "FreeElement", below: int | None = None) -> "FreeElement":
+        """The product, dropping every path of length ``below`` or more.
+
+        With ``below=None`` this is the product of the free path algebra.
+        Pairs of paths whose lengths add up to ``below`` or more are skipped
+        before any path or coefficient product is formed.
+
+        Soundness, for ``below`` the nilpotency degree N of a quotient
+        A = kQ/I: the relations are homogeneous and A_d = 0 for d >= N, so
+        J^N is contained in I (J the arrow ideal).  The map kQ -> A thus
+        factors through the algebra homomorphism kQ -> kQ/J^N, and dropping
+        paths of length >= N after every intermediate product leaves the
+        normal form unchanged; ``QuotientAlgebra.reduce_path`` relies on the
+        same fact.
+        """
         self._check_same_quiver(other)
+        limit = math.inf if below is None else below
         out: dict = {}
         for pa, ca in self.terms.items():
+            room = limit - len(pa)
             for pb, cb in other.terms.items():
+                if len(pb) >= room:
+                    continue
                 pab = compose(pa, pb)
                 if pab is None:
                     continue
@@ -159,11 +181,20 @@ class FreeElement:
         return FreeElement(self.quiver, {p: c * v for p, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "FreeElement":
+        return self.power(n)
+
+    def power(self, n: int, below: int | None = None) -> "FreeElement":
+        """The n-th power, dropping paths of length ``below`` or more (see ``mul``).
+
+        Stops multiplying once the result is zero.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = FreeElement.one(self.quiver)
         for _ in range(n):
-            result = result * self
+            if not result:
+                break
+            result = result.mul(self, below)
         return result
 
     def __eq__(self, other):
@@ -237,24 +268,24 @@ class GeneratorMap:
     def identity(quiver: Quiver) -> "GeneratorMap":
         return GeneratorMap(quiver, quiver, generators_as_bindings(quiver))
 
-    def __call__(self, element: FreeElement) -> FreeElement:
-        """Apply the multiplicative extension to a free element."""
+    def __call__(self, element: FreeElement, below: int | None = None) -> FreeElement:
+        """Apply the multiplicative extension to a free element.
+
+        With ``below`` set, every product drops paths of length ``below``
+        or more (see ``FreeElement.mul``), and so does the result.
+        """
         if element.quiver is not self.source:
             raise ValueError("element does not live on the source quiver")
         out = FreeElement.zero(self.target)
         for path, coeff in element.terms.items():
-            if not path.arrows:
-                image = FreeElement.from_path(
-                    self.target.idempotent(self.vertex_map[path.source])
-                )
-            else:
-                image = None
-                for i in path.arrows:
-                    name = self.source.arrows[i].name
-                    if name not in self.bindings:
-                        raise KeyError(f"arrow {name!r} is not bound by the generator map")
-                    factor = self.bindings[name]
-                    image = factor if image is None else image * factor
+            image = FreeElement.from_path(
+                self.target.idempotent(self.vertex_map[path.source])
+            )
+            for i in path.arrows:
+                name = self.source.arrows[i].name
+                if name not in self.bindings:
+                    raise KeyError(f"arrow {name!r} is not bound by the generator map")
+                image = image.mul(self.bindings[name], below)
             out = out + image.scale(coeff)
         return out
 

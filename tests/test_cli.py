@@ -5,7 +5,8 @@ import json
 import jsonschema
 import pytest
 
-from preproj.cli import JSON_REPORT_SCHEMA, run
+from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
+from preproj.e6 import VerificationReport
 
 
 def invoke(capsys, *argv):
@@ -157,6 +158,19 @@ def test_sample_field_json(capsys):
     document = json.loads(out)
     jsonschema.validate(document, JSON_REPORT_SCHEMA)
     assert document["status"] == "pass"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sample_rejects_non_positive_trials(capsys, trials):
+    code, out, err = invoke(capsys, "sample", "--seed", "1", "--trials", trials)
+    assert code == 2
+    assert "positive integer" in err
+    assert out == ""
+
+
+def test_report_without_checks_does_not_pass():
+    document = report_document("sample", "pe6", [VerificationReport("sample", "pe6")], 0.0)
+    assert document["status"] == "fail"
 
 
 def test_sample_non_prime_field(capsys):

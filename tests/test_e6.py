@@ -7,6 +7,9 @@ import pytest
 from preproj.e6 import (
     DeformationParameters,
     GF,
+    _element_from_symbols,
+    _element_from_terms,
+    _scalars,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -15,8 +18,10 @@ from preproj.e6 import (
     corner_embedding,
     deformed_relations,
     derived_constants,
+    inverse_formula_terms,
     is_admissible,
     lemma_coefficients,
+    primed_generator_terms,
     printed_inverse_mismatches,
     sample_check,
     substituted_generators,
@@ -351,7 +356,7 @@ def test_corner_embedding_kills_relations():
 
 
 def test_sample_check_prime_fields():
-    for p in (5, 7, 11):
+    for p in (2, 3, 5, 7, 11):
         report = sample_check(seed=p, trials=3, field=p)
         assert report.passed, failures(report)
 
@@ -394,3 +399,43 @@ def test_theorem_residuals_expose_images():
     for _, image, nf in rows:
         assert image.has_integral_coefficients()
         assert nf.is_zero()
+
+
+def test_truncation_keeps_theorem_and_inverse_normal_forms():
+    t1, t3, t4, t5 = Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(3)
+    theta = [
+        t1, constraint_theta2(t1, t3), t3, t4, t5,
+        constraint_theta6(t1, t3, t4, t5), Fraction(5), Fraction(-2), Fraction(7),
+    ]
+    params = DeformationParameters.numeric(theta)
+    algebra = build_pe6()
+    quiver = algebra.quiver
+    n = algebra.nilpotency_degree
+    g = generators(quiver)
+
+    # the seven relations with f expanded in the free algebra
+    relations = deformed_relations(params)
+    relations[5] = (
+        g["b0"] * g["a0"] + g["b2"] * g["a2"] + g["a3"] * g["b3"]
+        + corner_embedding()(params.as_free_element())
+    )
+    change = substituted_generators(params)
+    rows = theorem_residuals(params)
+    assert len(rows) == len(relations) == 7
+    for (name, image, nf), relation in zip(rows, relations):
+        full = change(relation)
+        assert image == FreeElement(
+            quiver, {p: c for p, c in full.terms.items() if len(p) < n}
+        ), name
+        assert nf == algebra.normal_form(full), name
+
+    s = _scalars(params)
+    primed = {
+        name: _element_from_terms(quiver, terms)
+        for name, terms in primed_generator_terms(s).items()
+    }
+    for mode in ("corrected", "printed"):
+        for name, terms in inverse_formula_terms(s, mode).items():
+            cut = _element_from_symbols(quiver, terms, primed, below=n)
+            full = _element_from_symbols(quiver, terms, primed)
+            assert algebra.normal_form(cut) == algebra.normal_form(full), (mode, name)

@@ -5,6 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from preproj.e6 import (
+    DeformationParameters,
+    corner_embedding,
+    get_algebra,
+    substituted_generators,
+)
 from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.polyring import Poly
 from preproj.quiver import builtin_quiver
@@ -150,3 +156,84 @@ def test_sum_of_idempotents_is_identity(a):
     one = FreeElement.one(E6)
     assert one * a == a
     assert a * one == a
+
+
+# -- products modulo paths of length >= N -------------------------------------
+
+
+def truncated(element, below):
+    return FreeElement(
+        element.quiver, {p: c for p, c in element.terms.items() if len(p) < below}
+    )
+
+
+QUOTIENTS = ["pe6", "re6"]
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncated_product_matches_slow_path(name, data):
+    algebra = get_algebra(name)
+    n = algebra.nilpotency_degree
+    a = data.draw(elements(algebra.quiver, max_len=n - 1))
+    b = data.draw(elements(algebra.quiver, max_len=n - 1))
+    product = a * b
+    cut = a.mul(b, below=n)
+    assert cut == truncated(product, n)
+    assert algebra.normal_form(cut) == algebra.normal_form(product)
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=0, max_value=4))
+def test_truncated_power_matches_slow_path(name, data, k):
+    algebra = get_algebra(name)
+    n = algebra.nilpotency_degree
+    a = data.draw(elements(algebra.quiver, max_len=n // 2))
+    power = a ** k
+    cut = a.power(k, below=n)
+    assert cut == truncated(power, n)
+    assert algebra.normal_form(cut) == algebra.normal_form(power)
+
+
+def test_truncated_power_stops_at_zero(monkeypatch):
+    n = get_algebra("re6").nilpotency_degree
+    calls = []
+    mul = FreeElement.mul
+
+    def counting_mul(self, other, below=None):
+        calls.append(below)
+        assert len(calls) <= n, "power kept multiplying a zero result"
+        return mul(self, other, below)
+
+    monkeypatch.setattr(FreeElement, "mul", counting_mul)
+    assert GL["x"].power(10**9, below=n).is_zero()
+    assert calls == [n] * n  # x^n is the first power past N
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(L2, max_paths=3, max_len=7))
+def test_truncated_corner_embedding_matches_slow_path(a):
+    algebra = get_algebra("pe6")
+    n = algebra.nilpotency_degree
+    embed = corner_embedding()
+    cut = embed(a, below=n)
+    assert cut == truncated(embed(a), n)
+    assert algebra.normal_form(cut) == algebra.normal_form(embed(a))
+
+
+NUMERIC_CHANGE = substituted_generators(
+    DeformationParameters.numeric([1, -1, 0, 2, 1, -7, 3, -2, 5])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(E6, max_paths=3, max_len=6))
+def test_truncated_change_of_generators_matches_slow_path(a):
+    algebra = get_algebra("pe6")
+    n = algebra.nilpotency_degree
+    cut = NUMERIC_CHANGE(a, below=n)
+    full = NUMERIC_CHANGE(a)
+    assert cut == truncated(full, n)
+    assert algebra.normal_form(cut) == algebra.normal_form(full)
