@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .e6 import (
     DeformationParameters,
-    DerivedConstants,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -34,7 +33,6 @@ from .quotient import QuotientAlgebra, QuotientElement, RelationSet, build_quoti
 
 __all__ = [
     "DeformationParameters",
-    "DerivedConstants",
     "FreeElement",
     "GeneratorMap",
     "Path",

@@ -10,7 +10,10 @@ Subcommands:
 
 Global flags ``--json`` (machine-readable report on stdout) and
 ``--quiet`` (suppress per-check lines).  Exit codes: 0 when every
-requested check passes, 1 on a check failure, 2 on usage or parse errors.
+requested check passes, 1 on a check failure, 2 on usage or parse errors
+(including a ``--field`` that is not a prime below 2^31 and a ``--corner``
+that is not a vertex of the algebra), 3 on an internal error: any other
+exception raised while a command runs.
 
 Reports are deterministic: identical inputs produce byte-identical JSON
 up to the timing fields (``ms``, ``total_ms``).
@@ -27,6 +30,7 @@ from fractions import Fraction
 from . import __version__
 from .e6 import (
     DeformationParameters,
+    PrimeFieldScalars,
     VerificationReport,
     admissibility_residual,
     build_pe6,
@@ -307,6 +311,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def prime(text: str) -> int:
+    """A field size accepted by ``PrimeFieldScalars``: a prime below 2^31."""
+    p = int(text)
+    try:
+        PrimeFieldScalars(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="preproj",
@@ -365,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--trials", type=positive_int, required=True)
-    p_sample.add_argument("--field", type=int, help="prime p for GF(p) arithmetic")
+    p_sample.add_argument(
+        "--field", type=prime, help="prime p < 2^31 for GF(p) arithmetic"
+    )
     p_sample.set_defaults(func=cmd_sample)
     return parser
 
@@ -374,6 +390,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        corner = getattr(args, "corner", None)
+        if corner is not None and corner not in get_algebra(args.algebra).quiver.vertices:
+            parser.error(f"argument --corner: {corner} is not a vertex of {args.algebra}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -381,9 +400,9 @@ def run(argv: list[str] | None = None) -> int:
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 from .e6 import (
     DeformationParameters,
-    GeneratorScalars,
     VerificationReport,
-    _element_from_terms,
     _reduction_is_integral,
-    _scalars,
     build_pe6,
     build_re6,
     corner_embedding,
-    primed_generator_terms,
+    derived_constants,
+    primed_generators,
 )
 from .freealg import FreeElement, GeneratorMap, generators
 from .quiver import builtin_quiver
@@ -44,7 +42,7 @@ def run_derivation_catalog(params: DeformationParameters) -> VerificationReport:
     pe6 = build_pe6()
     re6 = build_re6()
     quiver = pe6.quiver
-    s = _scalars(params)
+    s = derived_constants(params)
 
     g = generators(quiver)
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
@@ -54,10 +52,7 @@ def run_derivation_catalog(params: DeformationParameters) -> VerificationReport:
     y = b2 * a2
     z = a3 * b3
 
-    primed = {
-        name: _element_from_terms(quiver, terms)
-        for name, terms in primed_generator_terms(s).items()
-    }
+    primed = primed_generators(s)
     a2p, b2p = primed["a2"], primed["b2"]
     a3p, b3p = primed["a3"], primed["b3"]
     a4p, b4p = primed["a4"], primed["b4"]

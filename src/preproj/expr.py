@@ -315,10 +315,6 @@ def parse_element(text: str, quiver: Quiver) -> FreeElement:
 # -- pretty-printing --------------------------------------------------------------
 
 
-def format_poly(poly: Poly) -> str:
-    return str(poly)
-
-
 def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
     """(negative, text) where text is '' for a plain unit coefficient."""
     if poly.is_rational():

@@ -95,19 +95,6 @@ class Poly:
         """Whether every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial has degree 0 by convention here."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def variables(self) -> set[int]:
-        """1-based indices of indeterminates actually occurring."""
-        occ = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    occ.add(i + 1)
-        return occ
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
 
@@ -266,8 +253,3 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return NotImplemented
-
-
-def tvars() -> tuple[Poly, ...]:
-    """The nine indeterminates (t1, ..., t9) as polynomials."""
-    return tuple(Poly.var(i) for i in range(1, NVARS + 1))

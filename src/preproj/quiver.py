@@ -64,10 +64,6 @@ class Quiver:
         except KeyError:
             raise KeyError(f"no arrow named {name!r} in quiver {self.name}") from None
 
-    def arrows_from(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return self._out[v]
-
     def arrows_into(self, v: int) -> list[int]:
         self._check_vertex(v)
         return self._into[v]

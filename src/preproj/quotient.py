@@ -6,9 +6,11 @@ exact Gaussian elimination over the rationals with the fixed monomial
 order (length, then arrow-lexicographic) turns that span into reduced
 pivot rows.  The pivot of each row is its largest monomial, so small
 monomials survive as basis elements and the resulting basis is canonical.
-Construction stops at the first degree whose component vanishes and whose
-successor also eliminates to zero; the graded algebra is nilpotent from
-that degree on.
+Construction stops at the first degree N whose component vanishes: every
+path of length N + 1 is an arrow times a path of length N, which lies in
+the ideal, so the algebra is zero from degree N on.  The reduction table
+holds only paths shorter than N; ``reduce_path`` maps every longer path
+to zero without looking it up.
 
 Reduction data is stored over the rationals only.  Elements with
 polynomial coefficients are reduced coefficient-wise, which is sound
@@ -57,9 +59,6 @@ class RelationSet:
             rows.append({p: c.as_rational() for p, c in rel.terms.items()})
         self.rows = rows
 
-    def degrees(self) -> set[int]:
-        return {len(next(iter(r))) for r in self.rows}
-
 
 class QuotientElement:
     """An element of a quotient algebra in basis coordinates.
@@ -76,9 +75,6 @@ class QuotientElement:
 
     def is_zero(self) -> bool:
         return not self.coords
-
-    def sorted_coords(self) -> list[tuple[Path, Poly]]:
-        return sorted(self.coords.items(), key=lambda kv: kv[0].key)
 
     def lift(self) -> FreeElement:
         """The canonical basis-path representative as a free element."""
@@ -201,7 +197,11 @@ class QuotientAlgebra:
     # -- reduction -------------------------------------------------------------
 
     def reduce_path(self, path: Path) -> dict[Path, Fraction]:
-        """Rational reduction of a single path to basis coordinates."""
+        """Rational reduction of a single path to basis coordinates.
+
+        The table stops below the nilpotency degree N, so the length guard
+        is what sends paths of length >= N (all in the ideal) to zero.
+        """
         if len(path) >= self.nilpotency_degree:
             return {}
         return self.reduction[path]
@@ -247,24 +247,34 @@ class QuotientAlgebra:
             for j in range(n):
                 self.structure_constant(i, j)
 
-    def multiply(self, a: QuotientElement, b: QuotientElement) -> QuotientElement:
-        """Bilinear product through the structure constants."""
-        coords: dict[Path, Poly] = {}
-        for pa, ca in a.coords.items():
-            ia = self.basis_index[pa]
-            for pb, cb in b.coords.items():
-                entry = self.structure_constant(ia, self.basis_index[pb])
+    def product(self, u: Mapping[Path, object], v: Mapping[Path, object]) -> dict:
+        """Bilinear product of coordinate dicts through the structure constants.
+
+        Generic over the coefficient type: any scalar that multiplies by a
+        ``Fraction`` works (``Poly``, ``Fraction``, a prime-field scalar).
+        No zero coordinates are stored.
+        """
+        out: dict = {}
+        for pu, cu in u.items():
+            iu = self.basis_index[pu]
+            for pv, cv in v.items():
+                entry = self.structure_constant(iu, self.basis_index[pv])
                 if not entry:
                     continue
-                cab = ca * cb
+                cuv = cu * cv
                 for k, c in entry:
-                    bk = self.basis[k]
-                    acc = coords.get(bk, Poly.zero()) + cab * c
+                    b = self.basis[k]
+                    term = cuv * c
+                    acc = out.get(b)
+                    acc = term if acc is None else acc + term
                     if acc:
-                        coords[bk] = acc
+                        out[b] = acc
                     else:
-                        coords.pop(bk, None)
-        return QuotientElement(self, coords)
+                        out.pop(b, None)
+        return out
+
+    def multiply(self, a: QuotientElement, b: QuotientElement) -> QuotientElement:
+        return QuotientElement(self, self.product(a.coords, b.coords))
 
     def structure_constants_csv(self) -> str:
         """CSV rows ``left-index,right-index,result-index,coefficient``."""
@@ -385,7 +395,6 @@ def build_quotient(
     basis_by_degree: list[list[Path]] = []
     reduction: dict[Path, dict[Path, Fraction]] = {}
     pivot_rows_prev: list[tuple[Path, Row]] = []
-    nilpotent_from: int | None = None
 
     degree = 0
     while degree <= max_degree:
@@ -423,6 +432,12 @@ def build_quotient(
         _back_substitute(pivots)
 
         basis = sorted((p for p in paths if p not in pivots), key=lambda p: p.key)
+        if not basis:
+            # A_d = 0, so every longer path (an arrow times a path in the
+            # ideal) is in the ideal too; nothing of length >= d is stored
+            return QuotientAlgebra(
+                name, quiver, relations, basis_by_degree, reduction, degree
+            )
         for p in basis:
             reduction[p] = {p: Fraction(1)}
         for lead, tail in pivots.items():
@@ -430,18 +445,6 @@ def build_quotient(
 
         basis_by_degree.append(basis)
         pivot_rows_prev = list(pivots.items())
-
-        if not basis:
-            if nilpotent_from is None:
-                nilpotent_from = degree
-            else:
-                # two consecutive zero components: construction is complete
-                basis_by_degree = basis_by_degree[:nilpotent_from]
-                return QuotientAlgebra(
-                    name, quiver, relations, basis_by_degree, reduction, nilpotent_from
-                )
-        else:
-            nilpotent_from = None
         degree += 1
 
     raise ValueError(

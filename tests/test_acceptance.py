@@ -54,7 +54,7 @@ def _budget(number: int, elapsed: float, budget: float):
     )
 
 
-def test_criterion_01_re6_shape_and_basis():
+def test_criterion_01_re6_shape_and_basis(rational_rank):
     start = time.perf_counter()
     x, y = GL["x"], GL["y"]
     alg = build_quotient(L2, [x * x, y * y * y, (x + y) ** 3], name="re6-fresh")
@@ -66,25 +66,9 @@ def test_criterion_01_re6_shape_and_basis():
         for ch in word:
             e = e * GL[ch]
         vectors.append(alg.normal_form(e))
-    pivots = {}
-    rank = 0
-    for v in vectors:
-        row = {p: c.as_rational() for p, c in v.coords.items()}
-        while row:
-            lead = max(row, key=lambda p: p.key)
-            if lead in pivots:
-                f = row.pop(lead)
-                for p, c in pivots[lead].items():
-                    acc = row.get(p, Fraction(0)) - f * c
-                    if acc:
-                        row[p] = acc
-                    else:
-                        row.pop(p, None)
-            else:
-                f = row.pop(lead)
-                pivots[lead] = {p: c / f for p, c in row.items()}
-                rank += 1
-                break
+    rank = rational_rank(
+        {p: c.as_rational() for p, c in v.coords.items()} for v in vectors
+    )
     ok = ok and rank == 12
     elapsed = time.perf_counter() - start
     _report(1, ok, elapsed, "re6 has dimension 12, nilpotency degree 6; basis B independent")

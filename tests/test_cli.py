@@ -1,10 +1,12 @@
 """Tests for the command-line interface and the JSON report schema."""
 
 import json
+import time
 
 import jsonschema
 import pytest
 
+from preproj import cli
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
 from preproj.e6 import VerificationReport
 
@@ -177,6 +179,39 @@ def test_sample_non_prime_field(capsys):
     code, _, err = invoke(capsys, "sample", "--seed", "1", "--trials", "1", "--field", "6")
     assert code == 2
     assert "prime" in err
+
+
+def test_field_out_of_range_is_a_prompt_usage_error(capsys):
+    start = time.perf_counter()
+    for field in ("2305843009213693951", "2147483648"):
+        code, out, err = invoke(
+            capsys, "sample", "--seed", "1", "--trials", "1", "--field", field
+        )
+        assert code == 2
+        assert "below 2^31" in err
+        assert out == ""
+    assert cli.prime("2147483647") == 2 ** 31 - 1  # the largest accepted prime
+    assert time.perf_counter() - start < 2.0
+
+
+def test_basis_corner_not_a_vertex_exit_2(capsys):
+    code, out, err = invoke(capsys, "basis", "--algebra", "re6", "--corner", "3")
+    assert code == 2
+    assert "not a vertex of re6" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])
+def test_verifier_exception_is_an_internal_error_exit_3(capsys, monkeypatch, error):
+    def broken():
+        raise error
+
+    monkeypatch.setattr(cli, "verify_lemma", broken)
+    code, out, err = invoke(capsys, "verify", "lemma")
+    assert code == 3
+    assert err.startswith("internal error:")
+    assert "boom" in err
+    assert out == ""
 
 
 def test_verify_inverse_modes(capsys):

@@ -8,8 +8,6 @@ from preproj.e6 import (
     DeformationParameters,
     GF,
     _element_from_symbols,
-    _element_from_terms,
-    _scalars,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -21,7 +19,7 @@ from preproj.e6 import (
     inverse_formula_terms,
     is_admissible,
     lemma_coefficients,
-    primed_generator_terms,
+    primed_generators,
     printed_inverse_mismatches,
     sample_check,
     substituted_generators,
@@ -429,11 +427,8 @@ def test_truncation_keeps_theorem_and_inverse_normal_forms():
         ), name
         assert nf == algebra.normal_form(full), name
 
-    s = _scalars(params)
-    primed = {
-        name: _element_from_terms(quiver, terms)
-        for name, terms in primed_generator_terms(s).items()
-    }
+    s = derived_constants(params)
+    primed = primed_generators(s)
     for mode in ("corrected", "printed"):
         for name, terms in inverse_formula_terms(s, mode).items():
             cut = _element_from_symbols(quiver, terms, primed, below=n)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preproj.e6 import build_pe6, build_re6
+from preproj.e6 import PrimeFieldScalars, build_pe6, build_re6
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import Arrow, Quiver, builtin_quiver, compose
@@ -50,7 +50,7 @@ def test_re6_dimension_and_nilpotency():
     assert alg.graded_dimensions() == [1, 2, 3, 3, 2, 1]
 
 
-def brute_force_ideal_rank(relations: RelationSet, degree: int) -> int:
+def brute_force_ideal_rank(relations: RelationSet, degree: int, rational_rank) -> int:
     """Rank of span{u*r*v} via plain elimination; independent oracle."""
     rows = []
     for row in relations.rows:
@@ -64,37 +64,20 @@ def brute_force_ideal_rank(relations: RelationSet, degree: int) -> int:
                     rows.append(
                         {compose(compose(u, p), v): c for p, c in row.items()}
                     )
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = max(row)
-            if lead in pivots:
-                f = row.pop(lead)
-                for p, c in pivots[lead].items():
-                    acc = row.get(p, Fraction(0)) - f * c
-                    if acc:
-                        row[p] = acc
-                    else:
-                        row.pop(p, None)
-            else:
-                f = row.pop(lead)
-                pivots[lead] = {p: c / f for p, c in row.items()}
-                break
-    return len(pivots)
+    return rational_rank(rows)
 
 
-def test_re6_graded_dimensions_against_brute_force_ideal():
+def test_re6_graded_dimensions_against_brute_force_ideal(rational_rank):
     relations = RelationSet(L2, [X * X, Y * Y * Y, (X + Y) ** 3])
     alg = build_re6()
     for degree in range(2, 7):
-        rank = brute_force_ideal_rank(relations, degree)
+        rank = brute_force_ideal_rank(relations, degree, rational_rank)
         expected_dim = 2 ** degree - rank
         got = alg.graded_dimensions()[degree] if degree < alg.nilpotency_degree else 0
         assert got == expected_dim
 
 
-def test_basis_words_of_the_12_element_basis_are_independent():
+def test_basis_words_of_the_12_element_basis_are_independent(rational_rank):
     alg = build_re6()
     words = ["", "x", "y", "xy", "yx", "yy", "xyx", "xyy", "yxy", "xyxy", "yxyy", "xyxyy"]
     seen = set()
@@ -107,25 +90,9 @@ def test_basis_words_of_the_12_element_basis_are_independent():
         assert not nf.is_zero()
         vectors.append(nf)
     # linear independence over the canonical basis coordinates
-    pivots = {}
-    rank = 0
-    for v in vectors:
-        row = {p: c.as_rational() for p, c in v.coords.items()}
-        while row:
-            lead = max(row, key=lambda p: p.key)
-            if lead in pivots:
-                f = row.pop(lead)
-                for p, c in pivots[lead].items():
-                    acc = row.get(p, Fraction(0)) - f * c
-                    if acc:
-                        row[p] = acc
-                    else:
-                        row.pop(p, None)
-            else:
-                f = row.pop(lead)
-                pivots[lead] = {p: c / f for p, c in row.items()}
-                rank += 1
-                break
+    rank = rational_rank(
+        {p: c.as_rational() for p, c in v.coords.items()} for v in vectors
+    )
     assert rank == 12
 
 
@@ -176,6 +143,74 @@ def test_qe_mul_matches_free_reduction():
             L2, {rng.choice(paths): Poly.const(rng.randint(-4, 4)) for _ in range(2)}
         )
         assert alg.normal_form(a) * alg.normal_form(b) == alg.normal_form(a * b)
+
+
+def _random_coords(rng, algebra, size, denominators=(1, 2, 3)):
+    """Nonzero rational coordinates on ``size`` random basis paths."""
+    return {
+        b: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(denominators))
+        for b in rng.sample(algebra.basis, size)
+    }
+
+
+@pytest.mark.parametrize("build", [build_re6, build_pe6])
+def test_coordinate_product_matches_multiply_and_free_reduction(build):
+    alg = build()
+    rng = random.Random(17)
+    for _ in range(40):
+        u = _random_coords(rng, alg, rng.randint(1, 6))
+        v = _random_coords(rng, alg, rng.randint(1, 6))
+        a = alg.element({p: Poly.const(c) for p, c in u.items()})
+        b = alg.element({p: Poly.const(c) for p, c in v.items()})
+        product = alg.product(u, v)
+        assert all(product.values())
+        assert alg.element({p: Poly.const(c) for p, c in product.items()}) == alg.multiply(a, b)
+        assert alg.normal_form(a.lift() * b.lift()) == alg.multiply(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 11])
+def test_coordinate_product_over_prime_field_is_rational_product_mod_p(p):
+    alg = build_pe6()
+    field = PrimeFieldScalars(p)
+    rng = random.Random(p)
+    nonzero_mod_p = 0
+    for _ in range(40):
+        # denominators prime to both 2 and 11
+        u = _random_coords(rng, alg, rng.randint(1, 6), denominators=(1, 3, 5, 7))
+        v = _random_coords(rng, alg, rng.randint(1, 6), denominators=(1, 3, 5, 7))
+        reduced = {b: field.convert(c) for b, c in alg.product(u, v).items()}
+        expected = {b: c for b, c in reduced.items() if c}
+        got = alg.product(
+            {b: field.convert(c) for b, c in u.items()},
+            {b: field.convert(c) for b, c in v.items()},
+        )
+        assert got == expected
+        nonzero_mod_p += bool(got)
+    assert nonzero_mod_p > 10
+
+
+def test_tables_stop_below_the_nilpotency_degree(rational_rank):
+    q = two_arrow_quiver()
+    a0 = FreeElement.from_path(q.path("a0"))
+    b0 = FreeElement.from_path(q.path("b0"))
+    for alg in (build_pe6(), build_re6(), build_quotient(q, [a0 * b0], name="two-arrow")):
+        n = alg.nilpotency_degree
+        quiver = alg.quiver
+        shorter = {
+            p
+            for v in quiver.vertices
+            for w in quiver.vertices
+            for d in range(1, n)
+            for p in quiver.enumerate_paths(v, w, d)
+        } | {quiver.idempotent(v) for v in quiver.vertices}
+        assert set(alg.reduction) == shorter, alg.name
+        # the length guard, not the table, sends paths of length >= N to zero
+        longer = quiver.enumerate_paths(quiver.vertices[0], quiver.vertices[0], n + 1)
+        assert longer and all(alg.reduce_path(p) == {} for p in longer)
+    # slow path: the whole brute-force ideal fills degrees N and N + 1 of re6
+    relations = RelationSet(L2, [X * X, Y * Y * Y, (X + Y) ** 3])
+    for degree in (6, 7):
+        assert brute_force_ideal_rank(relations, degree, rational_rank) == 2 ** degree
 
 
 def test_dimensions():
