@@ -1022,10 +1022,7 @@ def sample_check(
     """
     scalars = RationalScalars() if field is None else PrimeFieldScalars(field)
     report = VerificationReport(f"sample ({scalars.name})", "pe6")
-    constrained = DeformationParameters.symbolic_constrained()
-    symbolic = theorem_residuals(constrained)
-    primed = primed_generators(derived_constants(constrained))
-    symbolic_y = build_pe6().normal_form(primed["b2"] * primed["a2"])
+    symbolic, symbolic_y = _symbolic_side()
     rng = random.Random(seed)
 
     if isinstance(theta, DeformationParameters):
@@ -1059,6 +1056,21 @@ def sample_check(
 
         report.run(f"trial {k} over {scalars.name}", run_trial)
     return report
+
+
+@lru_cache(maxsize=None)
+def _symbolic_side() -> tuple[tuple, QuotientElement]:
+    """The symbolic residuals and b2'*a2' over the constrained ring.
+
+    They depend on no trial, seed or field, so they are computed once;
+    ``theorem_residuals`` is looked up on the module at that first call.
+    """
+    constrained = DeformationParameters.symbolic_constrained()
+    primed = primed_generators(derived_constants(constrained))
+    return (
+        tuple(theorem_residuals(constrained)),
+        build_pe6().normal_form(primed["b2"] * primed["a2"]),
+    )
 
 
 def _coerce_theta_entry(value, scalars):

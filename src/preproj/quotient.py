@@ -1,16 +1,22 @@
 """Finite-dimensional quotients of path algebras by homogeneous relations.
 
-The construction works degree by degree.  At degree d the ideal component
-is spanned by arrow * (row of degree d-1) together with relation * path;
-exact Gaussian elimination over the rationals with the fixed monomial
-order (length, then arrow-lexicographic) turns that span into reduced
-pivot rows.  The pivot of each row is its largest monomial, so small
-monomials survive as basis elements and the resulting basis is canonical.
+The construction works degree by degree under the monomial order (length,
+then arrow-lexicographic), and the basis is the set of normal words: the
+paths that are not the leading monomial of any element of the ideal.
+Normal words are closed under suffixes (Bergman's diamond lemma), so the
+basis words of degree d are among the candidates arrow * (basis word of
+degree d - 1).  Exact Gaussian elimination over the rationals runs on
+those candidates only, with one row per relation * (basis word) projected
+through the normal forms of degree d - 1; ``build_quotient`` gives the
+soundness argument.  The pivot of each row is its largest monomial, so
+small monomials survive as basis elements and the basis is canonical.
+
 Construction stops at the first degree N whose component vanishes: every
 path of length N + 1 is an arrow times a path of length N, which lies in
-the ideal, so the algebra is zero from degree N on.  The reduction table
-holds only paths shorter than N; ``reduce_path`` maps every longer path
-to zero without looking it up.
+the ideal, so the algebra is zero from degree N on.  Only then is the
+reduction table filled, one entry per path shorter than N, each path
+reducing as arrow * (normal form of the rest); ``reduce_path`` maps every
+longer path to zero without looking it up.
 
 Reduction data is stored over the rationals only.  Elements with
 polynomial coefficients are reduced coefficient-wise, which is sound
@@ -26,7 +32,7 @@ from .freealg import FreeElement
 from .polyring import Poly
 from .quiver import Path, Quiver, compose
 
-Row = dict  # Path -> Fraction, endpoint-homogeneous, single degree
+Row = dict  # monomial (Path or arrow tuple) -> Fraction, single degree
 
 DEFAULT_MAX_DEGREE = 64
 
@@ -277,13 +283,17 @@ class QuotientAlgebra:
         return QuotientElement(self, self.product(a.coords, b.coords))
 
     def structure_constants_csv(self) -> str:
-        """CSV rows ``left-index,right-index,result-index,coefficient``."""
+        """CSV rows ``left-index,right-index,result-index,coefficient``.
+
+        Rows are in ascending index order, so the file does not depend on
+        the order in which elimination wrote the reduction table.
+        """
         self.precompute_structure_constants()
         lines = []
         n = self.dimension()
         for i in range(n):
             for j in range(n):
-                for k, c in self._structure[(i, j)]:
+                for k, c in sorted(self._structure[(i, j)]):
                     lines.append(f"{i},{j},{k},{c}")
         return "\n".join(lines)
 
@@ -331,7 +341,17 @@ class CornerAlgebra:
         return table
 
 
-def _insert_row(pivots: dict[Path, Row], row: Row):
+def _add_multiple(row: Row, factor, other: Mapping) -> None:
+    """row += factor * other in place, dropping zero entries."""
+    for p, c in other.items():
+        acc = row.get(p, Fraction(0)) + factor * c
+        if acc:
+            row[p] = acc
+        else:
+            row.pop(p, None)
+
+
+def _insert_row(pivots: dict, row: Row):
     """Reduce a row against current pivots and record it if nonzero."""
     while row:
         lead = max(row)
@@ -342,35 +362,20 @@ def _insert_row(pivots: dict[Path, Row], row: Row):
                 row = {p: c / coeff for p, c in row.items()}
             pivots[lead] = row
             return
-        factor = row.pop(lead)
-        for p, c in pivot_row.items():
-            acc = row.get(p, Fraction(0)) - factor * c
-            if acc:
-                row[p] = acc
-            else:
-                row.pop(p, None)
+        _add_multiple(row, -row.pop(lead), pivot_row)
 
 
-def _back_substitute(pivots: dict[Path, Row]):
-    """Rewrite every tail so it only mentions non-pivot (basis) monomials."""
-    for lead in sorted(pivots, reverse=True):
+def _back_substitute(pivots: dict):
+    """Rewrite every tail so it only mentions non-pivot (basis) monomials.
+
+    Leads are taken in ascending order, so every pivot met inside a tail
+    has a smaller lead and is already reduced: one substitution per pivot
+    monomial suffices, and the result is the unique reduced echelon form.
+    """
+    for lead in sorted(pivots):
         tail = pivots[lead]
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(tail, reverse=True):
-                inner = pivots.get(p)
-                if inner is None:
-                    continue
-                factor = tail.pop(p)
-                for q, c in inner.items():
-                    acc = tail.get(q, Fraction(0)) - factor * c
-                    if acc:
-                        tail[q] = acc
-                    else:
-                        tail.pop(q, None)
-                changed = True
-                break
+        for p in [p for p in tail if p in pivots]:
+            _add_multiple(tail, -tail.pop(p), pivots[p])
 
 
 def build_quotient(
@@ -381,73 +386,129 @@ def build_quotient(
 ) -> QuotientAlgebra:
     """Construct basis, reduction table and nilpotency degree of the quotient.
 
+    Degree d is built from the normal forms NF of lower degrees alone,
+    with words as arrow-index tuples (their order is the monomial order
+    within a degree).  Why this gives the same basis and reduced rows as
+    an elimination over all paths of degree d:
+
+    * The candidates are C_d = {a*b : b a basis word of degree d - 1, a
+      an arrow into b.source}.  Normal words are closed under suffixes
+      (if q is a leading monomial of the ideal, so is a*q), so every
+      basis word of degree d is a candidate.
+    * The projection pi sends a path a*q to a*NF(q), a vector over C_d.
+      It is linear, and its kernel is a*I_{d-1}, which lies in I_d.
+    * I_d = a*I_{d-1} + r*kQ, with r over the relations of degree g <= d,
+      and r*p = r*NF(p) modulo a*I_{d-1} (every monomial of r starts with
+      an arrow).  So pi(I_d) is spanned by the rows pi(r*b), b a basis
+      word of degree d - g with b.source = r.target; only these rows are
+      eliminated.
+    * pi only replaces monomials by smaller ones and fixes span(C_d), so
+      pi(I_d) is I_d on span(C_d) and LM(pi(I_d)) = LM(I_d) on C_d.  By
+      uniqueness of the reduced echelon form, the basis (C_d minus the
+      pivots) and the reduced rows are those of the full elimination.
+    * Every path a*q reduces as a*NF(q): NF(a*q) is the sum of
+      c_b * NF(a*b) over NF(q) = sum of c_b * b.
+
+    Only once the vanishing degree N is known is the table filled, path
+    by path, for every path shorter than N; until then a degree costs its
+    candidates and relation rows, not its paths.
+
     Raises ValueError if no vanishing degree is found below ``max_degree``;
     the quotient is then not visibly finite-dimensional and this engine
     does not apply.
     """
     if not isinstance(relations, RelationSet):
         relations = RelationSet(quiver, relations)
-    by_degree: dict[int, list[Row]] = {}
+    arrows = quiver.arrows
+    into = {v: quiver.arrows_into(v) for v in quiver.vertices}
+    by_degree: dict[int, list[tuple[int, Row]]] = {}
     for row in relations.rows:
-        by_degree.setdefault(len(next(iter(row))), []).append(row)
+        first = next(iter(row))
+        by_degree.setdefault(len(first), []).append(
+            (first.target, {p.arrows: c for p, c in row.items()})
+        )
 
-    all_paths_prev: list[Path] = []
-    basis_by_degree: list[list[Path]] = []
-    reduction: dict[Path, dict[Path, Fraction]] = {}
-    pivot_rows_prev: list[tuple[Path, Row]] = []
+    basis_by_degree: list[list[Path]] = [[quiver.idempotent(v) for v in quiver.vertices]]
+    basis_paths: dict[tuple, Path] = {}
+    # basis words of each degree by source vertex; the empty word at degree 0
+    starting_at: list[dict[int, list[tuple]]] = [{v: [()] for v in quiver.vertices}]
+    # NF of every candidate, and of the lower-degree words pi has needed
+    normal: dict[tuple, Row] = {}
 
-    degree = 0
-    while degree <= max_degree:
-        if degree == 0:
-            paths = [quiver.idempotent(v) for v in quiver.vertices]
-            rows: list[Row] = []
-        else:
-            paths = [
-                p
-                for v in quiver.vertices
-                for w in quiver.vertices
-                for p in quiver.enumerate_paths(v, w, degree)
-            ]
-            rows = [dict(r) for r in by_degree.get(degree, [])]
-            # arrow * (ideal row of the previous degree)
-            for lead, tail in pivot_rows_prev:
-                full = {lead: Fraction(1)}
-                full.update(tail)
-                for i in quiver.arrows_into(lead.source):
-                    prefix = quiver.path(quiver.arrows[i].name)
-                    rows.append({compose(prefix, p): c for p, c in full.items()})
-            # relation * path, for relations of smaller degree
-            for g, rel_rows in by_degree.items():
-                if g >= degree:
-                    continue
-                for row in rel_rows:
-                    tgt = next(iter(row)).target
-                    for w in quiver.vertices:
-                        for q in quiver.enumerate_paths(tgt, w, degree - g):
-                            rows.append({compose(p, q): c for p, c in row.items()})
+    def prepend(i: int, nf: Row) -> Row:
+        """NF of arrow i times a path whose normal form is nf."""
+        row: Row = {}
+        for b, c in nf.items():
+            _add_multiple(row, c, normal[(i,) + b])
+        return row
 
-        pivots: dict[Path, Row] = {}
-        for row in rows:
-            _insert_row(pivots, dict(row))
+    def normal_form(word: tuple) -> Row:
+        row = normal.get(word)
+        if row is None:
+            row = normal[word] = prepend(word[0], normal_form(word[1:]))
+        return row
+
+    def project(word: tuple) -> Row:
+        if len(word) == 1:
+            return {word: Fraction(1)}
+        return {word[:1] + b: c for b, c in normal_form(word[1:]).items()}
+
+    for degree in range(1, max_degree + 1):
+        pivots: dict[tuple, Row] = {}
+        for g, rows in by_degree.items():
+            if g > degree:
+                continue
+            for target, row in rows:
+                for b in starting_at[degree - g].get(target, ()):
+                    image: Row = {}
+                    for p, c in row.items():
+                        _add_multiple(image, c, project(p + b))
+                    _insert_row(pivots, image)
         _back_substitute(pivots)
 
-        basis = sorted((p for p in paths if p not in pivots), key=lambda p: p.key)
-        if not basis:
+        basis_words: list[tuple] = []
+        for v, words in starting_at[-1].items():
+            for i in into[v]:
+                for b in words:
+                    w = (i,) + b
+                    tail = pivots.get(w)
+                    if tail is None:
+                        basis_words.append(w)
+                        normal[w] = {w: Fraction(1)}
+                    else:
+                        normal[w] = {p: -c for p, c in tail.items()}
+        if not basis_words:
             # A_d = 0, so every longer path (an arrow times a path in the
             # ideal) is in the ideal too; nothing of length >= d is stored
-            return QuotientAlgebra(
-                name, quiver, relations, basis_by_degree, reduction, degree
-            )
-        for p in basis:
-            reduction[p] = {p: Fraction(1)}
-        for lead, tail in pivots.items():
-            reduction[lead] = {p: -c for p, c in tail.items()}
+            break
+        basis_words.sort()
+        by_source: dict[int, list[tuple]] = {}
+        for w in basis_words:
+            basis_paths[w] = Path(quiver, w)
+            by_source.setdefault(arrows[w[0]].source, []).append(w)
+        basis_by_degree.append([basis_paths[w] for w in basis_words])
+        starting_at.append(by_source)
+    else:
+        raise ValueError(
+            f"no vanishing degree up to {max_degree}; "
+            "the quotient does not appear to be finite-dimensional"
+        )
 
-        basis_by_degree.append(basis)
-        pivot_rows_prev = list(pivots.items())
-        degree += 1
-
-    raise ValueError(
-        f"no vanishing degree up to {max_degree}; "
-        "the quotient does not appear to be finite-dimensional"
-    )
+    reduction: dict[Path, dict[Path, Fraction]] = {
+        e: {e: Fraction(1)} for e in basis_by_degree[0]
+    }
+    # every path of degree d > 1 is an arrow times a path of degree d - 1
+    layer: dict[tuple, Row] = {}
+    for d in range(1, degree):
+        if d == 1:
+            layer = {(i,): normal[(i,)] for i in range(len(arrows))}
+        else:
+            layer = {
+                (i,) + q: prepend(i, nf)
+                for q, nf in layer.items()
+                for i in into[arrows[q[0]].source]
+            }
+        for w, nf in layer.items():
+            path = basis_paths.get(w) or Path(quiver, w)
+            reduction[path] = {basis_paths[b]: c for b, c in nf.items()}
+    return QuotientAlgebra(name, quiver, relations, basis_by_degree, reduction, degree)

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from preproj.freealg import generators
+from preproj.quiver import Arrow, Quiver, compose
 
-def _rational_rank(rows) -> int:
-    """Rank of sparse rows ``{column: Fraction}`` with orderable columns.
 
-    A reference elimination that imports nothing from ``preproj``, so the
-    ranks the tests assert do not rest on the engine's own elimination.
+def _echelon(rows) -> dict:
+    """Pivot rows ``{lead: tail}`` (lead coefficient 1) of sparse rows.
+
+    Rows are ``{column: Fraction}`` with orderable columns.  A reference
+    elimination with no code from ``preproj``, so the ranks and tables the
+    tests assert do not rest on the engine's own elimination.
     """
     pivots = {}
     for row in rows:
@@ -26,9 +30,99 @@ def _rational_rank(rows) -> int:
                     row[k] = acc
                 else:
                     row.pop(k, None)
-    return len(pivots)
+    return pivots
+
+
+def _rational_rank(rows) -> int:
+    return len(_echelon(rows))
+
+
+def _full_path_build(quiver, relations, max_degree=64):
+    """``(reduction, basis, N)`` by elimination over every path of each degree.
+
+    The slow path of ``build_quotient``: at degree d the ideal is spanned
+    by arrow * (ideal row of degree d - 1) and relation * path, and all
+    paths of degree d are the columns.  Tails are reduced by substituting
+    pivots until none is left.
+    """
+    by_degree = {}
+    for row in relations.rows:
+        by_degree.setdefault(len(next(iter(row))), []).append(row)
+    reduction, basis, previous = {}, [], {}
+    vertices = quiver.vertices
+    for degree in range(max_degree + 1):
+        paths = [
+            p
+            for v in vertices
+            for w in vertices
+            for p in quiver.enumerate_paths(v, w, degree)
+        ]
+        rows = []
+        for lead, tail in previous.items():
+            full = {lead: Fraction(1), **tail}
+            for a in quiver.arrows:
+                if a.target == lead.source:
+                    prefix = quiver.path(a.name)
+                    rows.append({compose(prefix, p): c for p, c in full.items()})
+        for g, relation_rows in by_degree.items():
+            if g > degree:
+                continue
+            for row in relation_rows:
+                target = next(iter(row)).target
+                for w in vertices:
+                    for q in quiver.enumerate_paths(target, w, degree - g):
+                        rows.append({compose(p, q): c for p, c in row.items()})
+        pivots = _echelon(rows)
+        for tail in pivots.values():
+            while hits := [p for p in tail if p in pivots]:
+                factor = tail.pop(hits[0])
+                for q, c in pivots[hits[0]].items():
+                    acc = tail.get(q, Fraction(0)) - factor * c
+                    if acc:
+                        tail[q] = acc
+                    else:
+                        tail.pop(q, None)
+        layer = sorted(p for p in paths if p not in pivots)
+        if not layer:
+            return reduction, basis, degree
+        basis += layer
+        reduction.update({p: {p: Fraction(1)} for p in layer})
+        reduction.update({lead: {p: -c for p, c in tail.items()} for lead, tail in pivots.items()})
+        previous = pivots
+    raise ValueError(f"no vanishing degree up to {max_degree}")
+
+
+def _dynkin_preprojective(name, n, edges):
+    """Double quiver of a Dynkin diagram and its preprojective relations.
+
+    Edge i becomes arrows ``a<i>: u -> v`` and ``b<i>: v -> u``; the
+    relation at a vertex is the sum of the loops there through each
+    incident edge (all signs +, which over a tree loses no generality).
+    """
+    arrows = []
+    for i, (u, v) in enumerate(edges):
+        arrows += [Arrow(f"a{i}", u, v), Arrow(f"b{i}", v, u)]
+    quiver = Quiver(name, range(n), arrows)
+    g = generators(quiver)
+    relations = []
+    for v in range(n):
+        loops = [g[f"a{i}"] * g[f"b{i}"] for i, (s, _) in enumerate(edges) if s == v]
+        loops += [g[f"b{i}"] * g[f"a{i}"] for i, (_, t) in enumerate(edges) if t == v]
+        if loops:
+            relations.append(sum(loops[1:], loops[0]))
+    return quiver, relations
 
 
 @pytest.fixture
 def rational_rank():
     return _rational_rank
+
+
+@pytest.fixture(scope="session")
+def full_path_build():
+    return _full_path_build
+
+
+@pytest.fixture
+def dynkin_preprojective():
+    return _dynkin_preprojective

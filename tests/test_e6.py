@@ -359,6 +359,19 @@ def test_sample_check_prime_fields():
         assert report.passed, failures(report)
 
 
+def test_sample_check_computes_its_symbolic_side_once(monkeypatch):
+    def as_data(report):
+        return [(c.name, c.passed, c.residual) for c in report.checks]
+
+    for field in (None, 11, 2):
+        first = sample_check(seed=7, trials=4, field=field)
+        # the cached side must not be recomputed by later calls
+        monkeypatch.setattr("preproj.e6.theorem_residuals", None)
+        assert as_data(sample_check(seed=7, trials=4, field=field)) == as_data(first)
+        monkeypatch.undo()
+        assert first.passed, failures(first)
+
+
 def test_sample_check_rejects_constraint_violation():
     with pytest.raises(ValueError, match="constraint"):
         sample_check(theta=[1, 0, 0, 0, 0, 0, 0, 0, 0])

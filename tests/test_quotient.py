@@ -3,20 +3,24 @@
 The 2-arrow quotient is pinned against a hand elimination; the graded
 dimensions of re6 are additionally cross-checked against a brute-force
 span of the ideal (every u*r*v product), which is independent of the
-incremental row generation used by the engine.
+incremental row generation used by the engine.  The basis-driven build is
+compared table for table with an elimination over every path (the
+``full_path_build`` fixture), and the Dynkin preprojective algebras are
+checked against the Etingof-Eu Hilbert series.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preproj.e6 import PrimeFieldScalars, build_pe6, build_re6
+from preproj.e6 import PrimeFieldScalars, build_pe6, build_re6, pe6_relations
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import Arrow, Quiver, builtin_quiver, compose
-from preproj.quotient import RelationSet, build_quotient
+from preproj.quotient import DEFAULT_MAX_DEGREE, RelationSet, build_quotient
 
 L2 = builtin_quiver("L2")
 GL = generators(L2)
@@ -248,6 +252,11 @@ def test_structure_constants_csv_shape():
     alg = build_quotient(L2, [X, Y], name="tiny")
     csv = alg.structure_constants_csv()
     assert csv == "0,0,0,1"
+    # rows by ascending (left, right, result) index, whatever the table order
+    for alg in (build_re6(), build_pe6()):
+        lines = alg.structure_constants_csv().splitlines()
+        keys = [tuple(map(int, line.split(",")[:3])) for line in lines]
+        assert keys == sorted(set(keys))
 
 
 def test_degenerate_relations():
@@ -347,3 +356,121 @@ def test_evaluation_commutes_with_reduction(e, values):
     assert alg.normal_form(e).map_coefficients(ev) == alg.normal_form(
         e.map_coefficients(ev)
     )
+
+
+# -- the basis-driven build against its slow path and the Hilbert series -----
+
+
+def assert_matches_full_path_elimination(quiver, relations, full_path_build):
+    reduction, basis, n = full_path_build(quiver, relations)
+    # max_degree=n keeps a faulty build that misses the vanishing degree
+    # from growing without bound
+    alg = build_quotient(quiver, relations, max_degree=n)
+    assert alg.reduction == reduction
+    assert alg.basis == basis
+    assert alg.nilpotency_degree == n
+
+
+@pytest.mark.parametrize("which", ["pe6", "re6", "two-arrow"])
+def test_build_matches_full_path_elimination(which, full_path_build):
+    if which == "pe6":
+        quiver = builtin_quiver("E6")
+        relations = pe6_relations(quiver)
+    elif which == "re6":
+        quiver, relations = L2, [X * X, Y * Y * Y, (X + Y) ** 3]
+    else:
+        quiver = two_arrow_quiver()
+        g = generators(quiver)
+        relations = [g["a0"] * g["b0"]]
+    relations = RelationSet(quiver, relations)
+    assert_matches_full_path_elimination(quiver, relations, full_path_build)
+
+
+small_ints = st.integers(min_value=-2, max_value=2)
+
+
+@st.composite
+def finite_l2_relations(draw):
+    """x^a, y^b, a relation led by y*x, and up to two random relations.
+
+    The leading words include x^a, y^b and y*x, so every normal word is
+    some x^i y^j with i < a and j < b: the quotient is finite.
+    """
+    a, b = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    relations = [X ** a, Y ** b, Y * X - X * Y * draw(small_ints) - X * X * draw(small_ints)]
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(2, 4))
+        relation = FreeElement.zero(L2)
+        for _ in range(draw(st.integers(1, 4))):
+            word = draw(st.lists(st.sampled_from([X, Y]), min_size=degree, max_size=degree))
+            term = word[0]
+            for letter in word[1:]:
+                term = term * letter
+            relation = relation + term * draw(small_ints)
+        relations.append(relation)
+    return relations
+
+
+@settings(max_examples=40, deadline=None)
+@given(relations=finite_l2_relations())
+def test_build_matches_full_path_elimination_on_l2(relations, full_path_build):
+    assert_matches_full_path_elimination(L2, RelationSet(L2, relations), full_path_build)
+
+
+DYNKIN = [
+    *((f"A{n}", n, [(i, i + 1) for i in range(n - 1)], n + 1) for n in range(1, 7)),
+    *(
+        (f"D{n}", n, [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)], 2 * n - 2)
+        for n in range(4, 8)
+    ),
+    ("E6", 6, [(0, 3), (1, 2), (2, 3), (3, 4), (4, 5)], 12),
+]
+
+
+@pytest.mark.parametrize("name,n,edges,h", DYNKIN, ids=[d[0] for d in DYNKIN])
+def test_preprojective_hilbert_series(name, n, edges, h, dynkin_preprojective):
+    """Graded dimensions per (degree, source, target) against Etingof-Eu.
+
+    H_0 = I, H_1 = C (adjacency of the double quiver) and
+    H_d = C*H_{d-1} - H_{d-2}; the algebra has dimension n*h*(h+1)/6 and
+    vanishes from degree h - 1 on, h the Coxeter number.
+    """
+    quiver, relations = dynkin_preprojective(name, n, edges)
+    alg = build_quotient(quiver, relations, name=name)
+    adjacency = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        adjacency[u][v] += 1
+        adjacency[v][u] += 1
+    layers = [[[int(i == j) for j in range(n)] for i in range(n)], adjacency]
+    while len(layers) < h:
+        prev, last = layers[-2], layers[-1]
+        layers.append([
+            [sum(adjacency[i][k] * last[k][j] for k in range(n)) - prev[i][j] for j in range(n)]
+            for i in range(n)
+        ])
+    # H_{h-1} = 0: the series stops there
+    assert not any(map(any, layers.pop()))
+    counts = {}
+    for p in alg.basis:
+        key = (len(p), p.source, p.target)
+        counts[key] = counts.get(key, 0) + 1
+    expected = {
+        (d, s, t): layer[s][t]
+        for d, layer in enumerate(layers)
+        for s in range(n)
+        for t in range(n)
+        if layer[s][t]
+    }
+    assert counts == expected
+    assert alg.dimension() == n * h * (h + 1) // 6
+    assert alg.nilpotency_degree == h - 1
+
+
+def test_infinite_quotient_reaches_the_default_max_degree_quickly():
+    # K<x,y>/(x*y) has d + 1 basis words in degree d but 2^d paths: the
+    # build must cost the former to get to degree 64 and give up there
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite-dimensional"):
+        build_quotient(L2, [X * Y])
+    assert DEFAULT_MAX_DEGREE == 64
+    assert time.perf_counter() - start < 5
