@@ -30,13 +30,19 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .freealg import FreeElement, GeneratorMap, generators
 from .polyring import Poly
 from .quiver import Quiver, builtin_quiver
-from .quotient import QuotientAlgebra, QuotientElement, _insert_row, build_quotient
+from .quotient import (
+    QuotientAlgebra,
+    QuotientElement,
+    _exact,
+    _insert_row,
+    build_quotient,
+)
 
 EXCEPTIONAL_VERTEX = 3
 
@@ -219,7 +225,9 @@ class GeneratorScalars:
     """All named coefficients of the change of generators, over one scalar ring.
 
     Works over any commutative scalar ring with +, -, * and integer
-    multiples (Poly, Fraction, or a prime-field scalar).
+    multiples (Poly, Fraction, or a prime-field scalar).  The constants of
+    the inverse formulas are computed on first use: only
+    ``inverse_formula_terms`` reads them, and the numeric oracle never does.
     """
 
     def __init__(self, theta: Sequence, one):
@@ -227,9 +235,9 @@ class GeneratorScalars:
          self.th6, self.th7, self.th8, self.th9) = theta
         t1, t2, t3, t4, t5, t6, t7, t8, t9 = theta
         self.one = one
-        self.alpha = alpha = t4 + (t3 - t1) ** 2
-        self.beta = beta = t5 - 2 * t4 - 2 * (t3 - t1) ** 2
-        self.gamma = gamma = (
+        self.alpha = t4 + (t3 - t1) ** 2
+        self.beta = t5 - 2 * t4 - 2 * (t3 - t1) ** 2
+        self.gamma = (
             t7 - 8 * t1 * t3 ** 2 + 7 * t1 ** 2 * t3 + 2 * t3 * t4
             - 2 * t1 ** 3 - 2 * t1 * t4 + 3 * t3 ** 3
         )
@@ -239,26 +247,6 @@ class GeneratorScalars:
             + t5 ** 2 - 3 * t5 * t4 + 2 * t4 ** 2 - 2 * t3 ** 3 * t1
             - 2 * t3 ** 2 * t5 + 2 * t3 ** 2 * t4 + 2 * t1 * t8 - 3 * t3 * t8 - t9
         )
-        self.alpha1 = alpha1 = -alpha + t1 * t3 - t3 ** 2
-        self.beta1 = beta1 = -beta + t1 * t3 - t3 ** 2
-        self.alpha2 = alpha2 = (
-            -gamma - t3 ** 2 * (t2 - t3) + t1 * beta + t1 * alpha1 - t3 * alpha1
-        )
-        self.beta2 = beta2 = -t3 ** 2 * (t1 - t3) + t3 * alpha + t3 * beta1 + t3 * beta
-        self.alpha3 = (
-            -t3 ** 2 * (
-                t1 ** 2 + t2 ** 2 + 2 * t4 - 2 * t5 + t6 - t1 * t2 - t2 * t3
-            )
-            + alpha1 * t3 ** 2 * (t1 - t3)
-            + beta * t3 ** 2 * (t2 - t3)
-            + t3 * t8
-            - t3 * alpha2
-            - t3 * beta2
-            - alpha * alpha1
-            + beta * alpha1
-            - beta * beta1
-            - gamma * t3
-        )
         # b3 / a4 / b4 correction coefficients
         self.psi = self.th4 - self.th5 - self.th1 * self.th3 + self.th1 ** 2
         self.kappa1 = (self.th1 - self.th3) * (2 * self.th3 - self.th1) - self.th4
@@ -266,17 +254,76 @@ class GeneratorScalars:
             3 * self.th1 * self.th3 ** 2 - self.th3 * self.th4 - self.th7
             - 2 * self.th1 ** 2 * self.th3 - self.th3 ** 3 + self.th1 * self.th5
         )
-        # True coefficients of the inverse a3 formula, solved exactly from
-        # the triangular system; the printed alpha2 / beta2 / alpha3 do not
-        # invert (see README).  Differences from the printed constants:
-        #   alpha2 - inv: (t3-t1)*(2*t4 + 3*t3^2 - 6*t1*t3 + 2*t1^2)
-        #   beta2  - inv: -t3^2*(t3-t1)
-        self.alpha2_inv = (
+
+    # -- constants of the inverse formulas ------------------------------------
+
+    @cached_property
+    def alpha1(self):
+        t1, t3 = self.th1, self.th3
+        return -self.alpha + t1 * t3 - t3 ** 2
+
+    @cached_property
+    def beta1(self):
+        t1, t3 = self.th1, self.th3
+        return -self.beta + t1 * t3 - t3 ** 2
+
+    @cached_property
+    def alpha2(self):
+        t1, t2, t3 = self.th1, self.th2, self.th3
+        return (
+            -self.gamma - t3 ** 2 * (t2 - t3) + t1 * self.beta
+            + t1 * self.alpha1 - t3 * self.alpha1
+        )
+
+    @cached_property
+    def beta2(self):
+        t1, t3 = self.th1, self.th3
+        return -t3 ** 2 * (t1 - t3) + t3 * self.alpha + t3 * self.beta1 + t3 * self.beta
+
+    @cached_property
+    def alpha3(self):
+        t1, t2, t3, t4, t5, t6, t8 = (
+            self.th1, self.th2, self.th3, self.th4, self.th5, self.th6, self.th8
+        )
+        alpha, beta, alpha1, beta1 = self.alpha, self.beta, self.alpha1, self.beta1
+        return (
+            -t3 ** 2 * (
+                t1 ** 2 + t2 ** 2 + 2 * t4 - 2 * t5 + t6 - t1 * t2 - t2 * t3
+            )
+            + alpha1 * t3 ** 2 * (t1 - t3)
+            + beta * t3 ** 2 * (t2 - t3)
+            + t3 * t8
+            - t3 * self.alpha2
+            - t3 * self.beta2
+            - alpha * alpha1
+            + beta * alpha1
+            - beta * beta1
+            - self.gamma * t3
+        )
+
+    # True coefficients of the inverse a3 formula, solved exactly from the
+    # triangular system; the printed alpha2 / beta2 / alpha3 do not invert
+    # (see README).  Differences from the printed constants:
+    #   alpha2 - inv: (t3-t1)*(2*t4 + 3*t3^2 - 6*t1*t3 + 2*t1^2)
+    #   beta2  - inv: -t3^2*(t3-t1)
+
+    @cached_property
+    def alpha2_inv(self):
+        t1, t3, t4, t5, t7 = self.th1, self.th3, self.th4, self.th5, self.th7
+        return (
             -t7 + t1 * t5 + t1 * t4 - 3 * t3 * t4
             + t1 ** 3 - 7 * t1 ** 2 * t3 + 11 * t1 * t3 ** 2 - 5 * t3 ** 3
         )
-        self.beta2_inv = t3 * t4 + t1 ** 2 * t3 - 3 * t1 * t3 ** 2 + 2 * t3 ** 3
-        self.alpha3_inv = (
+
+    @cached_property
+    def beta2_inv(self):
+        t1, t3, t4 = self.th1, self.th3, self.th4
+        return t3 * t4 + t1 ** 2 * t3 - 3 * t1 * t3 ** 2 + 2 * t3 ** 3
+
+    @cached_property
+    def alpha3_inv(self):
+        t1, t3, t4, t5, t7, t8 = self.th1, self.th3, self.th4, self.th5, self.th7, self.th8
+        return (
             t5 ** 2 - 5 * t4 * t5 + 7 * t4 ** 2 + t3 * t8 + 2 * t3 * t7
             - 5 * t3 ** 2 * t5 + 21 * t3 ** 2 * t4 + 9 * t1 * t3 * t5
             - 33 * t1 * t3 * t4 - 5 * t1 ** 2 * t5 + 14 * t1 ** 2 * t4
@@ -903,19 +950,34 @@ class PrimeFieldScalars:
         return GF(self.p, rng.randrange(self.p))
 
 
-def _vec_from_terms(algebra: QuotientAlgebra, terms) -> dict:
-    """Reduce (coefficient, path) terms to basis coordinates, field-valued."""
-    coords: dict = {}
-    for coeff, path in terms:
-        for b, c in algebra.reduce_path(path).items():
-            term = coeff * c
-            acc = coords.get(b)
-            acc = term if acc is None else acc + term
-            if acc:
-                coords[b] = acc
-            else:
-                coords.pop(b, None)
-    return coords
+@lru_cache(maxsize=None)
+def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict:
+    """Basis coordinates of the path through the named arrows, reduced once.
+
+    Sound to cache: an algebra's reduction table never changes once built,
+    and the key holds the algebra as well as the word.  A coefficient with
+    denominator 1 is an ``int``, so scaling by a field scalar converts
+    nothing.  Callers must not change the returned dict.
+    """
+    path = algebra.quiver.path(*names)
+    return {b: _exact(c) for b, c in algebra.reduce_path(path).items()}
+
+
+def _generator_vectors(algebra: QuotientAlgebra, s: GeneratorScalars) -> dict[str, dict]:
+    """Basis coordinates of a0, b0, a1, b1 and the six substituted generators,
+    each a sum of field scalars times the cached word vectors."""
+    terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
+    terms.update(primed_generator_terms(s))
+    vectors = {}
+    for name, generator_terms in terms.items():
+        coords: dict = {}
+        for coeff, names in generator_terms:
+            for b, c in _word_vector(algebra, names).items():
+                term = coeff * c
+                old = coords.get(b)
+                coords[b] = term if old is None else old + term
+        vectors[name] = {b: c for b, c in coords.items() if c}
+    return vectors
 
 
 def _vec_add(u: dict, v: dict) -> dict:
@@ -949,16 +1011,7 @@ def numeric_relation_residuals(
     of b2'*a2') used to cross-check the pipelines on more than zeros.
     """
     algebra = build_pe6()
-    quiver = algebra.quiver
-    s = GeneratorScalars(tuple(theta), scalars.one())
-    gen_vec = {
-        name: _vec_from_terms(algebra, [(scalars.one(), quiver.path(name))])
-        for name in ("a0", "b0", "a1", "b1")
-    }
-    for name, terms in primed_generator_terms(s).items():
-        gen_vec[name] = _vec_from_terms(
-            algebra, [(coeff, quiver.path(*names)) for coeff, names in terms]
-        )
+    gen_vec = _generator_vectors(algebra, GeneratorScalars(tuple(theta), scalars.one()))
 
     def prod(*names):
         out = None
@@ -1086,17 +1139,15 @@ def _theta_assignment(theta: Sequence) -> dict[int, object]:
 
 
 def _evaluate_symbolic(nf: QuotientElement, assignment, scalars) -> dict:
+    if isinstance(scalars, PrimeFieldScalars):
+        p = scalars.p
+        residues = {i: v.value for i, v in assignment.items()}
+        value_at = lambda poly: GF(p, poly.evaluate_mod(residues, p))  # noqa: E731
+    else:
+        value_at = lambda poly: poly.evaluate(assignment)  # noqa: E731
     out = {}
     for path, poly in nf.coords.items():
-        if isinstance(scalars, PrimeFieldScalars):
-            value = GF(
-                scalars.p,
-                poly.evaluate_mod(
-                    {i: v.value for i, v in assignment.items()}, scalars.p
-                ),
-            )
-        else:
-            value = poly.evaluate(assignment)
+        value = value_at(poly)
         if value:
             out[path] = value
     return out

@@ -141,6 +141,21 @@ class Path:
             self.source = arr[arrows[0]].source
             self.target = arr[arrows[-1]].target
 
+    @classmethod
+    def _unchecked(cls, quiver: Quiver, arrows: tuple, source: int, target: int) -> "Path":
+        """A path of length >= 1 whose arrows the caller knows to compose.
+
+        Skips the pairwise check of ``__init__``; callers pass a
+        concatenation of checked paths or an arrow prepended to a checked
+        path at its source, with the endpoints that follow from it.
+        """
+        path = object.__new__(cls)
+        path.quiver = quiver
+        path.arrows = arrows
+        path.source = source
+        path.target = target
+        return path
+
     def __len__(self):
         return len(self.arrows)
 
@@ -192,7 +207,7 @@ def compose(p: Path, q: Path) -> Path | None:
         return q
     if not q.arrows:
         return p
-    return Path(p.quiver, p.arrows + q.arrows)
+    return Path._unchecked(p.quiver, p.arrows + q.arrows, p.source, q.target)
 
 
 def path_count(quiver: Quiver, source: int, target: int, length: int) -> int:

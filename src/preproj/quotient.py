@@ -231,18 +231,24 @@ class QuotientAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def structure_constant(self, i: int, j: int) -> list[tuple[int, Fraction]]:
-        """Product of basis elements i and j as (basis index, coefficient) pairs."""
+    def structure_constant(self, i: int, j: int) -> list[tuple[int, Fraction | int]]:
+        """Product of basis elements i and j as (basis index, coefficient) pairs.
+
+        A coefficient with denominator 1 is stored as an ``int`` (see
+        ``_exact``), so every scalar type multiplies it without converting
+        a ``Fraction``.
+        """
         try:
             return self._structure[(i, j)]
         except KeyError:
             pass
         product = compose(self.basis[i], self.basis[j])
         if product is None:
-            entry: list[tuple[int, Fraction]] = []
+            entry: list[tuple[int, Fraction | int]] = []
         else:
             entry = [
-                (self.basis_index[b], c) for b, c in self.reduce_path(product).items()
+                (self.basis_index[b], _exact(c))
+                for b, c in self.reduce_path(product).items()
             ]
         self._structure[(i, j)] = entry
         return entry
@@ -256,28 +262,28 @@ class QuotientAlgebra:
     def product(self, u: Mapping[Path, object], v: Mapping[Path, object]) -> dict:
         """Bilinear product of coordinate dicts through the structure constants.
 
-        Generic over the coefficient type: any scalar that multiplies by a
-        ``Fraction`` works (``Poly``, ``Fraction``, a prime-field scalar).
+        Generic over the coefficient type: any scalar that multiplies by an
+        ``int`` and a ``Fraction`` works (``Poly``, ``Fraction``, a
+        prime-field scalar).  Sums are kept by basis index and mapped back
+        to paths once; a constant 1 adds the coefficient product unscaled.
         No zero coordinates are stored.
         """
-        out: dict = {}
+        index = self.basis_index
+        right = [(index[pv], cv) for pv, cv in v.items()]
+        acc: dict[int, object] = {}
         for pu, cu in u.items():
-            iu = self.basis_index[pu]
-            for pv, cv in v.items():
-                entry = self.structure_constant(iu, self.basis_index[pv])
+            iu = index[pu]
+            for iv, cv in right:
+                entry = self.structure_constant(iu, iv)
                 if not entry:
                     continue
                 cuv = cu * cv
                 for k, c in entry:
-                    b = self.basis[k]
-                    term = cuv * c
-                    acc = out.get(b)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[b] = acc
-                    else:
-                        out.pop(b, None)
-        return out
+                    term = cuv if c == 1 else cuv * c
+                    old = acc.get(k)
+                    acc[k] = term if old is None else old + term
+        basis = self.basis
+        return {basis[k]: c for k, c in acc.items() if c}
 
     def multiply(self, a: QuotientElement, b: QuotientElement) -> QuotientElement:
         return QuotientElement(self, self.product(a.coords, b.coords))
@@ -339,6 +345,11 @@ class CornerAlgebra:
                 reduced = {} if product is None else self.parent.reduce_path(product)
                 table[(i, j)] = {self.index[b]: c for b, c in reduced.items()}
         return table
+
+
+def _exact(c: Fraction) -> Fraction | int:
+    """``c`` as an ``int`` when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _add_multiple(row: Row, factor, other: Mapping) -> None:
@@ -509,6 +520,8 @@ def build_quotient(
                 for i in into[arrows[q[0]].source]
             }
         for w, nf in layer.items():
-            path = basis_paths.get(w) or Path(quiver, w)
+            path = basis_paths.get(w) or Path._unchecked(
+                quiver, w, arrows[w[0]].source, arrows[w[-1]].target
+            )
             reduction[path] = {basis_paths[b]: c for b, c in nf.items()}
     return QuotientAlgebra(name, quiver, relations, basis_by_degree, reduction, degree)

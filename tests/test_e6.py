@@ -1,13 +1,21 @@
 """Tests for the E6 layer: algebras, admissibility, and verifications."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from preproj import e6
 from preproj.e6 import (
     DeformationParameters,
     GF,
+    GeneratorScalars,
+    PrimeFieldScalars,
+    RationalScalars,
     _element_from_symbols,
+    _generator_vectors,
+    _random_constrained_theta,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -19,6 +27,7 @@ from preproj.e6 import (
     inverse_formula_terms,
     is_admissible,
     lemma_coefficients,
+    primed_generator_terms,
     primed_generators,
     printed_inverse_mismatches,
     sample_check,
@@ -32,7 +41,8 @@ from preproj.e6 import (
 )
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
-from preproj.quiver import builtin_quiver
+from preproj.quiver import Quiver, builtin_quiver
+from preproj.quotient import QuotientAlgebra, build_quotient
 
 
 def failures(report):
@@ -370,6 +380,114 @@ def test_sample_check_computes_its_symbolic_side_once(monkeypatch):
         assert as_data(sample_check(seed=7, trials=4, field=field)) == as_data(first)
         monkeypatch.undo()
         assert first.passed, failures(first)
+
+
+FIELDS = {
+    "rationals": RationalScalars(),
+    "GF(2)": PrimeFieldScalars(2),
+    "GF(11)": PrimeFieldScalars(11),
+}
+
+
+def fresh_generator_vectors(algebra, s):
+    """Slow path of ``_generator_vectors``: build every path anew, reduce it
+    and scale its ``Fraction`` coefficients term by term."""
+    quiver = algebra.quiver
+    terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
+    terms.update(primed_generator_terms(s))
+    vectors = {}
+    for name, generator_terms in terms.items():
+        coords = {}
+        for coeff, names in generator_terms:
+            for b, c in algebra.reduce_path(quiver.path(*names)).items():
+                coords[b] = coords[b] + coeff * c if b in coords else coeff * c
+        vectors[name] = {b: c for b, c in coords.items() if c}
+    return vectors
+
+
+def e6_modulo_paths_of_length(n):
+    """The path algebra of the E6 quiver modulo all paths of length n."""
+    quiver = builtin_quiver("E6")
+    relations = [
+        FreeElement.from_path(p)
+        for v in quiver.vertices
+        for w in quiver.vertices
+        for p in quiver.enumerate_paths(v, w, n)
+    ]
+    return build_quotient(quiver, relations, name=f"E6/J^{n}")
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_cached_generator_vectors_match_a_fresh_reduction(field):
+    scalars = FIELDS[field]
+    rng = random.Random(41)
+    # two algebras on one quiver: a cache keyed by the word alone would
+    # hand one algebra's vectors to the other
+    algebras = [build_pe6(), e6_modulo_paths_of_length(4)]
+    for _ in range(4):
+        s = GeneratorScalars(_random_constrained_theta(rng, scalars), scalars.one())
+        got = [_generator_vectors(algebra, s) for algebra in algebras]
+        for algebra, vectors in zip(algebras, got):
+            assert vectors == fresh_generator_vectors(algebra, s)
+            assert all(
+                type(c) is type(s.one) for vec in vectors.values() for c in vec.values()
+            )
+        assert got[0] != got[1]
+
+
+LAZY_CONSTANTS = (
+    "alpha1", "beta1", "alpha2", "beta2", "alpha3", "alpha2_inv", "beta2_inv", "alpha3_inv",
+)
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_lazy_constants_agree_with_the_symbolic_bundle(field):
+    scalars = FIELDS[field]
+    symbolic = derived_constants(DeformationParameters.symbolic_constrained())
+    rng = random.Random(43)
+    for _ in range(5):
+        theta = _random_constrained_theta(rng, scalars)
+        numeric = GeneratorScalars(theta, scalars.one())
+        primed_generator_terms(numeric)
+        # the change of generators reads none of the inverse constants
+        assert not set(LAZY_CONSTANTS) & set(vars(numeric))
+        assignment = {i + 1: v for i, v in enumerate(theta)}
+        for name in LAZY_CONSTANTS:
+            poly = getattr(symbolic, name)
+            if isinstance(scalars, PrimeFieldScalars):
+                residues = {i: v.value for i, v in assignment.items()}
+                expected = GF(scalars.p, poly.evaluate_mod(residues, scalars.p))
+            else:
+                expected = poly.evaluate(assignment)
+            assert getattr(numeric, name) == expected, name
+
+
+def test_sample_check_converts_and_reduces_no_generator_word_per_trial(monkeypatch):
+    algebra = build_pe6()
+    # with every structure constant cached, a reduce_path call can only
+    # come from a generator word
+    algebra.precompute_structure_constants()
+    e6._word_vector.cache_clear()
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(e6, "_fraction_mod", counting("_fraction_mod", e6._fraction_mod))
+    monkeypatch.setattr(Quiver, "path", counting("path", Quiver.path))
+    monkeypatch.setattr(
+        QuotientAlgebra, "reduce_path", counting("reduce_path", QuotientAlgebra.reduce_path)
+    )
+    assert sample_check(seed=3, trials=1, field=11).passed
+    # the first trial reduces the generator words, so the counters are live
+    assert calls["path"] > 0 and calls["reduce_path"] > 0
+    calls.clear()
+    assert sample_check(seed=4, trials=3, field=11).passed
+    assert calls["_fraction_mod"] == calls["path"] == calls["reduce_path"] == 0
 
 
 def test_sample_check_rejects_constraint_violation():

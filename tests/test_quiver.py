@@ -2,7 +2,7 @@
 
 import pytest
 
-from preproj.quiver import Arrow, Quiver, builtin_quiver, compose, path_count
+from preproj.quiver import Arrow, Path, Quiver, builtin_quiver, compose, path_count
 
 E6_ARROWS = {
     "a0": (0, 3), "b0": (3, 0),
@@ -51,6 +51,25 @@ def test_compose_with_idempotent():
 def test_compose_mismatch_is_none():
     q = builtin_quiver("E6")
     assert compose(q.path("a1"), q.path("a0")) is None
+
+
+def test_path_constructor_rejects_non_composable_arrows():
+    q = builtin_quiver("E6")
+    a0, a1, b0 = (q.arrow_index[name] for name in ("a0", "a1", "b0"))
+    with pytest.raises(ValueError, match="do not compose"):
+        Path(q, (a1, a0))
+    with pytest.raises(ValueError, match="do not compose"):
+        Path(q, (a0, b0, b0))
+    with pytest.raises(ValueError, match="do not compose"):
+        q.path("a0", "a1")
+
+
+def test_compose_equals_the_checked_path():
+    q = builtin_quiver("E6")
+    p = compose(q.path("a2", "b2"), q.path("a2"))
+    checked = Path(q, p.arrows)
+    assert p == checked and hash(p) == hash(checked)
+    assert (p.source, p.target) == (checked.source, checked.target) == (2, 3)
 
 
 def test_compose_associative_where_defined():

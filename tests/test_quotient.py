@@ -193,6 +193,67 @@ def test_coordinate_product_over_prime_field_is_rational_product_mod_p(p):
     assert nonzero_mod_p > 10
 
 
+def pairwise_product(alg, u, v):
+    """Slow path of ``QuotientAlgebra.product``: reduce every composed pair.
+
+    Reads the reduction table (``Fraction`` coefficients), not the
+    structure constants, and keeps the sum path-keyed.
+    """
+    out = {}
+    for pu, cu in u.items():
+        for pv, cv in v.items():
+            path = compose(pu, pv)
+            if path is None:
+                continue
+            for b, c in alg.reduce_path(path).items():
+                term = cu * cv * c
+                out[b] = out[b] + term if b in out else term
+    return {b: c for b, c in out.items() if c}
+
+
+COORDINATE_TYPES = {
+    "rationals": lambda c: c,
+    "GF(2)": PrimeFieldScalars(2).convert,
+    "GF(11)": PrimeFieldScalars(11).convert,
+    "constant Poly": Poly.const,
+}
+
+
+@pytest.mark.parametrize("kind", list(COORDINATE_TYPES))
+@pytest.mark.parametrize("build", [build_re6, build_pe6])
+def test_coordinate_product_matches_pairwise_reference(build, kind):
+    alg = build()
+    convert = COORDINATE_TYPES[kind]
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(40):
+        u, v = (
+            {b: convert(c) for b, c in coords.items() if convert(c)}
+            for coords in (
+                _random_coords(rng, alg, rng.randint(1, 8), denominators=(1, 3, 5, 7))
+                for _ in range(2)
+            )
+        )
+        # one coordinate on the unit keeps every basis element of the other
+        # factor in play, with its unit and non-unit constants
+        u[alg.quiver.idempotent(rng.choice(alg.quiver.vertices))] = convert(Fraction(1))
+        got = alg.product(u, v)
+        assert got == pairwise_product(alg, u, v)
+        sample = next(iter(u.values()))
+        assert all(type(c) is type(sample) and c for c in got.values())
+        nonzero += bool(got)
+    assert nonzero > 20
+
+
+@pytest.mark.parametrize("build", [build_re6, build_pe6])
+def test_structure_constants_are_ints(build):
+    alg = build()
+    alg.precompute_structure_constants()
+    constants = [c for entry in alg._structure.values() for _, c in entry]
+    assert constants and all(type(c) is int for c in constants)
+    assert {abs(c) for c in constants} == {1}
+
+
 def test_tables_stop_below_the_nilpotency_degree(rational_rank):
     q = two_arrow_quiver()
     a0 = FreeElement.from_path(q.path("a0"))
