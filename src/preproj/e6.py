@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .freealg import FreeElement, GeneratorMap, generators
 from .polyring import Poly
@@ -39,7 +39,6 @@ from .quiver import Quiver, builtin_quiver
 from .quotient import (
     QuotientAlgebra,
     QuotientElement,
-    _exact,
     _insert_row,
     build_quotient,
 )
@@ -148,7 +147,6 @@ def check_constraints(theta: Sequence) -> None:
         )
 
 
-@dataclass(frozen=True)
 class DeformationParameters:
     """Coefficients (theta_1..theta_9) of a candidate element of rad^2(re6).
 
@@ -158,10 +156,35 @@ class DeformationParameters:
         two admissibility constraints, leaving seven free indeterminates.
       * ``numeric``: all thetas are exact rationals (not necessarily
         admissible; use constraints_satisfied / is_admissible to decide).
+
+    Immutable, and equal to parameters with the same thetas and mode.
     """
 
-    theta: tuple
-    mode: str
+    __slots__ = ("theta", "mode")
+
+    def __init__(self, theta: tuple, mode: str):
+        if mode not in ("symbolic-free", "symbolic-constrained", "numeric"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if len(theta) != 9:
+            raise ValueError("expected 9 theta values")
+        if mode == "symbolic-constrained" and any(constraint_residuals(theta)):
+            raise ValueError("constrained mode requires the substituted theta_2, theta_6")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mode", mode)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DeformationParameters is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, DeformationParameters):
+            return NotImplemented
+        return (self.theta, self.mode) == (other.theta, other.mode)
+
+    def __hash__(self):
+        return hash((self.theta, self.mode))
+
+    def __repr__(self):
+        return f"DeformationParameters(theta={self.theta!r}, mode={self.mode!r})"
 
     @staticmethod
     def symbolic_free() -> "DeformationParameters":
@@ -191,14 +214,6 @@ class DeformationParameters:
     def zero() -> "DeformationParameters":
         return DeformationParameters.numeric([0] * 9)
 
-    def __post_init__(self):
-        if self.mode not in ("symbolic-free", "symbolic-constrained", "numeric"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.theta) != 9:
-            raise ValueError("expected 9 theta values")
-        if self.mode == "symbolic-constrained" and any(constraint_residuals(self.theta)):
-            raise ValueError("constrained mode requires the substituted theta_2, theta_6")
-
     def constraints_satisfied(self) -> bool:
         return not any(constraint_residuals(self.theta))
 
@@ -225,7 +240,8 @@ class GeneratorScalars:
     """All named coefficients of the change of generators, over one scalar ring.
 
     Works over any commutative scalar ring with +, -, * and integer
-    multiples (Poly, Fraction, or a prime-field scalar).  The constants of
+    multiples (Poly, Fraction, a prime-field scalar, or ``int``, which the
+    numeric oracle reduces mod p afterwards).  The constants of
     the inverse formulas are computed on first use: only
     ``inverse_formula_terms`` reads them, and the numeric oracle never does.
     """
@@ -235,24 +251,28 @@ class GeneratorScalars:
          self.th6, self.th7, self.th8, self.th9) = theta
         t1, t2, t3, t4, t5, t6, t7, t8, t9 = theta
         self.one = one
-        self.alpha = t4 + (t3 - t1) ** 2
-        self.beta = t5 - 2 * t4 - 2 * (t3 - t1) ** 2
+        # each shared power once: these are most of the work per trial
+        t1_2, t3_2, t13 = t1 * t1, t3 * t3, t1 * t3
+        t1_3, t3_3, t1_2t3, t1t3_2 = t1_2 * t1, t3_2 * t3, t1_2 * t3, t1 * t3_2
+        d = t3 - t1
+        d2 = d * d
+        self.alpha = t4 + d2
+        self.beta = t5 - 2 * t4 - 2 * d2
         self.gamma = (
-            t7 - 8 * t1 * t3 ** 2 + 7 * t1 ** 2 * t3 + 2 * t3 * t4
-            - 2 * t1 ** 3 - 2 * t1 * t4 + 3 * t3 ** 3
+            t7 - 8 * t1t3_2 + 7 * t1_2t3 + 2 * t3 * t4
+            - 2 * t1_3 - 2 * t1 * t4 + 3 * t3_3
         )
         self.delta = (
-            2 * t1 ** 4 - 6 * t1 ** 3 * t3 - 3 * t1 ** 2 * t5 + 4 * t1 ** 2 * t4
-            + 6 * t1 ** 2 * t3 ** 2 + 5 * t1 * t3 * t5 - 6 * t1 * t3 * t4
-            + t5 ** 2 - 3 * t5 * t4 + 2 * t4 ** 2 - 2 * t3 ** 3 * t1
-            - 2 * t3 ** 2 * t5 + 2 * t3 ** 2 * t4 + 2 * t1 * t8 - 3 * t3 * t8 - t9
+            2 * t1_3 * t1 - 6 * t1_3 * t3 - 3 * t1_2 * t5 + 4 * t1_2 * t4
+            + 6 * t1_2 * t3_2 + 5 * t13 * t5 - 6 * t13 * t4
+            + t5 * t5 - 3 * t5 * t4 + 2 * t4 * t4 - 2 * t3_3 * t1
+            - 2 * t3_2 * t5 + 2 * t3_2 * t4 + 2 * t1 * t8 - 3 * t3 * t8 - t9
         )
         # b3 / a4 / b4 correction coefficients
-        self.psi = self.th4 - self.th5 - self.th1 * self.th3 + self.th1 ** 2
-        self.kappa1 = (self.th1 - self.th3) * (2 * self.th3 - self.th1) - self.th4
+        self.psi = t4 - t5 - t13 + t1_2
+        self.kappa1 = 3 * t13 - t1_2 - 2 * t3_2 - t4  # (t1 - t3)*(2*t3 - t1) - t4
         self.kappa2 = (
-            3 * self.th1 * self.th3 ** 2 - self.th3 * self.th4 - self.th7
-            - 2 * self.th1 ** 2 * self.th3 - self.th3 ** 3 + self.th1 * self.th5
+            3 * t1t3_2 - t3 * t4 - t7 - 2 * t1_2t3 - t3_3 + t1 * t5
         )
 
     # -- constants of the inverse formulas ------------------------------------
@@ -523,19 +543,18 @@ def lemma_coefficients() -> tuple[Poly, Poly]:
 # -- verification reports ------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: str | None
     ms: float
 
 
-@dataclass
 class VerificationReport:
-    title: str
-    algebra: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, title: str, algebra: str):
+        self.title = title
+        self.algebra = algebra
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:
@@ -723,6 +742,9 @@ def verify_theorem(params: DeformationParameters | None = None) -> VerificationR
 
 @lru_cache(maxsize=None)
 def _reduction_is_integral(algebra: QuotientAlgebra) -> bool:
+    """Whether every normal form in the algebra's table has integer
+    coefficients; then so has every structure constant.  Checked once per
+    algebra (the table never changes once built)."""
     return all(
         c.denominator == 1
         for row in algebra.reduction.values()
@@ -848,6 +870,7 @@ class RationalScalars:
     """Exact rational arithmetic for the numeric pipeline."""
 
     name = "rationals"
+    p = None  # no modulus: the integer oracle keeps a denominator
 
     def convert(self, value: Fraction) -> Fraction:
         return Fraction(value)
@@ -950,53 +973,99 @@ class PrimeFieldScalars:
         return GF(self.p, rng.randrange(self.p))
 
 
+# The oracle's vectors are pairs (coords, den): ``int`` coordinates keyed
+# by basis index over one positive ``int`` denominator, so no field scalar
+# and no path is made per product.  Why this is exact:
+#   * every normal form of pe6 has integer coefficients (checked once per
+#     algebra, ``_word_vector``), so every structure constant is an
+#     ``int`` and ``QuotientAlgebra.product`` maps integer vectors to
+#     integer vectors;
+#   * over Q a vector's value is coords/den exactly: a product multiplies
+#     the denominators, and a sum brings both sides to the lcm of theirs;
+#   * over GF(p) the denominator is 1 and every scalar an ``int``: Z ->
+#     GF(p) is a ring homomorphism, so reducing each coordinate mod p once
+#     per product or sum gives the GF(p) result, and a coordinate is zero
+#     in GF(p) exactly when its reduction is 0.
+# Field scalars and paths reappear only in ``_field_vector``.
+
+
 @lru_cache(maxsize=None)
-def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict:
-    """Basis coordinates of the path through the named arrows, reduced once.
+def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict[int, int]:
+    """Integer basis coordinates of the path through the named arrows,
+    keyed by basis index and reduced once.
 
     Sound to cache: an algebra's reduction table never changes once built,
-    and the key holds the algebra as well as the word.  A coefficient with
-    denominator 1 is an ``int``, so scaling by a field scalar converts
-    nothing.  Callers must not change the returned dict.
+    and the key holds the algebra as well as the word.  Raises ValueError
+    when the algebra has a non-integral normal form, where the integer
+    oracle does not apply.  Callers must not change the returned dict.
     """
+    if not _reduction_is_integral(algebra):
+        raise ValueError(f"{algebra.name} has non-integral normal forms")
+    index = algebra.basis_index
     path = algebra.quiver.path(*names)
-    return {b: _exact(c) for b, c in algebra.reduce_path(path).items()}
+    return {index[b]: c.numerator for b, c in algebra.reduce_path(path).items()}
 
 
-def _generator_vectors(algebra: QuotientAlgebra, s: GeneratorScalars) -> dict[str, dict]:
-    """Basis coordinates of a0, b0, a1, b1 and the six substituted generators,
-    each a sum of field scalars times the cached word vectors."""
+def _vec_sum(terms: Iterable[tuple], p: int | None) -> tuple[dict[int, int], int]:
+    """The sum of c * u over the (c, u) pairs of ``terms``.
+
+    Each c is an ``int`` or a ``Fraction`` (over GF(p), an ``int``), and
+    each u a vector (coords, den).  The result is over the lcm of the
+    denominators of the c * u; over GF(p) each coordinate is reduced mod p.
+    """
+    scaled = [(c.numerator, c.denominator * den, coords) for c, (coords, den) in terms]
+    den = lcm(*(d for _, d, _ in scaled))
+    acc: dict[int, int] = {}
+    for num, d, coords in scaled:
+        factor = num * (den // d)
+        for k, x in coords.items():
+            acc[k] = acc.get(k, 0) + factor * x
+    if p is None:
+        return {k: x for k, x in acc.items() if x}, den
+    return {k: r for k, x in acc.items() if (r := x % p)}, 1
+
+
+def _vec_mul(
+    algebra: QuotientAlgebra, u: tuple, v: tuple, p: int | None
+) -> tuple[dict[int, int], int]:
+    """The product of two vectors (coords, den) through the structure constants.
+
+    Over Q the denominators multiply; over GF(p) each coordinate of the
+    integer product is reduced mod p.
+    """
+    coords = algebra.product(u[0], v[0])
+    if p is None:
+        return coords, u[1] * v[1]
+    return {k: r for k, x in coords.items() if (r := x % p)}, 1
+
+
+def _generator_vectors(
+    algebra: QuotientAlgebra, s: GeneratorScalars, p: int | None
+) -> dict[str, tuple[dict[int, int], int]]:
+    """Vectors of a0, b0, a1, b1 and the six substituted generators, each a
+    sum of the constants of ``s`` times the cached word vectors.
+
+    ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int`` or
+    ``Fraction`` constants over Q (``p`` None).
+    """
     terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
     terms.update(primed_generator_terms(s))
-    vectors = {}
-    for name, generator_terms in terms.items():
-        coords: dict = {}
-        for coeff, names in generator_terms:
-            for b, c in _word_vector(algebra, names).items():
-                term = coeff * c
-                old = coords.get(b)
-                coords[b] = term if old is None else old + term
-        vectors[name] = {b: c for b, c in coords.items() if c}
-    return vectors
+    return {
+        name: _vec_sum(
+            ((coeff, (_word_vector(algebra, names), 1)) for coeff, names in generator_terms),
+            p,
+        )
+        for name, generator_terms in terms.items()
+    }
 
 
-def _vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        acc = out.get(k)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _vec_pow(algebra: QuotientAlgebra, u: dict, n: int) -> dict:
-    result = None
-    for _ in range(n):
-        result = dict(u) if result is None else algebra.product(result, u)
-    return result if result is not None else {}
+def _field_vector(algebra: QuotientAlgebra, vec: tuple, p: int | None) -> dict:
+    """A vector (coords, den) as basis paths to field scalars."""
+    coords, den = vec
+    basis = algebra.basis
+    if p is None:
+        return {basis[k]: Fraction(c, den) for k, c in coords.items()}
+    return {basis[k]: GF(p, c) for k, c in coords.items()}
 
 
 def numeric_relation_residuals(
@@ -1006,47 +1075,52 @@ def numeric_relation_residuals(
 
     ``theta`` holds nine field scalars satisfying the two constraints.
     No polynomial objects and no free-algebra multiplication take part;
-    this is the independent oracle for the symbolic pipeline.  Returns the
-    residual vectors together with a nonzero intermediate (the coordinates
-    of b2'*a2') used to cross-check the pipelines on more than zeros.
+    this is the independent oracle for the symbolic pipeline.  It computes
+    on integer vectors keyed by basis index (see the note above
+    ``_word_vector``).  Returns the residual vectors, basis paths to field
+    scalars, together with a nonzero intermediate (the coordinates of
+    b2'*a2') used to cross-check the pipelines on more than zeros.
     """
     algebra = build_pe6()
-    gen_vec = _generator_vectors(algebra, GeneratorScalars(tuple(theta), scalars.one()))
+    p = scalars.p
+    if p is not None:
+        theta = [v.value for v in theta]
+    gen = _generator_vectors(algebra, GeneratorScalars(tuple(theta), 1), p)
 
-    def prod(*names):
-        out = None
-        for n in names:
-            out = gen_vec[n] if out is None else algebra.product(out, gen_vec[n])
-        return out
+    def mul(u, v):
+        return _vec_mul(algebra, u, v, p)
+
+    def prod(a, b):
+        return mul(gen[a], gen[b])
+
+    def add(*vectors):
+        return _vec_sum(((1, u) for u in vectors), p)
 
     x = prod("b0", "a0")
     y = prod("b2", "a2")
-    theta_list = list(theta)
-    mul = algebra.product
-    word_vectors = {"xy": mul(x, y), "yx": mul(y, x), "yy": mul(y, y)}
-    word_vectors["xyx"] = mul(word_vectors["xy"], x)
-    word_vectors["xyy"] = mul(word_vectors["xy"], y)
-    word_vectors["yxy"] = mul(word_vectors["yx"], y)
-    word_vectors["xyxy"] = mul(word_vectors["xyx"], y)
-    word_vectors["yxyy"] = mul(word_vectors["yxy"], y)
-    word_vectors["xyxyy"] = mul(word_vectors["xyxy"], y)
-    f_vec: dict = {}
-    for value, word in zip(theta_list, THETA_MONOMIALS):
-        f_vec = _vec_add(f_vec, {k: value * c for k, c in word_vectors[word].items()})
+    words = {"xy": mul(x, y), "yx": mul(y, x), "yy": mul(y, y)}
+    words["xyx"] = mul(words["xy"], x)
+    words["xyy"] = mul(words["xy"], y)
+    words["yxy"] = mul(words["yx"], y)
+    words["xyxy"] = mul(words["xyx"], y)
+    words["yxyy"] = mul(words["yxy"], y)
+    words["xyxyy"] = mul(words["xyxy"], y)
+    f = _vec_sum(zip(theta, (words[w] for w in THETA_MONOMIALS)), p)
+    x_plus_y = add(x, y)
 
     residuals = [
         ("a0*b0", prod("a0", "b0")),
         ("a1*b1", prod("a1", "b1")),
-        ("b1*a1 + a2*b2", _vec_add(prod("b1", "a1"), prod("a2", "b2"))),
-        ("b3*a3 + a4*b4", _vec_add(prod("b3", "a3"), prod("a4", "b4"))),
+        ("b1*a1 + a2*b2", add(prod("b1", "a1"), prod("a2", "b2"))),
+        ("b3*a3 + a4*b4", add(prod("b3", "a3"), prod("a4", "b4"))),
         ("b4*a4", prod("b4", "a4")),
-        (
-            "b0*a0 + b2*a2 + a3*b3 + f(b0*a0, b2*a2)",
-            _vec_add(_vec_add(x, y), _vec_add(prod("a3", "b3"), f_vec)),
-        ),
-        ("(b0*a0 + b2*a2)^3", _vec_pow(algebra, _vec_add(x, y), 3)),
+        ("b0*a0 + b2*a2 + a3*b3 + f(b0*a0, b2*a2)", add(x_plus_y, prod("a3", "b3"), f)),
+        ("(b0*a0 + b2*a2)^3", mul(mul(x_plus_y, x_plus_y), x_plus_y)),
     ]
-    return residuals, {"b2'*a2'": y}
+    return (
+        [(name, _field_vector(algebra, vec, p)) for name, vec in residuals],
+        {"b2'*a2'": _field_vector(algebra, y, p)},
+    )
 
 
 def _random_constrained_theta(rng: random.Random, scalars) -> list:
@@ -1085,7 +1159,8 @@ def sample_check(
     if theta is not None:
         trials_iter = [[_coerce_theta_entry(v, scalars) for v in theta]]
     else:
-        trials_iter = [_random_constrained_theta(rng, scalars) for _ in range(trials)]
+        # drawn one trial at a time, so only the running trial's values are held
+        trials_iter = (_random_constrained_theta(rng, scalars) for _ in range(trials))
 
     for k, th in enumerate(trials_iter):
         check_constraints(th)

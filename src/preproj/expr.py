@@ -16,8 +16,8 @@ is the identity on canonical elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .freealg import FreeElement
 from .polyring import NVARS, Poly
@@ -45,36 +45,30 @@ class ExprError(ValueError):
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(NamedTuple):
     name: str
     line: int = 0
     column: int = 0
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     # (sign, term) pairs with sign in {+1, -1}
     parts: tuple
 
@@ -82,8 +76,7 @@ class Sum:
 # -- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, IDENT, SYMBOL, END
     text: str
     line: int

@@ -14,9 +14,13 @@ small monomials survive as basis elements and the basis is canonical.
 Construction stops at the first degree N whose component vanishes: every
 path of length N + 1 is an arrow times a path of length N, which lies in
 the ideal, so the algebra is zero from degree N on.  Only then is the
-reduction table filled, one entry per path shorter than N, each path
-reducing as arrow * (normal form of the rest); ``reduce_path`` maps every
-longer path to zero without looking it up.
+reduction table filled, each path reducing as arrow * (normal form of the
+rest).  The table holds the nonzero normal forms only: ``reduce_path``
+maps every path it does not hold, shorter or longer than N, to zero.
+
+Products go through the structure constants of basis pairs, on
+coordinates keyed by basis index (``QuotientAlgebra.product``); paths
+appear only where ``multiply`` maps elements in and out.
 
 Reduction data is stored over the rationals only.  Elements with
 polynomial coefficients are reduced coefficient-wise, which is sound
@@ -26,6 +30,7 @@ because the ideal itself is rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .freealg import FreeElement
@@ -35,6 +40,9 @@ from .quiver import Path, Quiver, compose
 Row = dict  # monomial (Path or arrow tuple) -> Fraction, single degree
 
 DEFAULT_MAX_DEGREE = 64
+
+# the normal form of every path the reduction table does not hold
+_NO_TERMS: Mapping = MappingProxyType({})
 
 
 class RelationSet:
@@ -202,15 +210,15 @@ class QuotientAlgebra:
 
     # -- reduction -------------------------------------------------------------
 
-    def reduce_path(self, path: Path) -> dict[Path, Fraction]:
+    def reduce_path(self, path: Path) -> Mapping[Path, Fraction]:
         """Rational reduction of a single path to basis coordinates.
 
-        The table stops below the nilpotency degree N, so the length guard
-        is what sends paths of length >= N (all in the ideal) to zero.
+        The table holds exactly the paths whose normal form is nonzero
+        (``build_quotient`` stores each of them below the nilpotency
+        degree N, and nothing of length >= N), so any other path reduces
+        to zero: a shared read-only empty mapping.
         """
-        if len(path) >= self.nilpotency_degree:
-            return {}
-        return self.reduction[path]
+        return self.reduction.get(path, _NO_TERMS)
 
     def normal_form(self, element: FreeElement) -> QuotientElement:
         """The unique basis expression of an element's residue class."""
@@ -259,20 +267,18 @@ class QuotientAlgebra:
             for j in range(n):
                 self.structure_constant(i, j)
 
-    def product(self, u: Mapping[Path, object], v: Mapping[Path, object]) -> dict:
+    def product(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict[int, object]:
         """Bilinear product of coordinate dicts through the structure constants.
 
-        Generic over the coefficient type: any scalar that multiplies by an
-        ``int`` and a ``Fraction`` works (``Poly``, ``Fraction``, a
-        prime-field scalar).  Sums are kept by basis index and mapped back
-        to paths once; a constant 1 adds the coefficient product unscaled.
+        Coordinates are keyed by basis index, in and out.  Generic over the
+        coefficient type: any scalar that multiplies by an ``int`` and a
+        ``Fraction`` works (``Poly``, ``Fraction``, a prime-field scalar,
+        an ``int``).  A constant 1 adds the coefficient product unscaled.
         No zero coordinates are stored.
         """
-        index = self.basis_index
-        right = [(index[pv], cv) for pv, cv in v.items()]
+        right = list(v.items())
         acc: dict[int, object] = {}
-        for pu, cu in u.items():
-            iu = index[pu]
+        for iu, cu in u.items():
             for iv, cv in right:
                 entry = self.structure_constant(iu, iv)
                 if not entry:
@@ -282,11 +288,15 @@ class QuotientAlgebra:
                     term = cuv if c == 1 else cuv * c
                     old = acc.get(k)
                     acc[k] = term if old is None else old + term
-        basis = self.basis
-        return {basis[k]: c for k, c in acc.items() if c}
+        return {k: c for k, c in acc.items() if c}
 
     def multiply(self, a: QuotientElement, b: QuotientElement) -> QuotientElement:
-        return QuotientElement(self, self.product(a.coords, b.coords))
+        index, basis = self.basis_index, self.basis
+        coords = self.product(
+            {index[p]: c for p, c in a.coords.items()},
+            {index[p]: c for p, c in b.coords.items()},
+        )
+        return QuotientElement(self, {basis[k]: c for k, c in coords.items()})
 
     def structure_constants_csv(self) -> str:
         """CSV rows ``left-index,right-index,result-index,coefficient``.
@@ -420,9 +430,15 @@ def build_quotient(
     * Every path a*q reduces as a*NF(q): NF(a*q) is the sum of
       c_b * NF(a*b) over NF(q) = sum of c_b * b.
 
-    Only once the vanishing degree N is known is the table filled, path
-    by path, for every path shorter than N; until then a degree costs its
-    candidates and relation rows, not its paths.
+    Only once the vanishing degree N is known is the table filled, degree
+    by degree below N; until then a degree costs its candidates and
+    relation rows, not its paths.  The table keeps the nonzero normal
+    forms only, and it still misses none: a path of degree d >= 1 is a*q
+    with q of degree d - 1, and NF(q) = 0 gives NF(a*q) = a*NF(q) = 0,
+    so every path of nonzero normal form extends a path of nonzero normal
+    form, and the fill reaches it.  ``reduce_path`` sends every path the
+    table lacks to zero: below N its normal form is zero, and from N on
+    the path lies in the ideal.
 
     Raises ValueError if no vanishing degree is found below ``max_degree``;
     the quotient is then not visibly finite-dimensional and this engine
@@ -508,17 +524,20 @@ def build_quotient(
     reduction: dict[Path, dict[Path, Fraction]] = {
         e: {e: Fraction(1)} for e in basis_by_degree[0]
     }
-    # every path of degree d > 1 is an arrow times a path of degree d - 1
+    # every path of degree d > 1 is an arrow times a path of degree d - 1;
+    # a path in the ideal has only extensions in the ideal, so each layer
+    # keeps the paths of nonzero normal form alone
     layer: dict[tuple, Row] = {}
     for d in range(1, degree):
         if d == 1:
-            layer = {(i,): normal[(i,)] for i in range(len(arrows))}
+            extended = (((i,), normal[(i,)]) for i in range(len(arrows)))
         else:
-            layer = {
-                (i,) + q: prepend(i, nf)
+            extended = (
+                ((i,) + q, prepend(i, nf))
                 for q, nf in layer.items()
                 for i in into[arrows[q[0]].source]
-            }
+            )
+        layer = {w: nf for w, nf in extended if nf}
         for w, nf in layer.items():
             path = basis_paths.get(w) or Path._unchecked(
                 quiver, w, arrows[w[0]].source, arrows[w[-1]].target

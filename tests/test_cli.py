@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the JSON report schema."""
 
+import hashlib
 import json
 import time
 
@@ -234,3 +235,57 @@ def test_verify_all(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(["verify", "nonsense"]) == 2
     assert run(["bogus"]) == 2
+
+
+# -- same results: outputs pinned by SHA-256 -----------------------------------
+#
+# Any change to a check name, status, residual string, basis listing or
+# structure constant changes a hash.  Timing fields are stripped first;
+# key order is kept, so a reordered report changes its hash too.
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_without_timings(text):
+    document = json.loads(text)
+    document.pop("total_ms")
+    document["checks"] = [
+        {k: v for k, v in check.items() if k != "ms"} for check in document["checks"]
+    ]
+    return json.dumps(document)
+
+
+PINNED_REPORTS = {
+    ("sample", "--seed", "7", "--trials", "30"):
+        "688cb9065e03fc6c408fb3cec08dd78abbd03eec67f6b9df9edb0c61fd333fac",
+    ("sample", "--seed", "7", "--trials", "30", "--field", "11"):
+        "52c249fba7253a9bd142b61ad3ab3018202fec7abcbac113d0fc1c8757d34390",
+    ("sample", "--seed", "7", "--trials", "30", "--field", "2"):
+        "024f4a31cb9757af8aa15869b778b6468643d3cfb03153f836703fab3ed3d549",
+    ("verify", "all"):
+        "553b1f83183f2306f0c533a780805042db3517ebf080fe292b6bc19dce7ec678",
+    ("verify", "inverse", "--mode", "printed"):
+        "5cd9624806921d3947f3aa5144ae2179c1d5289154cb46dac289363a947ca7c3",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
+def test_json_report_is_pinned_modulo_timing(capsys, argv):
+    _, out, _ = invoke(capsys, *argv, "--json")
+    assert _sha256(_report_without_timings(out)) == PINNED_REPORTS[argv]
+
+
+PINNED_BASIS = {
+    "pe6": ("a6516fe60062c8e62a8bf8c7605f6f0a9dc62772c8cd4ff53d693ea0b4da3117", "b8010f2787102469c9d9693e845b1936c431eee89d598ff585138d3b3aaa3e08"),
+    "re6": ("f8f28f7f666c647192def6c67ff2e0cf645556aefd312b6a031993a70b575e89", "6918d3e88f6a9d0be7c9e9bab097b839b85489bdccd53302d0e677b398beab96"),
+}
+
+
+@pytest.mark.parametrize("algebra", list(PINNED_BASIS))
+def test_basis_listing_and_constants_csv_are_pinned(tmp_path, capsys, algebra):
+    target = tmp_path / "sc.csv"
+    code, out, _ = invoke(capsys, "basis", "--algebra", algebra, "--constants", str(target))
+    assert code == 0
+    assert (_sha256(out), _sha256(target.read_text())) == PINNED_BASIS[algebra]

@@ -41,7 +41,7 @@ from preproj.e6 import (
 )
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
-from preproj.quiver import Quiver, builtin_quiver
+from preproj.quiver import Path, Quiver, builtin_quiver
 from preproj.quotient import QuotientAlgebra, build_quotient
 
 
@@ -385,8 +385,23 @@ def test_sample_check_computes_its_symbolic_side_once(monkeypatch):
 FIELDS = {
     "rationals": RationalScalars(),
     "GF(2)": PrimeFieldScalars(2),
+    "GF(3)": PrimeFieldScalars(3),
     "GF(11)": PrimeFieldScalars(11),
 }
+
+
+def integer_scalars(theta, scalars):
+    """``theta`` as the integer oracle scales by it: residues over GF(p)."""
+    return [v if scalars.p is None else v.value for v in theta]
+
+
+def field_vector(algebra, vec, scalars):
+    """An integer vector (coords, den) of the oracle as paths to field scalars."""
+    coords, den = vec
+    if scalars.p is not None:
+        # over GF(p) every coordinate is reduced and the denominator is 1
+        assert den == 1 and all(0 < c < scalars.p for c in coords.values())
+    return {algebra.basis[k]: scalars.convert(Fraction(c, den)) for k, c in coords.items()}
 
 
 def fresh_generator_vectors(algebra, s):
@@ -425,14 +440,183 @@ def test_cached_generator_vectors_match_a_fresh_reduction(field):
     # hand one algebra's vectors to the other
     algebras = [build_pe6(), e6_modulo_paths_of_length(4)]
     for _ in range(4):
-        s = GeneratorScalars(_random_constrained_theta(rng, scalars), scalars.one())
-        got = [_generator_vectors(algebra, s) for algebra in algebras]
+        theta = _random_constrained_theta(rng, scalars)
+        s = GeneratorScalars(theta, scalars.one())
+        lifted = GeneratorScalars(integer_scalars(theta, scalars), 1)
+        got = [_generator_vectors(algebra, lifted, scalars.p) for algebra in algebras]
         for algebra, vectors in zip(algebras, got):
-            assert vectors == fresh_generator_vectors(algebra, s)
+            assert {
+                name: field_vector(algebra, vec, scalars) for name, vec in vectors.items()
+            } == fresh_generator_vectors(algebra, s)
             assert all(
-                type(c) is type(s.one) for vec in vectors.values() for c in vec.values()
+                type(c) is int for coords, _ in vectors.values() for c in coords.values()
             )
         assert got[0] != got[1]
+
+
+def generic_relation_residuals(theta, scalars):
+    """Slow path of ``numeric_relation_residuals``: field scalars throughout.
+
+    The generator vectors come from ``fresh_generator_vectors`` and every
+    product is the generic ``QuotientAlgebra.product`` on ``Fraction`` or
+    ``GF`` coordinates; each word of f is multiplied out anew.
+    """
+    algebra = build_pe6()
+    index = algebra.basis_index
+    gen = {
+        name: {index[b]: c for b, c in vec.items()}
+        for name, vec in fresh_generator_vectors(
+            algebra, GeneratorScalars(theta, scalars.one())
+        ).items()
+    }
+
+    def add(*vectors):
+        out = {}
+        for vec in vectors:
+            for k, c in vec.items():
+                out[k] = out[k] + c if k in out else c
+        return {k: c for k, c in out.items() if c}
+
+    def prod(*names):
+        out = gen[names[0]]
+        for name in names[1:]:
+            out = algebra.product(out, gen[name])
+        return out
+
+    x, y = prod("b0", "a0"), prod("b2", "a2")
+    loops = {"x": x, "y": y}
+    f = {}
+    for value, word in zip(theta, e6.THETA_MONOMIALS):
+        vec = loops[word[0]]
+        for letter in word[1:]:
+            vec = algebra.product(vec, loops[letter])
+        f = add(f, {k: value * c for k, c in vec.items()})
+    s = add(x, y)
+    residuals = [
+        ("a0*b0", prod("a0", "b0")),
+        ("a1*b1", prod("a1", "b1")),
+        ("b1*a1 + a2*b2", add(prod("b1", "a1"), prod("a2", "b2"))),
+        ("b3*a3 + a4*b4", add(prod("b3", "a3"), prod("a4", "b4"))),
+        ("b4*a4", prod("b4", "a4")),
+        ("b0*a0 + b2*a2 + a3*b3 + f(b0*a0, b2*a2)", add(s, prod("a3", "b3"), f)),
+        ("(b0*a0 + b2*a2)^3", algebra.product(algebra.product(s, s), s)),
+    ]
+    basis = algebra.basis
+    return (
+        [(name, {basis[k]: c for k, c in vec.items()}) for name, vec in residuals],
+        {"b2'*a2'": {basis[k]: c for k, c in y.items()}},
+    )
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
+    scalars = FIELDS[field]
+    rng = random.Random(47)
+    nonzero_residuals = 0
+    for trial in range(6):
+        theta = _random_constrained_theta(rng, scalars)
+        if trial % 2:
+            # break a constraint, so that residuals are nonzero too
+            theta[1 if trial % 4 == 1 else 5] += scalars.one()
+        got = e6.numeric_relation_residuals(theta, scalars)
+        assert got == generic_relation_residuals(theta, scalars)
+        assert got[1]["b2'*a2'"]
+        nonzero_residuals += sum(1 for _, vec in got[0] if vec)
+    assert nonzero_residuals >= 3
+
+
+@pytest.mark.parametrize("field", [None, 11])
+def test_numeric_oracle_makes_no_field_scalar_and_hashes_no_path(monkeypatch, field):
+    """After warm-up, the oracle makes ``GF`` scalars and hashes paths only
+    for the coordinates it returns: the zero residuals have none, so that
+    is the nonzero b2'*a2' (one path and, over GF(p), one scalar each)."""
+    assert sample_check(seed=3, trials=1, field=field).passed
+    calls = Counter()
+    returned = []
+    inside = []
+    oracle = e6.numeric_relation_residuals
+
+    def traced(theta, scalars):
+        inside.append(True)
+        try:
+            result = oracle(theta, scalars)
+        finally:
+            inside.pop()
+        returned.append(result)
+        return result
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(e6, "numeric_relation_residuals", traced)
+    monkeypatch.setattr(GF, "__init__", counting("GF", GF.__init__))
+    monkeypatch.setattr(Path, "__hash__", counting("hash", Path.__hash__))
+    assert sample_check(seed=4, trials=3, field=field).passed
+    assert len(returned) == 3
+    assert all(not vec for residuals, _ in returned for _, vec in residuals)
+    coordinates = sum(len(y["b2'*a2'"]) for _, y in returned)
+    assert coordinates >= 3
+    assert calls["hash"] == coordinates
+    assert calls["GF"] == (0 if field is None else coordinates)
+
+
+CHANGE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
+
+
+def displayed_change_constants(theta):
+    """Slow path of ``GeneratorScalars``: the change-of-generator constants
+    as displayed, each power computed anew."""
+    t1, t2, t3, t4, t5, t6, t7, t8, t9 = theta
+    return {
+        "alpha": t4 + (t3 - t1) ** 2,
+        "beta": t5 - 2 * t4 - 2 * (t3 - t1) ** 2,
+        "gamma": (
+            t7 - 8 * t1 * t3 ** 2 + 7 * t1 ** 2 * t3 + 2 * t3 * t4
+            - 2 * t1 ** 3 - 2 * t1 * t4 + 3 * t3 ** 3
+        ),
+        "delta": (
+            2 * t1 ** 4 - 6 * t1 ** 3 * t3 - 3 * t1 ** 2 * t5 + 4 * t1 ** 2 * t4
+            + 6 * t1 ** 2 * t3 ** 2 + 5 * t1 * t3 * t5 - 6 * t1 * t3 * t4
+            + t5 ** 2 - 3 * t5 * t4 + 2 * t4 ** 2 - 2 * t3 ** 3 * t1
+            - 2 * t3 ** 2 * t5 + 2 * t3 ** 2 * t4 + 2 * t1 * t8 - 3 * t3 * t8 - t9
+        ),
+        "psi": t4 - t5 - t1 * t3 + t1 ** 2,
+        "kappa1": (t1 - t3) * (2 * t3 - t1) - t4,
+        "kappa2": (
+            3 * t1 * t3 ** 2 - t3 * t4 - t7 - 2 * t1 ** 2 * t3 - t3 ** 3 + t1 * t5
+        ),
+    }
+
+
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_change_constants_agree_with_the_displayed_formulas(field):
+    free = DeformationParameters.symbolic_free().theta
+    symbolic = GeneratorScalars(free, Poly.const(1))
+    displayed = displayed_change_constants(free)
+    for name in CHANGE_CONSTANTS:
+        assert getattr(symbolic, name) == displayed[name], name
+    scalars = FIELDS[field]
+    rng = random.Random(53)
+    for _ in range(5):
+        theta = _random_constrained_theta(rng, scalars)
+        numeric = GeneratorScalars(theta, scalars.one())
+        # the integer oracle's bundle: over GF(p), on residues, reduced after
+        lifted = GeneratorScalars(integer_scalars(theta, scalars), 1)
+        assignment = {i + 1: v for i, v in enumerate(theta)}
+        for name in CHANGE_CONSTANTS:
+            poly = getattr(symbolic, name)
+            if isinstance(scalars, PrimeFieldScalars):
+                residues = {i: v.value for i, v in assignment.items()}
+                expected = GF(scalars.p, poly.evaluate_mod(residues, scalars.p))
+            else:
+                expected = poly.evaluate(assignment)
+            assert getattr(numeric, name) == expected, name
+            assert scalars.convert(Fraction(getattr(lifted, name))) == expected, name
 
 
 LAZY_CONSTANTS = (

@@ -149,6 +149,16 @@ def test_qe_mul_matches_free_reduction():
         assert alg.normal_form(a) * alg.normal_form(b) == alg.normal_form(a * b)
 
 
+def by_index(algebra, coords):
+    """Path-keyed coordinates keyed by basis index, as ``product`` takes them."""
+    return {algebra.basis_index[p]: c for p, c in coords.items()}
+
+
+def by_path(algebra, coords):
+    """Index-keyed coordinates, as ``product`` returns them, keyed by path."""
+    return {algebra.basis[k]: c for k, c in coords.items()}
+
+
 def _random_coords(rng, algebra, size, denominators=(1, 2, 3)):
     """Nonzero rational coordinates on ``size`` random basis paths."""
     return {
@@ -166,7 +176,7 @@ def test_coordinate_product_matches_multiply_and_free_reduction(build):
         v = _random_coords(rng, alg, rng.randint(1, 6))
         a = alg.element({p: Poly.const(c) for p, c in u.items()})
         b = alg.element({p: Poly.const(c) for p, c in v.items()})
-        product = alg.product(u, v)
+        product = by_path(alg, alg.product(by_index(alg, u), by_index(alg, v)))
         assert all(product.values())
         assert alg.element({p: Poly.const(c) for p, c in product.items()}) == alg.multiply(a, b)
         assert alg.normal_form(a.lift() * b.lift()) == alg.multiply(a, b)
@@ -182,12 +192,13 @@ def test_coordinate_product_over_prime_field_is_rational_product_mod_p(p):
         # denominators prime to both 2 and 11
         u = _random_coords(rng, alg, rng.randint(1, 6), denominators=(1, 3, 5, 7))
         v = _random_coords(rng, alg, rng.randint(1, 6), denominators=(1, 3, 5, 7))
-        reduced = {b: field.convert(c) for b, c in alg.product(u, v).items()}
+        product = by_path(alg, alg.product(by_index(alg, u), by_index(alg, v)))
+        reduced = {b: field.convert(c) for b, c in product.items()}
         expected = {b: c for b, c in reduced.items() if c}
-        got = alg.product(
-            {b: field.convert(c) for b, c in u.items()},
-            {b: field.convert(c) for b, c in v.items()},
-        )
+        got = by_path(alg, alg.product(
+            by_index(alg, {b: field.convert(c) for b, c in u.items()}),
+            by_index(alg, {b: field.convert(c) for b, c in v.items()}),
+        ))
         assert got == expected
         nonzero_mod_p += bool(got)
     assert nonzero_mod_p > 10
@@ -237,7 +248,7 @@ def test_coordinate_product_matches_pairwise_reference(build, kind):
         # one coordinate on the unit keeps every basis element of the other
         # factor in play, with its unit and non-unit constants
         u[alg.quiver.idempotent(rng.choice(alg.quiver.vertices))] = convert(Fraction(1))
-        got = alg.product(u, v)
+        got = by_path(alg, alg.product(by_index(alg, u), by_index(alg, v)))
         assert got == pairwise_product(alg, u, v)
         sample = next(iter(u.values()))
         assert all(type(c) is type(sample) and c for c in got.values())
@@ -254,23 +265,35 @@ def test_structure_constants_are_ints(build):
     assert {abs(c) for c in constants} == {1}
 
 
-def test_tables_stop_below_the_nilpotency_degree(rational_rank):
+def assert_table_holds_the_nonzero_rows_of(alg, reduction):
+    """The reduction table against a full one (every path below N).
+
+    Every path below N reduces as in ``reduction``, and the table holds no
+    path of length >= N and no empty row: so it stores exactly the nonzero
+    rows of ``reduction``, and ``reduce_path`` fills in the zero ones.
+    """
+    n = alg.nilpotency_degree
+    assert {len(p) for p in reduction} == set(range(n)), alg.name
+    for p, row in reduction.items():
+        assert alg.reduce_path(p) == row, (alg.name, p)
+    assert all(len(p) < n and row for p, row in alg.reduction.items()), alg.name
+
+
+def test_tables_stop_below_the_nilpotency_degree(rational_rank, full_path_build):
     q = two_arrow_quiver()
     a0 = FreeElement.from_path(q.path("a0"))
     b0 = FreeElement.from_path(q.path("b0"))
     for alg in (build_pe6(), build_re6(), build_quotient(q, [a0 * b0], name="two-arrow")):
         n = alg.nilpotency_degree
         quiver = alg.quiver
-        shorter = {
+        reduction, _, _ = full_path_build(quiver, alg.relations)
+        assert_table_holds_the_nonzero_rows_of(alg, reduction)
+        # paths of length >= N are not in the table and reduce to zero
+        longer = [
             p
-            for v in quiver.vertices
-            for w in quiver.vertices
-            for d in range(1, n)
-            for p in quiver.enumerate_paths(v, w, d)
-        } | {quiver.idempotent(v) for v in quiver.vertices}
-        assert set(alg.reduction) == shorter, alg.name
-        # the length guard, not the table, sends paths of length >= N to zero
-        longer = quiver.enumerate_paths(quiver.vertices[0], quiver.vertices[0], n + 1)
+            for d in (n, n + 1)
+            for p in quiver.enumerate_paths(quiver.vertices[0], quiver.vertices[0], d)
+        ]
         assert longer and all(alg.reduce_path(p) == {} for p in longer)
     # slow path: the whole brute-force ideal fills degrees N and N + 1 of re6
     relations = RelationSet(L2, [X * X, Y * Y * Y, (X + Y) ** 3])
@@ -427,7 +450,7 @@ def assert_matches_full_path_elimination(quiver, relations, full_path_build):
     # max_degree=n keeps a faulty build that misses the vanishing degree
     # from growing without bound
     alg = build_quotient(quiver, relations, max_degree=n)
-    assert alg.reduction == reduction
+    assert_table_holds_the_nonzero_rows_of(alg, reduction)
     assert alg.basis == basis
     assert alg.nilpotency_degree == n
 
