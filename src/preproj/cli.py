@@ -11,9 +11,15 @@ Subcommands:
 Global flags ``--json`` (machine-readable report on stdout) and
 ``--quiet`` (suppress per-check lines).  Exit codes: 0 when every
 requested check passes, 1 on a check failure, 2 on usage or parse errors
-(including a ``--field`` that is not a prime below 2^31 and a ``--corner``
-that is not a vertex of the algebra), 3 on an internal error: any other
-exception raised while a command runs.
+(including a ``--field`` that is not a prime below 2^31, a ``--corner``
+that is not a vertex of the algebra, and a ``--constants FILE`` that
+cannot be opened for writing, which is reported before any constant is
+computed), 3 on an internal error: any other exception raised while a
+command runs.
+
+``run`` builds the argument parser on its first call and reuses it for
+every later call in the process, so ``run(argv)`` may be called
+repeatedly at no per-call parser cost.
 
 Reports are deterministic: identical inputs produce byte-identical JSON
 up to the timing fields (``ms``, ``total_ms``).
@@ -26,6 +32,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .e6 import (
@@ -273,7 +280,12 @@ def cmd_basis(args) -> int:
     else:
         lines = algebra.basis_listing().splitlines()
     if args.constants:
-        with open(args.constants, "w") as handle:
+        try:
+            handle = open(args.constants, "w")
+        except OSError as exc:
+            print(f"error: cannot write {args.constants}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        with handle:
             handle.write(algebra.structure_constants_csv() + "\n")
     if args.json:
         document = {
@@ -386,8 +398,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run``.
+
+    Reusing it across ``run`` calls gives the same results as a fresh
+    parser per call, because nothing of one parse survives into the next:
+
+    * argparse keeps per-call state only in the ``Namespace`` that
+      ``parse_args`` creates and returns;
+    * no action has a mutable default that a command could change in
+      place: every argument is ``store_true``, a ``choices`` string, a
+      plain string, or goes through a pure ``type=`` callable
+      (``int``, ``positive_int``, ``prime``);
+    * ``set_defaults(func=cmd_*)`` binds functions that look up their
+      collaborators (``verify_lemma``, ``parse_element``, ...) in this
+      module's globals at call time, so a later ``setattr`` on the module
+      still takes effect;
+    * usage and help text are formatted when they are printed, not when
+      the parser is built.
+
+    ``tests/test_cli.py`` compares a mixed battery of calls on this parser
+    with the same calls on fresh ones.  It is built lazily, not at import,
+    so importing the module stays cheap.
+    """
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         corner = getattr(args, "corner", None)

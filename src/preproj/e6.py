@@ -33,9 +33,9 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .freealg import FreeElement, GeneratorMap, generators
+from .freealg import FreeElement, GeneratorMap, dynkin_preprojective, generators
 from .polyring import Poly
-from .quiver import Quiver, builtin_quiver
+from .quiver import E6_EDGES, Quiver, builtin_quiver
 from .quotient import (
     QuotientAlgebra,
     QuotientElement,
@@ -54,26 +54,15 @@ THETA_MONOMIALS = (
 # -- the two built-in algebras ------------------------------------------------
 
 
-def pe6_relations(quiver: Quiver) -> list[FreeElement]:
-    g = generators(quiver)
-    a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
-    a2, b2, a3, b3 = g["a2"], g["b2"], g["a3"], g["b3"]
-    a4, b4 = g["a4"], g["b4"]
-    return [
-        a0 * b0,
-        a1 * b1,
-        b1 * a1 + a2 * b2,
-        b0 * a0 + b2 * a2 + a3 * b3,
-        b3 * a3 + a4 * b4,
-        b4 * a4,
-    ]
+def pe6_relations() -> list[FreeElement]:
+    """The six preprojective relations of E6, on ``builtin_quiver("E6")``."""
+    return list(dynkin_preprojective("E6", 6, E6_EDGES)[1])
 
 
 @lru_cache(maxsize=None)
 def build_pe6() -> QuotientAlgebra:
     """The preprojective algebra of type E6 (dimension computed exactly)."""
-    quiver = builtin_quiver("E6")
-    return build_quotient(quiver, pe6_relations(quiver), name="pe6")
+    return build_quotient(builtin_quiver("E6"), pe6_relations(), name="pe6")
 
 
 @lru_cache(maxsize=None)

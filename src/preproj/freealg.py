@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .polyring import Poly
-from .quiver import Path, Quiver, compose
+from .quiver import Arrow, Path, Quiver, compose
 
 
 def _as_poly(value) -> Poly:
@@ -223,6 +224,33 @@ def generators(quiver: Quiver) -> dict[str, FreeElement]:
     for v in quiver.vertices:
         gens[f"e{v}"] = FreeElement.from_path(quiver.idempotent(v))
     return gens
+
+
+@lru_cache(maxsize=None)
+def dynkin_preprojective(
+    name: str, n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[Quiver, tuple[FreeElement, ...]]:
+    """Double quiver of a Dynkin diagram and its preprojective relations.
+
+    Edge i ``(u, v)`` becomes arrows ``a<i>: u -> v`` and ``b<i>: v -> u``;
+    the relation at a vertex is the sum of the loops there through each
+    incident edge, ``b<i>*a<i>`` for the edges into it before ``a<i>*b<i>``
+    for the edges out of it (all signs +, which over a tree loses no
+    generality).  ``edges`` is a tuple, so that the call is memoised: the
+    same arguments give the same quiver object, whose paths compose.
+    """
+    arrows = []
+    for i, (u, v) in enumerate(edges):
+        arrows += [Arrow(f"a{i}", u, v), Arrow(f"b{i}", v, u)]
+    quiver = Quiver(name, range(n), arrows)
+    g = generators(quiver)
+    relations = []
+    for v in range(n):
+        loops = [g[f"b{i}"] * g[f"a{i}"] for i, (_, t) in enumerate(edges) if t == v]
+        loops += [g[f"a{i}"] * g[f"b{i}"] for i, (s, _) in enumerate(edges) if s == v]
+        if loops:
+            relations.append(sum(loops[1:], loops[0]))
+    return quiver, tuple(relations)
 
 
 class GeneratorMap:

@@ -222,22 +222,21 @@ def path_count(quiver: Quiver, source: int, target: int, length: int) -> int:
     return vec[pos[target]]
 
 
+# E6 with the branch vertex 3: arms 3-0, 3-2-1 and 3-4-5
+E6_EDGES = ((0, 3), (1, 2), (2, 3), (3, 4), (4, 5))
+
+
 def _build_e6() -> Quiver:
-    arrows = [
-        ("a0", 0, 3), ("b0", 3, 0),
-        ("a1", 1, 2), ("b1", 2, 1),
-        ("a2", 2, 3), ("b2", 3, 2),
-        ("a3", 3, 4), ("b3", 4, 3),
-        ("a4", 4, 5), ("b4", 5, 4),
-    ]
-    return Quiver("E6", range(6), [Arrow(*a) for a in arrows])
+    # freealg imports this module, so the E6 quiver is built on first use
+    from .freealg import dynkin_preprojective
+
+    return dynkin_preprojective("E6", 6, E6_EDGES)[0]
 
 
 def _build_l2() -> Quiver:
     return Quiver("L2", [0], [Arrow("x", 0, 0), Arrow("y", 0, 0)])
 
 
-_E6 = _build_e6()
 _L2 = _build_l2()
 
 
@@ -245,7 +244,7 @@ def builtin_quiver(which: str) -> Quiver:
     """The built-in quivers: ``E6`` (double quiver of E6) or ``L2`` (two loops)."""
     key = which.upper()
     if key == "E6":
-        return _E6
+        return _build_e6()
     if key == "L2":
         return _L2
     raise KeyError(f"unknown builtin quiver {which!r} (expected E6 or L2)")

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from preproj.freealg import generators
-from preproj.quiver import Arrow, Quiver, compose
+from preproj import freealg
+from preproj.quiver import compose
 
 
 def _echelon(rows) -> dict:
@@ -92,27 +92,6 @@ def _full_path_build(quiver, relations, max_degree=64):
     raise ValueError(f"no vanishing degree up to {max_degree}")
 
 
-def _dynkin_preprojective(name, n, edges):
-    """Double quiver of a Dynkin diagram and its preprojective relations.
-
-    Edge i becomes arrows ``a<i>: u -> v`` and ``b<i>: v -> u``; the
-    relation at a vertex is the sum of the loops there through each
-    incident edge (all signs +, which over a tree loses no generality).
-    """
-    arrows = []
-    for i, (u, v) in enumerate(edges):
-        arrows += [Arrow(f"a{i}", u, v), Arrow(f"b{i}", v, u)]
-    quiver = Quiver(name, range(n), arrows)
-    g = generators(quiver)
-    relations = []
-    for v in range(n):
-        loops = [g[f"a{i}"] * g[f"b{i}"] for i, (s, _) in enumerate(edges) if s == v]
-        loops += [g[f"b{i}"] * g[f"a{i}"] for i, (_, t) in enumerate(edges) if t == v]
-        if loops:
-            relations.append(sum(loops[1:], loops[0]))
-    return quiver, relations
-
-
 @pytest.fixture
 def rational_rank():
     return _rational_rank
@@ -125,4 +104,4 @@ def full_path_build():
 
 @pytest.fixture
 def dynkin_preprojective():
-    return _dynkin_preprojective
+    return freealg.dynkin_preprojective

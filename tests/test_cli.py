@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import preproj
 from preproj import cli
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
 from preproj.e6 import VerificationReport
+from preproj.quotient import QuotientAlgebra
 
 
 def invoke(capsys, *argv):
@@ -145,6 +152,21 @@ def test_basis_constants_csv(tmp_path, capsys):
     assert all(len(r) == 4 for r in parsed)
     # e0 * e0 = e0 is the (0,0,0) entry with coefficient 1
     assert ("0", "0", "0", "1") in parsed
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_basis_constants_unwritable_path_is_a_usage_error(tmp_path, capsys, monkeypatch, where):
+    def computed(self):
+        raise AssertionError("structure constants computed for an unwritable path")
+
+    monkeypatch.setattr(QuotientAlgebra, "structure_constants_csv", computed)
+    target = tmp_path / "missing" / "sc.csv" if where == "missing-directory" else tmp_path
+    code, out, err = invoke(capsys, "basis", "--algebra", "re6", "--constants", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    if where == "missing-directory":
+        assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_sample_command(capsys):
@@ -289,3 +311,146 @@ def test_basis_listing_and_constants_csv_are_pinned(tmp_path, capsys, algebra):
     code, out, _ = invoke(capsys, "basis", "--algebra", algebra, "--constants", str(target))
     assert code == 0
     assert (_sha256(out), _sha256(target.read_text())) == PINNED_BASIS[algebra]
+
+
+# reduce reports carry no timing field, so the whole output is pinned
+PINNED_REDUCE = {
+    # a leading minus, kept from reading as an option by "--"
+    ("pe6", "-b0*a0 + 2*b2*a2 - a3*b3"):
+        "551b18155ba6257b2d75677663021c185d9f1bf8a1befd5de62dc3579d6ba361",
+    ("pe6", "t1*b0*a0*b2*a2 + a0*b0 - t3^2*a3*a4*b4*b3"):
+        "1c85cb8c1e856bfd932615238377d2558dec26cb38004d693c39ab2989c3b818",
+    # a product of nonzero factors of total length 14 > N = 11
+    ("pe6", "(b0*a0)*(b2*a2)*(b3*a3)*(b0*a0)*(a3*a4*b4*b3)*(b2*a2)"):
+        "cf665f2fa1d6486c2f93ab3efa969eaf6ef9751d62d79a779886326e91c93c31",
+    ("pe6", "e3 + b0*a0 - 2*e3 + 1/2*e0"):
+        "ae113df694642b89abc7e3197af9245901d71017d8a4cc4beb388cdd34713317",
+    ("re6", "(x - 2*y)^5"):
+        "773ca4d4590445e807299fd3b1cf7d9f86e0fee80f038c55ba634135f9555f98",
+}
+
+
+@pytest.mark.parametrize("algebra,expr", list(PINNED_REDUCE), ids=" ".join)
+def test_reduce_json_is_pinned(capsys, algebra, expr):
+    code, out, _ = invoke(capsys, "reduce", "--algebra", algebra, "--json", "--", expr)
+    assert code == 0
+    assert _sha256(out) == PINNED_REDUCE[algebra, expr]
+
+
+# -- one parser per process ------------------------------------------------------
+#
+# ``run`` parses every call with one parser built on its first call.  The
+# slow path is a fresh parser per call: ``cli.build_parser`` put in place of
+# the cached one.
+
+_TEXT_TIMING = re.compile(r"\(\d+(\.\d+)? ms\)")
+
+
+def _without_timing(text):
+    """A JSON report without ``ms``/``total_ms``, or text without "(N ms)"."""
+    if not text.startswith("{"):
+        return _TEXT_TIMING.sub("(ms)", text)
+    document = json.loads(text)
+    document.pop("total_ms", None)
+    document["checks"] = [
+        {k: v for k, v in check.items() if k != "ms"} for check in document["checks"]
+    ]
+    return json.dumps(document)
+
+
+def _outcome(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    return code, _without_timing(out), err
+
+
+PARSER_BATTERY = [
+    ("verify", "corner-iso"),
+    ("verify", "corner-iso", "--json"),
+    ("verify", "lemma", "--quiet"),
+    ("verify", "inverse", "--mode", "printed", "--json"),
+    ("verify", "inverse", "--quiet"),
+    ("reduce", "--algebra", "pe6", "--json", "--", "-a0*b0 + b2*a2 - t2*b0*a0*b2*a2"),
+    ("reduce", "--algebra", "re6", "--quiet", "y*y*x"),
+    ("reduce", "--algebra", "re6", "(x+y)^2"),
+    ("admissible", "--theta", "t1=1,t2=-1,t6=-3", "--json"),
+    ("admissible", "x*y - 3*y*x", "--quiet"),
+    ("admissible", "x*y - y*x"),
+    ("basis", "--algebra", "pe6", "--corner", "3", "--json"),
+    ("basis", "--algebra", "re6", "--quiet"),
+    ("basis", "--algebra", "re6"),
+    # with --field, then without: no value may carry over
+    ("sample", "--seed", "5", "--trials", "2", "--field", "7", "--json"),
+    ("sample", "--seed", "5", "--trials", "2", "--json"),
+    ("sample", "--seed", "5", "--trials", "2", "--quiet"),
+    ("--version",),
+    ("-h",),
+    ("sample", "-h"),
+    ("verify", "nonsense"),
+    ("bogus",),
+    ("sample", "--seed", "1", "--trials", "1", "--field", "6"),
+    ("basis", "--algebra", "re6", "--corner", "3"),
+    ("admissible", "--theta", "t1=1", "x*y"),
+    ("reduce", "--algebra", "re6", "y*)"),
+]
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", cli.build_parser)
+        expected = {argv: _outcome(capsys, argv) for argv in PARSER_BATTERY}
+    assert {code for code, _, _ in expected.values()} == {0, 1, 2}
+
+    shared = cli._parser()
+    # each call follows different calls in the second pass than in the first
+    for argv in PARSER_BATTERY + PARSER_BATTERY[::-1]:
+        assert _outcome(capsys, argv) == expected[argv], argv
+    assert cli._parser() is shared
+
+    # a verifier replaced on the module is reached through the shared parser
+    def broken():
+        raise ValueError("boom")
+
+    lemma = ("verify", "lemma", "--json")
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "verify_lemma", broken)
+        failing = _outcome(capsys, lemma)
+        patched.setattr(cli, "_parser", cli.build_parser)
+        assert _outcome(capsys, lemma) == failing
+    assert failing == (3, "", "internal error: ValueError: boom\n")
+    restored = _outcome(capsys, lemma)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", cli.build_parser)
+        assert _outcome(capsys, lemma) == restored
+    assert restored[0] == 0
+
+
+_COUNT_PARSERS = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(None)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import preproj.cli
+counts = [len(built)]
+calls = [["--version"], ["bogus"], ["reduce", "--algebra", "re6", "y*y*x"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    preproj.cli.run(["verify", "nonsense"])
+    counts.append(len(built))
+    for i in range(10):
+        preproj.cli.run(calls[i % len(calls)])
+counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_parser_is_built_once_on_the_first_run():
+    env = {**os.environ, "PYTHONPATH": str(Path(preproj.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], env=env, capture_output=True, text=True, check=True
+    )
+    on_import, after_first, after_eleven = map(int, result.stdout.split())
+    assert on_import == 0
+    assert after_first > 0
+    assert after_eleven == after_first

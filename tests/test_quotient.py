@@ -459,7 +459,7 @@ def assert_matches_full_path_elimination(quiver, relations, full_path_build):
 def test_build_matches_full_path_elimination(which, full_path_build):
     if which == "pe6":
         quiver = builtin_quiver("E6")
-        relations = pe6_relations(quiver)
+        relations = pe6_relations()
     elif which == "re6":
         quiver, relations = L2, [X * X, Y * Y * Y, (X + Y) ** 3]
     else:
@@ -502,12 +502,13 @@ def test_build_matches_full_path_elimination_on_l2(relations, full_path_build):
 
 
 DYNKIN = [
-    *((f"A{n}", n, [(i, i + 1) for i in range(n - 1)], n + 1) for n in range(1, 7)),
+    *((f"A{n}", n, tuple((i, i + 1) for i in range(n - 1)), n + 1) for n in range(1, 7)),
     *(
-        (f"D{n}", n, [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)], 2 * n - 2)
-        for n in range(4, 8)
+        (f"D{n}", n, ((0, 2), (1, 2), *((i, i + 1) for i in range(2, n - 1))), 2 * n - 2)
+        for n in range(4, 9)
     ),
-    ("E6", 6, [(0, 3), (1, 2), (2, 3), (3, 4), (4, 5)], 12),
+    ("E6", 6, ((0, 3), (1, 2), (2, 3), (3, 4), (4, 5)), 12),
+    ("E7", 7, ((0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)), 18),
 ]
 
 
