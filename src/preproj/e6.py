@@ -118,7 +118,8 @@ def constraint_theta6(th1, th3, th4, th5):
 def constraint_residuals(theta: Sequence) -> tuple:
     """(theta1+theta2-2*theta3, theta6 - (2*theta5-3*theta4-3*(theta3-theta1)^2)).
 
-    Works over any scalar ring (Poly, Fraction, a prime-field scalar).
+    Works over any scalar ring (Poly, Fraction, a prime-field scalar,
+    ``_Scaled``, ``int``).
     """
     t = theta
     return (
@@ -127,12 +128,19 @@ def constraint_residuals(theta: Sequence) -> tuple:
     )
 
 
-def check_constraints(theta: Sequence) -> None:
-    """Raise ValueError unless theta satisfies both admissibility constraints."""
+def check_constraints(theta: Sequence, p: int | None = None) -> None:
+    """Raise ValueError unless theta satisfies both admissibility constraints.
+
+    With ``p`` the thetas are ``int`` residues and the constraints are
+    read mod p; either way the error names the residuals as field scalars.
+    """
     c1, c2 = constraint_residuals(theta)
+    if p is not None:
+        c1, c2 = c1 % p, c2 % p
     if c1 or c2:
         raise ValueError(
-            f"theta values violate the admissibility constraints (residuals {c1}, {c2})"
+            "theta values violate the admissibility constraints "
+            f"(residuals {_field_scalar(c1, p)}, {_field_scalar(c2, p)})"
         )
 
 
@@ -229,8 +237,9 @@ class GeneratorScalars:
     """All named coefficients of the change of generators, over one scalar ring.
 
     Works over any commutative scalar ring with +, -, * and integer
-    multiples (Poly, Fraction, a prime-field scalar, or ``int``, which the
-    numeric oracle reduces mod p afterwards).  The constants of
+    multiples (Poly, Fraction, a prime-field scalar, ``_Scaled`` in a
+    ``sample`` trial over Q, or ``int``, which the numeric oracle reduces
+    mod p afterwards).  The constants of
     the inverse formulas are computed on first use: only
     ``inverse_formula_terms`` reads them, and the numeric oracle never does.
     """
@@ -856,7 +865,12 @@ def verify_identities(params: DeformationParameters | None = None) -> Verificati
 
 
 class RationalScalars:
-    """Exact rational arithmetic for the numeric pipeline."""
+    """Exact rational arithmetic: the tests' reference for a trial over Q.
+
+    A ``sample_check`` trial draws and computes on integers instead
+    (``_draw_theta``, ``_Scaled``); ``random_element`` makes the same RNG
+    calls as that draw.
+    """
 
     name = "rationals"
     p = None  # no modulus: the integer oracle keeps a denominator
@@ -941,7 +955,12 @@ def _fraction_mod(fr: Fraction, p: int) -> int:
 
 
 class PrimeFieldScalars:
-    """GF(p) arithmetic for the numeric pipeline."""
+    """GF(p) arithmetic: the tests' reference for a trial over GF(p).
+
+    The constructor validates the field size for ``sample_check`` and the
+    CLI; a trial itself draws and computes on ``int`` residues
+    (``_draw_theta``), and ``random_element`` makes the same RNG call.
+    """
 
     def __init__(self, p: int):
         # the bound keeps the trial division below about 46,000 steps
@@ -962,6 +981,133 @@ class PrimeFieldScalars:
         return GF(self.p, rng.randrange(self.p))
 
 
+class _Scaled:
+    """The rational n / d**k, for values that share one denominator base d.
+
+    A trial over Q writes its thetas over one d (the lcm of their
+    denominators) and computes the change-of-generator constants on them.
+    Why this is exact: n1/d**k1 * n2/d**k2 = n1*n2 / d**(k1+k2); a sum is
+    taken over the larger power, n1*d**(k-k1) + n2*d**(k-k2) over d**k;
+    an ``int`` multiple c scales n.  No gcd is taken, so the fraction is not
+    reduced, but its value is exact.  ``numerator`` and ``denominator``
+    read it as a ``Fraction`` is read (``_vec_sum``, ``Poly.evaluate``).
+    Values over different bases do not mix.
+    """
+
+    __slots__ = ("n", "k", "d")
+
+    def __init__(self, n: int, k: int, d: int):
+        self.n = n
+        self.k = k
+        self.d = d
+
+    @property
+    def numerator(self) -> int:
+        return self.n
+
+    @property
+    def denominator(self) -> int:
+        return self.d ** self.k
+
+    def _aligned(self, other: "_Scaled") -> tuple[int, int, int]:
+        """(self's numerator, other's numerator, k) over the common d**k."""
+        if other.d != self.d:
+            raise ValueError(f"values over the bases {self.d} and {other.d} do not mix")
+        k, j = self.k, other.k
+        if k == j:
+            return self.n, other.n, k
+        if k > j:
+            return self.n, other.n * self.d ** (k - j), k
+        return self.n * self.d ** (j - k), other.n, j
+
+    def __add__(self, other: "_Scaled") -> "_Scaled":
+        a, b, k = self._aligned(other)
+        return _Scaled(a + b, k, self.d)
+
+    def __sub__(self, other: "_Scaled") -> "_Scaled":
+        a, b, k = self._aligned(other)
+        return _Scaled(a - b, k, self.d)
+
+    def __mul__(self, other):
+        if type(other) is _Scaled:
+            if other.d != self.d:
+                raise ValueError(f"values over the bases {self.d} and {other.d} do not mix")
+            return _Scaled(self.n * other.n, self.k + other.k, self.d)
+        if isinstance(other, int):
+            return _Scaled(other * self.n, self.k, self.d)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Scaled(-self.n, self.k, self.d)
+
+    def __pow__(self, e: int):
+        return _Scaled(self.n ** e, self.k * e, self.d)
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __repr__(self):
+        return f"{self.n}/{self.d}^{self.k}"
+
+
+def _field_scalar(value, p: int | None):
+    """An integer-side value (``int``, ``Fraction`` or ``_Scaled``) as a
+    field scalar, made only for the text of an error."""
+    if p is None:
+        return Fraction(value.numerator, value.denominator)
+    return GF(p, value)
+
+
+def _draw_theta(rng: random.Random, p: int | None) -> list:
+    """A trial's constrained thetas, drawn and constrained on integers.
+
+    t1, t3, t4, t5, t7, t8, t9 are drawn in that order with the RNG calls
+    of ``RationalScalars.random_element`` (n, then d, for n/d) or of
+    ``PrimeFieldScalars.random_element``, so every trial sees the point
+    the field-scalar draw gave; t2 and t6 follow from the constraints.
+    Over Q the values are ``_Scaled`` over the lcm of the drawn d; over
+    GF(p) they are residues in [0, p).
+    """
+    if p is None:
+        drawn = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)]
+        d = lcm(*[den for _, den in drawn])
+        free = [_Scaled(n * (d // den), 1, d) for n, den in drawn]
+    else:
+        free = [rng.randrange(p) for _ in range(7)]
+    t1, t3, t4, t5, t7, t8, t9 = free
+    t2 = constraint_theta2(t1, t3)
+    t6 = constraint_theta6(t1, t3, t4, t5)
+    if p is not None:
+        t2, t6 = t2 % p, t6 % p
+    return [t1, t2, t3, t4, t5, t6, t7, t8, t9]
+
+
+def _integer_theta(theta: Sequence, p: int | None) -> list:
+    """Nine given thetas as a trial computes on them (see ``_draw_theta``).
+
+    Each entry is an ``int``, a ``Fraction`` or, over GF(p), a ``GF`` of
+    that p; a ``GF`` of another field, or over GF(p) a rational whose
+    denominator p divides, is rejected with a ValueError.
+    """
+    if len(theta) != 9:
+        raise ValueError("expected 9 theta values")
+    for v in theta:
+        if isinstance(v, GF):
+            if v.p != p:
+                field = "the rationals" if p is None else f"GF({p})"
+                raise ValueError(f"theta entry {v!r} lies in GF({v.p}), not in {field}")
+        elif not isinstance(v, (int, Fraction)):
+            raise TypeError(f"cannot use {type(v).__name__} as a theta sample")
+        elif p is not None and v.denominator % p == 0:
+            raise ValueError(f"theta entry {v} has a denominator divisible by {p}, the field size")
+    if p is None:
+        d = lcm(*[v.denominator for v in theta])
+        return [_Scaled(v.numerator * (d // v.denominator), 1, d) for v in theta]
+    return [v.value if isinstance(v, GF) else _fraction_mod(Fraction(v), p) for v in theta]
+
+
 # The oracle's vectors are pairs (coords, den): ``int`` coordinates keyed
 # by basis index over one positive ``int`` denominator, so no field scalar
 # and no path is made per product.  Why this is exact:
@@ -975,7 +1121,8 @@ class PrimeFieldScalars:
 #     GF(p) is a ring homomorphism, so reducing each coordinate mod p once
 #     per product or sum gives the GF(p) result, and a coordinate is zero
 #     in GF(p) exactly when its reduction is 0.
-# Field scalars and paths reappear only in ``_field_vector``.
+# Field scalars and paths reappear only in ``_field_vector``, for the text
+# of a failing trial.
 
 
 @lru_cache(maxsize=None)
@@ -998,12 +1145,17 @@ def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict[int, 
 def _vec_sum(terms: Iterable[tuple], p: int | None) -> tuple[dict[int, int], int]:
     """The sum of c * u over the (c, u) pairs of ``terms``.
 
-    Each c is an ``int`` or a ``Fraction`` (over GF(p), an ``int``), and
-    each u a vector (coords, den).  The result is over the lcm of the
-    denominators of the c * u; over GF(p) each coordinate is reduced mod p.
+    Each c is read through its numerator and denominator: an ``int``, a
+    ``Fraction`` or a ``_Scaled`` (over GF(p), an ``int``); each u is a
+    vector (coords, den).  The result is over the lcm of the denominators
+    of the c * u; over GF(p) each coordinate is reduced mod p.
     """
     scaled = [(c.numerator, c.denominator * den, coords) for c, (coords, den) in terms]
-    den = lcm(*(d for _, d, _ in scaled))
+    # unpack a list, not a generator: CPython sizes a tuple from a
+    # generator by a guess and resizes it, so every call would leave one
+    # more tuple of the final size on its free lists (up to 2,000 per size
+    # stay allocated, about 0.15 MB each for the sizes of these sums)
+    den = lcm(*[d for _, d, _ in scaled])
     acc: dict[int, int] = {}
     for num, d, coords in scaled:
         factor = num * (den // d)
@@ -1034,8 +1186,8 @@ def _generator_vectors(
     """Vectors of a0, b0, a1, b1 and the six substituted generators, each a
     sum of the constants of ``s`` times the cached word vectors.
 
-    ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int`` or
-    ``Fraction`` constants over Q (``p`` None).
+    ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int``,
+    ``Fraction`` or ``_Scaled`` constants over Q (``p`` None).
     """
     terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
     terms.update(primed_generator_terms(s))
@@ -1058,22 +1210,21 @@ def _field_vector(algebra: QuotientAlgebra, vec: tuple, p: int | None) -> dict:
 
 
 def numeric_relation_residuals(
-    theta: Sequence, scalars
-) -> tuple[list[tuple[str, dict]], dict]:
+    theta: Sequence, p: int | None
+) -> tuple[list[tuple[str, tuple]], tuple]:
     """The seven relation residuals through structure-constant arithmetic only.
 
-    ``theta`` holds nine field scalars satisfying the two constraints.
-    No polynomial objects and no free-algebra multiplication take part;
-    this is the independent oracle for the symbolic pipeline.  It computes
-    on integer vectors keyed by basis index (see the note above
-    ``_word_vector``).  Returns the residual vectors, basis paths to field
-    scalars, together with a nonzero intermediate (the coordinates of
-    b2'*a2') used to cross-check the pipelines on more than zeros.
+    ``theta`` holds a trial's nine values satisfying the two constraints,
+    as ``_draw_theta`` and ``_integer_theta`` give them: ``_Scaled`` over
+    Q (``p`` None), ``int`` residues over GF(p).  No polynomial objects
+    and no free-algebra multiplication take part; this is the independent
+    oracle for the symbolic pipeline.  It computes on integer vectors
+    keyed by basis index (see the note above ``_word_vector``).  Returns
+    the (name, residual vector) pairs, together with the vector of a
+    nonzero intermediate, b2'*a2', used to cross-check the pipelines on
+    more than zeros.
     """
     algebra = build_pe6()
-    p = scalars.p
-    if p is not None:
-        theta = [v.value for v in theta]
     gen = _generator_vectors(algebra, GeneratorScalars(tuple(theta), 1), p)
 
     def mul(u, v):
@@ -1106,20 +1257,23 @@ def numeric_relation_residuals(
         ("b0*a0 + b2*a2 + a3*b3 + f(b0*a0, b2*a2)", add(x_plus_y, prod("a3", "b3"), f)),
         ("(b0*a0 + b2*a2)^3", mul(mul(x_plus_y, x_plus_y), x_plus_y)),
     ]
-    return (
-        [(name, _field_vector(algebra, vec, p)) for name, vec in residuals],
-        {"b2'*a2'": _field_vector(algebra, y, p)},
+    return residuals, y
+
+
+def _equals_vector(values: dict, vec: tuple, p: int | None) -> bool:
+    """Whether evaluated values keyed by basis index (a ``Fraction`` each
+    over Q, a residue each over GF(p)) equal the oracle's vector.
+
+    Over Q a ``Fraction`` v equals c/den exactly when v.numerator * den ==
+    c * v.denominator, both denominators being positive, so no
+    ``Fraction`` is made of the vector.
+    """
+    coords, den = vec
+    if p is not None:
+        return values == coords
+    return values.keys() == coords.keys() and all(
+        v.numerator * den == coords[k] * v.denominator for k, v in values.items()
     )
-
-
-def _random_constrained_theta(rng: random.Random, scalars) -> list:
-    free = {i: scalars.random_element(rng) for i in (1, 3, 4, 5, 7, 8, 9)}
-    theta = [None] * 9
-    for i, v in free.items():
-        theta[i - 1] = v
-    theta[1] = constraint_theta2(free[1], free[3])
-    theta[5] = constraint_theta6(free[1], free[3], free[4], free[5])
-    return theta
 
 
 def sample_check(
@@ -1133,12 +1287,16 @@ def sample_check(
     Runs the seven relation reductions with purely numeric coefficients
     (structure constants only) and compares every residual with the
     evaluation of the symbolic residual at the same point.  ``field``
-    selects GF(p) arithmetic; the default is exact rationals.  When
-    ``theta`` is given it is validated and used for a single trial.
+    selects GF(p) arithmetic; the default is exact rationals.  A trial
+    computes on integers throughout: over Q on values over one power of a
+    common denominator (``_Scaled``), over GF(p) on ``int`` residues.
+    When ``theta`` is given it is validated and used for a single trial.
     """
     scalars = RationalScalars() if field is None else PrimeFieldScalars(field)
+    p = scalars.p
     report = VerificationReport(f"sample ({scalars.name})", "pe6")
     symbolic, symbolic_y = _symbolic_side()
+    algebra = build_pe6()
     rng = random.Random(seed)
 
     if isinstance(theta, DeformationParameters):
@@ -1146,26 +1304,29 @@ def sample_check(
             raise ValueError("sample_check takes numeric deformation parameters")
         theta = theta.theta
     if theta is not None:
-        trials_iter = [[_coerce_theta_entry(v, scalars) for v in theta]]
+        trials_iter = [_integer_theta(theta, p)]
     else:
         # drawn one trial at a time, so only the running trial's values are held
-        trials_iter = (_random_constrained_theta(rng, scalars) for _ in range(trials))
+        trials_iter = (_draw_theta(rng, p) for _ in range(trials))
 
     for k, th in enumerate(trials_iter):
-        check_constraints(th)
-        assignment = _theta_assignment(th)
+        check_constraints(th, p)
 
-        def run_trial(th=th, assignment=assignment):
-            numeric, intermediates = numeric_relation_residuals(th, scalars)
-            for (name, _, sym_nf), (num_name, num_vec) in zip(symbolic, numeric):
-                if num_vec:
-                    return False, f"{num_name} nonzero: {_vec_str(num_vec)}"
-                evaluated = _evaluate_symbolic(sym_nf, assignment, scalars)
-                if evaluated != num_vec:
-                    return False, f"{num_name} disagrees with evaluated symbolic residual"
+        def run_trial(th=th):
+            assignment = dict(enumerate(th, 1))
+            if p is None:
+                value_at = lambda poly: poly.evaluate(assignment)  # noqa: E731
+            else:
+                value_at = lambda poly: poly.evaluate_mod(assignment, p)  # noqa: E731
+            residuals, y = numeric_relation_residuals(th, p)
+            for sym_terms, (name, vec) in zip(symbolic, residuals):
+                if vec[0]:
+                    return False, f"{name} nonzero: {_vec_str(_field_vector(algebra, vec, p))}"
+                if any(value_at(poly) for _, poly in sym_terms):
+                    return False, f"{name} disagrees with evaluated symbolic residual"
             # a nonzero intermediate keeps the two pipelines honest
-            evaluated_y = _evaluate_symbolic(symbolic_y, assignment, scalars)
-            if evaluated_y != intermediates["b2'*a2'"]:
+            evaluated_y = {i: v for i, poly in symbolic_y if (v := value_at(poly))}
+            if not _equals_vector(evaluated_y, y, p):
                 return False, "b2'*a2' disagrees between the two pipelines"
             if not evaluated_y:
                 return False, "b2'*a2' unexpectedly reduced to zero"
@@ -1176,45 +1337,25 @@ def sample_check(
 
 
 @lru_cache(maxsize=None)
-def _symbolic_side() -> tuple[tuple, QuotientElement]:
-    """The symbolic residuals and b2'*a2' over the constrained ring.
+def _symbolic_side() -> tuple[tuple, tuple]:
+    """The symbolic residuals and b2'*a2' over the constrained ring, each
+    as (basis index, Poly) pairs.
 
     They depend on no trial, seed or field, so they are computed once;
     ``theorem_residuals`` is looked up on the module at that first call.
     """
     constrained = DeformationParameters.symbolic_constrained()
     primed = primed_generators(derived_constants(constrained))
+    algebra = build_pe6()
+    index = algebra.basis_index
+
+    def by_index(nf: QuotientElement) -> tuple:
+        return tuple((index[b], poly) for b, poly in nf.coords.items())
+
     return (
-        tuple(theorem_residuals(constrained)),
-        build_pe6().normal_form(primed["b2"] * primed["a2"]),
+        tuple(by_index(nf) for _, _, nf in theorem_residuals(constrained)),
+        by_index(algebra.normal_form(primed["b2"] * primed["a2"])),
     )
-
-
-def _coerce_theta_entry(value, scalars):
-    if isinstance(value, GF):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return scalars.convert(Fraction(value))
-    raise TypeError(f"cannot use {type(value).__name__} as a theta sample")
-
-
-def _theta_assignment(theta: Sequence) -> dict[int, object]:
-    return {i + 1: v for i, v in enumerate(theta)}
-
-
-def _evaluate_symbolic(nf: QuotientElement, assignment, scalars) -> dict:
-    if isinstance(scalars, PrimeFieldScalars):
-        p = scalars.p
-        residues = {i: v.value for i, v in assignment.items()}
-        value_at = lambda poly: GF(p, poly.evaluate_mod(residues, p))  # noqa: E731
-    else:
-        value_at = lambda poly: poly.evaluate(assignment)  # noqa: E731
-    out = {}
-    for path, poly in nf.coords.items():
-        value = value_at(poly)
-        if value:
-            out[path] = value
-    return out
 
 
 def _vec_str(vec: dict) -> str:

@@ -12,6 +12,7 @@ provided.  No factorization, no GCDs, no Groebner machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 NVARS = 9
@@ -186,39 +187,68 @@ class Poly:
             result = result + term
         return result
 
+    def _value_over(self, assignment: Mapping[int, Scalar], p: int | None) -> tuple[int, int]:
+        """The value at ``assignment`` as (numerator, denominator) integers,
+        reduced mod ``p`` when one is given; the fraction is not reduced.
+
+        Each assigned value is read through its numerator and denominator,
+        as a ``Fraction``'s.  Why one common denominator is exact: with
+        E_i the highest exponent of t_i in the polynomial, v_i = n_i/d_i and
+        L the lcm of the coefficient denominators, every term
+        (a/b) * prod v_i^e_i equals
+            a * (L/b) * prod n_i^e_i * d_i^(E_i - e_i)  /  (L * prod d_i^E_i),
+        so the numerators sum over one denominator, and each n_i^e *
+        d_i^(E_i - e) is formed once per call.  Mod p both integers are
+        reduced once at the end, which is exact because Z -> GF(p) is a
+        ring homomorphism; L is invertible mod p exactly when no
+        coefficient denominator is divisible by p.
+        """
+        terms = self.terms
+        # a list, not a generator, is unpacked (see ``e6._vec_sum``)
+        scale = lcm(*[c.denominator for c in terms.values()])
+        if p is not None and scale % p == 0:
+            coeff = next(c for c in terms.values() if c.denominator % p == 0)
+            raise ZeroDivisionError(f"coefficient {coeff} has denominator divisible by {p}")
+        den = scale
+        rows = []  # (slot, n^e * d^(E - e) for e = 0..E)
+        for i, top in enumerate(map(max, zip(*terms))):
+            if not top:
+                continue
+            if i + 1 not in assignment:
+                raise KeyError(f"no value bound for indeterminate t{i + 1}")
+            value = assignment[i + 1]
+            try:
+                n, d = value.numerator, value.denominator
+            except AttributeError:
+                raise TypeError(
+                    f"expected a rational value, got {type(value).__name__}"
+                ) from None
+            rows.append((i, [n ** e * d ** (top - e) for e in range(top + 1)]))
+            den *= d ** top
+        total = 0
+        for exp, coeff in terms.items():
+            term = coeff.numerator * (scale // coeff.denominator)
+            for i, row in rows:
+                term *= row[exp[i]]
+            total += term
+        if p is None:
+            return total, den
+        return total % p, den % p
+
     def evaluate(self, assignment: Mapping[int, Scalar]) -> Fraction:
         """Exact value at a rational point.
 
-        ``assignment`` maps 1-based indices to rationals and must cover
-        every indeterminate occurring in the polynomial.
+        ``assignment`` maps 1-based indices to rationals (anything with a
+        ``numerator`` and a ``denominator``) and must cover every
+        indeterminate occurring in the polynomial.
         """
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exp):
-                if e:
-                    if i + 1 not in assignment:
-                        raise KeyError(f"no value bound for indeterminate t{i + 1}")
-                    term *= _as_fraction(assignment[i + 1]) ** e
-            total += term
-        return total
+        num, den = self._value_over(assignment, None)
+        return Fraction(num, den)
 
     def evaluate_mod(self, assignment: Mapping[int, int], p: int) -> int:
         """Value in the prime field GF(p); coefficients must be p-invertible."""
-        total = 0
-        for exp, coeff in self.terms.items():
-            if coeff.denominator % p == 0:
-                raise ZeroDivisionError(
-                    f"coefficient {coeff} has denominator divisible by {p}"
-                )
-            term = coeff.numerator * pow(coeff.denominator, -1, p) % p
-            for i, e in enumerate(exp):
-                if e:
-                    if i + 1 not in assignment:
-                        raise KeyError(f"no value bound for indeterminate t{i + 1}")
-                    term = term * pow(assignment[i + 1] % p, e, p) % p
-            total = (total + term) % p
-        return total
+        num, den = self._value_over(assignment, p)
+        return num * pow(den, -1, p) % p
 
     # -- printing ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import preproj
-from preproj import cli
+from preproj import cli, e6
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
 from preproj.e6 import VerificationReport
 from preproj.quotient import QuotientAlgebra
@@ -311,6 +311,54 @@ def test_basis_listing_and_constants_csv_are_pinned(tmp_path, capsys, algebra):
     code, out, _ = invoke(capsys, "basis", "--algebra", algebra, "--constants", str(target))
     assert code == 0
     assert (_sha256(out), _sha256(target.read_text())) == PINNED_BASIS[algebra]
+
+
+# admissible reports carry the residuals of ``Poly.evaluate`` and of the cube
+PINNED_ADMISSIBLE = {
+    ("--theta", "t1=1,t2=-1,t6=-3"):
+        "0619ca9aaf14b31ad72036e0e72c75b8f1cd545f6bf806c6995454c5d01f7e80",
+    # a non-integral point: both conditions and the cube fail with fractions
+    ("--theta", "t1=1/2,t3=2/3,t4=-5/7,t5=3"):
+        "8e9286cb76bcda38d9bf758940bc1d226168a65e58c97a7d30718c60cd83d265",
+    # the first point again, given as f; the report is the same
+    ("x*y - y*x - 3*y*x*y",):
+        "0619ca9aaf14b31ad72036e0e72c75b8f1cd545f6bf806c6995454c5d01f7e80",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_ADMISSIBLE), ids=" ".join)
+def test_admissible_json_is_pinned_modulo_timing(capsys, args):
+    _, out, _ = invoke(capsys, "admissible", *args, "--json")
+    assert _sha256(_report_without_timings(out)) == PINNED_ADMISSIBLE[args]
+
+
+def _doubled_word(word_vector, word):
+    """``_word_vector`` with the vector of one word doubled, so that the
+    oracle's generators, and with them its residuals, go wrong."""
+
+    def perturbed(algebra, names):
+        vec = word_vector(algebra, names)
+        return {k: 2 * c for k, c in vec.items()} if names == word else vec
+
+    return perturbed
+
+
+# failing trials: the residual text of a nonzero oracle residual, over Q
+# as fractions and over GF(p) in the ``c (mod p)*path`` form
+PINNED_FAILING_SAMPLES = {
+    (): "e3c5aae270140a86fb5b102a925720311476f6d3b4457175dfc5afeec2894142",
+    ("--field", "11"): "242a553dc0110a29597af0f5999e97fe504547171878016aaed4eed97f65904d",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_FAILING_SAMPLES), ids=lambda a: " ".join(a) or "Q")
+def test_failing_sample_residuals_are_pinned(capsys, monkeypatch, args):
+    monkeypatch.setattr(e6, "_word_vector", _doubled_word(e6._word_vector, ("a3",)))
+    code, out, _ = invoke(capsys, "sample", "--seed", "7", "--trials", "4", *args, "--json")
+    checks = json.loads(out)["checks"]
+    assert code == 1 and len(checks) == 4
+    assert all(c["status"] == "fail" and " nonzero: " in c["residual"] for c in checks)
+    assert _sha256(_report_without_timings(out)) == PINNED_FAILING_SAMPLES[args]
 
 
 # reduce reports carry no timing field, so the whole output is pinned

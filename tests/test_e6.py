@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from preproj import e6
 from preproj.e6 import (
@@ -14,8 +15,9 @@ from preproj.e6 import (
     PrimeFieldScalars,
     RationalScalars,
     _element_from_symbols,
+    _draw_theta,
     _generator_vectors,
-    _random_constrained_theta,
+    _integer_theta,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -390,9 +392,23 @@ FIELDS = {
 }
 
 
-def integer_scalars(theta, scalars):
-    """``theta`` as the integer oracle scales by it: residues over GF(p)."""
-    return [v if scalars.p is None else v.value for v in theta]
+def random_constrained_theta(rng, scalars):
+    """Reference draw of a constrained theta, on field scalars: t1, t3,
+    t4, t5, t7, t8, t9 from ``random_element`` in that order, then t2 and t6
+    from the constraints."""
+    free = {i: scalars.random_element(rng) for i in (1, 3, 4, 5, 7, 8, 9)}
+    theta = [None] * 9
+    for i, v in free.items():
+        theta[i - 1] = v
+    theta[1] = constraint_theta2(free[1], free[3])
+    theta[5] = constraint_theta6(free[1], free[3], free[4], free[5])
+    return theta
+
+
+def as_field_scalar(value, scalars):
+    """A value of the integer side (``int``, or over Q a ``_Scaled``) as a
+    field scalar, through its numerator and denominator."""
+    return scalars.convert(Fraction(value.numerator, value.denominator))
 
 
 def field_vector(algebra, vec, scalars):
@@ -440,18 +456,23 @@ def test_cached_generator_vectors_match_a_fresh_reduction(field):
     # hand one algebra's vectors to the other
     algebras = [build_pe6(), e6_modulo_paths_of_length(4)]
     for _ in range(4):
-        theta = _random_constrained_theta(rng, scalars)
+        theta = random_constrained_theta(rng, scalars)
         s = GeneratorScalars(theta, scalars.one())
-        lifted = GeneratorScalars(integer_scalars(theta, scalars), 1)
-        got = [_generator_vectors(algebra, lifted, scalars.p) for algebra in algebras]
-        for algebra, vectors in zip(algebras, got):
-            assert {
-                name: field_vector(algebra, vec, scalars) for name, vec in vectors.items()
-            } == fresh_generator_vectors(algebra, s)
-            assert all(
-                type(c) is int for coords, _ in vectors.values() for c in coords.values()
-            )
-        assert got[0] != got[1]
+        bundles = [GeneratorScalars(_integer_theta(theta, scalars.p), 1)]
+        if scalars.p is None:
+            # Fraction constants too: their denominators are not powers of
+            # one base, so a sum needs the lcm of them
+            bundles.append(GeneratorScalars(theta, 1))
+        for lifted in bundles:
+            got = [_generator_vectors(algebra, lifted, scalars.p) for algebra in algebras]
+            for algebra, vectors in zip(algebras, got):
+                assert {
+                    name: field_vector(algebra, vec, scalars) for name, vec in vectors.items()
+                } == fresh_generator_vectors(algebra, s)
+                assert all(
+                    type(c) is int for coords, _ in vectors.values() for c in coords.values()
+                )
+            assert got[0] != got[1]
 
 
 def generic_relation_residuals(theta, scalars):
@@ -511,14 +532,19 @@ def generic_relation_residuals(theta, scalars):
 @pytest.mark.parametrize("field", list(FIELDS))
 def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
     scalars = FIELDS[field]
+    algebra = build_pe6()
     rng = random.Random(47)
     nonzero_residuals = 0
     for trial in range(6):
-        theta = _random_constrained_theta(rng, scalars)
+        theta = random_constrained_theta(rng, scalars)
         if trial % 2:
             # break a constraint, so that residuals are nonzero too
             theta[1 if trial % 4 == 1 else 5] += scalars.one()
-        got = e6.numeric_relation_residuals(theta, scalars)
+        residuals, y = e6.numeric_relation_residuals(_integer_theta(theta, scalars.p), scalars.p)
+        got = (
+            [(name, field_vector(algebra, vec, scalars)) for name, vec in residuals],
+            {"b2'*a2'": field_vector(algebra, y, scalars)},
+        )
         assert got == generic_relation_residuals(theta, scalars)
         assert got[1]["b2'*a2'"]
         nonzero_residuals += sum(1 for _, vec in got[0] if vec)
@@ -527,28 +553,22 @@ def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
 
 @pytest.mark.parametrize("field", [None, 11])
 def test_numeric_oracle_makes_no_field_scalar_and_hashes_no_path(monkeypatch, field):
-    """After warm-up, the oracle makes ``GF`` scalars and hashes paths only
-    for the coordinates it returns: the zero residuals have none, so that
-    is the nonzero b2'*a2' (one path and, over GF(p), one scalar each)."""
+    """After warm-up, a passing trial makes no ``GF`` scalar and hashes no
+    path, in the oracle or around it: the oracle returns integer vectors
+    keyed by basis index, and the symbolic side is keyed the same way."""
     assert sample_check(seed=3, trials=1, field=field).passed
     calls = Counter()
     returned = []
-    inside = []
     oracle = e6.numeric_relation_residuals
 
-    def traced(theta, scalars):
-        inside.append(True)
-        try:
-            result = oracle(theta, scalars)
-        finally:
-            inside.pop()
+    def traced(theta, p):
+        result = oracle(theta, p)
         returned.append(result)
         return result
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            if inside:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -558,11 +578,9 @@ def test_numeric_oracle_makes_no_field_scalar_and_hashes_no_path(monkeypatch, fi
     monkeypatch.setattr(Path, "__hash__", counting("hash", Path.__hash__))
     assert sample_check(seed=4, trials=3, field=field).passed
     assert len(returned) == 3
-    assert all(not vec for residuals, _ in returned for _, vec in residuals)
-    coordinates = sum(len(y["b2'*a2'"]) for _, y in returned)
-    assert coordinates >= 3
-    assert calls["hash"] == coordinates
-    assert calls["GF"] == (0 if field is None else coordinates)
+    assert all(not coords for residuals, _ in returned for _, (coords, _) in residuals)
+    assert all(y[0] for _, y in returned)
+    assert calls["hash"] == calls["GF"] == 0
 
 
 CHANGE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
@@ -603,10 +621,10 @@ def test_change_constants_agree_with_the_displayed_formulas(field):
     scalars = FIELDS[field]
     rng = random.Random(53)
     for _ in range(5):
-        theta = _random_constrained_theta(rng, scalars)
+        theta = random_constrained_theta(rng, scalars)
         numeric = GeneratorScalars(theta, scalars.one())
         # the integer oracle's bundle: over GF(p), on residues, reduced after
-        lifted = GeneratorScalars(integer_scalars(theta, scalars), 1)
+        lifted = GeneratorScalars(_integer_theta(theta, scalars.p), 1)
         assignment = {i + 1: v for i, v in enumerate(theta)}
         for name in CHANGE_CONSTANTS:
             poly = getattr(symbolic, name)
@@ -616,7 +634,7 @@ def test_change_constants_agree_with_the_displayed_formulas(field):
             else:
                 expected = poly.evaluate(assignment)
             assert getattr(numeric, name) == expected, name
-            assert scalars.convert(Fraction(getattr(lifted, name))) == expected, name
+            assert as_field_scalar(getattr(lifted, name), scalars) == expected, name
 
 
 LAZY_CONSTANTS = (
@@ -630,7 +648,7 @@ def test_lazy_constants_agree_with_the_symbolic_bundle(field):
     symbolic = derived_constants(DeformationParameters.symbolic_constrained())
     rng = random.Random(43)
     for _ in range(5):
-        theta = _random_constrained_theta(rng, scalars)
+        theta = random_constrained_theta(rng, scalars)
         numeric = GeneratorScalars(theta, scalars.one())
         primed_generator_terms(numeric)
         # the change of generators reads none of the inverse constants
@@ -644,6 +662,133 @@ def test_lazy_constants_agree_with_the_symbolic_bundle(field):
             else:
                 expected = poly.evaluate(assignment)
             assert getattr(numeric, name) == expected, name
+
+
+ALL_CONSTANTS = CHANGE_CONSTANTS + LAZY_CONSTANTS
+Q = RationalScalars()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=7, max_size=7),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_integer_constants_over_q_match_the_fraction_bundle(free, seed):
+    """Slow path of the ``_Scaled`` bundle: every named constant, the lazy
+    inverse ones included, against ``GeneratorScalars`` on ``Fraction``.
+    A given theta is over one power of d; a drawn one has t6 over d^2."""
+    t1, t3, t4, t5, t7, t8, t9 = free
+    given_theta = [
+        t1, constraint_theta2(t1, t3), t3, t4, t5, constraint_theta6(t1, t3, t4, t5), t7, t8, t9
+    ]
+    drawn = _draw_theta(random.Random(seed), None)
+    for theta, integer in (
+        (given_theta, _integer_theta(given_theta, None)),
+        ([as_field_scalar(v, Q) for v in drawn], drawn),
+    ):
+        reference = GeneratorScalars(theta, Fraction(1))
+        lifted = GeneratorScalars(integer, 1)
+        for name in ALL_CONSTANTS:
+            assert as_field_scalar(getattr(lifted, name), Q) == getattr(reference, name), name
+
+
+def test_scaled_values_over_different_bases_do_not_mix():
+    a, b = e6._Scaled(1, 1, 6), e6._Scaled(1, 1, 10)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError, match="bases 6 and 10"):
+            op()
+    # 1/6 + 1/36 - 2/6 and 3 * (1/6)^2, read as fractions
+    for value, expected in ((a + a * a - 2 * a, Fraction(-5, 36)), (3 * a ** 2, Fraction(1, 12))):
+        assert Fraction(value.numerator, value.denominator) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(list(FIELDS)))
+def test_integer_draw_gives_the_points_of_the_field_scalar_draw(seed, field):
+    scalars = FIELDS[field]
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        theta = _draw_theta(ours, scalars.p)
+        assert [as_field_scalar(v, scalars) for v in theta] == random_constrained_theta(
+            reference, scalars
+        )
+        if scalars.p is not None:
+            assert all(type(v) is int and 0 <= v < scalars.p for v in theta)
+    # the same RNG calls: both generators are left in the same state
+    assert ours.getstate() == reference.getstate()
+
+
+def field_value(poly, theta):
+    """Slow path of ``Poly.evaluate``/``evaluate_mod``: the polynomial at
+    field-scalar thetas, term by term in the field's own arithmetic."""
+    total = 0 * theta[0]
+    for exp, coeff in poly.terms.items():
+        term = coeff * (theta[0] ** 0)
+        for i, e in enumerate(exp):
+            if e:
+                term = term * theta[i] ** e
+        total = total + term
+    return total
+
+
+def reference_trial(theta, scalars, symbolic, symbolic_y):
+    """Slow path of a ``sample_check`` trial: the generic oracle on field
+    scalars, the symbolic side evaluated in the field, and vectors keyed
+    by path compared as dicts of field scalars."""
+    algebra = build_pe6()
+    residuals, intermediates = generic_relation_residuals(theta, scalars)
+
+    def evaluated(pairs):
+        values = {algebra.basis[k]: field_value(poly, theta) for k, poly in pairs}
+        return {path: v for path, v in values.items() if v}
+
+    for (name, vec), pairs in zip(residuals, symbolic):
+        if vec:
+            return False, f"{name} nonzero: {e6._vec_str(vec)}"
+        if evaluated(pairs) != vec:
+            return False, f"{name} disagrees with evaluated symbolic residual"
+    evaluated_y = evaluated(symbolic_y)
+    if evaluated_y != intermediates["b2'*a2'"]:
+        return False, "b2'*a2' disagrees between the two pipelines"
+    if not evaluated_y:
+        return False, "b2'*a2' unexpectedly reduced to zero"
+    return True, None
+
+
+def symbolic_sides():
+    """The symbolic side as built, and altered so that trials fail in each
+    of the ways a trial reports."""
+    symbolic, y = e6._symbolic_side()
+    (k, poly), *rest = y
+    t1 = Poly.var(1)
+    return {
+        "as built": (symbolic, y),
+        "b2'*a2' coordinate off by one": (symbolic, ((k, poly + 1), *rest)),
+        "b2'*a2' coordinate times t1": (symbolic, ((k, poly * t1), *rest)),
+        "b2'*a2' coordinate dropped": (symbolic, tuple(rest)),
+        "b2'*a2' only that coordinate": (symbolic, ((k, poly),)),
+        "t1 in a residual": (symbolic[:2] + (((k, t1),),) + symbolic[3:], y),
+    }
+
+
+@pytest.mark.parametrize("side", list(symbolic_sides()))
+@pytest.mark.parametrize("field", list(FIELDS))
+def test_sample_trial_on_integers_matches_the_field_scalar_reference(monkeypatch, field, side):
+    scalars = FIELDS[field]
+    symbolic, symbolic_y = symbolic_sides()[side]
+    monkeypatch.setattr(e6, "_symbolic_side", lambda: (symbolic, symbolic_y))
+    outcomes = set()
+    for seed in (5, 6):
+        report = sample_check(seed=seed, trials=3, field=scalars.p)
+        rng = random.Random(seed)
+        expected = [
+            reference_trial(random_constrained_theta(rng, scalars), scalars, symbolic, symbolic_y)
+            for _ in range(3)
+        ]
+        assert [(c.passed, c.residual) for c in report.checks] == expected
+        outcomes.update(passed for passed, _ in expected)
+    # not vacuous: the symbolic side as built passes, each alteration fails
+    assert outcomes == {True} if side == "as built" else False in outcomes
 
 
 def test_sample_check_converts_and_reduces_no_generator_word_per_trial(monkeypatch):
@@ -682,6 +827,43 @@ def test_sample_check_rejects_constraint_violation():
 def test_sample_check_explicit_theta():
     report = sample_check(theta=[1, -1, 0, 0, 0, -3, 0, 0, 0])
     assert report.passed
+
+
+def test_sample_check_names_the_violated_constraints_as_field_scalars():
+    with pytest.raises(ValueError, match=r"residuals 1, 3\)"):
+        sample_check(theta=[1, 0, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"residuals 1 \(mod 11\), 3 \(mod 11\)\)"):
+        sample_check(theta=[1, 0, 0, 0, 0, 0, 0, 0, 0], field=11)
+
+
+ADMISSIBLE_ONES = (1, 1, 1, 0, 0, 0, 0, 0, 0)
+
+
+def test_sample_check_rejects_a_theta_from_another_field():
+    for theta in (
+        [GF(7, v) for v in ADMISSIBLE_ONES],
+        [GF(7, 1)] + list(ADMISSIBLE_ONES[1:]),  # GF(7) mixed with ints
+    ):
+        with pytest.raises(ValueError, match=r"GF\(7\), not in GF\(11\)"):
+            sample_check(theta=theta, field=11)
+    with pytest.raises(ValueError, match=r"GF\(7\), not in the rationals"):
+        sample_check(theta=[GF(7, v) for v in ADMISSIBLE_ONES])
+    with pytest.raises(TypeError, match="float"):
+        sample_check(theta=[0.5] + list(ADMISSIBLE_ONES[1:]))
+    with pytest.raises(ValueError, match="expected 9"):
+        sample_check(theta=ADMISSIBLE_ONES[:8], field=11)
+    # entries of the trial's own field, alone or mixed with rationals, run
+    assert sample_check(theta=[GF(11, v) for v in ADMISSIBLE_ONES], field=11).passed
+    assert sample_check(theta=[GF(11, 1)] + list(ADMISSIBLE_ONES[1:]), field=11).passed
+
+
+def test_sample_check_rejects_a_rational_theta_the_field_cannot_invert():
+    # t1 = t2 = t3 = 1/11 satisfies both constraints over Q and over GF(7)
+    theta = [Fraction(1, 11)] * 3 + [0] * 6
+    with pytest.raises(ValueError, match="1/11 has a denominator divisible by 11"):
+        sample_check(theta=theta, field=11)
+    assert sample_check(theta=theta, field=7).passed
+    assert sample_check(theta=theta).passed
 
 
 def test_gf_arithmetic():

@@ -154,3 +154,73 @@ def test_canonical_form_is_construction_order_independent(a, b):
     right = b + a
     assert left.terms == right.terms
     assert hash(left) == hash(right)
+
+
+# -- evaluation: the integer core against the slow path -------------------------
+
+
+def term_by_term_value(poly, assignment):
+    """Slow path of ``Poly.evaluate``: every term in ``Fraction`` arithmetic,
+    each power formed anew."""
+    total = Fraction(0)
+    for exp, coeff in poly.terms.items():
+        term = coeff
+        for i, e in enumerate(exp):
+            if e:
+                term *= Fraction(assignment[i + 1]) ** e
+        total += term
+    return total
+
+
+@st.composite
+def sparse_polys(draw, coefficients=small_fractions):
+    """Polynomials in all nine indeterminates, up to degree 4 in each."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        exp = tuple(draw(st.integers(min_value=0, max_value=4)) for _ in range(NVARS))
+        terms[exp] = terms.get(exp, Fraction(0)) + draw(coefficients)
+    return Poly(terms)
+
+
+# zero, negative, integral and non-integral values
+point_values = st.one_of(st.just(0), st.integers(min_value=-12, max_value=12), small_fractions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polys(), st.lists(point_values, min_size=NVARS, max_size=NVARS))
+def test_evaluate_matches_the_term_by_term_fraction_value(poly, values):
+    sigma = dict(enumerate(values, 1))
+    value = poly.evaluate(sigma)
+    assert type(value) is Fraction
+    assert value == term_by_term_value(poly, sigma)
+
+
+# coefficient denominators up to 12, so that 2, 3 and 11 each divide some
+@settings(max_examples=300, deadline=None)
+@given(
+    sparse_polys(st.fractions(min_value=-10, max_value=10, max_denominator=12)),
+    st.sampled_from([2, 3, 11]),
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=NVARS, max_size=NVARS),
+)
+def test_evaluate_mod_is_evaluate_reduced_mod_p(poly, p, values):
+    sigma = dict(enumerate(values, 1))
+    if any(c.denominator % p == 0 for c in poly.terms.values()):
+        with pytest.raises(ZeroDivisionError, match=f"divisible by {p}"):
+            poly.evaluate_mod(sigma, p)
+        return
+    value = poly.evaluate(sigma)
+    residue = poly.evaluate_mod(sigma, p)
+    assert type(residue) is int and 0 <= residue < p
+    assert residue == value.numerator * pow(value.denominator, -1, p) % p
+
+
+def test_evaluate_mod_rejects_a_coefficient_the_field_cannot_invert():
+    poly = T[1] + Fraction(1, 11) * T[2]
+    with pytest.raises(ZeroDivisionError, match="1/11 has denominator divisible by 11"):
+        poly.evaluate_mod({1: 1, 2: 1}, 11)
+    assert poly.evaluate_mod({1: 1, 2: 1}, 7) == (1 + pow(11, -1, 7)) % 7
+
+
+def test_evaluate_rejects_a_value_that_is_not_rational():
+    with pytest.raises(TypeError, match="float"):
+        T[1].evaluate({1: 0.5})
