@@ -36,11 +36,11 @@ from functools import lru_cache
 
 from . import __version__
 from .e6 import (
+    THETA_MONOMIALS,
     DeformationParameters,
     PrimeFieldScalars,
     VerificationReport,
     admissibility_residual,
-    build_pe6,
     build_re6,
     get_algebra,
     lemma_coefficients,
@@ -86,12 +86,19 @@ JSON_REPORT_SCHEMA = {
 }
 
 
-def _algebra_fingerprint(name: str) -> dict:
-    algebra = get_algebra(name)
+def _document(command: str, algebra: str, checks: list, status: str) -> dict:
+    """The fields every JSON report starts with, in ``JSON_REPORT_SCHEMA``."""
+    built = get_algebra(algebra)
     return {
-        "name": name,
-        "dimension": algebra.dimension(),
-        "nilpotency_degree": algebra.nilpotency_degree,
+        "version": __version__,
+        "command": command,
+        "algebra": {
+            "name": algebra,
+            "dimension": built.dimension(),
+            "nilpotency_degree": built.nilpotency_degree,
+        },
+        "checks": checks,
+        "status": status,
     }
 
 
@@ -110,14 +117,9 @@ def report_document(command: str, algebra: str, reports, total_ms: float) -> dic
                 }
             )
     status = "pass" if all(r.passed for r in reports) else "fail"
-    return {
-        "version": __version__,
-        "command": command,
-        "algebra": _algebra_fingerprint(algebra),
-        "checks": checks,
-        "status": status,
-        "total_ms": round(total_ms, 3),
-    }
+    document = _document(command, algebra, checks, status)
+    document["total_ms"] = round(total_ms, 3)
+    return document
 
 
 def _emit(document: dict, reports, args) -> int:
@@ -179,15 +181,9 @@ def cmd_reduce(args) -> int:
     normal = algebra.normal_form(element)
     text = format_element(normal.lift())
     if args.json:
-        document = {
-            "version": __version__,
-            "command": f"reduce --algebra {args.algebra}",
-            "algebra": _algebra_fingerprint(args.algebra),
-            "checks": [],
-            "status": "pass",
-            "input": args.expr,
-            "normal_form": text,
-        }
+        document = _document(f"reduce --algebra {args.algebra}", args.algebra, [], "pass")
+        document["input"] = args.expr
+        document["normal_form"] = text
         print(json.dumps(document, indent=2))
     else:
         print(text)
@@ -206,10 +202,15 @@ def _parse_theta(text: str) -> list[Fraction]:
         key = key.strip()
         if not (key.startswith("t") and key[1:].isdigit() and 1 <= int(key[1:]) <= 9):
             raise ExprError(f"unknown theta key {key!r}", 1, 1)
+        raw = raw.strip()
+        # Fraction reads "1e100000000" by building 10**100000000, which does
+        # not finish, so only n, n/d and decimals are accepted
+        if "e" in raw.lower():
+            raise ExprError(f"invalid rational {raw!r}", 1, 1)
         try:
-            values[int(key[1:])] = Fraction(raw.strip())
+            values[int(key[1:])] = Fraction(raw)
         except (ValueError, ZeroDivisionError):
-            raise ExprError(f"invalid rational {raw.strip()!r}", 1, 1) from None
+            raise ExprError(f"invalid rational {raw!r}", 1, 1) from None
     return [values[i] for i in range(1, 10)]
 
 
@@ -221,8 +222,6 @@ def _theta_from_expression(text: str) -> list[Fraction]:
     words = {str(p).replace("*", ""): p for p in algebra.basis}
     coords = dict(normal.coords)
     values = []
-    from .e6 import THETA_MONOMIALS
-
     for word in THETA_MONOMIALS:
         poly = coords.pop(words[word], None)
         values.append(Fraction(0) if poly is None else poly.as_rational())
@@ -240,27 +239,19 @@ def cmd_admissible(args) -> int:
         theta = _parse_theta(args.theta)
     else:
         theta = _theta_from_expression(args.f_expr)
-    params = DeformationParameters.numeric(theta)
-    c1_poly, c2_poly = lemma_coefficients()
-    assignment = {i + 1: v for i, v in enumerate(theta)}
-    c1 = c1_poly.evaluate(assignment)
-    c2 = c2_poly.evaluate(assignment)
     report = VerificationReport("admissible", "re6")
-    report.add("first condition: t1 + t2 - 2*t3 = 0", c1 == 0, str(c1) if c1 else None, 0.0)
-    report.add(
+    c1, c2 = lemma_coefficients(theta)
+    report.run("first condition: t1 + t2 - 2*t3 = 0", lambda: (c1 == 0, str(c1)))
+    report.run(
         "second condition: 3*t4 - 2*t5 + t6 + t1^2 - t1*t2 + t2^2 - t3^2 = 0",
-        c2 == 0,
-        str(c2) if c2 else None,
-        0.0,
+        lambda: (c2 == 0, str(c2)),
     )
-    residual = admissibility_residual(params)
-    ms = (time.perf_counter() - start) * 1000.0
-    report.add(
-        "direct cube: (x + y + f)^3 = 0 in re6",
-        residual.is_zero(),
-        None if residual.is_zero() else str(residual),
-        ms,
-    )
+
+    def direct_cube():
+        residual = admissibility_residual(DeformationParameters.numeric(theta))
+        return residual.is_zero(), str(residual)
+
+    report.run("direct cube: (x + y + f)^3 = 0 in re6", direct_cube)
     total_ms = (time.perf_counter() - start) * 1000.0
     document = report_document("admissible", "re6", [report], total_ms)
     verdict = "admissible" if report.passed else "not admissible"
@@ -288,14 +279,8 @@ def cmd_basis(args) -> int:
         with handle:
             handle.write(algebra.structure_constants_csv() + "\n")
     if args.json:
-        document = {
-            "version": __version__,
-            "command": f"basis --algebra {args.algebra}",
-            "algebra": _algebra_fingerprint(args.algebra),
-            "checks": [],
-            "status": "pass",
-            "basis": lines,
-        }
+        document = _document(f"basis --algebra {args.algebra}", args.algebra, [], "pass")
+        document["basis"] = lines
         print(json.dumps(document, indent=2))
     elif not args.quiet:
         print(f"# quiver {algebra.quiver.name}")

@@ -217,16 +217,10 @@ class DeformationParameters:
     def as_free_element(self) -> FreeElement:
         """f = sum theta_i * (i-th rad^2 basis word) on the two-loop quiver."""
         quiver = builtin_quiver("L2")
-        g = generators(quiver)
-        x, y = g["x"], g["y"]
-        words = {
-            "xy": x * y, "yx": y * x, "yy": y * y,
-            "xyx": x * y * x, "xyy": x * y * y, "yxy": y * x * y,
-            "xyxy": x * y * x * y, "yxyy": y * x * y * y, "xyxyy": x * y * x * y * y,
-        }
         total = FreeElement.zero(quiver)
         for value, word in zip(self.theta, THETA_MONOMIALS):
-            total = total + words[word].scale(value)
+            # each letter of the word names an arrow of L2
+            total = total + FreeElement.from_path(quiver.path(*word)).scale(value)
         return total
 
 
@@ -527,9 +521,14 @@ def is_admissible(params: DeformationParameters) -> bool:
     return admissibility_residual(params).is_zero()
 
 
-def lemma_coefficients() -> tuple[Poly, Poly]:
-    """The two residual coefficients with all nine thetas free."""
-    t = [Poly.var(i) for i in range(1, 10)]
+def lemma_coefficients(theta: Sequence) -> tuple:
+    """The coefficients c1, c2 of [xyxy] and [xyxyy] in the residual of
+    (x + y + f)^3 at ``theta``.
+
+    Works over any scalar ring, as ``constraint_residuals`` does; at the
+    free indeterminates t1..t9 it gives the two polynomials of the lemma.
+    """
+    t = theta
     c1 = t[0] + t[1] - 2 * t[2]
     c2 = (
         3 * t[3] - 2 * t[4] + t[5]
@@ -609,10 +608,11 @@ def verify_lemma() -> VerificationReport:
     quiver = algebra.quiver
     g = generators(quiver)
     x, y = g["x"], g["y"]
-    c1, c2 = lemma_coefficients()
+    free = DeformationParameters.symbolic_free()
+    c1, c2 = lemma_coefficients(free.theta)
 
     def check_free_residual():
-        residual = admissibility_residual(DeformationParameters.symbolic_free())
+        residual = admissibility_residual(free)
         expected = algebra.normal_form(
             (x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2)
         )
@@ -628,11 +628,9 @@ def verify_lemma() -> VerificationReport:
     report.run("residual vanishes under the two constraints", check_constrained_residual)
 
     def check_second_coefficient_rewrite():
-        bindings = {2: constraint_theta2(Poly.var(1), Poly.var(3))}
-        substituted = c2.substitute(bindings)
-        target = Poly.var(6) - constraint_theta6(
-            Poly.var(1), Poly.var(3), Poly.var(4), Poly.var(5)
-        )
+        t = free.theta
+        _, substituted = lemma_coefficients((t[0], constraint_theta2(t[0], t[2])) + t[2:])
+        target = t[5] - constraint_theta6(t[0], t[2], t[3], t[4])
         ok = substituted == target
         return ok, f"got {substituted}; expected {target}"
 
@@ -1249,15 +1247,15 @@ def numeric_relation_residuals(
     x_plus_y = add(x, y)
 
     residuals = [
-        ("a0*b0", prod("a0", "b0")),
-        ("a1*b1", prod("a1", "b1")),
-        ("b1*a1 + a2*b2", add(prod("b1", "a1"), prod("a2", "b2"))),
-        ("b3*a3 + a4*b4", add(prod("b3", "a3"), prod("a4", "b4"))),
-        ("b4*a4", prod("b4", "a4")),
-        ("b0*a0 + b2*a2 + a3*b3 + f(b0*a0, b2*a2)", add(x_plus_y, prod("a3", "b3"), f)),
-        ("(b0*a0 + b2*a2)^3", mul(mul(x_plus_y, x_plus_y), x_plus_y)),
+        prod("a0", "b0"),
+        prod("a1", "b1"),
+        add(prod("b1", "a1"), prod("a2", "b2")),
+        add(prod("b3", "a3"), prod("a4", "b4")),
+        prod("b4", "a4"),
+        add(x_plus_y, prod("a3", "b3"), f),
+        mul(mul(x_plus_y, x_plus_y), x_plus_y),
     ]
-    return residuals, y
+    return list(zip(DEFORMED_RELATION_NAMES, residuals)), y
 
 
 def _equals_vector(values: dict, vec: tuple, p: int | None) -> bool:

@@ -84,6 +84,7 @@ class Token(NamedTuple):
 
 
 _SYMBOLS = set("+-*/^()")
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -102,9 +103,10 @@ def _tokenize(text: str) -> list[Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit() also holds for "²", which int() refuses
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -126,6 +128,21 @@ def _tokenize(text: str) -> list[Token]:
         raise ExprError(f"unexpected character {ch!r}", line, start_col)
     tokens.append(Token("END", "", line, col))
     return tokens
+
+
+def _int(tok: Token) -> int:
+    """The value of an INT token.
+
+    ``int`` refuses a literal of more digits than the interpreter's limit
+    for integer string conversion (4,300 by default) with a ValueError;
+    that is a fault of the input, so it is reported at the token.
+    """
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ExprError(
+            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.column
+        ) from None
 
 
 class _Parser:
@@ -201,19 +218,19 @@ class _Parser:
                     expected={"integer"},
                 )
             self.advance()
-            return Pow(base, int(exp_tok.text))
+            return Pow(base, _int(exp_tok))
         return base
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            value = Fraction(int(tok.text))
+            value = Fraction(_int(tok))
             nxt = self.peek()
             if nxt.kind == "SYMBOL" and nxt.text == "/":
                 self.advance()
                 den_tok = self.peek()
-                if den_tok.kind != "INT" or int(den_tok.text) == 0:
+                if den_tok.kind != "INT" or _int(den_tok) == 0:
                     raise ExprError(
                         "denominator must be a positive integer",
                         den_tok.line,
@@ -221,7 +238,7 @@ class _Parser:
                         expected={"positive integer"},
                     )
                 self.advance()
-                value = Fraction(int(tok.text), int(den_tok.text))
+                value = value / _int(den_tok)
             return Num(value)
         if tok.kind == "IDENT":
             self.advance()

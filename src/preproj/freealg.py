@@ -292,10 +292,6 @@ class GeneratorMap:
                     f"image of {name} runs {src} -> {tgt}, expected {want[0]} -> {want[1]}"
                 )
 
-    @staticmethod
-    def identity(quiver: Quiver) -> "GeneratorMap":
-        return GeneratorMap(quiver, quiver, generators_as_bindings(quiver))
-
     def __call__(self, element: FreeElement, below: int | None = None) -> FreeElement:
         """Apply the multiplicative extension to a free element.
 
@@ -317,6 +313,3 @@ class GeneratorMap:
             out = out + image.scale(coeff)
         return out
 
-
-def generators_as_bindings(quiver: Quiver) -> dict[str, FreeElement]:
-    return {a.name: FreeElement.from_path(quiver.path(a.name)) for a in quiver.arrows}

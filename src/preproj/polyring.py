@@ -5,8 +5,7 @@ non-negative ints, one slot per indeterminate t1..t9) to nonzero Fraction
 coefficients.  All arithmetic is exact; there is no floating point anywhere.
 Degree-0 polynomials embed rationals losslessly.
 
-Only ring arithmetic, substitution, evaluation and zero-testing are
-provided.  No factorization, no GCDs, no Groebner machinery.
+Only ring arithmetic, evaluation and zero-testing are provided.  No factorization, no GCDs, no Groebner machinery.
 """
 
 from __future__ import annotations
@@ -138,7 +137,8 @@ class Poly:
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                # from a list, not a generator (see ``e6._vec_sum``)
+                exp = tuple([x + y for x, y in zip(ea, eb)])
                 acc = out.get(exp, Fraction(0)) + ca * cb
                 if acc:
                     out[exp] = acc
@@ -168,24 +168,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute(self, bindings: Mapping[int, "Poly"]) -> "Poly":
-        """Simultaneously replace indeterminates by polynomials.
-
-        ``bindings`` maps 1-based indices to replacement polynomials;
-        unbound indeterminates stay as themselves.
-        """
-        cache = {i: Poly.var(i) for i in range(1, NVARS + 1)}
-        cache.update({i: p for i, p in bindings.items()})
-        result = Poly.zero()
-        for exp, coeff in self.terms.items():
-            term = Poly.const(coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * cache[i + 1] ** e
-            result = result + term
-        return result
+    # -- evaluation ----------------------------------------------------------
 
     def _value_over(self, assignment: Mapping[int, Scalar], p: int | None) -> tuple[int, int]:
         """The value at ``assignment`` as (numerator, denominator) integers,

@@ -50,12 +50,6 @@ class Quiver:
     def __repr__(self):
         return f"Quiver({self.name}, {len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def arrow(self, name: str) -> Arrow:
         try:
             return self.arrows[self.arrow_index[name]]
@@ -206,20 +200,6 @@ def compose(p: Path, q: Path) -> Path | None:
     if not q.arrows:
         return p
     return Path._unchecked(p.quiver, p.arrows + q.arrows, p.source, q.target)
-
-
-def path_count(quiver: Quiver, source: int, target: int, length: int) -> int:
-    """Number of paths via adjacency-matrix powers (oracle for enumeration)."""
-    n = len(quiver.vertices)
-    pos = {v: i for i, v in enumerate(quiver.vertices)}
-    adj = [[0] * n for _ in range(n)]
-    for a in quiver.arrows:
-        adj[pos[a.source]][pos[a.target]] += 1
-    vec = [0] * n
-    vec[pos[source]] = 1
-    for _ in range(length):
-        vec = [sum(vec[i] * adj[i][j] for i in range(n)) for j in range(n)]
-    return vec[pos[target]]
 
 
 # E6 with the branch vertex 3: arms 3-0, 3-2-1 and 3-4-5

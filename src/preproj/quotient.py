@@ -319,9 +319,6 @@ class QuotientAlgebra:
         self.quiver._check_vertex(v)
         return [p for p in self.basis if p.source == v and p.target == v]
 
-    def corner_algebra(self, v: int) -> "CornerAlgebra":
-        return CornerAlgebra(self, v)
-
     def basis_listing(self) -> str:
         """One line per basis element: ``deg=<d> <source>-><target> <path>``."""
         return "\n".join(
@@ -333,28 +330,6 @@ class QuotientAlgebra:
             f"QuotientAlgebra({self.name}, dim={self.dimension()}, "
             f"nilpotency_degree={self.nilpotency_degree})"
         )
-
-
-class CornerAlgebra:
-    """The unital algebra e_v A e_v with structure constants induced from A."""
-
-    def __init__(self, parent: QuotientAlgebra, vertex: int):
-        self.parent = parent
-        self.vertex = vertex
-        self.basis = parent.corner_basis(vertex)
-        self.index = {p: i for i, p in enumerate(self.basis)}
-
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        table = {}
-        for i, p in enumerate(self.basis):
-            for j, q in enumerate(self.basis):
-                product = compose(p, q)
-                reduced = {} if product is None else self.parent.reduce_path(product)
-                table[(i, j)] = {self.index[b]: c for b, c in reduced.items()}
-        return table
 
 
 def _exact(c: Fraction) -> Fraction | int:

@@ -83,7 +83,7 @@ def test_criterion_02_lemma():
     residual = admissibility_residual(DeformationParameters.symbolic_free())
     alg = build_re6()
     x, y = GL["x"], GL["y"]
-    c1, c2 = lemma_coefficients()
+    c1, c2 = lemma_coefficients(DeformationParameters.symbolic_free().theta)
     expected = alg.normal_form((x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2))
     ok = ok and residual == expected
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -120,6 +121,56 @@ def test_admissible_rejects_degree_one(capsys):
     code, _, err = invoke(capsys, "admissible", "x + x*y")
     assert code == 2
     assert "rad^2" in err
+
+
+def _python(*args, timeout=None):
+    """``python args`` in a child process that imports this checkout's preproj."""
+    env = {**os.environ, "PYTHONPATH": str(Path(preproj.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize("value", ["1e100000000", "1e-100000000"])
+def test_admissible_theta_with_an_exponent_is_a_prompt_usage_error(value):
+    # Fraction would expand the exponent, which does not finish; the child
+    # process makes a regression fail at the timeout instead of hanging
+    result = _python("-m", "preproj.cli", "admissible", "--theta", f"t1={value}", timeout=2)
+    assert result.returncode == 2 and result.stdout == ""
+    assert f"invalid rational {value!r}" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["7", "-7", "+7", "7/3", "-1.25", ".5", "2E3", "3e0"])
+def test_admissible_theta_value_forms(capsys, value):
+    code, out, err = invoke(capsys, "admissible", "--theta", f"t4={value}", "--json")
+    if "e" in value.lower():
+        assert (code, out) == (2, "")
+        assert f"invalid rational {value!r}" in err
+    else:
+        assert code == 1
+        assert json.loads(out)["checks"][1]["residual"] == str(3 * Fraction(value))
+
+
+LONG_LITERAL = "1" * 5000  # over CPython's default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("argv,column", [
+    (("reduce", "--algebra", "re6", f"{LONG_LITERAL}*x"), 1),
+    (("reduce", "--algebra", "re6", f"x*1/{LONG_LITERAL}"), 5),
+    (("reduce", "--algebra", "re6", f"x^{LONG_LITERAL}"), 3),
+    (("admissible", f"x*y - {LONG_LITERAL}*y*x"), 7),
+], ids=["integer", "denominator", "exponent", "admissible"])
+def test_over_long_integer_literal_is_a_parse_error(capsys, argv, column):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: integer literal of 5000 digits is too long at 1:{column}\n"
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    # "²".isdigit() holds, but int() refuses it
+    code, _, err = invoke(capsys, "reduce", "--algebra", "re6", "x^²")
+    assert code == 2
+    assert err == "error: unexpected character '²' at 1:3\n"
 
 
 def test_basis_header_and_format(capsys):
@@ -502,3 +553,13 @@ def test_parser_is_built_once_on_the_first_run():
     assert on_import == 0
     assert after_first > 0
     assert after_eleven == after_first
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each would add about 1 MB of RSS to every process that imports preproj
+    result = _python(
+        "-c",
+        "import sys, preproj, preproj.cli, preproj.derivation; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert (result.returncode, result.stdout) == (0, "\n")

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,10 +109,28 @@ def test_symbolic_free_residual_two_terms():
     alg = build_re6()
     g = generators(alg.quiver)
     x, y = g["x"], g["y"]
-    c1, c2 = lemma_coefficients()
+    c1, c2 = lemma_coefficients(DeformationParameters.symbolic_free().theta)
     expected = alg.normal_form((x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2))
     assert residual == expected
     assert len(residual.coords) == 2
+
+
+@lru_cache(maxsize=None)
+def _symbolic_lemma_coefficients():
+    """The coefficients of [xyxy] and [xyxyy] in the residual of (x+y+f)^3
+    with all nine thetas free, read off the reduction in re6."""
+    residual = admissibility_residual(DeformationParameters.symbolic_free())
+    by_word = {str(p).replace("*", ""): c for p, c in residual.coords.items()}
+    return by_word["xyxy"], by_word["xyxyy"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=9, max_size=9))
+def test_lemma_coefficients_at_rational_theta_evaluate_the_symbolic_residual(theta):
+    # slow path: the residual's polynomial coefficients, evaluated at theta
+    assignment = dict(enumerate(theta, 1))
+    symbolic = tuple(c.evaluate(assignment) for c in _symbolic_lemma_coefficients())
+    assert lemma_coefficients(theta) == symbolic
 
 
 def test_xy_alone_is_not_admissible():

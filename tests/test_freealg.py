@@ -82,7 +82,7 @@ def test_substitute_xy():
 
 
 def test_substitute_identity_map():
-    m = GeneratorMap.identity(E6)
+    m = GeneratorMap(E6, E6, {a.name: G[a.name] for a in E6.arrows})
     e = G["a0"] * G["b0"] + G["b2"].scale(2)
     assert m(e) == e
 
