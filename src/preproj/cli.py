@@ -190,6 +190,22 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# A theta value's numerator and denominator have at most this many digits.
+# The residuals of ``admissible`` have degree at most 3 in the nine values
+# with small integer coefficients, so a residual's denominator divides the
+# product of the cubes of the nine denominators (below 10^2700) and its
+# numerator stays below 10^3000 times a small integer: inside the
+# interpreter's 4,300-digit limit for ``str``.
+THETA_DIGITS = 100
+
+
+def _bounded_theta(value: Fraction, error: str) -> Fraction:
+    bound = 10 ** THETA_DIGITS
+    if abs(value.numerator) >= bound or value.denominator >= bound:
+        raise ExprError(f"{error} (more than {THETA_DIGITS} digits)", 1, 1)
+    return value
+
+
 def _parse_theta(text: str) -> list[Fraction]:
     values = {i: Fraction(0) for i in range(1, 10)}
     for item in text.split(","):
@@ -208,9 +224,10 @@ def _parse_theta(text: str) -> list[Fraction]:
         if "e" in raw.lower():
             raise ExprError(f"invalid rational {raw!r}", 1, 1)
         try:
-            values[int(key[1:])] = Fraction(raw)
+            value = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ExprError(f"invalid rational {raw!r}", 1, 1) from None
+        values[int(key[1:])] = _bounded_theta(value, f"invalid rational {raw!r}")
     return [values[i] for i in range(1, 10)]
 
 
@@ -224,7 +241,8 @@ def _theta_from_expression(text: str) -> list[Fraction]:
     values = []
     for word in THETA_MONOMIALS:
         poly = coords.pop(words[word], None)
-        values.append(Fraction(0) if poly is None else poly.as_rational())
+        value = Fraction(0) if poly is None else poly.as_rational()
+        values.append(_bounded_theta(value, f"coefficient of [{word}] in f"))
     if coords:
         leftover = ", ".join(str(p) for p in coords)
         raise ExprError(

@@ -9,6 +9,11 @@ Grammar (LL(1); ``*`` is mandatory between factors):
     rational := int ("/" posint)?
     ident    := "a0".."a4" | "b0".."b4" | "x" | "y" | "e0".."e5" | "t1".."t9"
 
+The product of the exponents along any chain of nested powers, an
+exponent 0 counted as 1, is at most ``MAX_EXPONENT`` = 2^16 = 65536:
+``x^65536`` and ``(x^256)^256`` are accepted, ``x^65537`` and
+``((x^2)^256)^256`` are rejected when the AST is evaluated.
+
 The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
 is the identity on canonical elements.
@@ -21,12 +26,14 @@ from typing import NamedTuple
 
 from .freealg import FreeElement
 from .polyring import NVARS, Poly
-from .quiver import Quiver
+from .quiver import Path, Quiver, compose
 
 ARROW_IDENTS = {f"a{i}" for i in range(5)} | {f"b{i}" for i in range(5)} | {"x", "y"}
 IDEMPOTENT_IDENTS = {f"e{i}" for i in range(6)}
 INDETERMINATE_IDENTS = {f"t{i}" for i in range(1, NVARS + 1)}
 KNOWN_IDENTS = ARROW_IDENTS | IDEMPOTENT_IDENTS | INDETERMINATE_IDENTS
+# the largest product of nested exponents that ``to_element`` accepts
+MAX_EXPONENT = 2 ** 16
 
 
 class ExprError(ValueError):
@@ -62,6 +69,8 @@ class Neg(NamedTuple):
 class Pow(NamedTuple):
     base: object
     exponent: int
+    line: int = 0  # of the exponent
+    column: int = 0
 
 
 class Mul(NamedTuple):
@@ -218,7 +227,7 @@ class _Parser:
                     expected={"integer"},
                 )
             self.advance()
-            return Pow(base, _int(exp_tok))
+            return Pow(base, _int(exp_tok), exp_tok.line, exp_tok.column)
         return base
 
     def atom(self):
@@ -271,51 +280,119 @@ def parse(text: str):
 # -- AST evaluation ------------------------------------------------------------
 
 
+def _check_exponents(node, outer: int = 1) -> None:
+    """Reject the first power whose exponent, times those of the powers
+    around it, exceeds ``MAX_EXPONENT`` (see ``to_element``)."""
+    if isinstance(node, Pow):
+        outer *= max(node.exponent, 1)
+        if outer > MAX_EXPONENT:
+            raise ExprError(
+                f"nested exponents multiply to {outer} (at most {MAX_EXPONENT})",
+                node.line,
+                node.column,
+            )
+        _check_exponents(node.base, outer)
+    elif isinstance(node, Neg):
+        _check_exponents(node.operand, outer)
+    elif isinstance(node, Mul):
+        for factor in node.factors:
+            _check_exponents(factor, outer)
+    elif isinstance(node, Sum):
+        for _, part in node.parts:
+            _check_exponents(part, outer)
+
+
 def to_element(ast, quiver: Quiver) -> FreeElement:
     """Evaluate an AST to a FreeElement on the given quiver.
 
-    Scalars and indeterminates become coefficients of the identity.
     Identifiers that are not arrows or idempotents of the quiver are
     rejected, which is what rules out mixing alphabets of different
     quivers in one expression.
+
+    Numbers and t1..t9, with their products, negations, powers and sums,
+    stay ``Poly`` scalars, and a product scales the product of its other
+    factors by them.  This is exact because scalars are central in kQ and
+    c*x = (c*1)*x, 1 the identity; a scalar becomes c*1 only where it is
+    added to an element.  A run of arrows and idempotents in a product is
+    one path, formed by ``compose``; the other products are
+    ``FreeElement.mul``.
+
+    Powers are formed by repeated squaring, so x^n builds x^(2^k) for
+    2^k <= n.  The product of the exponents along any chain of nested
+    powers, an exponent 0 counted as 1, may be at most ``MAX_EXPONENT``
+    (2^16); a larger one is an ``ExprError`` at its exponent.  Without the
+    cap "x^1000000000" would build one path of about 2^30 arrows.
     """
+    _check_exponents(ast)
     arrow_names = {a.name for a in quiver.arrows}
     idem_names = {f"e{v}": v for v in quiver.vertices}
 
-    def ev(node) -> FreeElement:
+    def element(value) -> FreeElement:
+        if isinstance(value, FreeElement):
+            return value
+        if isinstance(value, Path):
+            return FreeElement.from_path(value)
+        return FreeElement.one(quiver).scale(value)
+
+    def ev(node):
+        """A ``Poly`` scalar, a ``Path`` or a ``FreeElement``."""
         if isinstance(node, Num):
-            return FreeElement.one(quiver).scale(node.value)
+            return Poly.const(node.value)
         if isinstance(node, Ident):
             if node.name in arrow_names:
-                return FreeElement.from_path(quiver.path(node.name))
+                return quiver.path(node.name)
             if node.name in idem_names:
-                return FreeElement.from_path(quiver.idempotent(idem_names[node.name]))
+                return quiver.idempotent(idem_names[node.name])
             if node.name in INDETERMINATE_IDENTS:
-                return FreeElement.one(quiver).scale(Poly.var(int(node.name[1:])))
+                return Poly.var(int(node.name[1:]))
             raise ExprError(
                 f"identifier {node.name!r} is not defined in quiver {quiver.name}",
                 node.line,
                 node.column,
             )
         if isinstance(node, Neg):
-            return -ev(node.operand)
+            value = ev(node.operand)
+            return FreeElement.from_path(value, -1) if isinstance(value, Path) else -value
         if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+            value = ev(node.base)
+            if isinstance(value, Poly):
+                return value ** node.exponent
+            return element(value).power(node.exponent)
         if isinstance(node, Mul):
-            result = None
+            scalar = Poly.const(1)
+            product = None  # a Path, a FreeElement, or None before the first
             for f in node.factors:
                 value = ev(f)
-                result = value if result is None else result * value
-            return result
+                if isinstance(value, Poly):
+                    scalar = scalar * value
+                elif product is None:
+                    product = value
+                elif isinstance(product, Path) and isinstance(value, Path):
+                    product = compose(product, value)
+                    if product is None:
+                        product = FreeElement.zero(quiver)
+                else:
+                    product = element(product).mul(element(value))
+            if product is None:
+                return scalar
+            if isinstance(product, Path):
+                return FreeElement.from_path(product, scalar)
+            return product.scale(scalar)
         if isinstance(node, Sum):
+            values = [(sign, ev(part)) for sign, part in node.parts]
+            if all(isinstance(value, Poly) for _, value in values):
+                result = Poly.zero()
+                for sign, value in values:
+                    result = result + value if sign > 0 else result - value
+                return result
             result = FreeElement.zero(quiver)
-            for sign, part in node.parts:
-                value = ev(part)
+            for sign, value in values:
+                value = element(value)
                 result = result + (value if sign > 0 else -value)
             return result
         raise TypeError(f"unexpected AST node {node!r}")
 
-    return ev(ast)
+    return element(ev(ast))
 
 
 def parse_element(text: str, quiver: Quiver) -> FreeElement:

@@ -49,6 +49,23 @@ class FreeElement:
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _unchecked(cls, quiver: Quiver, terms: dict) -> "FreeElement":
+        """An element on ``terms`` as given, without the checks of ``__init__``.
+
+        For results of arithmetic on elements of ``quiver``, whose terms are
+        already clean: every path is a term of an operand or a ``compose``
+        of two of them, hence a path on ``quiver``; every coefficient is a
+        sum or product of ``Poly`` coefficients, hence a ``Poly``; and the
+        arithmetic drops each coefficient that cancels to zero.  A product
+        of two nonzero coefficients is nonzero, because Q[t1..t9] is an
+        integral domain.
+        """
+        element = object.__new__(cls)
+        object.__setattr__(element, "quiver", quiver)
+        object.__setattr__(element, "terms", terms)
+        return element
+
     def __setattr__(self, name, value):
         raise AttributeError("FreeElement is immutable")
 
@@ -117,15 +134,19 @@ class FreeElement:
         self._check_same_quiver(other)
         out = dict(self.terms)
         for path, coeff in other.terms.items():
-            acc = out.get(path, Poly.zero()) + coeff
-            if acc:
-                out[path] = acc
+            acc = out.get(path)
+            if acc is None:
+                out[path] = coeff
             else:
-                out.pop(path, None)
-        return FreeElement(self.quiver, out)
+                acc = acc + coeff
+                if acc:
+                    out[path] = acc
+                else:
+                    del out[path]
+        return FreeElement._unchecked(self.quiver, out)
 
     def __neg__(self):
-        return FreeElement(self.quiver, {p: -c for p, c in self.terms.items()})
+        return FreeElement._unchecked(self.quiver, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, FreeElement):
@@ -165,12 +186,16 @@ class FreeElement:
                 pab = compose(pa, pb)
                 if pab is None:
                     continue
-                acc = out.get(pab, Poly.zero()) + ca * cb
-                if acc:
-                    out[pab] = acc
+                acc = out.get(pab)
+                if acc is None:
+                    out[pab] = ca * cb
                 else:
-                    out.pop(pab, None)
-        return FreeElement(self.quiver, out)
+                    acc = acc + ca * cb
+                    if acc:
+                        out[pab] = acc
+                    else:
+                        del out[pab]
+        return FreeElement._unchecked(self.quiver, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -179,7 +204,9 @@ class FreeElement:
 
     def scale(self, coeff) -> "FreeElement":
         c = _as_poly(coeff)
-        return FreeElement(self.quiver, {p: c * v for p, v in self.terms.items()})
+        if not c:
+            return FreeElement.zero(self.quiver)
+        return FreeElement._unchecked(self.quiver, {p: c * v for p, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "FreeElement":
         return self.power(n)
@@ -187,16 +214,37 @@ class FreeElement:
     def power(self, n: int, below: int | None = None) -> "FreeElement":
         """The n-th power, dropping paths of length ``below`` or more (see ``mul``).
 
-        Stops multiplying once the result is zero.
+        Square and multiply (Knuth, TAOCP vol. 2, 4.6.3): the result is the
+        product of the squares x^(2^i) over the set bits i of n, so it takes
+        at most 2*log2(n) products, and it stops once the result or the
+        squared base is zero.  Sound because kQ is associative, so any
+        bracketing of x*...*x gives x^n, and because dropping the paths of
+        length ``below`` or more is a ring map kQ -> kQ/J^below, so
+        truncating the base and every partial product gives the truncation
+        of x^n.  The first factor is the truncated base itself, not a
+        product with ``one``.
         """
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = FreeElement.one(self.quiver)
-        for _ in range(n):
-            if not result:
-                break
-            result = result.mul(self, below)
-        return result
+        if n == 0:
+            return FreeElement.one(self.quiver)
+        base = self
+        if below is not None:
+            base = FreeElement._unchecked(
+                self.quiver, {p: c for p, c in self.terms.items() if len(p) < below}
+            )
+        result = None
+        while True:
+            if n & 1:
+                result = base if result is None else result.mul(base, below)
+                if not result:
+                    return result
+            n >>= 1
+            if not n:
+                return result
+            base = base.mul(base, below)
+            if not base:
+                return base
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):

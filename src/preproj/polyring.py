@@ -52,6 +52,20 @@ class Poly:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _unchecked(cls, terms: dict) -> "Poly":
+        """A polynomial on ``terms`` as given, without the checks of ``__init__``.
+
+        For results of ring arithmetic on polynomials, whose terms are
+        already clean: every exponent is a sum of 9-slot tuples, hence a
+        9-slot tuple; every coefficient is a sum or product of Fractions,
+        hence a Fraction; and the arithmetic drops each coefficient that
+        comes out zero.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -111,12 +125,12 @@ class Poly:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        return Poly(out)
+        return Poly._unchecked(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._unchecked({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -144,17 +158,24 @@ class Poly:
                     out[exp] = acc
                 else:
                     out.pop(exp, None)
-        return Poly(out)
+        return Poly._unchecked(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """The n-th power by repeated squaring (see ``FreeElement.power``)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n == 0:
+            return Poly.const(1)
+        base, result = self, None
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -166,6 +166,61 @@ def test_over_long_integer_literal_is_a_parse_error(capsys, argv, column):
     assert err == f"error: integer literal of 5000 digits is too long at 1:{column}\n"
 
 
+# The run in a child process whose address space is capped at 512 MB: a
+# power that builds its path or coefficient before checking the exponent
+# fails with MemoryError or at the timeout, not by exhausting the machine.
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from preproj.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("algebra,text,outer,column", [
+    ("re6", "x^65537", 65537, 3),
+    ("re6", "x^1000000000", 1000000000, 3),
+    ("re6", "((x^1000)^1000)^1000", 1000000, 11),
+    ("re6", "((x^2)^256)^256", 131072, 5),
+    # an exponent 0 counts as 1: x^(2^32) is built before its 0-th power
+    ("re6", "y + ((x^65536)^65536)^0", 2**32, 9),
+    ("re6", "2^1000000000", 1000000000, 3),
+    ("re6", "(e0 + x)^1000000000", 1000000000, 10),
+    ("pe6", "(a0*b0)^100000", 100000, 9),
+])
+def test_power_over_the_exponent_cap_is_a_prompt_usage_error(algebra, text, outer, column):
+    result = _python("-c", _LIMITED_RUN, "reduce", "--algebra", algebra, text, timeout=2)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: nested exponents multiply to {outer} (at most 65536) at 1:{column}\n"
+    )
+
+
+def test_theta_over_the_digit_cap_is_a_usage_error(capsys):
+    # t1^2 of 3,000 sevens has about 6,000 digits, over the limit of str
+    sevens = "7" * 3000
+    code, out, err = invoke(capsys, "admissible", "--theta", f"t1={sevens}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid rational '{sevens}' (more than 100 digits)")
+    for value in (f"1{'0' * 100}", f"-1{'0' * 100}", f"1/{'3' * 101}"):
+        code, out, err = invoke(capsys, "admissible", "--theta", f"t2={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid rational '{value}' (more than 100 digits)")
+    code, out, err = invoke(capsys, "admissible", "3^300*x*y")
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient of [xy] in f (more than 100 digits) at 1:1\n"
+
+
+def test_theta_at_the_digit_cap_prints_every_residual(capsys):
+    # the largest numerators and denominators the cap allows, pairwise coprime
+    top = 10**100 - 1
+    theta = ",".join(f"t{i}={(-1) ** i * (top - i)}/{top - 10 * i - 1}" for i in range(1, 10))
+    code, out, err = invoke(capsys, "admissible", "--theta", theta, "--json")
+    assert (code, err) == (1, "")
+    residuals = [check["residual"] for check in json.loads(out)["checks"]]
+    assert all(residuals) and max(map(len, residuals)) > 2000
+
+
 def test_non_ascii_digit_is_a_parse_error(capsys):
     # "²".isdigit() holds, but int() refuses it
     code, _, err = invoke(capsys, "reduce", "--algebra", "re6", "x^²")

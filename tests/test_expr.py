@@ -3,9 +3,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from preproj.expr import ExprError, format_element, parse, parse_element
+from preproj.expr import (
+    INDETERMINATE_IDENTS,
+    ExprError,
+    Ident,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sum,
+    format_element,
+    parse,
+    parse_element,
+    to_element,
+)
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import builtin_quiver
@@ -152,3 +165,108 @@ def test_print_then_parse_round_trip(e):
     back = parse_element(text, e.quiver)
     assert back == e
     assert format_element(back) == text
+
+
+# -- evaluation: scalars kept as scalars against the per-node slow path ---------
+
+
+def per_node_element(ast, quiver):
+    """Slow path of ``to_element``: every node a ``FreeElement``, every
+    number and indeterminate a multiple of the identity, every product and
+    power through ``FreeElement.mul`` from the left."""
+    arrow_names = {a.name for a in quiver.arrows}
+    idem_names = {f"e{v}": v for v in quiver.vertices}
+
+    def ev(node):
+        if isinstance(node, Num):
+            return FreeElement.one(quiver).scale(node.value)
+        if isinstance(node, Ident):
+            if node.name in arrow_names:
+                return FreeElement.from_path(quiver.path(node.name))
+            if node.name in idem_names:
+                return FreeElement.from_path(quiver.idempotent(idem_names[node.name]))
+            if node.name in INDETERMINATE_IDENTS:
+                return FreeElement.one(quiver).scale(Poly.var(int(node.name[1:])))
+            raise ExprError(
+                f"identifier {node.name!r} is not defined in quiver {quiver.name}",
+                node.line,
+                node.column,
+            )
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, Pow):
+            base, result = ev(node.base), FreeElement.one(quiver)
+            for _ in range(node.exponent):
+                result = result.mul(base)
+            return result
+        if isinstance(node, Mul):
+            result = None
+            for f in node.factors:
+                value = ev(f)
+                result = value if result is None else result.mul(value)
+            return result
+        if isinstance(node, Sum):
+            result = FreeElement.zero(quiver)
+            for sign, part in node.parts:
+                value = ev(part)
+                result = result + (value if sign > 0 else -value)
+            return result
+        raise TypeError(f"unexpected AST node {node!r}")
+
+    return ev(ast)
+
+
+def _chain_exponent(node):
+    """The largest product of exponents along a chain of nested powers."""
+    if isinstance(node, Pow):
+        return max(node.exponent, 1) * _chain_exponent(node.base)
+    if isinstance(node, Neg):
+        return _chain_exponent(node.operand)
+    if isinstance(node, Mul):
+        return max(map(_chain_exponent, node.factors))
+    if isinstance(node, Sum):
+        return max(_chain_exponent(part) for _, part in node.parts)
+    return 1
+
+
+# every identifier of the grammar: on either quiver some are undefined
+ast_leaves = st.one_of(
+    st.builds(Num, st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+    st.sampled_from(sorted(INDETERMINATE_IDENTS)).map(Ident),
+    st.sampled_from(["x", "y", "e0", "a0", "b0", "a2", "b2", "a3", "b3", "e3"]).map(Ident),
+)
+asts = st.recursive(
+    ast_leaves,
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: Mul(tuple(fs))),
+        st.lists(st.tuples(st.sampled_from([1, -1]), children), min_size=1, max_size=3).map(
+            lambda parts: Sum(tuple(parts))
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(asts, st.sampled_from([E6, L2]))
+def test_scalars_kept_as_scalars_match_the_per_node_evaluator(ast, quiver):
+    assume(_chain_exponent(ast) <= 9)
+    try:
+        expected = per_node_element(ast, quiver)
+    except ExprError as error:
+        with pytest.raises(ExprError) as exc:
+            to_element(ast, quiver)
+        assert str(exc.value) == str(error)
+        return
+    assert to_element(ast, quiver) == expected
+
+
+@pytest.mark.parametrize("quiver,text", [
+    (L2, "x^65536"), (L2, "(x^256)^256"), (L2, "((y^2)^0)^32768"), (L2, "2^65536*x"),
+    (E6, "(b0*a0)^65536 + a3^1"),
+])
+def test_exponents_up_to_the_cap_are_accepted(quiver, text):
+    # the rejected ones run in a memory-limited child process, in test_cli
+    to_element(parse(text), quiver)

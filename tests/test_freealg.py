@@ -1,5 +1,6 @@
 """Tests for the free path algebra and generator substitution."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -197,19 +198,59 @@ def test_truncated_power_matches_slow_path(name, data, k):
     assert algebra.normal_form(cut) == algebra.normal_form(power)
 
 
-def test_truncated_power_stops_at_zero(monkeypatch):
-    n = get_algebra("re6").nilpotency_degree
+@pytest.mark.parametrize(
+    "name,base", [("re6", GL["x"]), ("pe6", G["b0"] * G["a0"])], ids=["re6", "pe6"]
+)
+def test_truncated_power_stops_at_zero(monkeypatch, name, base):
+    n = get_algebra(name).nilpotency_degree
+    bound = math.ceil(math.log2(n)) + 2
     calls = []
     mul = FreeElement.mul
 
     def counting_mul(self, other, below=None):
         calls.append(below)
-        assert len(calls) <= n, "power kept multiplying a zero result"
+        assert len(calls) <= bound, "power kept multiplying a zero result"
         return mul(self, other, below)
 
     monkeypatch.setattr(FreeElement, "mul", counting_mul)
-    assert GL["x"].power(10**9, below=n).is_zero()
-    assert calls == [n] * n  # x^n is the first power past N
+    assert base.power(10**9, below=n).is_zero()
+    assert calls and calls == [n] * len(calls)
+
+
+def repeated_mul(element, k, below=None):
+    """Slow path of ``FreeElement.power``: k products from the identity."""
+    result = FreeElement.one(element.quiver)
+    for _ in range(k):
+        result = result.mul(element, below)
+    return result
+
+
+@pytest.mark.parametrize("k", range(14))
+@settings(max_examples=10, deadline=None)
+@given(a=st.one_of(elements(L2, max_paths=2, max_len=2), elements(E6, max_paths=2, max_len=2)))
+def test_power_by_squaring_matches_repeated_products(k, a):
+    assert a.power(k) == repeated_mul(a, k)
+
+
+@pytest.mark.parametrize("k", range(14))
+@pytest.mark.parametrize("name", QUOTIENTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_truncated_power_by_squaring_matches_repeated_products(name, k, data):
+    algebra = get_algebra(name)
+    n = algebra.nilpotency_degree
+    # paths of length n and n + 1 too, which the base drops first
+    a = data.draw(elements(algebra.quiver, max_len=n + 1))
+    assert a.power(k, below=n) == repeated_mul(a, k, below=n)
+
+
+def test_first_power_drops_long_paths_of_the_base():
+    n = get_algebra("re6").nilpotency_degree
+    x = GL["x"]
+    long_path = x.power(n) + x.power(n + 3).scale(2)
+    assert (x + long_path).power(1, below=n) == x
+    assert long_path.power(1, below=n).is_zero()
+    assert long_path.power(1) == long_path
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,3 +278,45 @@ def test_truncated_change_of_generators_matches_slow_path(a):
     full = NUMERIC_CHANGE(a)
     assert cut == truncated(full, n)
     assert algebra.normal_form(cut) == algebra.normal_form(full)
+
+
+# -- arithmetic results against their re-validated copies ------------------------
+
+
+def assert_clean(element):
+    """``element`` equals its copy through the checking constructor: paths on
+    its own quiver and nonzero, themselves clean ``Poly`` coefficients."""
+    assert type(element) is FreeElement
+    assert element.terms == FreeElement(element.quiver, element.terms).terms
+    for path, coeff in element.terms.items():
+        assert path.quiver is element.quiver
+        assert type(coeff) is Poly and coeff
+        assert coeff.terms == Poly(coeff.terms).terms
+
+
+@st.composite
+def poly_elements(draw, quiver=E6):
+    """``elements`` with coefficients of degree up to 1 in t1, t2."""
+    base = draw(elements(quiver))
+    coeffs = st.builds(
+        lambda c, d, i: Poly.const(c) + Poly.const(d) * Poly.var(i),
+        small_fractions,
+        small_fractions,
+        st.integers(min_value=1, max_value=2),
+    )
+    return FreeElement(quiver, {p: c * draw(coeffs) for p, c in base.terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), quiver=st.sampled_from([E6, L2]))
+def test_arithmetic_results_are_clean(data, quiver):
+    a = data.draw(poly_elements(quiver))
+    b = data.draw(poly_elements(quiver))
+    c = data.draw(st.sampled_from([Poly.zero(), Poly.const(-2), Poly.var(1) - 1]))
+    n = get_algebra("re6" if quiver is L2 else "pe6").nilpotency_degree
+    # a - a, (a + b) * (a - b) and the zero scale cancel terms
+    for result in (
+        a + b, a - b, -a, a * b, a - a, (a + b) * (a - b), a.mul(b, below=3),
+        a.scale(c), c * a, a * 3, a.power(0), a.power(3), (a - b).power(2, below=n),
+    ):
+        assert_clean(result)

@@ -211,3 +211,49 @@ def test_evaluate_mod_rejects_a_coefficient_the_field_cannot_invert():
 def test_evaluate_rejects_a_value_that_is_not_rational():
     with pytest.raises(TypeError, match="float"):
         T[1].evaluate({1: 0.5})
+
+
+# -- arithmetic results against their re-validated copies ------------------------
+
+
+def assert_clean(poly):
+    """``poly`` equals its copy through the checking constructor: 9-slot
+    exponent tuples and nonzero ``Fraction`` coefficients only."""
+    assert type(poly) is Poly
+    assert poly.terms == Poly(poly.terms).terms
+    for exp, coeff in poly.terms.items():
+        assert type(exp) is tuple and len(exp) == NVARS
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), polys(), st.integers(min_value=-3, max_value=3))
+def test_arithmetic_results_are_clean(a, b, n):
+    # a - a, (a + b) * (a - b) and n * a with n = 0 cancel terms
+    for result in (
+        a + b, a - b, -a, a * b, a - a, (a + b) * (a - b),
+        a + n, n + a, n - a, a * n, n * a, a ** 0, a ** 3, (a - b) ** 2,
+    ):
+        assert_clean(result)
+
+
+def repeated_product(poly, k):
+    """Slow path of ``Poly.__pow__``: k products from the constant 1."""
+    result = Poly.const(1)
+    for _ in range(k):
+        result = result * poly
+    return result
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(max_terms=3, max_exp=2), st.integers(min_value=0, max_value=9))
+def test_power_by_squaring_matches_repeated_products(poly, k):
+    power = poly ** k
+    assert power == repeated_product(poly, k)
+    assert_clean(power)
+
+
+def test_power_rejects_a_negative_or_non_integer_exponent():
+    for n in (-1, 2.0):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            T[1] ** n
