@@ -51,7 +51,7 @@ from .e6 import (
     verify_lemma,
     verify_theorem,
 )
-from .expr import ExprError, format_element, parse_element
+from .expr import MAX_COEFFICIENT_DIGITS, ExprError, format_element, parse_element, printable
 
 JSON_REPORT_SCHEMA = {
     "type": "object",
@@ -178,8 +178,17 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     algebra = get_algebra(args.algebra)
     element = parse_element(args.expr, algebra.quiver)
-    normal = algebra.normal_form(element)
-    text = format_element(normal.lift())
+    lifted = algebra.normal_form(element).lift()
+    # a product of powers under the scalar cap can still outgrow it
+    for path, coeff in lifted.terms.items():
+        if not printable(coeff):
+            raise ExprError(
+                f"the coefficient of {path} in the normal form has more than"
+                f" {MAX_COEFFICIENT_DIGITS} digits",
+                1,
+                1,
+            )
+    text = format_element(lifted)
     if args.json:
         document = _document(f"reduce --algebra {args.algebra}", args.algebra, [], "pass")
         document["input"] = args.expr

@@ -12,7 +12,11 @@ Grammar (LL(1); ``*`` is mandatory between factors):
 The product of the exponents along any chain of nested powers, an
 exponent 0 counted as 1, is at most ``MAX_EXPONENT`` = 2^16 = 65536:
 ``x^65536`` and ``(x^256)^256`` are accepted, ``x^65537`` and
-``((x^2)^256)^256`` are rejected when the AST is evaluated.
+``((x^2)^256)^256`` are rejected when the AST is evaluated.  A power of a
+scalar (numbers and t1..t9) is also rejected, before it is computed, when
+its coefficients could exceed ``MAX_COEFFICIENT_DIGITS`` = 4300 digits,
+the default limit of ``str`` on an int: ``2^14284`` is accepted,
+``2^14285`` and ``3^10000`` are rejected (see ``to_element``).
 
 The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
@@ -22,6 +26,7 @@ is the identity on canonical elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .freealg import FreeElement
@@ -34,6 +39,13 @@ INDETERMINATE_IDENTS = {f"t{i}" for i in range(1, NVARS + 1)}
 KNOWN_IDENTS = ARROW_IDENTS | IDEMPOTENT_IDENTS | INDETERMINATE_IDENTS
 # the largest product of nested exponents that ``to_element`` accepts
 MAX_EXPONENT = 2 ** 16
+# The most digits a coefficient's numerator or denominator may have: the
+# default limit of int -> str conversion (Python >= 3.10.7), fixed here so
+# that every version accepts the same inputs.  |n| < 2^MAX_COEFFICIENT_BITS
+# is below 10^MAX_COEFFICIENT_DIGITS, so it has at most that many digits.
+MAX_COEFFICIENT_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
+MAX_COEFFICIENT_BITS = _DIGIT_BOUND.bit_length() - 1
 
 
 class ExprError(ValueError):
@@ -302,6 +314,45 @@ def _check_exponents(node, outer: int = 1) -> None:
             _check_exponents(part, outer)
 
 
+def _check_scalar_power(base: Poly, node: Pow) -> None:
+    """Reject ``base ** node.exponent`` if a coefficient of it could have
+    more than ``MAX_COEFFICIENT_DIGITS`` digits (see ``to_element``).
+
+    With D the lcm of the coefficient denominators of the base and S the
+    sum of |numerator| * D / denominator, the base is q / D for a
+    polynomial q with integer coefficients whose absolute values sum to S.
+    So base^k = q^k / D^k, and every coefficient of q^k is at most S^k in
+    absolute value: each numerator of base^k is at most S^k and each
+    denominator divides D^k.  With b = ceil(log2 max(S, D)), both are at
+    most 2^(k*b), so k*b <= ``MAX_COEFFICIENT_BITS`` keeps them printable.
+    For a constant n/d, b is the bit length of max(|n|, d) - 1, so 1 and
+    -1 take any exponent.
+    """
+    coeffs = base.terms.values()
+    if not coeffs:
+        return
+    # a list, not a generator, is unpacked (see ``e6._vec_sum``)
+    den = lcm(*[c.denominator for c in coeffs])
+    num = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    bits = node.exponent * (max(num, den) - 1).bit_length()
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ExprError(
+            f"scalar power may have coefficients of {bits} bits"
+            f" (at most {MAX_COEFFICIENT_BITS} bits, {MAX_COEFFICIENT_DIGITS} digits)",
+            node.line,
+            node.column,
+        )
+
+
+def printable(coeff: Poly) -> bool:
+    """Whether every numerator and denominator of ``coeff`` has at most
+    ``MAX_COEFFICIENT_DIGITS`` digits, so that ``str`` can print it."""
+    return all(
+        -_DIGIT_BOUND < c.numerator < _DIGIT_BOUND and c.denominator < _DIGIT_BOUND
+        for c in coeff.terms.values()
+    )
+
+
 def to_element(ast, quiver: Quiver) -> FreeElement:
     """Evaluate an AST to a FreeElement on the given quiver.
 
@@ -321,7 +372,12 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
     2^k <= n.  The product of the exponents along any chain of nested
     powers, an exponent 0 counted as 1, may be at most ``MAX_EXPONENT``
     (2^16); a larger one is an ``ExprError`` at its exponent.  Without the
-    cap "x^1000000000" would build one path of about 2^30 arrows.
+    cap "x^1000000000" would build one path of about 2^30 arrows.  A power
+    of a scalar is an ``ExprError`` at its exponent, before it is
+    computed, when its coefficients could have more than
+    ``MAX_COEFFICIENT_DIGITS`` digits (see ``_check_scalar_power``): such
+    a coefficient could not be printed, and "<4,000 nines>^65536" would
+    build a number of 870 million bits.
     """
     _check_exponents(ast)
     arrow_names = {a.name for a in quiver.arrows}
@@ -356,6 +412,7 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
         if isinstance(node, Pow):
             value = ev(node.base)
             if isinstance(value, Poly):
+                _check_scalar_power(value, node)
                 return value ** node.exponent
             return element(value).power(node.exponent)
         if isinstance(node, Mul):

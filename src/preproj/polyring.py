@@ -60,7 +60,9 @@ class Poly:
         already clean: every exponent is a sum of 9-slot tuples, hence a
         9-slot tuple; every coefficient is a sum or product of Fractions,
         hence a Fraction; and the arithmetic drops each coefficient that
-        comes out zero.
+        comes out zero.  The product of two constants is the one term
+        ``{_ZERO_EXP: a * b}``, nonzero because Q is a domain (see
+        ``__mul__``).
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", terms)
@@ -145,9 +147,22 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
+        """The product; a product of two constants is one ``Fraction`` product.
+
+        Two constants, each with the single monomial ``_ZERO_EXP``, give
+        ``{_ZERO_EXP: a * b}`` without the loop below.  This is the term the
+        loop computes: (0,...,0) + (0,...,0) = (0,...,0), and
+        ``Fraction(0) + a * b`` equals ``a * b`` and is a ``Fraction`` too.
+        It meets the contract of ``_unchecked``, since Q is a domain, so
+        the product of two nonzero coefficients is nonzero.  No other
+        product of nonzero polynomials is a constant.
+        """
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
+            return Poly._unchecked({_ZERO_EXP: a[_ZERO_EXP] * b[_ZERO_EXP]})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -194,6 +195,62 @@ def test_power_over_the_exponent_cap_is_a_prompt_usage_error(algebra, text, oute
     assert result.stderr == (
         f"error: nested exponents multiply to {outer} (at most 65536) at 1:{column}\n"
     )
+
+
+NINES = "9" * 4000
+
+
+def _over_cap(bits, column):
+    return (
+        f"scalar power may have coefficients of {bits} bits"
+        f" (at most 14284 bits, 4300 digits) at 1:{column}"
+    )
+
+
+def _unprintable(word):
+    return f"the coefficient of {word} in the normal form has more than 4300 digits at 1:1"
+
+
+# text and JSON output take the same checks; both forms are run on some
+@pytest.mark.parametrize("form,algebra,text,message", [
+    ((), "re6", "3^10000*x", _over_cap(20000, 3)),
+    ((), "re6", "((1/3))^65536*x", _over_cap(131072, 9)),
+    (("--json",), "re6", f"{NINES}^65536*x", _over_cap(870842368, 4002)),
+    ((), "re6", "2^14285*x", _over_cap(14285, 3)),
+    # the coefficients of (1 + t1)^k sum to 2^k
+    ((), "re6", "(1 + t1)^14285*x", _over_cap(14285, 10)),
+    # each power is under the cap, their product is not
+    ((), "re6", "3^7000*3^7000*x", _unprintable("x")),
+    (("--json",), "re6", "(1/3)^7000*(1/3)^7000*x", _unprintable("x")),
+    # 10^4300 has 4,301 digits
+    ((), "re6", "10^2150*10^2150*x", _unprintable("x")),
+    ((), "pe6", f"{NINES}*{NINES}*b0*a0", _unprintable("b0*a0")),
+    (("--json",), "pe6", f"{NINES}*{NINES}*b0*a0", _unprintable("b0*a0")),
+], ids=[
+    "3^10000", "(1/3)^65536", "nines^65536-json", "2^14285", "(1+t1)^14285",
+    "3^7000*3^7000", "(1/3)^7000*(1/3)^7000-json", "10^2150*10^2150", "nines*nines",
+    "nines*nines-json",
+])
+def test_coefficient_over_the_digit_cap_is_a_prompt_usage_error(form, algebra, text, message):
+    result = _python(
+        "-c", _LIMITED_RUN, "reduce", "--algebra", algebra, *form, text, timeout=2
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("algebra,text,digits", [
+    # 2^14284 and 10^4300 - 1 have 4,300 digits, the most str prints
+    ("re6", "2^14284*x", 4300),
+    ("re6", "(-1/2)^14284*x", 4300),
+    ("re6", f"(1/{NINES})^1*x", 4000),
+    ("pe6", f"{'9' * 4300}*b0*a0", 4300),
+    ("re6", "1^65536*x + 2*(-1)^65535*y", 1),
+], ids=["2^14284", "(-1/2)^14284", "1/nines", "4300-nines", "unit-bases"])
+def test_coefficient_at_the_digit_cap_prints(algebra, text, digits):
+    result = _python("-c", _LIMITED_RUN, "reduce", "--algebra", algebra, text, timeout=2)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert max(map(len, re.findall(r"\d+", result.stdout))) == digits
 
 
 def test_theta_over_the_digit_cap_is_a_usage_error(capsys):
@@ -489,6 +546,79 @@ def test_reduce_json_is_pinned(capsys, algebra, expr):
     code, out, _ = invoke(capsys, "reduce", "--algebra", algebra, "--json", "--", expr)
     assert code == 0
     assert _sha256(out) == PINNED_REDUCE[algebra, expr]
+
+
+# A fixed stream of 200 reduce queries: sums of paths with integer,
+# rational and t1..t9 coefficients, products and small powers of sums, and
+# every eighth one a tail power, the 8th power of a combination of the
+# three loops at vertex 3 of pe6 or the 12th power of one of x and y on
+# re6.  Its outputs, concatenated, are pinned as one hash, taken while
+# every product of two constant coefficients went through the general
+# term loop of ``Poly.__mul__``.
+_STREAM_COEFFS = ("1", "1", "-1", "2", "-3", "1/2", "-3/2", "2/3", "7/5", "t1", "-t3^2", "2*t7")
+
+
+def _stream_word(rng, quiver, length):
+    """A composable word of ``length`` arrows from a random vertex."""
+    vertex = rng.choice(quiver.vertices)
+    names = []
+    for _ in range(length):
+        arrow = rng.choice([a for a in quiver.arrows if a.source == vertex])
+        names.append(arrow.name)
+        vertex = arrow.target
+    return "*".join(names)
+
+
+def _stream_sum(rng, quiver, terms, max_length):
+    parts = []
+    for _ in range(terms):
+        if rng.random() < 0.1:
+            body = f"e{rng.choice(quiver.vertices)}"
+        else:
+            body = _stream_word(rng, quiver, rng.randint(1, max_length))
+        coeff = rng.choice(_STREAM_COEFFS)
+        parts.append(body if coeff == "1" else f"({coeff})*{body}")
+    return " + ".join(parts)
+
+
+def reduce_stream():
+    """200 (algebra, expression) pairs; one in eight is a tail power."""
+    rng = random.Random(2018)
+    queries = []
+    for k in range(200):
+        algebra = rng.choice(("pe6", "re6")) if k % 8 else ("pe6", "re6")[k // 8 % 2]
+        quiver = e6.get_algebra(algebra).quiver
+        if k % 8 == 0:
+            loops = ["x", "y"] if algebra == "re6" else ["b0*a0", "b2*a2", "a3*b3"]
+            rng.shuffle(loops)
+            inner = " + ".join(f"({rng.choice((1, 2, 3, -1, -2, -3))})*{w}" for w in loops)
+            queries.append((algebra, f"({inner})^{12 if algebra == 're6' else 8}"))
+            continue
+        kind = rng.randrange(4)
+        if kind == 0:
+            text = _stream_sum(rng, quiver, rng.randint(1, 4), 7)
+        elif kind == 1:
+            text = f"({_stream_sum(rng, quiver, 2, 3)})*({_stream_sum(rng, quiver, 2, 3)})"
+        elif kind == 2:
+            text = f"({_stream_sum(rng, quiver, 2, 2)})^{rng.choice((2, 3))}"
+        else:
+            text = f"{rng.choice(_STREAM_COEFFS)}*({_stream_sum(rng, quiver, 3, 4)}) - e0"
+        queries.append((algebra, text))
+    return queries
+
+
+PINNED_REDUCE_STREAM = "1a5b123c27ba58ab2d48f842bdb5dae269be0db231e0046ad5107a4eff0fdd06"
+
+
+def test_reduce_json_of_a_seeded_stream_is_pinned(capsys):
+    stream = reduce_stream()
+    assert sum(text.endswith(("^8", "^12")) for _, text in stream) == 25
+    outputs = []
+    for algebra, text in stream:
+        code, out, err = invoke(capsys, "reduce", "--algebra", algebra, "--json", "--", text)
+        assert (code, err) == (0, ""), text
+        outputs.append(out)
+    assert _sha256("".join(outputs)) == PINNED_REDUCE_STREAM
 
 
 # -- one parser per process ------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for the expression grammar: parsing, printing, round-trips."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from preproj.expr import (
     INDETERMINATE_IDENTS,
+    MAX_COEFFICIENT_BITS,
     ExprError,
     Ident,
     Mul,
@@ -17,6 +19,7 @@ from preproj.expr import (
     format_element,
     parse,
     parse_element,
+    printable,
     to_element,
 )
 from preproj.freealg import FreeElement, generators
@@ -264,9 +267,50 @@ def test_scalars_kept_as_scalars_match_the_per_node_evaluator(ast, quiver):
 
 
 @pytest.mark.parametrize("quiver,text", [
-    (L2, "x^65536"), (L2, "(x^256)^256"), (L2, "((y^2)^0)^32768"), (L2, "2^65536*x"),
-    (E6, "(b0*a0)^65536 + a3^1"),
+    (L2, "x^65536"), (L2, "(x^256)^256"), (L2, "((y^2)^0)^32768"), (L2, "1^65536*x"),
+    (L2, "(-1)^65536*x + 0^65536*y"), (L2, "2^14284*x"), (E6, "(b0*a0)^65536 + a3^1"),
 ])
 def test_exponents_up_to_the_cap_are_accepted(quiver, text):
     # the rejected ones run in a memory-limited child process, in test_cli
     to_element(parse(text), quiver)
+
+
+# -- the cap on the coefficients of a scalar power ---------------------------------
+
+def _power_ast(c, d, k):
+    """(c + d*t1)^k * x"""
+    return Mul((Pow(Sum(((1, Num(c)), (1, Mul((Num(d), Ident("t1")))))), k, 1, 1), Ident("x")))
+
+
+def assert_capped_or_printable(c, d, k):
+    """The power is rejected exactly when k * ceil(log2 max(S, D)) exceeds
+    the cap, S the sum of |c| and |d| over their common denominator D; an
+    accepted power has printable coefficients only."""
+    den = lcm(c.denominator, d.denominator)
+    num = abs(c.numerator) * (den // c.denominator) + abs(d.numerator) * (den // d.denominator)
+    bits = k * (max(num, den) - 1).bit_length() if c or d else 0
+    if bits > MAX_COEFFICIENT_BITS:
+        with pytest.raises(ExprError, match=f"coefficients of {bits} bits .* at 1:1"):
+            to_element(_power_ast(c, d, k), L2)
+    else:
+        assert all(map(printable, to_element(_power_ast(c, d, k), L2).terms.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(max_denominator=10**6).filter(lambda c: abs(c.numerator) < 10**9),
+    st.integers(min_value=0, max_value=20000),
+)
+def test_an_accepted_constant_power_prints(c, k):
+    assert_capped_or_printable(c, Fraction(0), k)
+
+
+huge_fractions = st.builds(
+    Fraction, st.integers(min_value=-(10**150), max_value=10**150), st.integers(1, 10**150)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_fractions, huge_fractions, st.integers(min_value=0, max_value=40))
+def test_an_accepted_polynomial_power_prints(c, d, k):
+    assert_capped_or_printable(c, d, k)

@@ -13,8 +13,8 @@ from preproj.e6 import (
     substituted_generators,
 )
 from preproj.freealg import FreeElement, GeneratorMap, generators
-from preproj.polyring import Poly
-from preproj.quiver import builtin_quiver
+from preproj.polyring import _ZERO_EXP, Poly
+from preproj.quiver import builtin_quiver, compose
 
 E6 = builtin_quiver("E6")
 L2 = builtin_quiver("L2")
@@ -242,6 +242,46 @@ def test_truncated_power_by_squaring_matches_repeated_products(name, k, data):
     # paths of length n and n + 1 too, which the base drops first
     a = data.draw(elements(algebra.quiver, max_len=n + 1))
     assert a.power(k, below=n) == repeated_mul(a, k, below=n)
+
+
+def checked_repeated_mul(element, k):
+    """Slow path of ``FreeElement.power`` on rational coefficients: k
+    products from the identity, each pair of paths composed and their
+    coefficients multiplied as ``Fraction``s, every partial product built
+    through the checking constructors of ``Poly`` and ``FreeElement``."""
+    base = {p: c.as_rational() for p, c in element.terms.items()}
+    result = FreeElement.one(element.quiver)
+    for _ in range(k):
+        out = {}
+        for pa, ca in result.terms.items():
+            for pb, cb in base.items():
+                pab = compose(pa, pb)
+                if pab is not None:
+                    out[pab] = out.get(pab, Fraction(0)) + ca.as_rational() * cb
+        result = FreeElement(element.quiver, {p: Poly({_ZERO_EXP: c}) for p, c in out.items()})
+    return result
+
+
+@pytest.mark.parametrize("name", QUOTIENTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(min_value=0, max_value=6))
+def test_power_of_rational_coefficients_matches_checked_products(name, data, k):
+    a = data.draw(elements(get_algebra(name).quiver, max_len=3))
+    power = a.power(k)
+    assert power.terms == checked_repeated_mul(a, k).terms
+    assert_clean(power)
+
+
+# the tail powers of the reduce benchmark: loops at vertex 3 of pe6, x and y on re6
+@pytest.mark.parametrize("base,k", [
+    (G["b0"] * G["a0"] * 2 - G["b2"] * G["a2"] + G["a3"] * G["b3"] * 3, 8),
+    (G["a3"] * G["b3"] * Fraction(-3, 2) + G["b0"] * G["a0"] * Fraction(2, 3), 8),
+    (GL["x"] * 2 - GL["y"] * 3, 12),
+], ids=["pe6", "pe6-rational", "re6"])
+def test_tail_power_matches_checked_products(base, k):
+    power = base.power(k)
+    assert power.terms == checked_repeated_mul(base, k).terms
+    assert_clean(power)
 
 
 def test_first_power_drops_long_paths_of_the_base():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preproj.e6 import lemma_coefficients
-from preproj.polyring import NVARS, Poly
+from preproj.polyring import _ZERO_EXP, NVARS, Poly
 
 T = [None] + [Poly.var(i) for i in range(1, 10)]
 
@@ -251,6 +251,45 @@ def test_power_by_squaring_matches_repeated_products(poly, k):
     power = poly ** k
     assert power == repeated_product(poly, k)
     assert_clean(power)
+
+
+# -- products against the term-by-term slow path ----------------------------------
+
+
+def term_by_term_product(a, b):
+    """Slow path of ``Poly.__mul__``: every pair of terms, exponents added
+    slot by slot, coefficients summed from ``Fraction(0)``, zero sums
+    dropped at the end."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, Fraction(0)) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+# constants (zero among them), sparse polynomials in t1..t4 and in all nine
+operands = st.one_of(st.builds(Poly.const, small_fractions), polys(), sparse_polys())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands, operands)
+def test_product_matches_the_term_by_term_product(a, b):
+    product = a * b
+    assert product.terms == term_by_term_product(a, b)
+    assert_clean(product)
+
+
+nonzero_fractions = st.fractions(max_denominator=10**12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_fractions, nonzero_fractions)
+def test_product_of_two_constants_is_one_fraction_product(a, b):
+    for product in (Poly.const(a) * Poly.const(b), Poly.const(a) * b, b * Poly.const(a)):
+        assert product.terms == {_ZERO_EXP: a * b}
+        ((exp, coeff),) = product.terms.items()
+        assert type(exp) is tuple and type(coeff) is Fraction
 
 
 def test_power_rejects_a_negative_or_non_integer_exponent():
