@@ -38,10 +38,10 @@ from . import __version__
 from .e6 import (
     THETA_MONOMIALS,
     DeformationParameters,
-    PrimeFieldScalars,
     VerificationReport,
     admissibility_residual,
     build_re6,
+    check_field,
     get_algebra,
     lemma_coefficients,
     sample_check,
@@ -336,10 +336,10 @@ def positive_int(text: str) -> int:
 
 
 def prime(text: str) -> int:
-    """A field size accepted by ``PrimeFieldScalars``: a prime below 2^31."""
+    """A field size accepted by ``check_field``: a prime below 2^31."""
     p = int(text)
     try:
-        PrimeFieldScalars(p)
+        check_field(p)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return p

@@ -118,8 +118,7 @@ def constraint_theta6(th1, th3, th4, th5):
 def constraint_residuals(theta: Sequence) -> tuple:
     """(theta1+theta2-2*theta3, theta6 - (2*theta5-3*theta4-3*(theta3-theta1)^2)).
 
-    Works over any scalar ring (Poly, Fraction, a prime-field scalar,
-    ``_Scaled``, ``int``).
+    Works over any scalar ring (Poly, Fraction, ``_Scaled``, ``int``).
     """
     t = theta
     return (
@@ -132,16 +131,27 @@ def check_constraints(theta: Sequence, p: int | None = None) -> None:
     """Raise ValueError unless theta satisfies both admissibility constraints.
 
     With ``p`` the thetas are ``int`` residues and the constraints are
-    read mod p; either way the error names the residuals as field scalars.
+    read mod p; either way the error writes the residuals as
+    ``_scalar_text`` does.
     """
     c1, c2 = constraint_residuals(theta)
     if p is not None:
         c1, c2 = c1 % p, c2 % p
     if c1 or c2:
         raise ValueError(
-            "theta values violate the admissibility constraints "
-            f"(residuals {_field_scalar(c1, p)}, {_field_scalar(c2, p)})"
+            "theta values violate the admissibility constraints (residuals "
+            f"{_scalar_text(c1.numerator, c1.denominator, p)}, "
+            f"{_scalar_text(c2.numerator, c2.denominator, p)})"
         )
+
+
+def _scalar_text(num: int, den: int, p: int | None) -> str:
+    """The value num/den as a report writes it: over Q the reduced
+    fraction, as ``str`` of a ``Fraction`` writes it; over GF(p), where den
+    is 1 and num a residue in [0, p), as ``num (mod p)``."""
+    if p is None:
+        return str(Fraction(num, den))
+    return f"{num} (mod {p})"
 
 
 class DeformationParameters:
@@ -231,10 +241,9 @@ class GeneratorScalars:
     """All named coefficients of the change of generators, over one scalar ring.
 
     Works over any commutative scalar ring with +, -, * and integer
-    multiples (Poly, Fraction, a prime-field scalar, ``_Scaled`` in a
-    ``sample`` trial over Q, or ``int``, which the numeric oracle reduces
-    mod p afterwards).  The constants of
-    the inverse formulas are computed on first use: only
+    multiples (Poly, Fraction, ``_Scaled`` in a ``sample`` trial over Q,
+    or ``int``, which the numeric oracle reduces mod p afterwards).  The
+    constants of the inverse formulas are computed on first use: only
     ``inverse_formula_terms`` reads them, and the numeric oracle never does.
     """
 
@@ -862,121 +871,13 @@ def verify_identities(params: DeformationParameters | None = None) -> Verificati
 # -- independent numeric pipeline -------------------------------------------------------
 
 
-class RationalScalars:
-    """Exact rational arithmetic: the tests' reference for a trial over Q.
-
-    A ``sample_check`` trial draws and computes on integers instead
-    (``_draw_theta``, ``_Scaled``); ``random_element`` makes the same RNG
-    calls as that draw.
-    """
-
-    name = "rationals"
-    p = None  # no modulus: the integer oracle keeps a denominator
-
-    def convert(self, value: Fraction) -> Fraction:
-        return Fraction(value)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def random_element(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-class GF:
-    """A prime-field scalar with operator arithmetic."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GF is immutable")
-
-    def _lift(self, other):
-        if isinstance(other, GF):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return GF(self.p, other)
-        if isinstance(other, Fraction):
-            return GF(self.p, _fraction_mod(other, self.p))
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else GF(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else GF(self.p, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else GF(self.p, other.value - self.value)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else GF(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GF(self.p, -self.value)
-
-    def __pow__(self, n: int):
-        return GF(self.p, pow(self.value, n, self.p))
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return NotImplemented if other is None else self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-def _fraction_mod(fr: Fraction, p: int) -> int:
-    if fr.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator of {fr} is divisible by {p}")
-    return fr.numerator * pow(fr.denominator, -1, p) % p
-
-
-class PrimeFieldScalars:
-    """GF(p) arithmetic: the tests' reference for a trial over GF(p).
-
-    The constructor validates the field size for ``sample_check`` and the
-    CLI; a trial itself draws and computes on ``int`` residues
-    (``_draw_theta``), and ``random_element`` makes the same RNG call.
-    """
-
-    def __init__(self, p: int):
-        # the bound keeps the trial division below about 46,000 steps
-        if p >= 2 ** 31:
-            raise ValueError(f"{p} is too large: the field size must be a prime below 2^31")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"GF({p})"
-
-    def convert(self, value: Fraction) -> GF:
-        return GF(self.p, _fraction_mod(Fraction(value), self.p))
-
-    def one(self) -> GF:
-        return GF(self.p, 1)
-
-    def random_element(self, rng: random.Random) -> GF:
-        return GF(self.p, rng.randrange(self.p))
+def check_field(p: int) -> None:
+    """Raise ValueError unless the field size ``p`` is a prime below 2^31."""
+    # the bound keeps the trial division below about 46,000 steps
+    if p >= 2 ** 31:
+        raise ValueError(f"{p} is too large: the field size must be a prime below 2^31")
+    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        raise ValueError(f"{p} is not prime")
 
 
 class _Scaled:
@@ -1050,21 +951,13 @@ class _Scaled:
         return f"{self.n}/{self.d}^{self.k}"
 
 
-def _field_scalar(value, p: int | None):
-    """An integer-side value (``int``, ``Fraction`` or ``_Scaled``) as a
-    field scalar, made only for the text of an error."""
-    if p is None:
-        return Fraction(value.numerator, value.denominator)
-    return GF(p, value)
-
-
 def _draw_theta(rng: random.Random, p: int | None) -> list:
     """A trial's constrained thetas, drawn and constrained on integers.
 
-    t1, t3, t4, t5, t7, t8, t9 are drawn in that order with the RNG calls
-    of ``RationalScalars.random_element`` (n, then d, for n/d) or of
-    ``PrimeFieldScalars.random_element``, so every trial sees the point
-    the field-scalar draw gave; t2 and t6 follow from the constraints.
+    t1, t3, t4, t5, t7, t8, t9 are drawn in that order, each over Q as
+    n = randint(-9, 9), then d = randint(1, 9), for n/d, and over GF(p) as
+    randrange(p), so a seed gives the same points as a draw of field
+    scalars with those calls; t2 and t6 follow from the constraints.
     Over Q the values are ``_Scaled`` over the lcm of the drawn d; over
     GF(p) they are residues in [0, p).
     """
@@ -1085,25 +978,21 @@ def _draw_theta(rng: random.Random, p: int | None) -> list:
 def _integer_theta(theta: Sequence, p: int | None) -> list:
     """Nine given thetas as a trial computes on them (see ``_draw_theta``).
 
-    Each entry is an ``int``, a ``Fraction`` or, over GF(p), a ``GF`` of
-    that p; a ``GF`` of another field, or over GF(p) a rational whose
-    denominator p divides, is rejected with a ValueError.
+    Each entry is an ``int`` or a ``Fraction``, else a TypeError is
+    raised; over GF(p) a rational whose denominator p divides is rejected
+    with a ValueError.
     """
     if len(theta) != 9:
         raise ValueError("expected 9 theta values")
     for v in theta:
-        if isinstance(v, GF):
-            if v.p != p:
-                field = "the rationals" if p is None else f"GF({p})"
-                raise ValueError(f"theta entry {v!r} lies in GF({v.p}), not in {field}")
-        elif not isinstance(v, (int, Fraction)):
+        if not isinstance(v, (int, Fraction)):
             raise TypeError(f"cannot use {type(v).__name__} as a theta sample")
-        elif p is not None and v.denominator % p == 0:
+        if p is not None and v.denominator % p == 0:
             raise ValueError(f"theta entry {v} has a denominator divisible by {p}, the field size")
     if p is None:
         d = lcm(*[v.denominator for v in theta])
         return [_Scaled(v.numerator * (d // v.denominator), 1, d) for v in theta]
-    return [v.value if isinstance(v, GF) else _fraction_mod(Fraction(v), p) for v in theta]
+    return [v.numerator * pow(v.denominator, -1, p) % p for v in theta]
 
 
 # The oracle's vectors are pairs (coords, den): ``int`` coordinates keyed
@@ -1119,8 +1008,7 @@ def _integer_theta(theta: Sequence, p: int | None) -> list:
 #     GF(p) is a ring homomorphism, so reducing each coordinate mod p once
 #     per product or sum gives the GF(p) result, and a coordinate is zero
 #     in GF(p) exactly when its reduction is 0.
-# Field scalars and paths reappear only in ``_field_vector``, for the text
-# of a failing trial.
+# Paths reappear only in ``_vec_text``, for the text of a failing trial.
 
 
 @lru_cache(maxsize=None)
@@ -1196,15 +1084,6 @@ def _generator_vectors(
         )
         for name, generator_terms in terms.items()
     }
-
-
-def _field_vector(algebra: QuotientAlgebra, vec: tuple, p: int | None) -> dict:
-    """A vector (coords, den) as basis paths to field scalars."""
-    coords, den = vec
-    basis = algebra.basis
-    if p is None:
-        return {basis[k]: Fraction(c, den) for k, c in coords.items()}
-    return {basis[k]: GF(p, c) for k, c in coords.items()}
 
 
 def numeric_relation_residuals(
@@ -1288,19 +1167,18 @@ def sample_check(
     selects GF(p) arithmetic; the default is exact rationals.  A trial
     computes on integers throughout: over Q on values over one power of a
     common denominator (``_Scaled``), over GF(p) on ``int`` residues.
-    When ``theta`` is given it is validated and used for a single trial.
+    When ``theta`` is given, nine ``int`` or ``Fraction`` entries, it is
+    validated and used for a single trial.
     """
-    scalars = RationalScalars() if field is None else PrimeFieldScalars(field)
-    p = scalars.p
-    report = VerificationReport(f"sample ({scalars.name})", "pe6")
+    p = field
+    if p is not None:
+        check_field(p)
+    field_name = "rationals" if p is None else f"GF({p})"
+    report = VerificationReport(f"sample ({field_name})", "pe6")
     symbolic, symbolic_y = _symbolic_side()
     algebra = build_pe6()
     rng = random.Random(seed)
 
-    if isinstance(theta, DeformationParameters):
-        if theta.mode != "numeric":
-            raise ValueError("sample_check takes numeric deformation parameters")
-        theta = theta.theta
     if theta is not None:
         trials_iter = [_integer_theta(theta, p)]
     else:
@@ -1319,7 +1197,7 @@ def sample_check(
             residuals, y = numeric_relation_residuals(th, p)
             for sym_terms, (name, vec) in zip(symbolic, residuals):
                 if vec[0]:
-                    return False, f"{name} nonzero: {_vec_str(_field_vector(algebra, vec, p))}"
+                    return False, f"{name} nonzero: {_vec_text(algebra, vec, p)}"
                 if any(value_at(poly) for _, poly in sym_terms):
                     return False, f"{name} disagrees with evaluated symbolic residual"
             # a nonzero intermediate keeps the two pipelines honest
@@ -1330,7 +1208,7 @@ def sample_check(
                 return False, "b2'*a2' unexpectedly reduced to zero"
             return True, None
 
-        report.run(f"trial {k} over {scalars.name}", run_trial)
+        report.run(f"trial {k} over {field_name}", run_trial)
     return report
 
 
@@ -1356,6 +1234,10 @@ def _symbolic_side() -> tuple[tuple, tuple]:
     )
 
 
-def _vec_str(vec: dict) -> str:
-    parts = [f"{c}*{p}" for p, c in sorted(vec.items(), key=lambda kv: kv[0].key)]
-    return " + ".join(parts)
+def _vec_text(algebra: QuotientAlgebra, vec: tuple, p: int | None) -> str:
+    """A vector (coords, den) as ``c*path`` terms in the order of the
+    paths, each c written by ``_scalar_text``."""
+    coords, den = vec
+    basis = algebra.basis
+    terms = sorted((basis[k], c) for k, c in coords.items())
+    return " + ".join(f"{_scalar_text(c, den, p)}*{path}" for path, c in terms)

@@ -13,10 +13,11 @@ The product of the exponents along any chain of nested powers, an
 exponent 0 counted as 1, is at most ``MAX_EXPONENT`` = 2^16 = 65536:
 ``x^65536`` and ``(x^256)^256`` are accepted, ``x^65537`` and
 ``((x^2)^256)^256`` are rejected when the AST is evaluated.  A power of a
-scalar (numbers and t1..t9) is also rejected, before it is computed, when
-its coefficients could exceed ``MAX_COEFFICIENT_DIGITS`` = 4300 digits,
-the default limit of ``str`` on an int: ``2^14284`` is accepted,
-``2^14285`` and ``3^10000`` are rejected (see ``to_element``).
+scalar (numbers and t1..t9), or of an element with an idempotent term,
+is also rejected, before it is computed, when its coefficients could
+exceed ``MAX_COEFFICIENT_DIGITS`` = 4300 digits, the default limit of
+``str`` on an int: ``2^14284`` is accepted, ``2^14285``, ``3^10000``
+and ``(2*e0)^14285`` are rejected (see ``to_element``).
 
 The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
@@ -314,21 +315,27 @@ def _check_exponents(node, outer: int = 1) -> None:
             _check_exponents(part, outer)
 
 
-def _check_scalar_power(base: Poly, node: Pow) -> None:
-    """Reject ``base ** node.exponent`` if a coefficient of it could have
-    more than ``MAX_COEFFICIENT_DIGITS`` digits (see ``to_element``).
+def _check_power(coeffs: list[Fraction], node: Pow, kind: str) -> None:
+    """Reject the power at ``node`` of a base with the rational coefficients
+    ``coeffs`` if a coefficient of it could have more than
+    ``MAX_COEFFICIENT_DIGITS`` digits (see ``to_element``); ``kind`` names
+    the base in the message.
 
-    With D the lcm of the coefficient denominators of the base and S the
-    sum of |numerator| * D / denominator, the base is q / D for a
-    polynomial q with integer coefficients whose absolute values sum to S.
-    So base^k = q^k / D^k, and every coefficient of q^k is at most S^k in
-    absolute value: each numerator of base^k is at most S^k and each
+    With D the lcm of the denominators and S the sum of |numerator| * D /
+    denominator, the base is q / D for a q with integer coefficients whose
+    absolute values sum to S.  That holds for a ``Poly`` scalar, a sum of
+    c_m * m over monomials m of Q[t1..t9], and for an element, a sum of
+    q_p * p over paths p with ``Poly`` coefficients q_p, whose coefficients
+    are those of all the q_p.  So base^k = q^k / D^k, and every
+    coefficient of q^k is at most S^k in absolute value: the absolute
+    values of the coefficients sum to at most S^k, because a product of two
+    monomials, or of two (path, monomial) pairs in kQ, is one monomial or
+    zero.  Each numerator of base^k is then at most S^k and each
     denominator divides D^k.  With b = ceil(log2 max(S, D)), both are at
     most 2^(k*b), so k*b <= ``MAX_COEFFICIENT_BITS`` keeps them printable.
     For a constant n/d, b is the bit length of max(|n|, d) - 1, so 1 and
     -1 take any exponent.
     """
-    coeffs = base.terms.values()
     if not coeffs:
         return
     # a list, not a generator, is unpacked (see ``e6._vec_sum``)
@@ -337,7 +344,7 @@ def _check_scalar_power(base: Poly, node: Pow) -> None:
     bits = node.exponent * (max(num, den) - 1).bit_length()
     if bits > MAX_COEFFICIENT_BITS:
         raise ExprError(
-            f"scalar power may have coefficients of {bits} bits"
+            f"{kind} power may have coefficients of {bits} bits"
             f" (at most {MAX_COEFFICIENT_BITS} bits, {MAX_COEFFICIENT_DIGITS} digits)",
             node.line,
             node.column,
@@ -375,9 +382,14 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
     cap "x^1000000000" would build one path of about 2^30 arrows.  A power
     of a scalar is an ``ExprError`` at its exponent, before it is
     computed, when its coefficients could have more than
-    ``MAX_COEFFICIENT_DIGITS`` digits (see ``_check_scalar_power``): such
-    a coefficient could not be printed, and "<4,000 nines>^65536" would
-    build a number of 870 million bits.
+    ``MAX_COEFFICIENT_DIGITS`` digits (see ``_check_power``): such a
+    coefficient could not be printed, and "<4,000 nines>^65536" would
+    build a number of 870 million bits.  So is a power of an element with
+    a nonzero term of length 0, an idempotent: such a power never vanishes
+    for its length, as e0^k = e0, and "(<4,000 nines>*e0)^65536" would
+    build that number too.  A base with no such term is not checked,
+    because its power may be zero in the quotient whatever its
+    coefficients: "(2*x)^65536" reduces to 0 in re6.
     """
     _check_exponents(ast)
     arrow_names = {a.name for a in quiver.arrows}
@@ -412,9 +424,13 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
         if isinstance(node, Pow):
             value = ev(node.base)
             if isinstance(value, Poly):
-                _check_scalar_power(value, node)
+                _check_power(list(value.terms.values()), node, "scalar")
                 return value ** node.exponent
-            return element(value).power(node.exponent)
+            base = element(value)
+            if any(not len(p) for p in base.terms):
+                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
+                _check_power(coeffs, node, "element")
+            return base.power(node.exponent)
         if isinstance(node, Mul):
             scalar = Poly.const(1)
             product = None  # a Path, a FreeElement, or None before the first

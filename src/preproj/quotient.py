@@ -272,8 +272,9 @@ class QuotientAlgebra:
 
         Coordinates are keyed by basis index, in and out.  Generic over the
         coefficient type: any scalar that multiplies by an ``int`` and a
-        ``Fraction`` works (``Poly``, ``Fraction``, a prime-field scalar,
-        an ``int``).  A constant 1 adds the coefficient product unscaled.
+        ``Fraction`` works (``Poly``, ``Fraction``, ``int``, or a field
+        scalar with that arithmetic).  A constant 1 adds the coefficient
+        product unscaled.
         No zero coordinates are stored.
         """
         right = list(v.items())

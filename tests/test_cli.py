@@ -17,7 +17,7 @@ import pytest
 import preproj
 from preproj import cli, e6
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
-from preproj.e6 import VerificationReport
+from preproj.e6 import VerificationReport, sample_check
 from preproj.quotient import QuotientAlgebra
 
 
@@ -200,9 +200,9 @@ def test_power_over_the_exponent_cap_is_a_prompt_usage_error(algebra, text, oute
 NINES = "9" * 4000
 
 
-def _over_cap(bits, column):
+def _over_cap(bits, column, kind="scalar"):
     return (
-        f"scalar power may have coefficients of {bits} bits"
+        f"{kind} power may have coefficients of {bits} bits"
         f" (at most 14284 bits, 4300 digits) at 1:{column}"
     )
 
@@ -219,6 +219,10 @@ def _unprintable(word):
     ((), "re6", "2^14285*x", _over_cap(14285, 3)),
     # the coefficients of (1 + t1)^k sum to 2^k
     ((), "re6", "(1 + t1)^14285*x", _over_cap(14285, 10)),
+    # an element with an idempotent term: e0^k = e0 never vanishes
+    (("--json",), "re6", f"({NINES}*e0)^65536*x", _over_cap(870842368, 4007, "element")),
+    ((), "re6", "(2*e0)^14285*x", _over_cap(14285, 8, "element")),
+    ((), "pe6", "(e3 + b0*a0)^14285*a3", _over_cap(14285, 14, "element")),
     # each power is under the cap, their product is not
     ((), "re6", "3^7000*3^7000*x", _unprintable("x")),
     (("--json",), "re6", "(1/3)^7000*(1/3)^7000*x", _unprintable("x")),
@@ -228,8 +232,8 @@ def _unprintable(word):
     (("--json",), "pe6", f"{NINES}*{NINES}*b0*a0", _unprintable("b0*a0")),
 ], ids=[
     "3^10000", "(1/3)^65536", "nines^65536-json", "2^14285", "(1+t1)^14285",
-    "3^7000*3^7000", "(1/3)^7000*(1/3)^7000-json", "10^2150*10^2150", "nines*nines",
-    "nines*nines-json",
+    "(nines*e0)^65536-json", "(2*e0)^14285", "(e3+b0*a0)^14285", "3^7000*3^7000",
+    "(1/3)^7000*(1/3)^7000-json", "10^2150*10^2150", "nines*nines", "nines*nines-json",
 ])
 def test_coefficient_over_the_digit_cap_is_a_prompt_usage_error(form, algebra, text, message):
     result = _python(
@@ -246,11 +250,22 @@ def test_coefficient_over_the_digit_cap_is_a_prompt_usage_error(form, algebra, t
     ("re6", f"(1/{NINES})^1*x", 4000),
     ("pe6", f"{'9' * 4300}*b0*a0", 4300),
     ("re6", "1^65536*x + 2*(-1)^65535*y", 1),
-], ids=["2^14284", "(-1/2)^14284", "1/nines", "4300-nines", "unit-bases"])
+    ("re6", "(2*e0)^14284*x", 4300),
+], ids=["2^14284", "(-1/2)^14284", "1/nines", "4300-nines", "unit-bases", "(2*e0)^14284"])
 def test_coefficient_at_the_digit_cap_prints(algebra, text, digits):
     result = _python("-c", _LIMITED_RUN, "reduce", "--algebra", algebra, text, timeout=2)
     assert (result.returncode, result.stderr) == (0, "")
     assert max(map(len, re.findall(r"\d+", result.stdout))) == digits
+
+
+@pytest.mark.parametrize("algebra,text", [
+    ("re6", "(2*x)^65536"),
+    ("pe6", "(a0*b0 + b0*a0)^65536"),
+])
+def test_element_power_without_an_idempotent_term_is_not_capped(algebra, text):
+    # its coefficients pass the cap, but it is zero in the quotient
+    result = _python("-c", _LIMITED_RUN, "reduce", "--algebra", algebra, text, timeout=2)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
 
 def test_theta_over_the_digit_cap_is_a_usage_error(capsys):
@@ -362,9 +377,13 @@ def test_report_without_checks_does_not_pass():
 
 
 def test_sample_non_prime_field(capsys):
-    code, _, err = invoke(capsys, "sample", "--seed", "1", "--trials", "1", "--field", "6")
-    assert code == 2
-    assert "prime" in err
+    for field in ("6", "0", "1", "4"):
+        code, out, err = invoke(capsys, "sample", "--seed", "1", "--trials", "1", "--field", field)
+        assert (code, out) == (2, "")
+        assert f"{field} is not prime" in err
+        # the library takes the same field check, with the same message
+        with pytest.raises(ValueError, match=f"^{field} is not prime$"):
+            sample_check(seed=1, trials=1, field=int(field))
 
 
 def test_field_out_of_range_is_a_prompt_usage_error(capsys):
@@ -374,8 +393,12 @@ def test_field_out_of_range_is_a_prompt_usage_error(capsys):
             capsys, "sample", "--seed", "1", "--trials", "1", "--field", field
         )
         assert code == 2
-        assert "below 2^31" in err
+        message = f"{field} is too large: the field size must be a prime below 2^31"
+        assert message in err
         assert out == ""
+        with pytest.raises(ValueError) as raised:
+            sample_check(seed=1, trials=1, field=int(field))
+        assert str(raised.value) == message
     assert cli.prime("2147483647") == 2 ** 31 - 1  # the largest accepted prime
     assert time.perf_counter() - start < 2.0
 

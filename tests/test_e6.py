@@ -8,13 +8,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from field_scalars import GF, PrimeFieldScalars, RationalScalars
 from preproj import e6
 from preproj.e6 import (
     DeformationParameters,
-    GF,
     GeneratorScalars,
-    PrimeFieldScalars,
-    RationalScalars,
     _element_from_symbols,
     _draw_theta,
     _generator_vectors,
@@ -42,7 +40,7 @@ from preproj.e6 import (
     verify_lemma,
     verify_theorem,
 )
-from preproj.freealg import FreeElement, generators
+from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.polyring import Poly
 from preproj.quiver import Path, Quiver, builtin_quiver
 from preproj.quotient import QuotientAlgebra, build_quotient
@@ -424,6 +422,13 @@ def random_constrained_theta(rng, scalars):
     return theta
 
 
+def integer_theta(theta, scalars):
+    """``_integer_theta`` of field-scalar thetas, a ``GF`` given as its residue."""
+    if scalars.p is not None:
+        theta = [v.value for v in theta]
+    return _integer_theta(theta, scalars.p)
+
+
 def as_field_scalar(value, scalars):
     """A value of the integer side (``int``, or over Q a ``_Scaled``) as a
     field scalar, through its numerator and denominator."""
@@ -477,7 +482,7 @@ def test_cached_generator_vectors_match_a_fresh_reduction(field):
     for _ in range(4):
         theta = random_constrained_theta(rng, scalars)
         s = GeneratorScalars(theta, scalars.one())
-        bundles = [GeneratorScalars(_integer_theta(theta, scalars.p), 1)]
+        bundles = [GeneratorScalars(integer_theta(theta, scalars), 1)]
         if scalars.p is None:
             # Fraction constants too: their denominators are not powers of
             # one base, so a sum needs the lcm of them
@@ -559,7 +564,7 @@ def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
         if trial % 2:
             # break a constraint, so that residuals are nonzero too
             theta[1 if trial % 4 == 1 else 5] += scalars.one()
-        residuals, y = e6.numeric_relation_residuals(_integer_theta(theta, scalars.p), scalars.p)
+        residuals, y = e6.numeric_relation_residuals(integer_theta(theta, scalars), scalars.p)
         got = (
             [(name, field_vector(algebra, vec, scalars)) for name, vec in residuals],
             {"b2'*a2'": field_vector(algebra, y, scalars)},
@@ -571,10 +576,10 @@ def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
 
 
 @pytest.mark.parametrize("field", [None, 11])
-def test_numeric_oracle_makes_no_field_scalar_and_hashes_no_path(monkeypatch, field):
-    """After warm-up, a passing trial makes no ``GF`` scalar and hashes no
-    path, in the oracle or around it: the oracle returns integer vectors
-    keyed by basis index, and the symbolic side is keyed the same way."""
+def test_numeric_oracle_hashes_no_path(monkeypatch, field):
+    """After warm-up, a passing trial hashes no path, in the oracle or
+    around it: the oracle returns integer vectors keyed by basis index,
+    and the symbolic side is keyed the same way."""
     assert sample_check(seed=3, trials=1, field=field).passed
     calls = Counter()
     returned = []
@@ -585,21 +590,65 @@ def test_numeric_oracle_makes_no_field_scalar_and_hashes_no_path(monkeypatch, fi
         returned.append(result)
         return result
 
-    def counting(name, fn):
+    def counting(fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls["hash"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(e6, "numeric_relation_residuals", traced)
-    monkeypatch.setattr(GF, "__init__", counting("GF", GF.__init__))
-    monkeypatch.setattr(Path, "__hash__", counting("hash", Path.__hash__))
+    monkeypatch.setattr(Path, "__hash__", counting(Path.__hash__))
     assert sample_check(seed=4, trials=3, field=field).passed
     assert len(returned) == 3
     assert all(not coords for residuals, _ in returned for _, (coords, _) in residuals)
     assert all(y[0] for _, y in returned)
-    assert calls["hash"] == calls["GF"] == 0
+    assert calls["hash"] == 0
+
+
+@pytest.mark.parametrize("field", [None, 11])
+def test_numeric_oracle_uses_no_symbolic_arithmetic(monkeypatch, field):
+    # warm-up: pe6, the symbolic side and the generator words are built
+    # and cached, as they are before every trial but the first
+    assert sample_check(seed=3, trials=1, field=field).passed
+    re6, embed, t1 = build_re6(), corner_embedding(), Poly.var(1)
+    g = generators(re6.quiver)
+    x, y, one = g["x"], g["y"], re6.one()
+    # what the symbolic pipeline computes with, each with one use of it:
+    # the oracle must use none of it, or the two pipelines are not independent
+    symbolic_arithmetic = {
+        (Poly, "__add__"): lambda: t1 + t1,
+        (Poly, "__radd__"): lambda: 1 + t1,
+        (Poly, "__sub__"): lambda: t1 - 1,
+        (Poly, "__mul__"): lambda: t1 * t1,
+        (Poly, "__rmul__"): lambda: 2 * t1,
+        (Poly, "__pow__"): lambda: t1 ** 2,
+        (FreeElement, "mul"): lambda: x.mul(y),
+        (FreeElement, "__mul__"): lambda: x * y,
+        (GeneratorMap, "__call__"): lambda: embed(x),
+        (QuotientAlgebra, "normal_form"): lambda: re6.normal_form(x),
+        (QuotientAlgebra, "multiply"): lambda: re6.multiply(one, one),
+    }
+    touched = []
+
+    def forbidden(name):
+        def raising(*args, **kwargs):
+            touched.append(name)
+            raise AssertionError(f"the numeric oracle called {name}")
+
+        return raising
+
+    for cls, name in symbolic_arithmetic:
+        monkeypatch.setattr(cls, name, forbidden(f"{cls.__name__}.{name}"))
+    residuals, y_vec = e6.numeric_relation_residuals(_draw_theta(random.Random(8), field), field)
+    assert all(not coords for _, (coords, _) in residuals) and y_vec[0]
+    report = sample_check(seed=9, trials=1, field=field)
+    assert report.passed, [c.residual for c in report.checks]
+    assert touched == []
+    # not vacuous: each patched callable raises where it is used
+    for (cls, name), use in symbolic_arithmetic.items():
+        with pytest.raises(AssertionError, match=f"called {cls.__name__}.{name}$"):
+            use()
 
 
 CHANGE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
@@ -643,7 +692,7 @@ def test_change_constants_agree_with_the_displayed_formulas(field):
         theta = random_constrained_theta(rng, scalars)
         numeric = GeneratorScalars(theta, scalars.one())
         # the integer oracle's bundle: over GF(p), on residues, reduced after
-        lifted = GeneratorScalars(_integer_theta(theta, scalars.p), 1)
+        lifted = GeneratorScalars(integer_theta(theta, scalars), 1)
         assignment = {i + 1: v for i, v in enumerate(theta)}
         for name in CHANGE_CONSTANTS:
             poly = getattr(symbolic, name)
@@ -750,6 +799,13 @@ def field_value(poly, theta):
     return total
 
 
+def vec_str(vec):
+    """Reference text of a failing trial's vector: ``c*path`` terms in path
+    order, each c written by ``repr`` of a ``GF`` or ``str`` of a ``Fraction``."""
+    parts = [f"{c}*{p}" for p, c in sorted(vec.items(), key=lambda kv: kv[0].key)]
+    return " + ".join(parts)
+
+
 def reference_trial(theta, scalars, symbolic, symbolic_y):
     """Slow path of a ``sample_check`` trial: the generic oracle on field
     scalars, the symbolic side evaluated in the field, and vectors keyed
@@ -763,7 +819,7 @@ def reference_trial(theta, scalars, symbolic, symbolic_y):
 
     for (name, vec), pairs in zip(residuals, symbolic):
         if vec:
-            return False, f"{name} nonzero: {e6._vec_str(vec)}"
+            return False, f"{name} nonzero: {vec_str(vec)}"
         if evaluated(pairs) != vec:
             return False, f"{name} disagrees with evaluated symbolic residual"
     evaluated_y = evaluated(symbolic_y)
@@ -810,7 +866,7 @@ def test_sample_trial_on_integers_matches_the_field_scalar_reference(monkeypatch
     assert outcomes == {True} if side == "as built" else False in outcomes
 
 
-def test_sample_check_converts_and_reduces_no_generator_word_per_trial(monkeypatch):
+def test_sample_check_reduces_no_generator_word_per_trial(monkeypatch):
     algebra = build_pe6()
     # with every structure constant cached, a reduce_path call can only
     # come from a generator word
@@ -825,7 +881,6 @@ def test_sample_check_converts_and_reduces_no_generator_word_per_trial(monkeypat
 
         return wrapper
 
-    monkeypatch.setattr(e6, "_fraction_mod", counting("_fraction_mod", e6._fraction_mod))
     monkeypatch.setattr(Quiver, "path", counting("path", Quiver.path))
     monkeypatch.setattr(
         QuotientAlgebra, "reduce_path", counting("reduce_path", QuotientAlgebra.reduce_path)
@@ -835,7 +890,7 @@ def test_sample_check_converts_and_reduces_no_generator_word_per_trial(monkeypat
     assert calls["path"] > 0 and calls["reduce_path"] > 0
     calls.clear()
     assert sample_check(seed=4, trials=3, field=11).passed
-    assert calls["_fraction_mod"] == calls["path"] == calls["reduce_path"] == 0
+    assert calls["path"] == calls["reduce_path"] == 0
 
 
 def test_sample_check_rejects_constraint_violation():
@@ -858,22 +913,23 @@ def test_sample_check_names_the_violated_constraints_as_field_scalars():
 ADMISSIBLE_ONES = (1, 1, 1, 0, 0, 0, 0, 0, 0)
 
 
-def test_sample_check_rejects_a_theta_from_another_field():
-    for theta in (
-        [GF(7, v) for v in ADMISSIBLE_ONES],
-        [GF(7, 1)] + list(ADMISSIBLE_ONES[1:]),  # GF(7) mixed with ints
-    ):
-        with pytest.raises(ValueError, match=r"GF\(7\), not in GF\(11\)"):
-            sample_check(theta=theta, field=11)
-    with pytest.raises(ValueError, match=r"GF\(7\), not in the rationals"):
-        sample_check(theta=[GF(7, v) for v in ADMISSIBLE_ONES])
-    with pytest.raises(TypeError, match="float"):
-        sample_check(theta=[0.5] + list(ADMISSIBLE_ONES[1:]))
-    with pytest.raises(ValueError, match="expected 9"):
-        sample_check(theta=ADMISSIBLE_ONES[:8], field=11)
-    # entries of the trial's own field, alone or mixed with rationals, run
-    assert sample_check(theta=[GF(11, v) for v in ADMISSIBLE_ONES], field=11).passed
-    assert sample_check(theta=[GF(11, 1)] + list(ADMISSIBLE_ONES[1:]), field=11).passed
+def test_sample_check_takes_int_and_fraction_theta_entries_only():
+    for field in (None, 11):
+        for theta, kind in (
+            ([0.5] + list(ADMISSIBLE_ONES[1:]), "float"),
+            # a field scalar, even of the trial's own field, is no theta entry
+            ([GF(11, 1)] + list(ADMISSIBLE_ONES[1:]), "GF"),
+            ([Poly.const(1)] + list(ADMISSIBLE_ONES[1:]), "Poly"),
+        ):
+            with pytest.raises(TypeError, match=f"cannot use {kind} as a theta sample"):
+                sample_check(theta=theta, field=field)
+        with pytest.raises(TypeError):
+            sample_check(theta=DeformationParameters.numeric(ADMISSIBLE_ONES), field=field)
+        with pytest.raises(ValueError, match="expected 9"):
+            sample_check(theta=ADMISSIBLE_ONES[:8], field=field)
+        # int and Fraction entries, alone or mixed, run
+        assert sample_check(theta=ADMISSIBLE_ONES, field=field).passed
+        assert sample_check(theta=[Fraction(1)] + list(ADMISSIBLE_ONES[1:]), field=field).passed
 
 
 def test_sample_check_rejects_a_rational_theta_the_field_cannot_invert():

@@ -16,7 +16,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preproj.e6 import PrimeFieldScalars, build_pe6, build_re6, pe6_relations
+from field_scalars import PrimeFieldScalars
+from preproj import quotient
+from preproj.e6 import build_pe6, build_re6, pe6_relations
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import Arrow, Quiver, builtin_quiver, compose
@@ -263,6 +265,39 @@ def test_structure_constants_are_ints(build):
     constants = [c for entry in alg._structure.values() for _, c in entry]
     assert constants and all(type(c) is int for c in constants)
     assert {abs(c) for c in constants} == {1}
+
+
+# quiver, relations and number of elimination pivots of each built-in algebra
+ELIMINATIONS = {
+    "pe6": (lambda: (builtin_quiver("E6"), pe6_relations()), 150),
+    "re6": (lambda: (L2, [X * X, Y * Y * Y, (X + Y) ** 3]), 13),
+}
+
+
+@pytest.mark.parametrize("name", list(ELIMINATIONS))
+def test_every_elimination_pivot_is_plus_or_minus_one(monkeypatch, name):
+    """The integer certificate's claim that reduction divides by nothing:
+    every pivot recorded while a fresh build eliminates the relations has
+    lead coefficient +1 or -1."""
+    insert_row = quotient._insert_row
+    leads = []
+
+    def recording(pivots, row):
+        # reduce a copy as _insert_row does, to read the lead it records
+        probe = dict(row)
+        while probe and (lead := max(probe)) in pivots:
+            quotient._add_multiple(probe, -probe.pop(lead), pivots[lead])
+        before = len(pivots)
+        insert_row(pivots, row)
+        assert len(pivots) == before + bool(probe)
+        if probe:
+            leads.append(probe[max(probe)])
+
+    relations, count = ELIMINATIONS[name]
+    monkeypatch.setattr(quotient, "_insert_row", recording)
+    build_quotient(*relations(), name=name)
+    assert len(leads) == count
+    assert {abs(c) for c in leads} == {1}
 
 
 def assert_table_holds_the_nonzero_rows_of(alg, reduction):
