@@ -9,8 +9,10 @@ with the undeformed one via an explicit change of generators.
 __version__ = "0.1.0"
 
 from .e6 import (
-    DeformationParameters,
+    CONSTRAINED_THETA,
+    FREE_THETA,
     admissibility_residual,
+    as_free_element,
     build_pe6,
     build_re6,
     corner_embedding,
@@ -32,7 +34,8 @@ from .quiver import Path, Quiver, builtin_quiver
 from .quotient import QuotientAlgebra, QuotientElement, RelationSet, build_quotient
 
 __all__ = [
-    "DeformationParameters",
+    "CONSTRAINED_THETA",
+    "FREE_THETA",
     "FreeElement",
     "GeneratorMap",
     "Path",
@@ -42,6 +45,7 @@ __all__ = [
     "QuotientElement",
     "RelationSet",
     "admissibility_residual",
+    "as_free_element",
     "build_pe6",
     "build_quotient",
     "build_re6",

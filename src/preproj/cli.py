@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -37,7 +38,6 @@ from functools import lru_cache
 from . import __version__
 from .e6 import (
     THETA_MONOMIALS,
-    DeformationParameters,
     VerificationReport,
     admissibility_residual,
     build_re6,
@@ -206,6 +206,11 @@ def cmd_reduce(args) -> int:
 # numerator stays below 10^3000 times a small integer: inside the
 # interpreter's 4,300-digit limit for ``str``.
 THETA_DIGITS = 100
+_THETA_KEYS = {f"t{i}": i for i in range(1, 10)}
+# A theta value in ASCII digits: an integer, n/d or a decimal.  Fraction
+# alone would also read non-ASCII digits, "1_0" and exponents, and
+# "1e100000000" would build 10**100000000, which does not finish.
+_THETA_VALUE = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?)")
 
 
 def _bounded_theta(value: Fraction, error: str) -> Fraction:
@@ -225,18 +230,16 @@ def _parse_theta(text: str) -> list[Fraction]:
             raise ExprError(f"expected t<i>=<rational>, got {item!r}", 1, 1)
         key, _, raw = item.partition("=")
         key = key.strip()
-        if not (key.startswith("t") and key[1:].isdigit() and 1 <= int(key[1:]) <= 9):
+        if key not in _THETA_KEYS:
             raise ExprError(f"unknown theta key {key!r}", 1, 1)
         raw = raw.strip()
-        # Fraction reads "1e100000000" by building 10**100000000, which does
-        # not finish, so only n, n/d and decimals are accepted
-        if "e" in raw.lower():
+        if not _THETA_VALUE.fullmatch(raw):
             raise ExprError(f"invalid rational {raw!r}", 1, 1)
         try:
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ExprError(f"invalid rational {raw!r}", 1, 1) from None
-        values[int(key[1:])] = _bounded_theta(value, f"invalid rational {raw!r}")
+        values[_THETA_KEYS[key]] = _bounded_theta(value, f"invalid rational {raw!r}")
     return [values[i] for i in range(1, 10)]
 
 
@@ -275,7 +278,7 @@ def cmd_admissible(args) -> int:
     )
 
     def direct_cube():
-        residual = admissibility_residual(DeformationParameters.numeric(theta))
+        residual = admissibility_residual(theta)
         return residual.is_zero(), str(residual)
 
     report.run("direct cube: (x + y + f)^3 = 0 in re6", direct_cube)

@@ -23,10 +23,12 @@ the vertex-4 relation b3*a3 + a4*b4 is established.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .e6 import (
-    DeformationParameters,
     VerificationReport,
     _reduction_is_integral,
+    as_free_element,
     build_pe6,
     build_re6,
     corner_embedding,
@@ -37,12 +39,12 @@ from .freealg import FreeElement, GeneratorMap, generators
 from .quiver import builtin_quiver
 
 
-def run_derivation_catalog(params: DeformationParameters) -> VerificationReport:
+def run_derivation_catalog(theta: Sequence) -> VerificationReport:
     report = VerificationReport("identities", "pe6")
     pe6 = build_pe6()
     re6 = build_re6()
     quiver = pe6.quiver
-    s = derived_constants(params)
+    s = derived_constants(theta)
 
     g = generators(quiver)
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
@@ -64,7 +66,7 @@ def run_derivation_catalog(params: DeformationParameters) -> VerificationReport:
     alpha, beta, gamma = s.alpha, s.beta, s.gamma
 
     # f is expanded modulo paths of length >= N (see FreeElement.mul)
-    f_free = params.as_free_element()
+    f_free = as_free_element(theta)
     n = pe6.nilpotency_degree
     f_xy = corner_embedding()(f_free, below=n)
     f_xyp = GeneratorMap(

@@ -5,9 +5,9 @@ This module defines the two built-in algebras
     pe6:  the preprojective algebra of the double quiver of E6,
     re6:  the 12-dimensional local algebra K<x,y>/(x^2, y^3, (x+y)^3),
 
-the family of deformation parameters theta_1..theta_9, the derived
-constants, the explicit change of generators with its inverse, and the
-machine verifications:
+the deformations, each a point theta = (theta_1..theta_9) of k^9 given as
+a plain nine-tuple, the derived constants, the explicit change of
+generators with its inverse, and the machine verifications:
 
   * verify_lemma     -- the admissibility criterion for f in rad^2(re6),
   * verify_theorem   -- the seven deformed relations vanish after the
@@ -94,15 +94,12 @@ def corner_embedding() -> GeneratorMap:
     )
 
 
-# -- deformation parameters ---------------------------------------------------
-
-
-def _coerce_scalar(value):
-    if isinstance(value, (Poly, Fraction)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"theta values must be Poly or rational, got {type(value).__name__}")
+# -- deformations: points theta of k^9 -----------------------------------------
+#
+# A deformation is one point theta of k^9, a sequence of nine scalars of
+# one ring: f = sum theta_i * w_i, w_i the words of ``THETA_MONOMIALS``.
+# Over Q[t1..t9] the entries are ``Poly``; a rational point has ``int`` or
+# ``Fraction`` entries.
 
 
 def constraint_theta2(th1, th3):
@@ -131,17 +128,19 @@ def check_constraints(theta: Sequence, p: int | None = None) -> None:
     """Raise ValueError unless theta satisfies both admissibility constraints.
 
     With ``p`` the thetas are ``int`` residues and the constraints are
-    read mod p; either way the error writes the residuals as
-    ``_scalar_text`` does.
+    read mod p; either way the error writes rational residuals as
+    ``_scalar_text`` does, and ``Poly`` residuals as ``str`` does.
     """
     c1, c2 = constraint_residuals(theta)
     if p is not None:
         c1, c2 = c1 % p, c2 % p
     if c1 or c2:
+        c1, c2 = (
+            str(c) if isinstance(c, Poly) else _scalar_text(c.numerator, c.denominator, p)
+            for c in (c1, c2)
+        )
         raise ValueError(
-            "theta values violate the admissibility constraints (residuals "
-            f"{_scalar_text(c1.numerator, c1.denominator, p)}, "
-            f"{_scalar_text(c2.numerator, c2.denominator, p)})"
+            f"theta values violate the admissibility constraints (residuals {c1}, {c2})"
         )
 
 
@@ -154,84 +153,24 @@ def _scalar_text(num: int, den: int, p: int | None) -> str:
     return f"{num} (mod {p})"
 
 
-class DeformationParameters:
-    """Coefficients (theta_1..theta_9) of a candidate element of rad^2(re6).
+# The two symbolic points of k^9: all nine thetas free, and theta_2,
+# theta_6 eliminated by the two constraints, leaving seven free.
+FREE_THETA = tuple(Poly.var(i) for i in range(1, 10))
+_t1, _, _t3, _t4, _t5, _, _t7, _t8, _t9 = FREE_THETA
+CONSTRAINED_THETA = (
+    _t1, constraint_theta2(_t1, _t3), _t3, _t4, _t5,
+    constraint_theta6(_t1, _t3, _t4, _t5), _t7, _t8, _t9,
+)
 
-    Modes:
-      * ``symbolic-free``: all nine thetas are the free indeterminates t1..t9.
-      * ``symbolic-constrained``: theta_2 and theta_6 are eliminated by the
-        two admissibility constraints, leaving seven free indeterminates.
-      * ``numeric``: all thetas are exact rationals (not necessarily
-        admissible; use constraints_satisfied / is_admissible to decide).
 
-    Immutable, and equal to parameters with the same thetas and mode.
-    """
-
-    __slots__ = ("theta", "mode")
-
-    def __init__(self, theta: tuple, mode: str):
-        if mode not in ("symbolic-free", "symbolic-constrained", "numeric"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if len(theta) != 9:
-            raise ValueError("expected 9 theta values")
-        if mode == "symbolic-constrained" and any(constraint_residuals(theta)):
-            raise ValueError("constrained mode requires the substituted theta_2, theta_6")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformationParameters is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, DeformationParameters):
-            return NotImplemented
-        return (self.theta, self.mode) == (other.theta, other.mode)
-
-    def __hash__(self):
-        return hash((self.theta, self.mode))
-
-    def __repr__(self):
-        return f"DeformationParameters(theta={self.theta!r}, mode={self.mode!r})"
-
-    @staticmethod
-    def symbolic_free() -> "DeformationParameters":
-        return DeformationParameters(
-            tuple(Poly.var(i) for i in range(1, 10)), "symbolic-free"
-        )
-
-    @staticmethod
-    def symbolic_constrained() -> "DeformationParameters":
-        t = {i: Poly.var(i) for i in range(1, 10)}
-        t[2] = constraint_theta2(t[1], t[3])
-        t[6] = constraint_theta6(t[1], t[3], t[4], t[5])
-        return DeformationParameters(
-            tuple(t[i] for i in range(1, 10)), "symbolic-constrained"
-        )
-
-    @staticmethod
-    def numeric(values: Sequence) -> "DeformationParameters":
-        values = tuple(_coerce_scalar(v) for v in values)
-        if len(values) != 9:
-            raise ValueError("expected 9 theta values")
-        if any(isinstance(v, Poly) for v in values):
-            raise ValueError("numeric mode requires rational theta values")
-        return DeformationParameters(values, "numeric")
-
-    @staticmethod
-    def zero() -> "DeformationParameters":
-        return DeformationParameters.numeric([0] * 9)
-
-    def constraints_satisfied(self) -> bool:
-        return not any(constraint_residuals(self.theta))
-
-    def as_free_element(self) -> FreeElement:
-        """f = sum theta_i * (i-th rad^2 basis word) on the two-loop quiver."""
-        quiver = builtin_quiver("L2")
-        total = FreeElement.zero(quiver)
-        for value, word in zip(self.theta, THETA_MONOMIALS):
-            # each letter of the word names an arrow of L2
-            total = total + FreeElement.from_path(quiver.path(*word)).scale(value)
-        return total
+def as_free_element(theta: Sequence) -> FreeElement:
+    """f = sum theta_i * (i-th rad^2 basis word) on the two-loop quiver."""
+    quiver = builtin_quiver("L2")
+    total = FreeElement.zero(quiver)
+    for value, word in zip(theta, THETA_MONOMIALS, strict=True):
+        # each letter of the word names an arrow of L2
+        total = total + FreeElement.from_path(quiver.path(*word)).scale(value)
+    return total
 
 
 # -- derived constants ---------------------------------------------------------
@@ -245,13 +184,14 @@ class GeneratorScalars:
     or ``int``, which the numeric oracle reduces mod p afterwards).  The
     constants of the inverse formulas are computed on first use: only
     ``inverse_formula_terms`` reads them, and the numeric oracle never does.
+    The unit coefficient of the formulas is the ``int`` 1, which
+    ``FreeElement.scale`` and ``_vec_sum`` read in every ring.
     """
 
-    def __init__(self, theta: Sequence, one):
+    def __init__(self, theta: Sequence):
         (self.th1, self.th2, self.th3, self.th4, self.th5,
          self.th6, self.th7, self.th8, self.th9) = theta
         t1, t2, t3, t4, t5, t6, t7, t8, t9 = theta
-        self.one = one
         # each shared power once: these are most of the work per trial
         t1_2, t3_2, t13 = t1 * t1, t3 * t3, t1 * t3
         t1_3, t3_3, t1_2t3, t1t3_2 = t1_2 * t1, t3_2 * t3, t1_2 * t3, t1 * t3_2
@@ -353,12 +293,17 @@ class GeneratorScalars:
         )
 
 
-def derived_constants(params: DeformationParameters) -> GeneratorScalars:
-    """The named coefficients of the change of generators at ``params``."""
-    if params.mode == "symbolic-free":
-        raise ValueError("the change of generators requires constrained or numeric parameters")
-    one = Poly.const(1) if isinstance(params.theta[0], Poly) else Fraction(1)
-    return GeneratorScalars(params.theta, one)
+def derived_constants(theta: Sequence) -> GeneratorScalars:
+    """The named coefficients of the change of generators at ``theta``.
+
+    The change of generators is the theorem's at admissible points only,
+    so a theta off the constraint variety, symbolic or rational, is a
+    ValueError (``check_constraints``), as is one of other than nine
+    entries (the unpacking in ``GeneratorScalars``).
+    """
+    s = GeneratorScalars(theta)
+    check_constraints(theta)
+    return s
 
 
 # The substituted generators: each arrow of {a2,b2,a3,b3,a4,b4} maps to
@@ -372,15 +317,15 @@ def primed_generator_terms(s: GeneratorScalars) -> dict[str, list]:
     """(coefficient, arrow-name tuple) terms of each substituted generator."""
     return {
         "a2": [
-            (s.one, ("a2",)),
+            (1, ("a2",)),
             (-s.th8, ("a2",) + _X + _Y + _Y),
         ],
         "b2": [
-            (s.one, ("b2",)),
+            (1, ("b2",)),
             (s.delta, _X + _Y + _X + _Y + ("b2",)),
         ],
         "a3": [
-            (s.one, ("a3",)),
+            (1, ("a3",)),
             (s.th1, _X + ("a3",)),
             (s.th3, _Y + ("a3",)),
             (s.alpha, _X + _Y + ("a3",)),
@@ -388,17 +333,17 @@ def primed_generator_terms(s: GeneratorScalars) -> dict[str, list]:
             (s.gamma, _X + _Y + _X + ("a3",)),
         ],
         "b3": [
-            (s.one, ("b3",)),
+            (1, ("b3",)),
             (s.th3 - s.th1, ("b3",) + _X),
             (s.psi, ("b3",) + _Y + _X),
         ],
         "a4": [
-            (s.one, ("a4",)),
+            (1, ("a4",)),
             (s.kappa1, ("b3",) + _X + ("a3", "a4")),
             (s.kappa2, ("b3",) + _Y + _X + ("a3", "a4")),
         ],
         "b4": [
-            (s.one, ("b4",)),
+            (1, ("b4",)),
             (-s.kappa1, ("b4", "b3") + _X + ("a3",)),
         ],
     }
@@ -416,19 +361,15 @@ def primed_generators(s: GeneratorScalars) -> dict[str, FreeElement]:
     return primed
 
 
-def substituted_generators(params: DeformationParameters) -> GeneratorMap:
-    """The change of generators of pe6 attached to admissible parameters.
-
-    In numeric mode the two admissibility constraints are checked first.
-    """
-    if params.mode == "numeric":
-        check_constraints(params.theta)
+def substituted_generators(theta: Sequence) -> GeneratorMap:
+    """The change of generators of pe6 at an admissible theta (checked by
+    ``derived_constants``)."""
     quiver = builtin_quiver("E6")
     bindings = {
         name: FreeElement.from_path(quiver.path(name)) for name in
         ("a0", "b0", "a1", "b1")
     }
-    bindings.update(primed_generators(derived_constants(params)))
+    bindings.update(primed_generators(derived_constants(theta)))
     return GeneratorMap(quiver, quiver, bindings)
 
 
@@ -454,15 +395,15 @@ def inverse_formula_terms(s: GeneratorScalars, mode: str) -> dict[str, list]:
         a3_xyx, a3_yxy, a3_xyxy = s.alpha2_inv, s.beta2_inv, s.alpha3_inv
     return {
         "a2": [
-            (s.one, (p("a2"),)),
+            (1, (p("a2"),)),
             (s.th8, (p("a2"),) + xp + yp + yp),
         ],
         "b2": [
-            (s.one, (p("b2"),)),
+            (1, (p("b2"),)),
             (-s.delta, xp + yp + xp + yp + (p("b2"),)),
         ],
         "a3": [
-            (s.one, (p("a3"),)),
+            (1, (p("a3"),)),
             (-s.th1, xp + (p("a3"),)),
             (-s.th3, yp + (p("a3"),)),
             (s.alpha1, xp + yp + (p("a3"),)),
@@ -472,19 +413,19 @@ def inverse_formula_terms(s: GeneratorScalars, mode: str) -> dict[str, list]:
             (a3_xyxy, xp + yp + xp + yp + (p("a3"),)),
         ],
         "b3": [
-            (s.one, (p("b3"),)),
+            (1, (p("b3"),)),
             (-(s.th3 - s.th1), (p("b3"),) + xp),
             (-s.psi, (p("b3"),) + yp + xp),
             ((s.th3 - s.th1) * s.psi, (p("b3"),) + xp + yp + xp),
             (s.psi * s.psi, (p("b3"),) + yp + xp + yp + xp),
         ],
         "a4": [
-            (s.one, a4_leading),
+            (1, a4_leading),
             (-s.kappa1, (p("b3"),) + xp + (p("a3"), p("a4"))),
             (-s.kappa2, (p("b3"),) + yp + xp + (p("a3"), p("a4"))),
         ],
         "b4": [
-            (s.one, (p("b4"),)),
+            (1, (p("b4"),)),
             (s.kappa1, (p("b4"), p("b3")) + xp + (p("a3"),)),
             (-s.th3 * s.kappa1, (p("b4"), p("b3")) + xp + yp + (p("a3"),)),
         ],
@@ -516,18 +457,18 @@ def _element_from_symbols(
 # -- admissibility -----------------------------------------------------------------
 
 
-def admissibility_residual(params: DeformationParameters) -> QuotientElement:
+def admissibility_residual(theta: Sequence) -> QuotientElement:
     """Normal form of (x + y + f)^3 in re6."""
     algebra = build_re6()
     g = generators(algebra.quiver)
-    cube = (g["x"] + g["y"] + params.as_free_element()).power(
+    cube = (g["x"] + g["y"] + as_free_element(theta)).power(
         3, below=algebra.nilpotency_degree
     )
     return algebra.normal_form(cube)
 
 
-def is_admissible(params: DeformationParameters) -> bool:
-    return admissibility_residual(params).is_zero()
+def is_admissible(theta: Sequence) -> bool:
+    return admissibility_residual(theta).is_zero()
 
 
 def lemma_coefficients(theta: Sequence) -> tuple:
@@ -617,11 +558,10 @@ def verify_lemma() -> VerificationReport:
     quiver = algebra.quiver
     g = generators(quiver)
     x, y = g["x"], g["y"]
-    free = DeformationParameters.symbolic_free()
-    c1, c2 = lemma_coefficients(free.theta)
+    c1, c2 = lemma_coefficients(FREE_THETA)
 
     def check_free_residual():
-        residual = admissibility_residual(free)
+        residual = admissibility_residual(FREE_THETA)
         expected = algebra.normal_form(
             (x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2)
         )
@@ -631,13 +571,13 @@ def verify_lemma() -> VerificationReport:
     report.run("residual of (x+y+f)^3 equals c1*[xyxy] + c2*[xyxyy]", check_free_residual)
 
     def check_constrained_residual():
-        residual = admissibility_residual(DeformationParameters.symbolic_constrained())
+        residual = admissibility_residual(CONSTRAINED_THETA)
         return residual.is_zero(), str(residual)
 
     report.run("residual vanishes under the two constraints", check_constrained_residual)
 
     def check_second_coefficient_rewrite():
-        t = free.theta
+        t = FREE_THETA
         _, substituted = lemma_coefficients((t[0], constraint_theta2(t[0], t[2])) + t[2:])
         target = t[5] - constraint_theta6(t[0], t[2], t[3], t[4])
         ok = substituted == target
@@ -653,7 +593,7 @@ def verify_lemma() -> VerificationReport:
 # -- deformed relations and theorem --------------------------------------------------
 
 
-def deformed_relations(params: DeformationParameters) -> list[FreeElement]:
+def deformed_relations(theta: Sequence) -> list[FreeElement]:
     """The seven relations presenting the deformed algebra, f expanded.
 
     f(b0*a0, b2*a2) is expanded modulo paths of length >= N, the
@@ -665,7 +605,7 @@ def deformed_relations(params: DeformationParameters) -> list[FreeElement]:
     a2, b2, a3, b3 = g["a2"], g["b2"], g["a3"], g["b3"]
     a4, b4 = g["a4"], g["b4"]
     f_on_e6 = corner_embedding()(
-        params.as_free_element(), below=build_pe6().nilpotency_degree
+        as_free_element(theta), below=build_pe6().nilpotency_degree
     )
     return [
         a0 * b0,
@@ -689,7 +629,7 @@ DEFORMED_RELATION_NAMES = (
 )
 
 
-def _theorem_rows(params: DeformationParameters):
+def _theorem_rows(theta: Sequence):
     """Yield (name, substituted relation, normal form), one relation at a time.
 
     The substitution drops paths of length >= N, the nilpotency degree of
@@ -697,23 +637,23 @@ def _theorem_rows(params: DeformationParameters):
     terms below N.
     """
     algebra = build_pe6()
-    change = substituted_generators(params)
-    for name, relation in zip(DEFORMED_RELATION_NAMES, deformed_relations(params)):
+    change = substituted_generators(theta)
+    for name, relation in zip(DEFORMED_RELATION_NAMES, deformed_relations(theta)):
         image = change(relation, below=algebra.nilpotency_degree)
         yield name, image, algebra.normal_form(image)
 
 
 def theorem_residuals(
-    params: DeformationParameters,
+    theta: Sequence,
 ) -> list[tuple[str, FreeElement, QuotientElement]]:
     """(name, substituted relation, normal form) for the seven relations."""
-    return list(_theorem_rows(params))
+    return list(_theorem_rows(theta))
 
 
-def verify_theorem(params: DeformationParameters | None = None) -> VerificationReport:
+def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
     """All seven deformed relations vanish after the change of generators.
 
-    Defaults to the fully symbolic constrained parameters.  Each relation's
+    Defaults to the fully symbolic constrained theta.  Each relation's
     time covers its own substitution and reduction; the first one's also
     covers building the change of generators and the seven relations (and
     pe6 itself, on first use).
@@ -728,12 +668,10 @@ def verify_theorem(params: DeformationParameters | None = None) -> VerificationR
     that built the table is +1 or -1, so reducing an integral relation
     divides by nothing.
     """
-    if params is None:
-        params = DeformationParameters.symbolic_constrained()
     report = VerificationReport("theorem", "pe6")
     integral = True
     start = time.perf_counter()
-    for name, image, nf in _theorem_rows(params):
+    for name, image, nf in _theorem_rows(theta):
         ms = (time.perf_counter() - start) * 1000.0
         integral = integral and image.has_integral_coefficients()
         report.add(name, nf.is_zero(), None if nf.is_zero() else str(nf), ms)
@@ -763,7 +701,9 @@ def _reduction_is_integral(algebra: QuotientAlgebra) -> bool:
 INVERSE_ORDER = ("a2", "b2", "a3", "b3", "a4", "b4")
 
 
-def verify_inverse(mode: str = "corrected", params: DeformationParameters | None = None) -> VerificationReport:
+def verify_inverse(
+    mode: str = "corrected", theta: Sequence = CONSTRAINED_THETA
+) -> VerificationReport:
     """Substitute the primed definitions into the six inverse formulas.
 
     ``corrected`` applies the two documented corrections (the stray
@@ -773,12 +713,10 @@ def verify_inverse(mode: str = "corrected", params: DeformationParameters | None
     """
     if mode not in ("printed", "corrected"):
         raise ValueError(f"unknown mode {mode!r}")
-    if params is None:
-        params = DeformationParameters.symbolic_constrained()
     report = VerificationReport(f"inverse ({mode})", "pe6")
     algebra = build_pe6()
     quiver = algebra.quiver
-    s = derived_constants(params)
+    s = derived_constants(theta)
     primed = primed_generators(s)
     formulas = inverse_formula_terms(s, mode)
     for name in INVERSE_ORDER:
@@ -790,9 +728,9 @@ def verify_inverse(mode: str = "corrected", params: DeformationParameters | None
     return report
 
 
-def printed_inverse_mismatches(params: DeformationParameters | None = None) -> list[str]:
+def printed_inverse_mismatches(theta: Sequence = CONSTRAINED_THETA) -> list[str]:
     """Names of inverse formulas that fail verbatim (stable across runs)."""
-    report = verify_inverse("printed", params)
+    report = verify_inverse("printed", theta)
     return [
         name for name, check in zip(INVERSE_ORDER, report.checks) if not check.passed
     ]
@@ -860,12 +798,10 @@ def verify_corner_iso() -> VerificationReport:
 # -- identity catalog (delegates to the derivation module) ------------------------------
 
 
-def verify_identities(params: DeformationParameters | None = None) -> VerificationReport:
+def verify_identities(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
     from .derivation import run_derivation_catalog
 
-    if params is None:
-        params = DeformationParameters.symbolic_constrained()
-    return run_derivation_catalog(params)
+    return run_derivation_catalog(theta)
 
 
 # -- independent numeric pipeline -------------------------------------------------------
@@ -1075,7 +1011,7 @@ def _generator_vectors(
     ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int``,
     ``Fraction`` or ``_Scaled`` constants over Q (``p`` None).
     """
-    terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
+    terms = {name: [(1, (name,))] for name in ("a0", "b0", "a1", "b1")}
     terms.update(primed_generator_terms(s))
     return {
         name: _vec_sum(
@@ -1102,7 +1038,7 @@ def numeric_relation_residuals(
     more than zeros.
     """
     algebra = build_pe6()
-    gen = _generator_vectors(algebra, GeneratorScalars(tuple(theta), 1), p)
+    gen = _generator_vectors(algebra, GeneratorScalars(theta), p)
 
     def mul(u, v):
         return _vec_mul(algebra, u, v, p)
@@ -1220,8 +1156,7 @@ def _symbolic_side() -> tuple[tuple, tuple]:
     They depend on no trial, seed or field, so they are computed once;
     ``theorem_residuals`` is looked up on the module at that first call.
     """
-    constrained = DeformationParameters.symbolic_constrained()
-    primed = primed_generators(derived_constants(constrained))
+    primed = primed_generators(derived_constants(CONSTRAINED_THETA))
     algebra = build_pe6()
     index = algebra.basis_index
 
@@ -1229,7 +1164,7 @@ def _symbolic_side() -> tuple[tuple, tuple]:
         return tuple((index[b], poly) for b, poly in nf.coords.items())
 
     return (
-        tuple(by_index(nf) for _, _, nf in theorem_residuals(constrained)),
+        tuple(by_index(nf) for _, _, nf in theorem_residuals(CONSTRAINED_THETA)),
         by_index(algebra.normal_form(primed["b2"] * primed["a2"])),
     )
 

@@ -9,6 +9,12 @@ Grammar (LL(1); ``*`` is mandatory between factors):
     rational := int ("/" posint)?
     ident    := "a0".."a4" | "b0".."b4" | "x" | "y" | "e0".."e5" | "t1".."t9"
 
+An atom nests at most ``MAX_NESTING`` = 100 deep: each "(" and each unary
+"-" still open around it counts one level, so x inside 100 parentheses,
+or after 100 unary minus signs, is accepted, and the 101st level is an
+error at its "(" or "-".  The parser and the evaluator recurse on every
+level, and the cap keeps them far inside Python's recursion limit.
+
 The product of the exponents along any chain of nested powers, an
 exponent 0 counted as 1, is at most ``MAX_EXPONENT`` = 2^16 = 65536:
 ``x^65536`` and ``(x^256)^256`` are accepted, ``x^65537`` and
@@ -40,6 +46,8 @@ INDETERMINATE_IDENTS = {f"t{i}" for i in range(1, NVARS + 1)}
 KNOWN_IDENTS = ARROW_IDENTS | IDEMPOTENT_IDENTS | INDETERMINATE_IDENTS
 # the largest product of nested exponents that ``to_element`` accepts
 MAX_EXPONENT = 2 ** 16
+# the most "(" and unary "-" that the parser accepts around one atom
+MAX_NESTING = 100
 # The most digits a coefficient's numerator or denominator may have: the
 # default limit of int -> str conversion (Python >= 3.10.7), fixed here so
 # that every version accepts the same inputs.  |n| < 2^MAX_COEFFICIENT_BITS
@@ -171,6 +179,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # "(" and unary "-" open around the current atom
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -269,14 +278,22 @@ class _Parser:
                     f"unknown identifier {tok.text!r}", tok.line, tok.column
                 )
             return Ident(tok.text, tok.line, tok.column)
-        if tok.kind == "SYMBOL" and tok.text == "(":
+        if tok.kind == "SYMBOL" and tok.text in "(-":
+            if self.depth == MAX_NESTING:
+                raise ExprError(
+                    f"nesting of '(' and unary '-' deeper than {MAX_NESTING}",
+                    tok.line,
+                    tok.column,
+                )
             self.advance()
-            inner = self.expr()
-            self.expect_symbol(")")
-            return inner
-        if tok.kind == "SYMBOL" and tok.text == "-":
-            self.advance()
-            return Neg(self.atom())
+            self.depth += 1
+            if tok.text == "(":
+                node = self.expr()
+                self.expect_symbol(")")
+            else:
+                node = Neg(self.atom())
+            self.depth -= 1
+            return node
         raise ExprError(
             f"unexpected {tok.text!r}" if tok.kind != "END" else "unexpected end of input",
             tok.line,

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from preproj.e6 import (
-    DeformationParameters,
+    FREE_THETA,
     admissibility_residual,
     build_pe6,
     build_re6,
@@ -80,10 +80,10 @@ def test_criterion_02_lemma():
     report = verify_lemma()
     ok = report.passed and len(report.checks) == 3
     # the exact two-term residual, asserted directly as well
-    residual = admissibility_residual(DeformationParameters.symbolic_free())
+    residual = admissibility_residual(FREE_THETA)
     alg = build_re6()
     x, y = GL["x"], GL["y"]
-    c1, c2 = lemma_coefficients(DeformationParameters.symbolic_free().theta)
+    c1, c2 = lemma_coefficients(FREE_THETA)
     expected = alg.normal_form((x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2))
     ok = ok and residual == expected
     elapsed = time.perf_counter() - start

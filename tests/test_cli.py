@@ -141,15 +141,65 @@ def test_admissible_theta_with_an_exponent_is_a_prompt_usage_error(value):
     assert f"invalid rational {value!r}" in result.stderr
 
 
-@pytest.mark.parametrize("value", ["7", "-7", "+7", "7/3", "-1.25", ".5", "2E3", "3e0"])
+# values outside the README's forms in ASCII digits; Fraction reads each of
+# them (a non-ASCII digit and "1_0" as numbers)
+NOT_A_THETA_VALUE = ("2E3", "3e0", "\u0661", "1_0", "1/\u0663", "\uff17")
+
+
+@pytest.mark.parametrize(
+    "value", ["7", "-7", "+7", "7/3", "-1.25", ".5", *NOT_A_THETA_VALUE]
+)
 def test_admissible_theta_value_forms(capsys, value):
     code, out, err = invoke(capsys, "admissible", "--theta", f"t4={value}", "--json")
-    if "e" in value.lower():
+    if value in NOT_A_THETA_VALUE:
         assert (code, out) == (2, "")
-        assert f"invalid rational {value!r}" in err
+        assert err == f"error: invalid rational {value!r} at 1:1\n"
     else:
         assert code == 1
         assert json.loads(out)["checks"][1]["residual"] == str(3 * Fraction(value))
+
+
+# "t\u00b2" made int() raise (exit 3); the others were read as t3, t1, t1
+@pytest.mark.parametrize("key", ["t\u00b2", "t\u0663", "t01", "t+1", "T1", "t10", "t0"])
+def test_admissible_theta_key_forms(capsys, key):
+    code, out, err = invoke(capsys, "admissible", "--theta", f"{key}=1", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown theta key {key!r} at 1:1\n"
+
+
+# Each "(" and unary "-" nests the parser and the evaluator one level
+# deeper; past the cap Python's recursion limit used to end the run as an
+# internal error.  A child process with a timeout keeps a regression from
+# exhausting the test run.
+NESTING = 100
+
+
+@pytest.mark.parametrize("text,output", [
+    ("(" * NESTING + "x" + ")" * NESTING, "x"),
+    ("-" * NESTING + "x", "x"),
+    ("-" * (NESTING - 1) + "x", "- x"),
+    ("(-" * (NESTING // 2) + "y" + ")" * (NESTING // 2), "y"),
+    ("x - " + "(" * NESTING + "y" + ")" * NESTING, "x - y"),
+], ids=["parentheses", "minus", "odd-minus", "mixed", "binary-minus"])
+def test_nesting_at_the_cap_reduces(text, output):
+    result = _python("-m", "preproj.cli", "reduce", "--algebra", "re6", "--", text, timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, output + "\n", "")
+
+
+@pytest.mark.parametrize("command,text,column", [
+    (("reduce", "--algebra", "re6"), "(" * (NESTING + 1) + "x" + ")" * (NESTING + 1), NESTING + 1),
+    (("reduce", "--algebra", "re6"), "-" * (NESTING + 1) + "x", NESTING + 1),
+    (("reduce", "--algebra", "re6"), "(-" * 1500 + "x" + ")" * 1500, NESTING + 1),
+    (("reduce", "--algebra", "pe6"), "(" * 3000 + "a0" + ")" * 3000, NESTING + 1),
+    (("reduce", "--algebra", "re6"), "x*y + " + "-" * 3000 + "x", NESTING + 7),
+    (("admissible",), "x*y - " + "(" * 3000 + "y*x" + ")" * 3000, NESTING + 7),
+], ids=["parentheses", "minus", "mixed-3000", "parentheses-3000", "minus-3000", "admissible"])
+def test_nesting_past_the_cap_is_a_parse_error(command, text, column):
+    result = _python("-m", "preproj.cli", *command, "--", text, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: nesting of '(' and unary '-' deeper than {NESTING} at 1:{column}\n"
+    )
 
 
 LONG_LITERAL = "1" * 5000  # over CPython's default limit of 4,300 digits

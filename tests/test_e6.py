@@ -1,6 +1,7 @@
 """Tests for the E6 layer: algebras, admissibility, and verifications."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -11,15 +12,18 @@ from hypothesis import given, settings, strategies as st
 from field_scalars import GF, PrimeFieldScalars, RationalScalars
 from preproj import e6
 from preproj.e6 import (
-    DeformationParameters,
+    CONSTRAINED_THETA,
+    FREE_THETA,
     GeneratorScalars,
     _element_from_symbols,
     _draw_theta,
     _generator_vectors,
     _integer_theta,
     admissibility_residual,
+    as_free_element,
     build_pe6,
     build_re6,
+    constraint_residuals,
     constraint_theta2,
     constraint_theta6,
     corner_embedding,
@@ -46,6 +50,9 @@ from preproj.quiver import Path, Quiver, builtin_quiver
 from preproj.quotient import QuotientAlgebra, build_quotient
 
 
+ZERO = (0,) * 9
+
+
 def failures(report):
     return [c.name for c in report.checks if not c.passed]
 
@@ -55,7 +62,7 @@ def failures(report):
 
 def test_pe6_relations_die_in_quotient():
     alg = build_pe6()
-    for rel in deformed_relations(DeformationParameters.zero())[:5]:
+    for rel in deformed_relations(ZERO)[:5]:
         assert alg.normal_form(rel).is_zero()
 
 
@@ -80,34 +87,37 @@ def test_re6_shape():
 # -- deformation parameters ----------------------------------------------------
 
 
-def test_constrained_mode_substitutes_theta2_theta6():
-    params = DeformationParameters.symbolic_constrained()
+def test_constrained_theta_substitutes_theta2_theta6():
+    theta = CONSTRAINED_THETA
     t1, t3, t4, t5 = (Poly.var(i) for i in (1, 3, 4, 5))
-    assert params.theta[1] == 2 * t3 - t1
-    assert params.theta[5] == 2 * t5 - 3 * t4 - 3 * (t3 - t1) ** 2
-    assert params.constraints_satisfied()
+    assert theta[1] == 2 * t3 - t1
+    assert theta[5] == 2 * t5 - 3 * t4 - 3 * (t3 - t1) ** 2
+    assert not any(constraint_residuals(theta))
+    assert theta[:1] + theta[2:5] + theta[6:] == FREE_THETA[:1] + FREE_THETA[2:5] + FREE_THETA[6:]
 
 
-def test_numeric_mode_validation():
-    with pytest.raises(ValueError):
-        DeformationParameters.numeric([1, 2, 3])
-    params = DeformationParameters.numeric([1, -1, 0, 0, 0, -3, 0, 0, 0])
-    assert params.constraints_satisfied()
+def test_rational_theta_validation():
+    for short in ([1, 2, 3], ZERO + (0,)):
+        with pytest.raises(ValueError):
+            as_free_element(short)
+        with pytest.raises(ValueError):
+            derived_constants(short)
+    assert not any(constraint_residuals([1, -1, 0, 0, 0, -3, 0, 0, 0]))
 
 
 # -- admissibility ------------------------------------------------------------
 
 
 def test_zero_deformation_is_admissible():
-    assert is_admissible(DeformationParameters.zero())
+    assert is_admissible(ZERO)
 
 
 def test_symbolic_free_residual_two_terms():
-    residual = admissibility_residual(DeformationParameters.symbolic_free())
+    residual = admissibility_residual(FREE_THETA)
     alg = build_re6()
     g = generators(alg.quiver)
     x, y = g["x"], g["y"]
-    c1, c2 = lemma_coefficients(DeformationParameters.symbolic_free().theta)
+    c1, c2 = lemma_coefficients(FREE_THETA)
     expected = alg.normal_form((x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2))
     assert residual == expected
     assert len(residual.coords) == 2
@@ -117,7 +127,7 @@ def test_symbolic_free_residual_two_terms():
 def _symbolic_lemma_coefficients():
     """The coefficients of [xyxy] and [xyxyy] in the residual of (x+y+f)^3
     with all nine thetas free, read off the reduction in re6."""
-    residual = admissibility_residual(DeformationParameters.symbolic_free())
+    residual = admissibility_residual(FREE_THETA)
     by_word = {str(p).replace("*", ""): c for p, c in residual.coords.items()}
     return by_word["xyxy"], by_word["xyxyy"]
 
@@ -132,21 +142,20 @@ def test_lemma_coefficients_at_rational_theta_evaluate_the_symbolic_residual(the
 
 
 def test_xy_alone_is_not_admissible():
-    params = DeformationParameters.numeric([1, 0, 0, 0, 0, 0, 0, 0, 0])
-    assert not is_admissible(params)
-    residual = admissibility_residual(params)
+    theta = (1, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert not is_admissible(theta)
+    residual = admissibility_residual(theta)
     coeffs = sorted(str(c) for c in residual.coords.values())
     assert "1" in coeffs  # the first condition residual t1 + t2 - 2*t3 = 1
 
 
 def test_numeric_admissible_example():
     # constraints hold by construction: t2 = 2*0 - 1 = -1, t6 = -3*(0-1)^2 = -3
-    params = DeformationParameters.numeric([1, -1, 0, 0, 0, -3, 0, 0, 0])
-    assert is_admissible(params)
+    assert is_admissible((1, -1, 0, 0, 0, -3, 0, 0, 0))
 
 
 def test_constrained_symbolic_is_admissible():
-    assert is_admissible(DeformationParameters.symbolic_constrained())
+    assert is_admissible(CONSTRAINED_THETA)
 
 
 # -- lemma -----------------------------------------------------------------------
@@ -163,7 +172,7 @@ def test_lemma_mutation_fails():
     t = {i: Poly.var(i) for i in range(1, 10)}
     t[2] = 2 * t[3]
     t[6] = constraint_theta6(t[1], t[3], t[4], t[5])
-    corrupted = DeformationParameters(tuple(t[i] for i in range(1, 10)), "symbolic-free")
+    corrupted = tuple(t[i] for i in range(1, 10))
     residual = admissibility_residual(corrupted)
     assert not residual.is_zero()
 
@@ -179,14 +188,14 @@ def test_lemma_random_numeric_spot_checks():
             theta[i - 1] = v
         theta[1] = constraint_theta2(free[1], free[3])
         theta[5] = constraint_theta6(free[1], free[3], free[4], free[5])
-        assert is_admissible(DeformationParameters.numeric(theta))
+        assert is_admissible(theta)
 
 
 # -- derived constants ----------------------------------------------------------
 
 
 def test_derived_constants_zero():
-    dc = derived_constants(DeformationParameters.zero())
+    dc = derived_constants(ZERO)
     assert all(
         not getattr(dc, name)
         for name in ("alpha", "beta", "gamma", "delta", "alpha1", "beta1", "alpha2", "beta2", "alpha3")
@@ -194,29 +203,37 @@ def test_derived_constants_zero():
 
 
 def test_alpha_at_equal_thetas():
-    params = DeformationParameters.numeric([2, 2, 2, 1, 0, constraint_theta6(2, 2, 1, 0), 0, 0, 0])
-    dc = derived_constants(params)
+    dc = derived_constants((2, 2, 2, 1, 0, constraint_theta6(2, 2, 1, 0), 0, 0, 0))
     assert dc.alpha == 1  # theta4 + (theta3 - theta1)^2 with theta1 = theta3
 
 
 def test_alpha1_identity():
-    params = DeformationParameters.symbolic_constrained()
-    dc = derived_constants(params)
+    dc = derived_constants(CONSTRAINED_THETA)
     t1, t3 = Poly.var(1), Poly.var(3)
     assert dc.alpha1 + dc.alpha == t1 * t3 - t3 ** 2
     assert dc.beta1 + dc.beta == t1 * t3 - t3 ** 2
 
 
 def test_derived_constants_require_constraints():
-    with pytest.raises(ValueError):
-        derived_constants(DeformationParameters.symbolic_free())
+    # off the constraint variety: the free point, a symbolic point that
+    # breaks the first constraint, and a rational one
+    broken = (FREE_THETA[0], 2 * FREE_THETA[2]) + CONSTRAINED_THETA[2:]
+    for theta, residuals in (
+        (FREE_THETA, "- 2*t3 + t2 + t1, t6 - 2*t5 + 3*t4 + 3*t3^2 - 6*t1*t3 + 3*t1^2)"),
+        (broken, "t1, 0)"),
+        ((1, 0, 0, 0, 0, 0, 0, 0, 0), "1, 3)"),
+        ((Fraction(1, 2),) + (0,) * 8, "1/2, 3/4)"),
+    ):
+        for change in (derived_constants, substituted_generators):
+            with pytest.raises(ValueError, match=f"constraints \\(residuals {re.escape(residuals)}"):
+                change(theta)
 
 
 # -- change of generators ----------------------------------------------------------
 
 
 def test_zero_parameters_give_identity_map():
-    change = substituted_generators(DeformationParameters.zero())
+    change = substituted_generators(ZERO)
     quiver = builtin_quiver("E6")
     for arrow in quiver.arrows:
         image = change.bindings[arrow.name]
@@ -224,8 +241,7 @@ def test_zero_parameters_give_identity_map():
 
 
 def test_primed_a2_formula():
-    params = DeformationParameters.symbolic_constrained()
-    change = substituted_generators(params)
+    change = substituted_generators(CONSTRAINED_THETA)
     quiver = builtin_quiver("E6")
     t8 = Poly.var(8)
     a2 = FreeElement.from_path(quiver.path("a2"))
@@ -236,8 +252,7 @@ def test_primed_a2_formula():
 
 
 def test_primed_b3_leading_term():
-    params = DeformationParameters.symbolic_constrained()
-    change = substituted_generators(params)
+    change = substituted_generators(CONSTRAINED_THETA)
     quiver = builtin_quiver("E6")
     image = change.bindings["b3"]
     b3 = quiver.path("b3")
@@ -246,8 +261,7 @@ def test_primed_b3_leading_term():
 
 
 def test_leading_term_triangularity():
-    params = DeformationParameters.symbolic_constrained()
-    change = substituted_generators(params)
+    change = substituted_generators(CONSTRAINED_THETA)
     quiver = builtin_quiver("E6")
     for arrow in quiver.arrows:
         image = change.bindings[arrow.name]
@@ -257,16 +271,15 @@ def test_leading_term_triangularity():
 
 
 def test_substituted_generators_constraint_violation():
-    params = DeformationParameters.numeric([1, 0, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="constraint"):
-        substituted_generators(params)
+        substituted_generators((1, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
 # -- deformed relations --------------------------------------------------------------
 
 
 def test_deformed_relations_at_zero():
-    rels = deformed_relations(DeformationParameters.zero())
+    rels = deformed_relations(ZERO)
     assert len(rels) == 7
     alg = build_pe6()
     for rel in rels:
@@ -274,14 +287,14 @@ def test_deformed_relations_at_zero():
 
 
 def test_deformed_relation6_contains_theta1_monomial():
-    rels = deformed_relations(DeformationParameters.symbolic_free())
+    rels = deformed_relations(FREE_THETA)
     quiver = builtin_quiver("E6")
     loop = quiver.path("b0", "a0", "b2", "a2")
     assert rels[5].terms[loop] == Poly.var(1)
 
 
 def test_deformed_relations_endpoint_homogeneous():
-    for rel in deformed_relations(DeformationParameters.symbolic_constrained()):
+    for rel in deformed_relations(CONSTRAINED_THETA):
         assert rel.is_endpoint_homogeneous()
 
 
@@ -295,7 +308,7 @@ def test_verify_theorem_symbolic():
 
 
 def test_verify_theorem_at_zero():
-    report = verify_theorem(DeformationParameters.zero())
+    report = verify_theorem(ZERO)
     assert report.passed, failures(report)
 
 
@@ -325,10 +338,9 @@ def test_spot_identities():
 
 
 def test_final_sum_identity():
-    params = DeformationParameters.symbolic_constrained()
     alg = build_pe6()
-    change = substituted_generators(params)
-    rel6 = deformed_relations(params)[5]
+    change = substituted_generators(CONSTRAINED_THETA)
+    rel6 = deformed_relations(CONSTRAINED_THETA)[5]
     assert alg.normal_form(change(rel6)).is_zero()
 
 
@@ -347,7 +359,7 @@ def test_verify_inverse_printed_mismatch_set_is_stable():
 
 def test_inverse_trivial_at_zero():
     for mode in ("printed", "corrected"):
-        report = verify_inverse(mode, DeformationParameters.zero())
+        report = verify_inverse(mode, ZERO)
         # at theta = 0 every correction term vanishes except the printed
         # a4 = a4'*a2' formula, whose leading product is non-composable
         names = failures(report)
@@ -444,16 +456,19 @@ def field_vector(algebra, vec, scalars):
     return {algebra.basis[k]: scalars.convert(Fraction(c, den)) for k, c in coords.items()}
 
 
-def fresh_generator_vectors(algebra, s):
+def fresh_generator_vectors(algebra, s, one):
     """Slow path of ``_generator_vectors``: build every path anew, reduce it
-    and scale its ``Fraction`` coefficients term by term."""
+    and scale its ``Fraction`` coefficients term by term.  Each constant of
+    ``s`` is multiplied by ``one``, the field's one, so that the ``int``
+    unit coefficient is read in the field too."""
     quiver = algebra.quiver
-    terms = {name: [(s.one, (name,))] for name in ("a0", "b0", "a1", "b1")}
+    terms = {name: [(1, (name,))] for name in ("a0", "b0", "a1", "b1")}
     terms.update(primed_generator_terms(s))
     vectors = {}
     for name, generator_terms in terms.items():
         coords = {}
         for coeff, names in generator_terms:
+            coeff = one * coeff
             for b, c in algebra.reduce_path(quiver.path(*names)).items():
                 coords[b] = coords[b] + coeff * c if b in coords else coeff * c
         vectors[name] = {b: c for b, c in coords.items() if c}
@@ -481,18 +496,18 @@ def test_cached_generator_vectors_match_a_fresh_reduction(field):
     algebras = [build_pe6(), e6_modulo_paths_of_length(4)]
     for _ in range(4):
         theta = random_constrained_theta(rng, scalars)
-        s = GeneratorScalars(theta, scalars.one())
-        bundles = [GeneratorScalars(integer_theta(theta, scalars), 1)]
+        s = GeneratorScalars(theta)
+        bundles = [GeneratorScalars(integer_theta(theta, scalars))]
         if scalars.p is None:
             # Fraction constants too: their denominators are not powers of
             # one base, so a sum needs the lcm of them
-            bundles.append(GeneratorScalars(theta, 1))
+            bundles.append(GeneratorScalars(theta))
         for lifted in bundles:
             got = [_generator_vectors(algebra, lifted, scalars.p) for algebra in algebras]
             for algebra, vectors in zip(algebras, got):
                 assert {
                     name: field_vector(algebra, vec, scalars) for name, vec in vectors.items()
-                } == fresh_generator_vectors(algebra, s)
+                } == fresh_generator_vectors(algebra, s, scalars.one())
                 assert all(
                     type(c) is int for coords, _ in vectors.values() for c in coords.values()
                 )
@@ -511,7 +526,7 @@ def generic_relation_residuals(theta, scalars):
     gen = {
         name: {index[b]: c for b, c in vec.items()}
         for name, vec in fresh_generator_vectors(
-            algebra, GeneratorScalars(theta, scalars.one())
+            algebra, GeneratorScalars(theta), scalars.one()
         ).items()
     }
 
@@ -681,18 +696,17 @@ def displayed_change_constants(theta):
 
 @pytest.mark.parametrize("field", list(FIELDS))
 def test_change_constants_agree_with_the_displayed_formulas(field):
-    free = DeformationParameters.symbolic_free().theta
-    symbolic = GeneratorScalars(free, Poly.const(1))
-    displayed = displayed_change_constants(free)
+    symbolic = GeneratorScalars(FREE_THETA)
+    displayed = displayed_change_constants(FREE_THETA)
     for name in CHANGE_CONSTANTS:
         assert getattr(symbolic, name) == displayed[name], name
     scalars = FIELDS[field]
     rng = random.Random(53)
     for _ in range(5):
         theta = random_constrained_theta(rng, scalars)
-        numeric = GeneratorScalars(theta, scalars.one())
+        numeric = GeneratorScalars(theta)
         # the integer oracle's bundle: over GF(p), on residues, reduced after
-        lifted = GeneratorScalars(integer_theta(theta, scalars), 1)
+        lifted = GeneratorScalars(integer_theta(theta, scalars))
         assignment = {i + 1: v for i, v in enumerate(theta)}
         for name in CHANGE_CONSTANTS:
             poly = getattr(symbolic, name)
@@ -713,11 +727,11 @@ LAZY_CONSTANTS = (
 @pytest.mark.parametrize("field", list(FIELDS))
 def test_lazy_constants_agree_with_the_symbolic_bundle(field):
     scalars = FIELDS[field]
-    symbolic = derived_constants(DeformationParameters.symbolic_constrained())
+    symbolic = derived_constants(CONSTRAINED_THETA)
     rng = random.Random(43)
     for _ in range(5):
         theta = random_constrained_theta(rng, scalars)
-        numeric = GeneratorScalars(theta, scalars.one())
+        numeric = GeneratorScalars(theta)
         primed_generator_terms(numeric)
         # the change of generators reads none of the inverse constants
         assert not set(LAZY_CONSTANTS) & set(vars(numeric))
@@ -754,8 +768,8 @@ def test_integer_constants_over_q_match_the_fraction_bundle(free, seed):
         (given_theta, _integer_theta(given_theta, None)),
         ([as_field_scalar(v, Q) for v in drawn], drawn),
     ):
-        reference = GeneratorScalars(theta, Fraction(1))
-        lifted = GeneratorScalars(integer, 1)
+        reference = GeneratorScalars(theta)
+        lifted = GeneratorScalars(integer)
         for name in ALL_CONSTANTS:
             assert as_field_scalar(getattr(lifted, name), Q) == getattr(reference, name), name
 
@@ -923,8 +937,6 @@ def test_sample_check_takes_int_and_fraction_theta_entries_only():
         ):
             with pytest.raises(TypeError, match=f"cannot use {kind} as a theta sample"):
                 sample_check(theta=theta, field=field)
-        with pytest.raises(TypeError):
-            sample_check(theta=DeformationParameters.numeric(ADMISSIBLE_ONES), field=field)
         with pytest.raises(ValueError, match="expected 9"):
             sample_check(theta=ADMISSIBLE_ONES[:8], field=field)
         # int and Fraction entries, alone or mixed, run
@@ -963,8 +975,24 @@ def test_integer_certificate():
     assert len(cert) == 1 and cert[0].passed
 
 
+def test_integer_certificate_fails_on_a_pivot_other_than_one():
+    # 2*x*y - 3*y*x eliminates y*x with the pivot 3, leaving y*x = 2/3 * x*y
+    quiver = builtin_quiver("L2")
+    g = generators(quiver)
+    x, y = g["x"], g["y"]
+    algebra = build_quotient(
+        quiver, [x * x, y * y, (x * y).scale(2) - (y * x).scale(3)], name="L2/(2xy - 3yx)"
+    )
+    assert algebra.reduce_path(quiver.path("y", "x")) == {quiver.path("x", "y"): Fraction(2, 3)}
+    assert e6._reduction_is_integral(algebra) is False
+    # every word, even one whose own normal form is integral, is refused
+    with pytest.raises(ValueError, match="L2/\\(2xy - 3yx\\) has non-integral normal forms"):
+        e6._word_vector(algebra, ("x", "y"))
+    assert e6._reduction_is_integral(build_pe6()) is True
+
+
 def test_theorem_residuals_expose_images():
-    rows = theorem_residuals(DeformationParameters.symbolic_constrained())
+    rows = theorem_residuals(CONSTRAINED_THETA)
     assert len(rows) == 7
     for _, image, nf in rows:
         assert image.has_integral_coefficients()
@@ -977,20 +1005,19 @@ def test_truncation_keeps_theorem_and_inverse_normal_forms():
         t1, constraint_theta2(t1, t3), t3, t4, t5,
         constraint_theta6(t1, t3, t4, t5), Fraction(5), Fraction(-2), Fraction(7),
     ]
-    params = DeformationParameters.numeric(theta)
     algebra = build_pe6()
     quiver = algebra.quiver
     n = algebra.nilpotency_degree
     g = generators(quiver)
 
     # the seven relations with f expanded in the free algebra
-    relations = deformed_relations(params)
+    relations = deformed_relations(theta)
     relations[5] = (
         g["b0"] * g["a0"] + g["b2"] * g["a2"] + g["a3"] * g["b3"]
-        + corner_embedding()(params.as_free_element())
+        + corner_embedding()(as_free_element(theta))
     )
-    change = substituted_generators(params)
-    rows = theorem_residuals(params)
+    change = substituted_generators(theta)
+    rows = theorem_residuals(theta)
     assert len(rows) == len(relations) == 7
     for (name, image, nf), relation in zip(rows, relations):
         full = change(relation)
@@ -999,7 +1026,7 @@ def test_truncation_keeps_theorem_and_inverse_normal_forms():
         ), name
         assert nf == algebra.normal_form(full), name
 
-    s = derived_constants(params)
+    s = derived_constants(theta)
     primed = primed_generators(s)
     for mode in ("corrected", "printed"):
         for name, terms in inverse_formula_terms(s, mode).items():
