@@ -221,7 +221,7 @@ def _bounded_theta(value: Fraction, error: str) -> Fraction:
 
 
 def _parse_theta(text: str) -> list[Fraction]:
-    values = {i: Fraction(0) for i in range(1, 10)}
+    values = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -232,6 +232,9 @@ def _parse_theta(text: str) -> list[Fraction]:
         key = key.strip()
         if key not in _THETA_KEYS:
             raise ExprError(f"unknown theta key {key!r}", 1, 1)
+        if _THETA_KEYS[key] in values:
+            # even with the same value: a repeated key is most likely a mistyped index
+            raise ExprError(f"theta key {key!r} given twice", 1, 1)
         raw = raw.strip()
         if not _THETA_VALUE.fullmatch(raw):
             raise ExprError(f"invalid rational {raw!r}", 1, 1)
@@ -240,7 +243,7 @@ def _parse_theta(text: str) -> list[Fraction]:
         except (ValueError, ZeroDivisionError):
             raise ExprError(f"invalid rational {raw!r}", 1, 1) from None
         values[_THETA_KEYS[key]] = _bounded_theta(value, f"invalid rational {raw!r}")
-    return [values[i] for i in range(1, 10)]
+    return [values.get(i, Fraction(0)) for i in range(1, 10)]
 
 
 def _theta_from_expression(text: str) -> list[Fraction]:

@@ -203,7 +203,8 @@ class FreeElement:
         return NotImplemented
 
     def scale(self, coeff) -> "FreeElement":
-        c = _as_poly(coeff)
+        # a bare int or Fraction scales each Poly directly (see ``Poly.__mul__``)
+        c = coeff if isinstance(coeff, (int, Fraction)) else _as_poly(coeff)
         if not c:
             return FreeElement.zero(self.quiver)
         return FreeElement._unchecked(self.quiver, {p: c * v for p, v in self.terms.items()})

@@ -59,10 +59,11 @@ class Poly:
         For results of ring arithmetic on polynomials, whose terms are
         already clean: every exponent is a sum of 9-slot tuples, hence a
         9-slot tuple; every coefficient is a sum or product of Fractions,
-        hence a Fraction; and the arithmetic drops each coefficient that
-        comes out zero.  The product of two constants is the one term
-        ``{_ZERO_EXP: a * b}``, nonzero because Q is a domain (see
-        ``__mul__``).
+        or a Fraction times an int, hence a Fraction; and the arithmetic
+        drops each coefficient that comes out zero.  A product with a
+        constant operand keeps the other operand's exponents and multiplies
+        each of its coefficients by a nonzero rational, so none comes out
+        zero, because Q is a domain (see ``__mul__``).
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", terms)
@@ -147,22 +148,40 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        """The product; a product of two constants is one ``Fraction`` product.
+        """The product; a constant operand scales the other one's coefficients.
 
         Two constants, each with the single monomial ``_ZERO_EXP``, give
         ``{_ZERO_EXP: a * b}`` without the loop below.  This is the term the
         loop computes: (0,...,0) + (0,...,0) = (0,...,0), and
         ``Fraction(0) + a * b`` equals ``a * b`` and is a ``Fraction`` too.
-        It meets the contract of ``_unchecked``, since Q is a domain, so
-        the product of two nonzero coefficients is nonzero.  No other
-        product of nonzero polynomials is a constant.
+        No other product of nonzero polynomials is a constant.
+
+        One constant operand k, a constant ``Poly`` or a bare ``int`` or
+        ``Fraction``, gives {e: c * k} over the other operand's terms c*t^e,
+        also without the loop.  This is what the loop computes: e +
+        (0,...,0) = e, so the exponents stay those of the other operand and
+        stay distinct, no two products land on one monomial, and each sum
+        ``Fraction(0) + c * k`` is ``c * k``, a ``Fraction`` because c is
+        one.  A zero k gives the zero polynomial; otherwise every c * k is
+        nonzero, since Q is a domain, as ``_unchecked`` requires.
         """
-        other = _coerce(other)
-        if other is NotImplemented:
+        a = self.terms
+        if isinstance(other, Poly):
+            b = other.terms
+            if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
+                return Poly._unchecked({_ZERO_EXP: a[_ZERO_EXP] * b[_ZERO_EXP]})
+            if len(b) == 1 and _ZERO_EXP in b:
+                k = b[_ZERO_EXP]
+            elif len(a) == 1 and _ZERO_EXP in a:
+                a, k = b, a[_ZERO_EXP]
+            else:
+                k = None
+        elif isinstance(other, (int, Fraction)):
+            k = other
+        else:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
-            return Poly._unchecked({_ZERO_EXP: a[_ZERO_EXP] * b[_ZERO_EXP]})
+        if k is not None:
+            return Poly._unchecked({e: c * k for e, c in a.items()} if k else {})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -199,7 +218,14 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        """Equal to the hash of the rational a constant or zero polynomial
+        equals (``Poly.const(3) == 3``), as ``__eq__`` requires."""
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and _ZERO_EXP in terms:
+            return hash(terms[_ZERO_EXP])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -167,6 +167,22 @@ def test_admissible_theta_key_forms(capsys, key):
     assert err == f"error: unknown theta key {key!r} at 1:1\n"
 
 
+# the last value used to win silently, so the first line passed t1 = -1
+@pytest.mark.parametrize(
+    "theta, key",
+    [
+        ("t1=1,t1=-1,t2=1,t6=-3", "t1"),
+        ("t1=1,t2=-1,t6=-3,t1=1", "t1"),
+        ("t4=0, t4 = 0", "t4"),
+        ("t9=1/2,t3=1,t9=.5", "t9"),
+    ],
+)
+def test_admissible_theta_key_given_twice_is_a_usage_error(capsys, theta, key):
+    code, out, err = invoke(capsys, "admissible", "--theta", theta, "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: theta key {key!r} given twice at 1:1\n"
+
+
 # Each "(" and unary "-" nests the parser and the evaluator one level
 # deeper; past the cap Python's recursion limit used to end the run as an
 # internal error.  A child process with a timeout keeps a regression from

@@ -296,3 +296,62 @@ def test_power_rejects_a_negative_or_non_integer_exponent():
     for n in (-1, 2.0):
         with pytest.raises(ValueError, match="non-negative integer"):
             T[1] ** n
+
+
+# -- a constant operand scales: against the slow path ------------------------------
+
+# 0, +-1, integers past a machine word, and fractions
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, 2**70, -(3**50)]),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polys(), scalars)
+def test_product_with_a_constant_scales_every_coefficient(p, k):
+    expected = term_by_term_product(p, Poly.const(k))
+    for product in (p * k, k * p, p * Poly.const(k), Poly.const(k) * p):
+        assert product.terms == expected
+        assert_clean(product)
+
+
+class _NotIterated(dict):
+    """Terms whose ``items`` must not be called."""
+
+    def items(self):
+        raise AssertionError("the terms of a constant were iterated")
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonzero_fractions, nonzero_fractions)
+def test_product_of_two_constants_never_iterates_their_terms(a, b):
+    # the one-term branch comes before scaling: the reduce tail's powers
+    # multiply constants, and neither operand's terms is walked
+    x = Poly._unchecked(_NotIterated({_ZERO_EXP: a}))
+    y = Poly._unchecked(_NotIterated({_ZERO_EXP: b}))
+    assert (x * y).terms == {_ZERO_EXP: a * b}
+
+
+# -- hashing agrees with equality across Poly, int and Fraction --------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=-(10**30), max_value=10**30), small_fractions), polys())
+def test_equal_values_hash_equal(q, p):
+    forms = [Fraction(q), Poly.const(q), Poly({_ZERO_EXP: q}), p - p + q, q + p - p]
+    if Fraction(q).denominator == 1:
+        forms.append(int(q))
+    for x in forms:
+        for y in forms:
+            assert x == y
+            assert hash(x) == hash(y)
+    assert p * 1 == p and hash(p * 1) == hash(p)
+    assert len({Poly.const(q), q, Fraction(q)}) == 1
+
+
+def test_a_constant_and_its_rational_are_one_set_element():
+    assert len({Poly.const(3), 3}) == 1
+    assert len({Poly.zero(), 0, Fraction(0)}) == 1
+    assert {Poly.const(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
