@@ -8,6 +8,7 @@ with the undeformed one via an explicit change of generators.
 
 __version__ = "0.1.0"
 
+from .derivation import verify_identities
 from .e6 import (
     CONSTRAINED_THETA,
     FREE_THETA,
@@ -22,7 +23,6 @@ from .e6 import (
     sample_check,
     substituted_generators,
     verify_corner_iso,
-    verify_identities,
     verify_inverse,
     verify_lemma,
     verify_theorem,

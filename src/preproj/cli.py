@@ -12,10 +12,11 @@ Global flags ``--json`` (machine-readable report on stdout) and
 ``--quiet`` (suppress per-check lines).  Exit codes: 0 when every
 requested check passes, 1 on a check failure, 2 on usage or parse errors
 (including a ``--field`` that is not a prime below 2^31, a ``--corner``
-that is not a vertex of the algebra, and a ``--constants FILE`` that
-cannot be opened for writing, which is reported before any constant is
-computed), 3 on an internal error: any other exception raised while a
-command runs.
+that is not a vertex of the algebra, a ``--constants FILE`` that cannot
+be opened for writing, which is reported before any constant is
+computed, or that cannot be written, and an ``admissible`` f with a
+coefficient that is not a number), 3 on an internal error: any other
+exception raised while a command runs.
 
 ``run`` builds the argument parser on its first call and reuses it for
 every later call in the process, so ``run(argv)`` may be called
@@ -36,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
+from .derivation import verify_identities
 from .e6 import (
-    THETA_MONOMIALS,
     VerificationReport,
     admissibility_residual,
     build_re6,
@@ -46,12 +47,12 @@ from .e6 import (
     lemma_coefficients,
     sample_check,
     verify_corner_iso,
-    verify_identities,
     verify_inverse,
     verify_lemma,
     verify_theorem,
 )
 from .expr import MAX_COEFFICIENT_DIGITS, ExprError, format_element, parse_element, printable
+from .oracle import THETA_MONOMIALS
 
 JSON_REPORT_SCHEMA = {
     "type": "object",
@@ -256,6 +257,8 @@ def _theta_from_expression(text: str) -> list[Fraction]:
     values = []
     for word in THETA_MONOMIALS:
         poly = coords.pop(words[word], None)
+        if poly is not None and not poly.is_rational():
+            raise ExprError(f"coefficient of [{word}] in f is not a number", 1, 1)
         value = Fraction(0) if poly is None else poly.as_rational()
         values.append(_bounded_theta(value, f"coefficient of [{word}] in f"))
     if coords:
@@ -304,13 +307,13 @@ def cmd_basis(args) -> int:
     else:
         lines = algebra.basis_listing().splitlines()
     if args.constants:
+        # the file is opened before any constant is computed
         try:
-            handle = open(args.constants, "w")
+            with open(args.constants, "w") as handle:
+                handle.write(algebra.structure_constants_csv() + "\n")
         except OSError as exc:
             print(f"error: cannot write {args.constants}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-        with handle:
-            handle.write(algebra.structure_constants_csv() + "\n")
     if args.json:
         document = _document(f"basis --algebra {args.algebra}", args.algebra, [], "pass")
         document["basis"] = lines

@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .e6 import (
+    CONSTRAINED_THETA,
     VerificationReport,
-    _reduction_is_integral,
     as_free_element,
     build_pe6,
     build_re6,
@@ -36,7 +36,18 @@ from .e6 import (
     primed_generators,
 )
 from .freealg import FreeElement, GeneratorMap, generators
+from .oracle import _reduction_is_integral
 from .quiver import builtin_quiver
+
+
+def verify_identities(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
+    """The derivation catalog, by default over the constrained theta.
+
+    It calls ``run_derivation_catalog`` by the name this module binds, at
+    call time, so a wrapper set on this module (the benchmark's tracer)
+    sees the call.
+    """
+    return run_derivation_catalog(theta)
 
 
 def run_derivation_catalog(theta: Sequence) -> VerificationReport:

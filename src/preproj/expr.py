@@ -355,7 +355,7 @@ def _check_power(coeffs: list[Fraction], node: Pow, kind: str) -> None:
     """
     if not coeffs:
         return
-    # a list, not a generator, is unpacked (see ``e6._vec_sum``)
+    # a list, not a generator, is unpacked (see ``oracle._vec_sum``)
     den = lcm(*[c.denominator for c in coeffs])
     num = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
     bits = node.exponent * (max(num, den) - 1).bit_length()

@@ -116,9 +116,6 @@ class FreeElement:
     def has_integral_coefficients(self) -> bool:
         return all(c.is_integral() for c in self.terms.values())
 
-    def map_coefficients(self, fn) -> "FreeElement":
-        return FreeElement(self.quiver, {p: fn(c) for p, c in self.terms.items()})
-
     # -- arithmetic ----------------------------------------------------------------
 
     def _check_same_quiver(self, other: "FreeElement"):

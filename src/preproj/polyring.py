@@ -185,7 +185,7 @@ class Poly:
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                # from a list, not a generator (see ``e6._vec_sum``)
+                # from a list, not a generator (see ``oracle._vec_sum``)
                 exp = tuple([x + y for x, y in zip(ea, eb)])
                 acc = out.get(exp, Fraction(0)) + ca * cb
                 if acc:
@@ -249,7 +249,7 @@ class Poly:
         coefficient denominator is divisible by p.
         """
         terms = self.terms
-        # a list, not a generator, is unpacked (see ``e6._vec_sum``)
+        # a list, not a generator, is unpacked (see ``oracle._vec_sum``)
         scale = lcm(*[c.denominator for c in terms.values()])
         if p is not None and scale % p == 0:
             coeff = next(c for c in terms.values() if c.denominator % p == 0)

@@ -94,9 +94,6 @@ class QuotientElement:
         """The canonical basis-path representative as a free element."""
         return FreeElement(self.algebra.quiver, dict(self.coords))
 
-    def map_coefficients(self, fn) -> "QuotientElement":
-        return QuotientElement(self.algebra, {p: fn(c) for p, c in self.coords.items()})
-
     def _check_same_algebra(self, other: "QuotientElement"):
         if self.algebra is not other.algebra:
             raise ValueError("elements live in different algebras")
@@ -198,9 +195,6 @@ class QuotientAlgebra:
         self.quiver._check_vertex(source)
         self.quiver._check_vertex(target)
         return sum(1 for p in self.basis if p.source == source and p.target == target)
-
-    def graded_dimensions(self) -> list[int]:
-        return [len(layer) for layer in self.basis_by_degree]
 
     def one(self) -> QuotientElement:
         return QuotientElement(

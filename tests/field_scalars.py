@@ -1,10 +1,10 @@
 """Field scalars with operator arithmetic: the tests' reference for the
-numeric oracle, which computes on integers (``e6._Scaled`` over Q, ``int``
+numeric oracle, which computes on integers (``oracle._Scaled`` over Q, ``int``
 residues over GF(p)).
 
 ``RationalScalars`` and ``PrimeFieldScalars`` bundle a field's conversion,
 one and random draw; ``random_element`` makes the RNG calls of
-``e6._draw_theta`` for one free theta.
+``oracle._draw_theta`` for one free theta.
 """
 
 import random

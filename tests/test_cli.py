@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import preproj
-from preproj import cli, e6
+from preproj import cli, e6, oracle
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
 from preproj.e6 import VerificationReport, sample_check
 from preproj.quotient import QuotientAlgebra
@@ -122,6 +122,13 @@ def test_admissible_rejects_degree_one(capsys):
     code, _, err = invoke(capsys, "admissible", "x + x*y")
     assert code == 2
     assert "rad^2" in err
+
+
+@pytest.mark.parametrize("text,word", [("t1*x*y", "xy"), ("x*y + t2*x*y*x", "xyx")])
+def test_admissible_symbolic_coefficient_is_a_usage_error(capsys, text, word):
+    code, out, err = invoke(capsys, "admissible", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: coefficient of [{word}] in f is not a number at 1:1\n"
 
 
 def _python(*args, timeout=None):
@@ -413,6 +420,14 @@ def test_basis_constants_unwritable_path_is_a_usage_error(tmp_path, capsys, monk
         assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_basis_constants_failed_write_is_a_usage_error(capsys):
+    # /dev/full opens for writing, and every write to it fails with ENOSPC
+    code, out, err = invoke(capsys, "basis", "--algebra", "re6", "--constants", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
 def test_sample_command(capsys):
     code, out, _ = invoke(capsys, "sample", "--seed", "5", "--trials", "3")
     assert code == 0
@@ -605,7 +620,7 @@ PINNED_FAILING_SAMPLES = {
 
 @pytest.mark.parametrize("args", list(PINNED_FAILING_SAMPLES), ids=lambda a: " ".join(a) or "Q")
 def test_failing_sample_residuals_are_pinned(capsys, monkeypatch, args):
-    monkeypatch.setattr(e6, "_word_vector", _doubled_word(e6._word_vector, ("a3",)))
+    monkeypatch.setattr(oracle, "_word_vector", _doubled_word(oracle._word_vector, ("a3",)))
     code, out, _ = invoke(capsys, "sample", "--seed", "7", "--trials", "4", *args, "--json")
     checks = json.loads(out)["checks"]
     assert code == 1 and len(checks) == 4

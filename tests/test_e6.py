@@ -1,5 +1,6 @@
 """Tests for the E6 layer: algebras, admissibility, and verifications."""
 
+import ast
 import random
 import re
 from collections import Counter
@@ -9,42 +10,44 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engine_helpers import printed_inverse_mismatches
 from field_scalars import GF, PrimeFieldScalars, RationalScalars
-from preproj import e6
+from preproj import derivation, e6, oracle
+from preproj.derivation import verify_identities
 from preproj.e6 import (
     CONSTRAINED_THETA,
     FREE_THETA,
-    GeneratorScalars,
     _element_from_symbols,
-    _draw_theta,
-    _generator_vectors,
-    _integer_theta,
     admissibility_residual,
     as_free_element,
     build_pe6,
     build_re6,
     constraint_residuals,
-    constraint_theta2,
-    constraint_theta6,
     corner_embedding,
     deformed_relations,
     derived_constants,
     inverse_formula_terms,
     is_admissible,
     lemma_coefficients,
-    primed_generator_terms,
     primed_generators,
-    printed_inverse_mismatches,
     sample_check,
     substituted_generators,
     theorem_residuals,
     verify_corner_iso,
-    verify_identities,
     verify_inverse,
     verify_lemma,
     verify_theorem,
 )
 from preproj.freealg import FreeElement, GeneratorMap, generators
+from preproj.oracle import (
+    GeneratorScalars,
+    _draw_theta,
+    _generator_vectors,
+    _integer_theta,
+    constraint_theta2,
+    constraint_theta6,
+    primed_generator_terms,
+)
 from preproj.polyring import Poly
 from preproj.quiver import Path, Quiver, builtin_quiver
 from preproj.quotient import QuotientAlgebra, build_quotient
@@ -546,7 +549,7 @@ def generic_relation_residuals(theta, scalars):
     x, y = prod("b0", "a0"), prod("b2", "a2")
     loops = {"x": x, "y": y}
     f = {}
-    for value, word in zip(theta, e6.THETA_MONOMIALS):
+    for value, word in zip(theta, oracle.THETA_MONOMIALS):
         vec = loops[word[0]]
         for letter in word[1:]:
             vec = algebra.product(vec, loops[letter])
@@ -579,7 +582,9 @@ def test_integer_oracle_matches_the_generic_product_on_field_scalars(field):
         if trial % 2:
             # break a constraint, so that residuals are nonzero too
             theta[1 if trial % 4 == 1 else 5] += scalars.one()
-        residuals, y = e6.numeric_relation_residuals(integer_theta(theta, scalars), scalars.p)
+        residuals, y = oracle.numeric_relation_residuals(
+            algebra, integer_theta(theta, scalars), scalars.p
+        )
         got = (
             [(name, field_vector(algebra, vec, scalars)) for name, vec in residuals],
             {"b2'*a2'": field_vector(algebra, y, scalars)},
@@ -598,10 +603,10 @@ def test_numeric_oracle_hashes_no_path(monkeypatch, field):
     assert sample_check(seed=3, trials=1, field=field).passed
     calls = Counter()
     returned = []
-    oracle = e6.numeric_relation_residuals
+    original = e6.numeric_relation_residuals
 
-    def traced(theta, p):
-        result = oracle(theta, p)
+    def traced(algebra, theta, p):
+        result = original(algebra, theta, p)
         returned.append(result)
         return result
 
@@ -612,6 +617,7 @@ def test_numeric_oracle_hashes_no_path(monkeypatch, field):
 
         return wrapper
 
+    # set on e6, where sample_check looks the name up, as the benchmark's tracer does
     monkeypatch.setattr(e6, "numeric_relation_residuals", traced)
     monkeypatch.setattr(Path, "__hash__", counting(Path.__hash__))
     assert sample_check(seed=4, trials=3, field=field).passed
@@ -655,7 +661,9 @@ def test_numeric_oracle_uses_no_symbolic_arithmetic(monkeypatch, field):
 
     for cls, name in symbolic_arithmetic:
         monkeypatch.setattr(cls, name, forbidden(f"{cls.__name__}.{name}"))
-    residuals, y_vec = e6.numeric_relation_residuals(_draw_theta(random.Random(8), field), field)
+    residuals, y_vec = oracle.numeric_relation_residuals(
+        build_pe6(), _draw_theta(random.Random(8), field), field
+    )
     assert all(not coords for _, (coords, _) in residuals) and y_vec[0]
     report = sample_check(seed=9, trials=1, field=field)
     assert report.passed, [c.residual for c in report.checks]
@@ -664,6 +672,91 @@ def test_numeric_oracle_uses_no_symbolic_arithmetic(monkeypatch, field):
     for (cls, name), use in symbolic_arithmetic.items():
         with pytest.raises(AssertionError, match=f"called {cls.__name__}.{name}$"):
             use()
+
+
+# the modules of the symbolic pipeline and of the layers above the oracle,
+# and the two ways a quotient algebra reduces a general element
+SYMBOLIC_MODULES = {"polyring", "freealg", "expr", "e6", "derivation", "cli"}
+SYMBOLIC_CALLS = {"normal_form", "multiply"}
+
+
+def package_imports(tree) -> set:
+    """The ``preproj`` modules that the import statements of ``tree`` name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "preproj":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import polyring
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "preproj" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def names_used(tree) -> set:
+    """Every name, attribute, imported name and string constant in ``tree``,
+    so that ``getattr(algebra, "normal_form")`` counts as well."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def imports_inside_functions(tree) -> list[int]:
+    """Line numbers of the import statements inside a function of ``tree``."""
+    return sorted(
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def module_tree(module):
+    with open(module.__file__, encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
+def test_numeric_oracle_imports_nothing_of_the_symbolic_pipeline():
+    """The oracle's independence, read off its source: unlike the patch
+    test above, this also covers code that the warm-up leaves cached."""
+    tree = module_tree(oracle)
+    imported = package_imports(tree)
+    assert "quotient" in imported
+    assert not imported & SYMBOLIC_MODULES
+    assert not names_used(tree) & SYMBOLIC_CALLS
+    for module in (e6, oracle, derivation):
+        assert imports_inside_functions(module_tree(module)) == [], module.__name__
+    # not vacuous: each helper finds what it looks for
+    planted = ast.parse(
+        "from .polyring import Poly\n"
+        "import preproj.freealg\n"
+        "from . import expr\n"
+        "from preproj.e6 import build_pe6\n"
+        "def f(a, x):\n"
+        "    from .derivation import verify_identities\n"
+        "    return a.normal_form(x), getattr(a, 'multiply')\n"
+    )
+    assert package_imports(planted) == {"polyring", "freealg", "expr", "e6", "derivation"}
+    assert names_used(planted) >= SYMBOLIC_CALLS
+    assert imports_inside_functions(planted) == [6]
 
 
 CHANGE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
@@ -775,7 +868,7 @@ def test_integer_constants_over_q_match_the_fraction_bundle(free, seed):
 
 
 def test_scaled_values_over_different_bases_do_not_mix():
-    a, b = e6._Scaled(1, 1, 6), e6._Scaled(1, 1, 10)
+    a, b = oracle._Scaled(1, 1, 6), oracle._Scaled(1, 1, 10)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b):
         with pytest.raises(ValueError, match="bases 6 and 10"):
             op()
@@ -885,7 +978,7 @@ def test_sample_check_reduces_no_generator_word_per_trial(monkeypatch):
     # with every structure constant cached, a reduce_path call can only
     # come from a generator word
     algebra.precompute_structure_constants()
-    e6._word_vector.cache_clear()
+    oracle._word_vector.cache_clear()
     calls = Counter()
 
     def counting(name, fn):
@@ -975,6 +1068,16 @@ def test_integer_certificate():
     assert len(cert) == 1 and cert[0].passed
 
 
+def test_integer_certificate_fails_at_a_non_integral_point():
+    # the seven relations still vanish; only the certificate reads the
+    # coefficients of the substituted relations, here halves
+    t1 = Fraction(1, 2)
+    theta = (t1, constraint_theta2(t1, 0), 0, 0, 0, constraint_theta6(t1, 0, 0, 0), 0, 0, 0)
+    report = verify_theorem(theta)
+    assert [c.passed for c in report.checks] == [True] * 7 + [False]
+    assert "integer certificate" in report.checks[-1].name
+
+
 def test_integer_certificate_fails_on_a_pivot_other_than_one():
     # 2*x*y - 3*y*x eliminates y*x with the pivot 3, leaving y*x = 2/3 * x*y
     quiver = builtin_quiver("L2")
@@ -984,11 +1087,11 @@ def test_integer_certificate_fails_on_a_pivot_other_than_one():
         quiver, [x * x, y * y, (x * y).scale(2) - (y * x).scale(3)], name="L2/(2xy - 3yx)"
     )
     assert algebra.reduce_path(quiver.path("y", "x")) == {quiver.path("x", "y"): Fraction(2, 3)}
-    assert e6._reduction_is_integral(algebra) is False
+    assert oracle._reduction_is_integral(algebra) is False
     # every word, even one whose own normal form is integral, is refused
     with pytest.raises(ValueError, match="L2/\\(2xy - 3yx\\) has non-integral normal forms"):
-        e6._word_vector(algebra, ("x", "y"))
-    assert e6._reduction_is_integral(build_pe6()) is True
+        oracle._word_vector(algebra, ("x", "y"))
+    assert oracle._reduction_is_integral(build_pe6()) is True
 
 
 def test_theorem_residuals_expose_images():
