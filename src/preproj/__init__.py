@@ -31,7 +31,7 @@ from .expr import parse, parse_element, format_element
 from .freealg import FreeElement, GeneratorMap, generators
 from .polyring import Poly
 from .quiver import Path, Quiver, builtin_quiver
-from .quotient import QuotientAlgebra, QuotientElement, RelationSet, build_quotient
+from .quotient import QuotientAlgebra, QuotientElement, build_quotient
 
 __all__ = [
     "CONSTRAINED_THETA",
@@ -43,7 +43,6 @@ __all__ = [
     "Quiver",
     "QuotientAlgebra",
     "QuotientElement",
-    "RelationSet",
     "admissibility_residual",
     "as_free_element",
     "build_pe6",

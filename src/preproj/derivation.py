@@ -36,7 +36,6 @@ from .e6 import (
     primed_generators,
 )
 from .freealg import FreeElement, GeneratorMap, generators
-from .oracle import _reduction_is_integral
 from .quiver import builtin_quiver
 
 
@@ -462,7 +461,7 @@ def run_derivation_catalog(theta: Sequence) -> VerificationReport:
         "integer certificate (catalog coefficients are integral)",
         lambda: (
             all(e.has_integral_coefficients() for e in catalog_elements)
-            and _reduction_is_integral(pe6),
+            and pe6.integral,
             None,
         ),
     )

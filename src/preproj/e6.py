@@ -43,11 +43,11 @@ from .oracle import (
     _draw_theta,
     _equals_vector,
     _integer_theta,
-    _reduction_is_integral,
     _scalar_text,
     _vec_text,
     constraint_theta2,
     constraint_theta6,
+    generator_terms,
     numeric_relation_residuals,
     primed_generator_terms,
 )
@@ -156,14 +156,18 @@ CONSTRAINED_THETA = (
 )
 
 
+def _path_sum(quiver: Quiver, terms: Iterable) -> FreeElement:
+    """The sum of coeff * path(*names) over the (coeff, names) pairs of ``terms``."""
+    total = FreeElement.zero(quiver)
+    for coeff, names in terms:
+        total = total + FreeElement.from_path(quiver.path(*names)).scale(coeff)
+    return total
+
+
 def as_free_element(theta: Sequence) -> FreeElement:
     """f = sum theta_i * (i-th rad^2 basis word) on the two-loop quiver."""
-    quiver = builtin_quiver("L2")
-    total = FreeElement.zero(quiver)
-    for value, word in zip(theta, THETA_MONOMIALS, strict=True):
-        # each letter of the word names an arrow of L2
-        total = total + FreeElement.from_path(quiver.path(*word)).scale(value)
-    return total
+    # each letter of a word names an arrow of L2
+    return _path_sum(builtin_quiver("L2"), zip(theta, THETA_MONOMIALS, strict=True))
 
 
 # -- derived constants ---------------------------------------------------------
@@ -185,25 +189,17 @@ def derived_constants(theta: Sequence) -> GeneratorScalars:
 def primed_generators(s: GeneratorScalars) -> dict[str, FreeElement]:
     """The substituted generators a2', b2', ..., b4' as free elements on E6."""
     quiver = builtin_quiver("E6")
-    primed = {}
-    for name, terms in primed_generator_terms(s).items():
-        total = FreeElement.zero(quiver)
-        for coeff, names in terms:
-            total = total + FreeElement.from_path(quiver.path(*names)).scale(coeff)
-        primed[name] = total
-    return primed
+    return {name: _path_sum(quiver, terms) for name, terms in primed_generator_terms(s).items()}
 
 
 def substituted_generators(theta: Sequence) -> GeneratorMap:
     """The change of generators of pe6 at an admissible theta (checked by
     ``derived_constants``)."""
     quiver = builtin_quiver("E6")
-    bindings = {
-        name: FreeElement.from_path(quiver.path(name)) for name in
-        ("a0", "b0", "a1", "b1")
-    }
-    bindings.update(primed_generators(derived_constants(theta)))
-    return GeneratorMap(quiver, quiver, bindings)
+    terms = generator_terms(derived_constants(theta))
+    return GeneratorMap(
+        quiver, quiver, {name: _path_sum(quiver, t) for name, t in terms.items()}
+    )
 
 
 def inverse_formula_terms(s: GeneratorScalars, mode: str) -> dict[str, list]:
@@ -484,10 +480,10 @@ def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
     terms of length below N, the nilpotency degree, so the certificate
     covers those terms; the dropped ones lie in J^N, which is contained in
     the ideal of relations.  It still holds over Z, so the identities hold
-    over any coefficient ring: every reduction-table coefficient is an
-    integer (``_reduction_is_integral``) and every pivot of the elimination
-    that built the table is +1 or -1, so reducing an integral relation
-    divides by nothing.
+    over any coefficient ring: pe6 is ``integral``, that is, its relations
+    have integer coefficients and every pivot of the elimination that built
+    the table is +1 or -1, so reducing an integral relation divides by
+    nothing (see ``build_quotient``).
     """
     report = VerificationReport("theorem", "pe6")
     rows = _theorem_rows(theta)
@@ -504,7 +500,7 @@ def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
         "integer certificate (substituted relations have integer coefficients)",
         lambda: (
             all(image.has_integral_coefficients() for image in images)
-            and _reduction_is_integral(build_pe6()),
+            and build_pe6().integral,
             None,
         ),
     )

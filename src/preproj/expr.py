@@ -37,7 +37,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .freealg import FreeElement
-from .polyring import NVARS, Poly
+from .polyring import NVARS, Poly, monomial_text, signed_sum
 from .quiver import Path, Quiver, compose
 
 ARROW_IDENTS = {f"a{i}" for i in range(5)} | {f"b{i}" for i in range(5)} | {"x", "y"}
@@ -494,40 +494,24 @@ def parse_element(text: str, quiver: Quiver) -> FreeElement:
 
 def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
     """(negative, text) where text is '' for a plain unit coefficient."""
-    if poly.is_rational():
-        value = poly.as_rational()
-        negative = value < 0
-        mag = abs(value)
-        return negative, "" if mag == 1 else str(mag)
-    if len(poly.terms) == 1:
-        ((exp, coeff),) = poly.terms.items()
-        negative = coeff < 0
-        mag = abs(coeff)
-        factors = [] if mag == 1 else [str(mag)]
-        for i, e in enumerate(exp):
-            if e == 1:
-                factors.append(f"t{i + 1}")
-            elif e > 1:
-                factors.append(f"t{i + 1}^{e}")
-        if negative and factors and "^" in factors[0]:
-            # "- t1^2*..." would re-parse as (-t1)^2; force "- 1*t1^2*..."
-            factors.insert(0, "1")
-        return negative, "*".join(factors)
-    return False, f"({poly})"
+    if len(poly.terms) != 1:
+        return False, f"({poly})"
+    ((exp, coeff),) = poly.terms.items()
+    negative = coeff < 0
+    text = monomial_text(exp, abs(coeff))
+    if text == "1":
+        return negative, ""
+    if negative and "^" in text.split("*", 1)[0]:
+        # "- t1^2*..." would re-parse as (-t1)^2; force "- 1*t1^2*..."
+        text = "1*" + text
+    return negative, text
 
 
 def format_element(element: FreeElement) -> str:
     """Canonical text: terms by (length, path-lex), '*' separated factors."""
-    if element.is_zero():
-        return "0"
-    parts = []
-    for path, coeff in element.sorted_terms():
+
+    def term(path: Path, coeff: Poly) -> tuple[bool, str]:
         negative, prefix = _coefficient_prefix(coeff)
-        body = str(path)
-        if prefix:
-            body = f"{prefix}*{body}"
-        if not parts:
-            parts.append(f"- {body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(parts)
+        return negative, f"{prefix}*{path}" if prefix else str(path)
+
+    return signed_sum(term(path, coeff) for path, coeff in element.sorted_terms())

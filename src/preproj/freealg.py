@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .polyring import Poly
+from .polyring import Poly, power
 from .quiver import Arrow, Path, Quiver, compose
 
 
@@ -212,37 +212,17 @@ class FreeElement:
     def power(self, n: int, below: int | None = None) -> "FreeElement":
         """The n-th power, dropping paths of length ``below`` or more (see ``mul``).
 
-        Square and multiply (Knuth, TAOCP vol. 2, 4.6.3): the result is the
-        product of the squares x^(2^i) over the set bits i of n, so it takes
-        at most 2*log2(n) products, and it stops once the result or the
-        squared base is zero.  Sound because kQ is associative, so any
-        bracketing of x*...*x gives x^n, and because dropping the paths of
-        length ``below`` or more is a ring map kQ -> kQ/J^below, so
-        truncating the base and every partial product gives the truncation
-        of x^n.  The first factor is the truncated base itself, not a
-        product with ``one``.
+        By square and multiply (``polyring.power``) on the truncated base.
+        Sound because dropping the paths of length ``below`` or more is a
+        ring map kQ -> kQ/J^below, so truncating the base and every partial
+        product gives the truncation of x^n.
         """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        if n == 0:
-            return FreeElement.one(self.quiver)
         base = self
         if below is not None:
             base = FreeElement._unchecked(
                 self.quiver, {p: c for p, c in self.terms.items() if len(p) < below}
             )
-        result = None
-        while True:
-            if n & 1:
-                result = base if result is None else result.mul(base, below)
-                if not result:
-                    return result
-            n >>= 1
-            if not n:
-                return result
-            base = base.mul(base, below)
-            if not base:
-                return base
+        return power(base, n, lambda a, b: a.mul(b, below), FreeElement.one(self.quiver))
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):

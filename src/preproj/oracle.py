@@ -18,11 +18,12 @@ in, so that every name the oracle may use appears in its import lines:
     admissibility constraints;
   * ``GeneratorScalars``: the named constants of the change of
     generators, over any commutative scalar ring;
-  * ``primed_generator_terms``: the terms of the substituted generators;
-  * ``_scalar_text`` and ``_reduction_is_integral``: how a report writes
-    a scalar, and whether an algebra's normal forms are integral;
+  * ``generator_terms`` and ``primed_generator_terms``: the terms of the
+    change of generators, all ten images and the six substituted ones;
+  * ``_scalar_text``: how a report writes a scalar;
   * pe6 as built, passed in as an argument: its basis, the reduced
-    generator words and its structure constants.
+    generator words, its structure constants and ``integral``, whether
+    its build divided by nothing but +1 and -1.
 
 The module imports ``quotient`` for the algebra's type and nothing of
 the symbolic arithmetic (``polyring``, ``freealg``, ``expr``) or of the
@@ -229,6 +230,15 @@ def primed_generator_terms(s: GeneratorScalars) -> dict[str, list]:
     }
 
 
+def generator_terms(s: GeneratorScalars) -> dict[str, list]:
+    """The terms of every arrow's image under the change of generators:
+    a0, b0, a1 and b1 map to themselves, the others as in
+    ``primed_generator_terms``."""
+    terms = {name: [(1, (name,))] for name in ("a0", "b0", "a1", "b1")}
+    terms.update(primed_generator_terms(s))
+    return terms
+
+
 def _scalar_text(num: int, den: int, p: int | None) -> str:
     """The value num/den as a report writes it: over Q the reduced
     fraction, as ``str`` of a ``Fraction`` writes it; over GF(p), where den
@@ -236,18 +246,6 @@ def _scalar_text(num: int, den: int, p: int | None) -> str:
     if p is None:
         return str(Fraction(num, den))
     return f"{num} (mod {p})"
-
-
-@lru_cache(maxsize=None)
-def _reduction_is_integral(algebra: QuotientAlgebra) -> bool:
-    """Whether every normal form in the algebra's table has integer
-    coefficients; then so has every structure constant.  Checked once per
-    algebra (the table never changes once built)."""
-    return all(
-        c.denominator == 1
-        for row in algebra.reduction.values()
-        for c in row.values()
-    )
 
 
 # -- the numeric pipeline -----------------------------------------------------------
@@ -371,10 +369,10 @@ def _integer_theta(theta: Sequence, p: int | None) -> list:
 # The oracle's vectors are pairs (coords, den): ``int`` coordinates keyed
 # by basis index over one positive ``int`` denominator, so no field scalar
 # and no path is made per product.  Why this is exact:
-#   * every normal form of pe6 has integer coefficients (checked once per
-#     algebra, ``_word_vector``), so every structure constant is an
-#     ``int`` and ``QuotientAlgebra.product`` maps integer vectors to
-#     integer vectors;
+#   * pe6's build divided by nothing but +1 and -1 (``integral``, read by
+#     ``_word_vector``), so every normal form has integer coefficients,
+#     every structure constant is an ``int``, and
+#     ``QuotientAlgebra.product`` maps integer vectors to integer vectors;
 #   * over Q a vector's value is coords/den exactly: a product multiplies
 #     the denominators, and a sum brings both sides to the lcm of theirs;
 #   * over GF(p) the denominator is 1 and every scalar an ``int``: Z ->
@@ -391,11 +389,14 @@ def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict[int, 
 
     Sound to cache: an algebra's reduction table never changes once built,
     and the key holds the algebra as well as the word.  Raises ValueError
-    when the algebra has a non-integral normal form, where the integer
-    oracle does not apply.  Callers must not change the returned dict.
+    unless the algebra is ``integral`` (see ``build_quotient``): the
+    integer oracle applies only where reduction divides by nothing.
+    Callers must not change the returned dict.
     """
-    if not _reduction_is_integral(algebra):
-        raise ValueError(f"{algebra.name} has non-integral normal forms")
+    if not algebra.integral:
+        raise ValueError(
+            f"{algebra.name} has a non-integral relation or a pivot other than +1 or -1"
+        )
     index = algebra.basis_index
     path = algebra.quiver.path(*names)
     return {index[b]: c.numerator for b, c in algebra.reduce_path(path).items()}
@@ -448,14 +449,9 @@ def _generator_vectors(
     ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int``,
     ``Fraction`` or ``_Scaled`` constants over Q (``p`` None).
     """
-    terms = {name: [(1, (name,))] for name in ("a0", "b0", "a1", "b1")}
-    terms.update(primed_generator_terms(s))
     return {
-        name: _vec_sum(
-            ((coeff, (_word_vector(algebra, names), 1)) for coeff, names in generator_terms),
-            p,
-        )
-        for name, generator_terms in terms.items()
+        name: _vec_sum(((coeff, (_word_vector(algebra, names), 1)) for coeff, names in terms), p)
+        for name, terms in generator_terms(s).items()
     }
 
 

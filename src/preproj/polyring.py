@@ -10,6 +10,7 @@ Only ring arithmetic, evaluation and zero-testing are provided.  No factorizatio
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Union
@@ -197,19 +198,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        """The n-th power by repeated squaring (see ``FreeElement.power``)."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        if n == 0:
-            return Poly.const(1)
-        base, result = self, None
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        """The n-th power by repeated squaring (see ``power``)."""
+        return power(self, n, operator.mul, Poly.const(1))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -301,25 +291,9 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(VAR_NAMES[i])
-                elif e > 1:
-                    factors.append(f"{VAR_NAMES[i]}^{e}")
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(f"- {body}" if coeff < 0 else body)
-            else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(parts)
+        return signed_sum(
+            (coeff < 0, monomial_text(exp, abs(coeff))) for exp, coeff in self.sorted_terms()
+        )
 
 
 def _coerce(value):
@@ -328,3 +302,55 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return NotImplemented
+
+
+def power(base, n: int, mul, one):
+    """``base`` to the n-th power, the products taken by ``mul(a, b)``.
+
+    Square and multiply (Knuth, TAOCP vol. 2, 4.6.3): the result is the
+    product of the squares base^(2^i) over the set bits i of n, so it
+    takes at most 2*log2(n) products.  Sound for any associative ``mul``,
+    because then every bracketing of base*...*base gives base^n.  ``one``
+    is the result for n = 0; otherwise the first factor is the base
+    itself, not a product with ``one``.  It stops as soon as the result
+    or the squared base is zero (false), since every later product with a
+    zero factor is zero again.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    if n == 0:
+        return one
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+            if not result:
+                return result
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
+        if not base:
+            return base
+
+
+def monomial_text(exp: Exponent, magnitude: Fraction) -> str:
+    """``magnitude * t^exp`` as '*'-separated factors: the magnitude first,
+    left out when it is 1 and a factor follows, then ``t<i>`` or
+    ``t<i>^<e>`` for each indeterminate in ascending order."""
+    factors = [
+        VAR_NAMES[i] if e == 1 else f"{VAR_NAMES[i]}^{e}" for i, e in enumerate(exp) if e
+    ]
+    if magnitude != 1 or not factors:
+        factors.insert(0, str(magnitude))
+    return "*".join(factors)
+
+
+def signed_sum(terms) -> str:
+    """The (negative, text) pairs of ``terms`` as one signed sum: '- ' before
+    every negative term, '+ ' before every later positive one, joined by
+    spaces; '0' when there is no term."""
+    parts = []
+    for negative, text in terms:
+        parts.append(f"- {text}" if negative else f"+ {text}" if parts else text)
+    return " ".join(parts) if parts else "0"

@@ -29,49 +29,22 @@ because the ideal itself is rational.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .freealg import FreeElement
-from .polyring import Poly
+from .polyring import Poly, power
 from .quiver import Path, Quiver, compose
 
 Row = dict  # monomial (Path or arrow tuple) -> Fraction, single degree
 
-DEFAULT_MAX_DEGREE = 64
+# the build gives up when no degree up to this one vanishes
+MAX_DEGREE = 64
 
 # the normal form of every path the reduction table does not hold
 _NO_TERMS: Mapping = MappingProxyType({})
-
-
-class RelationSet:
-    """Validated homogeneous relations generating a two-sided ideal.
-
-    Every relation must have purely rational coefficients and all its
-    monomials must share source, target and length.  Zero relations are
-    dropped; duplicates are harmless.
-    """
-
-    def __init__(self, quiver: Quiver, relations: Iterable[FreeElement]):
-        self.quiver = quiver
-        rows: list[Row] = []
-        for rel in relations:
-            if rel.quiver is not quiver:
-                raise ValueError("relation lives on a different quiver")
-            if rel.is_zero():
-                continue
-            if not rel.has_rational_coefficients():
-                raise ValueError(f"relation {rel} has non-rational coefficients")
-            if not rel.is_endpoint_homogeneous():
-                raise ValueError(f"relation {rel} is not endpoint-homogeneous")
-            if not rel.is_degree_homogeneous():
-                raise ValueError(f"relation {rel} is not degree-homogeneous")
-            degree = rel.max_length()
-            if degree == 0:
-                raise ValueError(f"relation {rel} has degree 0")
-            rows.append({p: c.as_rational() for p, c in rel.terms.items()})
-        self.rows = rows
 
 
 class QuotientElement:
@@ -137,12 +110,8 @@ class QuotientElement:
         return NotImplemented
 
     def __pow__(self, n: int) -> "QuotientElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.algebra.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        """The n-th power by repeated squaring (``polyring.power``)."""
+        return power(self, n, operator.mul, self.algebra.one())
 
     def __eq__(self, other):
         if not isinstance(other, QuotientElement):
@@ -171,17 +140,18 @@ class QuotientAlgebra:
         self,
         name: str,
         quiver: Quiver,
-        relations: RelationSet,
         basis_by_degree: list[list[Path]],
         reduction: dict[Path, dict[Path, Fraction]],
         nilpotency_degree: int,
+        integral: bool,
     ):
         self.name = name
         self.quiver = quiver
-        self.relations = relations
         self.basis_by_degree = basis_by_degree
         self.reduction = reduction
         self.nilpotency_degree = nilpotency_degree
+        # True when the build divided by nothing (see ``build_quotient``)
+        self.integral = integral
         self.basis: list[Path] = [p for deg in basis_by_degree for p in deg]
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self._structure: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
@@ -342,8 +312,12 @@ def _add_multiple(row: Row, factor, other: Mapping) -> None:
             row.pop(p, None)
 
 
-def _insert_row(pivots: dict, row: Row):
-    """Reduce a row against current pivots and record it if nonzero."""
+def _insert_row(pivots: dict, row: Row) -> Fraction | None:
+    """Reduce a row against current pivots and record it if nonzero.
+
+    Returns the pivot, the lead coefficient the recorded row was divided
+    by, or None when the row reduced to zero.
+    """
     while row:
         lead = max(row)
         pivot_row = pivots.get(lead)
@@ -352,8 +326,9 @@ def _insert_row(pivots: dict, row: Row):
             if coeff != 1:
                 row = {p: c / coeff for p, c in row.items()}
             pivots[lead] = row
-            return
+            return coeff
         _add_multiple(row, -row.pop(lead), pivot_row)
+    return None
 
 
 def _back_substitute(pivots: dict):
@@ -369,11 +344,37 @@ def _back_substitute(pivots: dict):
             _add_multiple(tail, -tail.pop(p), pivots[p])
 
 
+def _relation_rows(quiver: Quiver, relations: Sequence[FreeElement]) -> dict[int, list]:
+    """The relations as (target vertex, row over arrow-index words), by degree.
+
+    Every relation must lie on ``quiver``, have rational coefficients and
+    be homogeneous: all its monomials share source, target and a length
+    of at least 1.  Zero relations are dropped; duplicates are harmless.
+    """
+    by_degree: dict[int, list[tuple[int, Row]]] = {}
+    for rel in relations:
+        if rel.quiver is not quiver:
+            raise ValueError("relation lives on a different quiver")
+        if rel.is_zero():
+            continue
+        if not rel.has_rational_coefficients():
+            raise ValueError(f"relation {rel} has non-rational coefficients")
+        if not rel.is_endpoint_homogeneous():
+            raise ValueError(f"relation {rel} is not endpoint-homogeneous")
+        if not rel.is_degree_homogeneous():
+            raise ValueError(f"relation {rel} is not degree-homogeneous")
+        degree = rel.max_length()
+        if degree == 0:
+            raise ValueError(f"relation {rel} has degree 0")
+        target = next(iter(rel.terms)).target
+        by_degree.setdefault(degree, []).append(
+            (target, {p.arrows: c.as_rational() for p, c in rel.terms.items()})
+        )
+    return by_degree
+
+
 def build_quotient(
-    quiver: Quiver,
-    relations: RelationSet | Sequence[FreeElement],
-    name: str = "quotient",
-    max_degree: int = DEFAULT_MAX_DEGREE,
+    quiver: Quiver, relations: Sequence[FreeElement], name: str = "quotient"
 ) -> QuotientAlgebra:
     """Construct basis, reduction table and nilpotency degree of the quotient.
 
@@ -410,20 +411,26 @@ def build_quotient(
     table lacks to zero: below N its normal form is zero, and from N on
     the path lies in the ideal.
 
-    Raises ValueError if no vanishing degree is found below ``max_degree``;
+    The algebra records as ``integral`` whether every relation coefficient
+    is an integer and every pivot, the lead coefficient a recorded row is
+    divided by, is +1 or -1.  Then every row of the build is integral, by
+    induction on the degree: an image row is an integer combination of
+    integral normal forms, reducing it against a pivot row adds an integer
+    multiple of an integral row, and dividing by +1 or -1 keeps it
+    integral.  So every normal form and every structure constant is an
+    integer, and reducing an element with integer coefficients divides by
+    nothing.
+
+    Raises ValueError if no vanishing degree is found up to ``MAX_DEGREE``;
     the quotient is then not visibly finite-dimensional and this engine
     does not apply.
     """
-    if not isinstance(relations, RelationSet):
-        relations = RelationSet(quiver, relations)
+    by_degree = _relation_rows(quiver, relations)
+    integral = all(
+        c.denominator == 1 for rows in by_degree.values() for _, row in rows for c in row.values()
+    )
     arrows = quiver.arrows
     into = {v: quiver.arrows_into(v) for v in quiver.vertices}
-    by_degree: dict[int, list[tuple[int, Row]]] = {}
-    for row in relations.rows:
-        first = next(iter(row))
-        by_degree.setdefault(len(first), []).append(
-            (first.target, {p.arrows: c for p, c in row.items()})
-        )
 
     basis_by_degree: list[list[Path]] = [[quiver.idempotent(v) for v in quiver.vertices]]
     basis_paths: dict[tuple, Path] = {}
@@ -450,7 +457,7 @@ def build_quotient(
             return {word: Fraction(1)}
         return {word[:1] + b: c for b, c in normal_form(word[1:]).items()}
 
-    for degree in range(1, max_degree + 1):
+    for degree in range(1, MAX_DEGREE + 1):
         pivots: dict[tuple, Row] = {}
         for g, rows in by_degree.items():
             if g > degree:
@@ -460,7 +467,9 @@ def build_quotient(
                     image: Row = {}
                     for p, c in row.items():
                         _add_multiple(image, c, project(p + b))
-                    _insert_row(pivots, image)
+                    pivot = _insert_row(pivots, image)
+                    if pivot is not None and abs(pivot) != 1:
+                        integral = False
         _back_substitute(pivots)
 
         basis_words: list[tuple] = []
@@ -487,7 +496,7 @@ def build_quotient(
         starting_at.append(by_source)
     else:
         raise ValueError(
-            f"no vanishing degree up to {max_degree}; "
+            f"no vanishing degree up to {MAX_DEGREE}; "
             "the quotient does not appear to be finite-dimensional"
         )
 
@@ -513,4 +522,4 @@ def build_quotient(
                 quiver, w, arrows[w[0]].source, arrows[w[-1]].target
             )
             reduction[path] = {basis_paths[b]: c for b, c in nf.items()}
-    return QuotientAlgebra(name, quiver, relations, basis_by_degree, reduction, degree)
+    return QuotientAlgebra(name, quiver, basis_by_degree, reduction, degree, integral)

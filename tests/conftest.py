@@ -43,11 +43,14 @@ def _full_path_build(quiver, relations, max_degree=64):
     The slow path of ``build_quotient``: at degree d the ideal is spanned
     by arrow * (ideal row of degree d - 1) and relation * path, and all
     paths of degree d are the columns.  Tails are reduced by substituting
-    pivots until none is left.
+    pivots until none is left.  ``relations`` are free elements with
+    rational coefficients, each homogeneous.
     """
     by_degree = {}
-    for row in relations.rows:
-        by_degree.setdefault(len(next(iter(row))), []).append(row)
+    for relation in relations:
+        if relation.terms:
+            row = {p: c.as_rational() for p, c in relation.terms.items()}
+            by_degree.setdefault(len(next(iter(row))), []).append(row)
     reduction, basis, previous = {}, [], {}
     vertices = quiver.vertices
     for degree in range(max_degree + 1):

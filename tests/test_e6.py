@@ -46,6 +46,7 @@ from preproj.oracle import (
     _integer_theta,
     constraint_theta2,
     constraint_theta6,
+    generator_terms,
     primed_generator_terms,
 )
 from preproj.polyring import Poly
@@ -465,12 +466,10 @@ def fresh_generator_vectors(algebra, s, one):
     ``s`` is multiplied by ``one``, the field's one, so that the ``int``
     unit coefficient is read in the field too."""
     quiver = algebra.quiver
-    terms = {name: [(1, (name,))] for name in ("a0", "b0", "a1", "b1")}
-    terms.update(primed_generator_terms(s))
     vectors = {}
-    for name, generator_terms in terms.items():
+    for name, terms in generator_terms(s).items():
         coords = {}
-        for coeff, names in generator_terms:
+        for coeff, names in terms:
             coeff = one * coeff
             for b, c in algebra.reduce_path(quiver.path(*names)).items():
                 coords[b] = coords[b] + coeff * c if b in coords else coeff * c
@@ -1087,11 +1086,43 @@ def test_integer_certificate_fails_on_a_pivot_other_than_one():
         quiver, [x * x, y * y, (x * y).scale(2) - (y * x).scale(3)], name="L2/(2xy - 3yx)"
     )
     assert algebra.reduce_path(quiver.path("y", "x")) == {quiver.path("x", "y"): Fraction(2, 3)}
-    assert oracle._reduction_is_integral(algebra) is False
+    assert algebra.integral is False
     # every word, even one whose own normal form is integral, is refused
-    with pytest.raises(ValueError, match="L2/\\(2xy - 3yx\\) has non-integral normal forms"):
+    with pytest.raises(
+        ValueError, match="L2/\\(2xy - 3yx\\) has a non-integral relation or a pivot other"
+    ):
         oracle._word_vector(algebra, ("x", "y"))
-    assert oracle._reduction_is_integral(build_pe6()) is True
+    assert build_pe6().integral is True
+    assert build_re6().integral is True
+
+
+def test_integer_certificate_fails_on_an_integral_table_with_pivot_two():
+    # 2*x*y eliminates x*y with the pivot 2: every normal form is integral
+    # (x*y reduces to 0), yet over GF(2) x*y is not zero in this algebra
+    quiver = builtin_quiver("L2")
+    g = generators(quiver)
+    x, y = g["x"], g["y"]
+    algebra = build_quotient(quiver, [x * x, y * y, (x * y).scale(2)], name="L2/(2xy)")
+    assert algebra.reduce_path(quiver.path("x", "y")) == {}
+    assert all(
+        c.denominator == 1 for row in algebra.reduction.values() for c in row.values()
+    )
+    assert algebra.integral is False
+    with pytest.raises(ValueError, match="L2/\\(2xy\\) has a non-integral relation"):
+        oracle._word_vector(algebra, ("y", "x"))
+
+
+def test_integer_certificate_fails_on_a_non_integral_relation():
+    # every pivot is 1 and every normal form integral (zero), but the
+    # relation y*x + x*y/2 is not integral
+    quiver = builtin_quiver("L2")
+    g = generators(quiver)
+    x, y = g["x"], g["y"]
+    algebra = build_quotient(
+        quiver, [x * x, y * y, x * y, y * x + (x * y).scale(Fraction(1, 2))]
+    )
+    assert algebra.dimension() == 3 and not algebra.reduction.get(quiver.path("y", "x"))
+    assert algebra.integral is False
 
 
 def test_theorem_residuals_expose_images():

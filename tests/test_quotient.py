@@ -9,25 +9,31 @@ compared table for table with an elimination over every path (the
 checked against the Etingof-Eu Hilbert series.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from engine_helpers import graded_dimensions, map_coefficients
 from field_scalars import PrimeFieldScalars
+import preproj
 from preproj import quotient
 from preproj.e6 import build_pe6, build_re6, pe6_relations
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import Arrow, Quiver, builtin_quiver, compose
-from preproj.quotient import DEFAULT_MAX_DEGREE, RelationSet, build_quotient
+from preproj.quotient import build_quotient
 
 L2 = builtin_quiver("L2")
 GL = generators(L2)
 X, Y = GL["x"], GL["y"]
+RE6_RELATIONS = [X * X, Y * Y * Y, (X + Y) ** 3]
 
 
 def two_arrow_quiver():
@@ -57,10 +63,11 @@ def test_re6_dimension_and_nilpotency():
     assert graded_dimensions(alg) == [1, 2, 3, 3, 2, 1]
 
 
-def brute_force_ideal_rank(relations: RelationSet, degree: int, rational_rank) -> int:
+def brute_force_ideal_rank(relations, degree: int, rational_rank) -> int:
     """Rank of span{u*r*v} via plain elimination; independent oracle."""
     rows = []
-    for row in relations.rows:
+    for relation in relations:
+        row = {p: c.as_rational() for p, c in relation.terms.items()}
         gdeg = len(next(iter(row)))
         src = next(iter(row)).source
         tgt = next(iter(row)).target
@@ -75,10 +82,9 @@ def brute_force_ideal_rank(relations: RelationSet, degree: int, rational_rank) -
 
 
 def test_re6_graded_dimensions_against_brute_force_ideal(rational_rank):
-    relations = RelationSet(L2, [X * X, Y * Y * Y, (X + Y) ** 3])
     alg = build_re6()
     for degree in range(2, 7):
-        rank = brute_force_ideal_rank(relations, degree, rational_rank)
+        rank = brute_force_ideal_rank(RE6_RELATIONS, degree, rational_rank)
         expected_dim = 2 ** degree - rank
         got = graded_dimensions(alg)[degree] if degree < alg.nilpotency_degree else 0
         assert got == expected_dim
@@ -150,6 +156,61 @@ def test_qe_mul_matches_free_reduction():
             L2, {rng.choice(paths): Poly.const(rng.randint(-4, 4)) for _ in range(2)}
         )
         assert alg.normal_form(a) * alg.normal_form(b) == alg.normal_form(a * b)
+
+
+def repeated_multiply(element, k):
+    """Slow path of ``QuotientElement.__pow__``: k products from the identity."""
+    algebra = element.algebra
+    result = algebra.one()
+    for _ in range(k):
+        result = algebra.multiply(result, element)
+    return result
+
+
+@pytest.mark.parametrize("idempotent", [False, True], ids=["radical", "with-idempotent"])
+@pytest.mark.parametrize("build", [build_re6, build_pe6], ids=["re6", "pe6"])
+def test_quotient_power_matches_repeated_multiply(build, idempotent):
+    alg = build()
+    rng = random.Random(29)
+    radical = [p for p in alg.basis if len(p)]
+    for _ in range(4):
+        coords = {
+            b: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+            for b in rng.sample(radical, rng.randint(1, 3))
+        }
+        if idempotent:
+            coords[rng.choice(alg.basis_by_degree[0])] = Fraction(rng.choice([-2, -1, 1, 2]))
+        a = alg.element({p: Poly.const(c) for p, c in coords.items()})
+        for k in range(alg.nilpotency_degree + 2):
+            assert a ** k == repeated_multiply(a, k), (k, str(a))
+
+
+def test_quotient_power_rejects_a_negative_exponent():
+    x = build_re6().normal_form(X)
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        x ** -1
+
+
+_NILPOTENT_POWER = """
+from preproj.e6 import build_re6
+from preproj.freealg import generators
+
+re6 = build_re6()
+g = generators(re6.quiver)
+assert (re6.normal_form(g["x"] + g["y"]) ** 10**9).is_zero()
+"""
+
+
+def test_power_of_a_nilpotent_element_is_prompt():
+    # (x + y)^6 = 0 in re6: squaring reaches zero after a few products,
+    # where k products from the identity would not finish; the child
+    # process makes a regression fail at the timeout instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(preproj.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _NILPOTENT_POWER],
+        env=env, capture_output=True, text=True, timeout=2,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def by_index(algebra, coords):
@@ -271,7 +332,7 @@ def test_structure_constants_are_ints(build):
 # quiver, relations and number of elimination pivots of each built-in algebra
 ELIMINATIONS = {
     "pe6": (lambda: (builtin_quiver("E6"), pe6_relations()), 150),
-    "re6": (lambda: (L2, [X * X, Y * Y * Y, (X + Y) ** 3]), 13),
+    "re6": (lambda: (L2, RE6_RELATIONS), 13),
 }
 
 
@@ -289,16 +350,21 @@ def test_every_elimination_pivot_is_plus_or_minus_one(monkeypatch, name):
         while probe and (lead := max(probe)) in pivots:
             quotient._add_multiple(probe, -probe.pop(lead), pivots[lead])
         before = len(pivots)
-        insert_row(pivots, row)
+        pivot = insert_row(pivots, row)
         assert len(pivots) == before + bool(probe)
         if probe:
             leads.append(probe[max(probe)])
+            assert pivot == leads[-1]
+        else:
+            assert pivot is None
+        return pivot
 
     relations, count = ELIMINATIONS[name]
     monkeypatch.setattr(quotient, "_insert_row", recording)
-    build_quotient(*relations(), name=name)
+    algebra = build_quotient(*relations(), name=name)
     assert len(leads) == count
     assert {abs(c) for c in leads} == {1}
+    assert algebra.integral is True
 
 
 def assert_table_holds_the_nonzero_rows_of(alg, reduction):
@@ -315,14 +381,23 @@ def assert_table_holds_the_nonzero_rows_of(alg, reduction):
     assert all(len(p) < n and row for p, row in alg.reduction.items()), alg.name
 
 
-def test_tables_stop_below_the_nilpotency_degree(rational_rank, full_path_build):
+def built_algebras():
+    """(algebra, its relations) for pe6, re6 and the two-arrow quotient."""
     q = two_arrow_quiver()
-    a0 = FreeElement.from_path(q.path("a0"))
-    b0 = FreeElement.from_path(q.path("b0"))
-    for alg in (build_pe6(), build_re6(), build_quotient(q, [a0 * b0], name="two-arrow")):
+    g = generators(q)
+    two_arrow = [g["a0"] * g["b0"]]
+    return [
+        (build_pe6(), pe6_relations()),
+        (build_re6(), RE6_RELATIONS),
+        (build_quotient(q, two_arrow, name="two-arrow"), two_arrow),
+    ]
+
+
+def test_tables_stop_below_the_nilpotency_degree(rational_rank, full_path_build):
+    for alg, relations in built_algebras():
         n = alg.nilpotency_degree
         quiver = alg.quiver
-        reduction, _, _ = full_path_build(quiver, alg.relations)
+        reduction, _, _ = full_path_build(quiver, relations)
         assert_table_holds_the_nonzero_rows_of(alg, reduction)
         # paths of length >= N are not in the table and reduce to zero
         longer = [
@@ -332,9 +407,8 @@ def test_tables_stop_below_the_nilpotency_degree(rational_rank, full_path_build)
         ]
         assert longer and all(alg.reduce_path(p) == {} for p in longer)
     # slow path: the whole brute-force ideal fills degrees N and N + 1 of re6
-    relations = RelationSet(L2, [X * X, Y * Y * Y, (X + Y) ** 3])
     for degree in (6, 7):
-        assert brute_force_ideal_rank(relations, degree, rational_rank) == 2 ** degree
+        assert brute_force_ideal_rank(RE6_RELATIONS, degree, rational_rank) == 2 ** degree
 
 
 def test_dimensions():
@@ -358,10 +432,9 @@ def test_corner_algebra():
 
 
 def test_relations_have_zero_normal_form():
-    for alg in (build_re6(), build_pe6()):
-        for row in alg.relations.rows:
-            e = FreeElement(alg.quiver, {p: Poly.const(c) for p, c in row.items()})
-            assert alg.normal_form(e).is_zero()
+    for alg, relations in built_algebras():
+        for relation in relations:
+            assert alg.normal_form(relation).is_zero()
 
 
 def test_grading_of_products():
@@ -392,19 +465,24 @@ def test_degenerate_relations():
 def test_invalid_relations_rejected():
     t1 = Poly.var(1)
     with pytest.raises(ValueError, match="non-rational"):
-        RelationSet(L2, [X.scale(t1)])
+        build_quotient(L2, [X.scale(t1)])
     with pytest.raises(ValueError, match="degree-homogeneous"):
-        RelationSet(L2, [X + X * X])
+        build_quotient(L2, [X + X * X])
     e6 = builtin_quiver("E6")
     g = generators(e6)
     with pytest.raises(ValueError, match="endpoint-homogeneous"):
-        RelationSet(e6, [g["a0"] * g["b0"] + g["a1"] * g["b1"]])
+        build_quotient(e6, [g["a0"] * g["b0"] + g["a1"] * g["b1"]])
+    with pytest.raises(ValueError, match="different quiver"):
+        build_quotient(e6, [X * X])
+    with pytest.raises(ValueError, match="has degree 0"):
+        build_quotient(L2, [X * X, FreeElement.one(L2)])
 
 
-def test_max_degree_guard():
+def test_max_degree_guard(monkeypatch):
     # K<x,y>/(x*y) is infinite-dimensional: words y^a x^b survive
-    with pytest.raises(ValueError, match="finite-dimensional"):
-        build_quotient(L2, [X * Y], max_degree=8)
+    monkeypatch.setattr(quotient, "MAX_DEGREE", 8)
+    with pytest.raises(ValueError, match="no vanishing degree up to 8; .*finite-dimensional"):
+        build_quotient(L2, [X * Y])
 
 
 def test_associativity_all_re6_triples():
@@ -487,9 +565,11 @@ def test_evaluation_commutes_with_reduction(e, values):
 
 def assert_matches_full_path_elimination(quiver, relations, full_path_build):
     reduction, basis, n = full_path_build(quiver, relations)
-    # max_degree=n keeps a faulty build that misses the vanishing degree
+    # MAX_DEGREE = n keeps a faulty build that misses the vanishing degree
     # from growing without bound
-    alg = build_quotient(quiver, relations, max_degree=n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quotient, "MAX_DEGREE", n)
+        alg = build_quotient(quiver, relations)
     assert_table_holds_the_nonzero_rows_of(alg, reduction)
     assert alg.basis == basis
     assert alg.nilpotency_degree == n
@@ -506,7 +586,6 @@ def test_build_matches_full_path_elimination(which, full_path_build):
         quiver = two_arrow_quiver()
         g = generators(quiver)
         relations = [g["a0"] * g["b0"]]
-    relations = RelationSet(quiver, relations)
     assert_matches_full_path_elimination(quiver, relations, full_path_build)
 
 
@@ -538,7 +617,7 @@ def finite_l2_relations(draw):
 @settings(max_examples=40, deadline=None)
 @given(relations=finite_l2_relations())
 def test_build_matches_full_path_elimination_on_l2(relations, full_path_build):
-    assert_matches_full_path_elimination(L2, RelationSet(L2, relations), full_path_build)
+    assert_matches_full_path_elimination(L2, relations, full_path_build)
 
 
 DYNKIN = [
@@ -597,5 +676,5 @@ def test_infinite_quotient_reaches_the_default_max_degree_quickly():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="finite-dimensional"):
         build_quotient(L2, [X * Y])
-    assert DEFAULT_MAX_DEGREE == 64
+    assert quotient.MAX_DEGREE == 64
     assert time.perf_counter() - start < 5
