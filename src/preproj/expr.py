@@ -509,9 +509,8 @@ def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
 
 def format_element(element: FreeElement) -> str:
     """Canonical text: terms by (length, path-lex), '*' separated factors."""
-
-    def term(path: Path, coeff: Poly) -> tuple[bool, str]:
+    terms = []
+    for path, coeff in element.sorted_terms():
         negative, prefix = _coefficient_prefix(coeff)
-        return negative, f"{prefix}*{path}" if prefix else str(path)
-
-    return signed_sum(term(path, coeff) for path, coeff in element.sorted_terms())
+        terms.append((negative, f"{prefix}*{path}" if prefix else str(path)))
+    return signed_sum(terms)

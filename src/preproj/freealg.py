@@ -222,7 +222,7 @@ class FreeElement:
             base = FreeElement._unchecked(
                 self.quiver, {p: c for p, c in self.terms.items() if len(p) < below}
             )
-        return power(base, n, lambda a, b: a.mul(b, below), FreeElement.one(self.quiver))
+        return power(base, n, lambda a, b: a.mul(b, below), lambda: FreeElement.one(self.quiver))
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):

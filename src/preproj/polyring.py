@@ -199,7 +199,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         """The n-th power by repeated squaring (see ``power``)."""
-        return power(self, n, operator.mul, Poly.const(1))
+        return power(self, n, operator.mul, lambda: Poly.const(1))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -292,7 +292,7 @@ class Poly:
 
     def __str__(self):
         return signed_sum(
-            (coeff < 0, monomial_text(exp, abs(coeff))) for exp, coeff in self.sorted_terms()
+            [(coeff < 0, monomial_text(exp, abs(coeff))) for exp, coeff in self.sorted_terms()]
         )
 
 
@@ -310,16 +310,16 @@ def power(base, n: int, mul, one):
     Square and multiply (Knuth, TAOCP vol. 2, 4.6.3): the result is the
     product of the squares base^(2^i) over the set bits i of n, so it
     takes at most 2*log2(n) products.  Sound for any associative ``mul``,
-    because then every bracketing of base*...*base gives base^n.  ``one``
-    is the result for n = 0; otherwise the first factor is the base
-    itself, not a product with ``one``.  It stops as soon as the result
-    or the squared base is zero (false), since every later product with a
-    zero factor is zero again.
+    because then every bracketing of base*...*base gives base^n.  For
+    n = 0 the result is ``one()``, the identity, made only then; otherwise
+    the first factor is the base itself, not a product with the identity.
+    It stops as soon as the result or the squared base is zero (false),
+    since every later product with a zero factor is zero again.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a non-negative integer")
     if n == 0:
-        return one
+        return one()
     result = None
     while True:
         if n & 1:

@@ -111,7 +111,7 @@ class QuotientElement:
 
     def __pow__(self, n: int) -> "QuotientElement":
         """The n-th power by repeated squaring (``polyring.power``)."""
-        return power(self, n, operator.mul, self.algebra.one())
+        return power(self, n, operator.mul, self.algebra.one)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientElement):

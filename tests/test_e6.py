@@ -1067,6 +1067,16 @@ def test_integer_certificate():
     assert len(cert) == 1 and cert[0].passed
 
 
+def test_integer_certificate_reads_whether_pe6_is_integral(monkeypatch):
+    # the substituted relations stay integral; only the fact of the build fails
+    monkeypatch.setattr(build_pe6(), "integral", False)
+    report = verify_theorem()
+    assert [c.passed for c in report.checks] == [True] * 7 + [False]
+    assert "integer certificate" in report.checks[-1].name
+    cert = [c for c in verify_identities().checks if "integer certificate" in c.name]
+    assert len(cert) == 1 and not cert[0].passed
+
+
 def test_integer_certificate_fails_at_a_non_integral_point():
     # the seven relations still vanish; only the certificate reads the
     # coefficients of the substituted relations, here halves

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preproj.e6 import lemma_coefficients
-from preproj.polyring import _ZERO_EXP, NVARS, Poly
+from preproj.polyring import _ZERO_EXP, NVARS, Poly, power
 
 T = [None] + [Poly.var(i) for i in range(1, 10)]
 
@@ -243,6 +243,33 @@ def repeated_product(poly, k):
     for _ in range(k):
         result = result * poly
     return result
+
+
+def test_power_takes_the_products_of_square_and_multiply():
+    # integers mod 64, where 2 is nilpotent: 2^6 = 0
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % 64
+
+    # the base itself is the first factor; 3^5 = 3 * 3^4
+    assert power(3, 5, mul, None) == 3 ** 5 % 64
+    assert calls == [(3, 3), (9, 9), (3, 17)]
+    calls.clear()
+    # 2^14 = 2^2 * 2^4 * 2^8 stops at the zero product 2^2 * 2^4
+    assert power(2, 14, mul, None) == 0
+    assert calls == [(2, 2), (4, 4), (4, 16)]
+    calls.clear()
+    # and at the first zero square, 2^8, whatever the exponent
+    assert power(2, 2 ** 40, mul, None) == 0
+    assert calls == [(2, 2), (4, 4), (16, 16)]
+    calls.clear()
+    assert power(2, 0, mul, lambda: "one") == "one" and power(7, 1, mul, None) == 7
+    assert calls == []
+    for n in (-1, 1.0):
+        with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+            power(2, n, mul, None)
 
 
 @settings(max_examples=30, deadline=None)

@@ -185,12 +185,6 @@ def test_quotient_power_matches_repeated_multiply(build, idempotent):
             assert a ** k == repeated_multiply(a, k), (k, str(a))
 
 
-def test_quotient_power_rejects_a_negative_exponent():
-    x = build_re6().normal_form(X)
-    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
-        x ** -1
-
-
 _NILPOTENT_POWER = """
 from preproj.e6 import build_re6
 from preproj.freealg import generators
@@ -483,6 +477,13 @@ def test_max_degree_guard(monkeypatch):
     monkeypatch.setattr(quotient, "MAX_DEGREE", 8)
     with pytest.raises(ValueError, match="no vanishing degree up to 8; .*finite-dimensional"):
         build_quotient(L2, [X * Y])
+    # re6 vanishes in degree 6, so the guard takes it at 6 and not at 5
+    assert build_quotient(L2, RE6_RELATIONS).nilpotency_degree == 6
+    monkeypatch.setattr(quotient, "MAX_DEGREE", 6)
+    assert build_quotient(L2, RE6_RELATIONS).nilpotency_degree == 6
+    monkeypatch.setattr(quotient, "MAX_DEGREE", 5)
+    with pytest.raises(ValueError, match="no vanishing degree up to 5"):
+        build_quotient(L2, RE6_RELATIONS)
 
 
 def test_associativity_all_re6_triples():
