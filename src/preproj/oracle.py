@@ -22,8 +22,8 @@ in, so that every name the oracle may use appears in its import lines:
     change of generators, all ten images and the six substituted ones;
   * ``_scalar_text``: how a report writes a scalar;
   * pe6 as built, passed in as an argument: its basis, the reduced
-    generator words, its structure constants and ``integral``, whether
-    its build divided by nothing but +1 and -1.
+    generator words, its structure constants and ``integral``: whether
+    its relations are integral and every pivot of its build is +1 or -1.
 
 The module imports ``quotient`` for the algebra's type and nothing of
 the symbolic arithmetic (``polyring``, ``freealg``, ``expr``) or of the
@@ -369,8 +369,8 @@ def _integer_theta(theta: Sequence, p: int | None) -> list:
 # The oracle's vectors are pairs (coords, den): ``int`` coordinates keyed
 # by basis index over one positive ``int`` denominator, so no field scalar
 # and no path is made per product.  Why this is exact:
-#   * pe6's build divided by nothing but +1 and -1 (``integral``, read by
-#     ``_word_vector``), so every normal form has integer coefficients,
+#   * pe6 is ``integral`` (integral relations, every pivot +1 or -1; read
+#     by ``_word_vector``), so every normal form has integer coefficients,
 #     every structure constant is an ``int``, and
 #     ``QuotientAlgebra.product`` maps integer vectors to integer vectors;
 #   * over Q a vector's value is coords/den exactly: a product multiplies

@@ -150,7 +150,7 @@ class QuotientAlgebra:
         self.basis_by_degree = basis_by_degree
         self.reduction = reduction
         self.nilpotency_degree = nilpotency_degree
-        # True when the build divided by nothing (see ``build_quotient``)
+        # integral relations, every pivot +1 or -1 (see ``build_quotient``)
         self.integral = integral
         self.basis: list[Path] = [p for deg in basis_by_degree for p in deg]
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
