@@ -388,9 +388,9 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
     stay ``Poly`` scalars, and a product scales the product of its other
     factors by them.  This is exact because scalars are central in kQ and
     c*x = (c*1)*x, 1 the identity; a scalar becomes c*1 only where it is
-    added to an element.  A run of arrows and idempotents in a product is
-    one path, formed by ``compose``; the other products are
-    ``FreeElement.mul``.
+    added to an element, and 1 is built at most once per call.  A run of
+    arrows and idempotents in a product is one path, formed by
+    ``compose``; the other products are ``FreeElement.mul``.
 
     Powers are formed by repeated squaring, so x^n builds x^(2^k) for
     2^k <= n.  The product of the exponents along any chain of nested
@@ -412,12 +412,17 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
     arrow_names = {a.name for a in quiver.arrows}
     idem_names = {f"e{v}": v for v in quiver.vertices}
 
+    identity = None  # built on the first scalar that becomes an element
+
     def element(value) -> FreeElement:
+        nonlocal identity
         if isinstance(value, FreeElement):
             return value
         if isinstance(value, Path):
             return FreeElement.from_path(value)
-        return FreeElement.one(quiver).scale(value)
+        if identity is None:
+            identity = FreeElement.one(quiver)
+        return identity.scale(value)
 
     def ev(node):
         """A ``Poly`` scalar, a ``Path`` or a ``FreeElement``."""
@@ -471,15 +476,24 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
         if isinstance(node, Sum):
             values = [(sign, ev(part)) for sign, part in node.parts]
             if all(isinstance(value, Poly) for _, value in values):
-                result = Poly.zero()
-                for sign, value in values:
+                (sign, result), *rest = values
+                result = result if sign > 0 else -result
+                for sign, value in rest:
                     result = result + value if sign > 0 else result - value
                 return result
-            result = FreeElement.zero(quiver)
+            # one dict for all parts, accumulated as in ``FreeElement.__add__``
+            terms: dict = {}
             for sign, value in values:
-                value = element(value)
-                result = result + (value if sign > 0 else -value)
-            return result
+                for path, coeff in element(value).terms.items():
+                    coeff = coeff if sign > 0 else -coeff
+                    acc = terms.get(path)
+                    if acc is None:
+                        terms[path] = coeff
+                    elif acc := acc + coeff:
+                        terms[path] = acc
+                    else:
+                        del terms[path]
+            return FreeElement._unchecked(quiver, terms)
         raise TypeError(f"unexpected AST node {node!r}")
 
     return element(ev(ast))

@@ -81,9 +81,14 @@ class FreeElement:
 
     @staticmethod
     def one(quiver: Quiver) -> "FreeElement":
-        """The two-sided identity: the sum of all vertex idempotents."""
-        return FreeElement(
-            quiver, {quiver.idempotent(v): Poly.const(1) for v in quiver.vertices}
+        """The two-sided identity: the sum of all vertex idempotents.
+
+        Built unchecked (see ``_unchecked``): every idempotent is a path on
+        ``quiver``, and every coefficient is the nonzero ``Poly.const(1)``.
+        """
+        unit = Poly.const(1)
+        return FreeElement._unchecked(
+            quiver, {quiver.idempotent(v): unit for v in quiver.vertices}
         )
 
     # -- queries ----------------------------------------------------------------
@@ -134,12 +139,10 @@ class FreeElement:
             acc = out.get(path)
             if acc is None:
                 out[path] = coeff
+            elif acc := acc + coeff:
+                out[path] = acc
             else:
-                acc = acc + coeff
-                if acc:
-                    out[path] = acc
-                else:
-                    del out[path]
+                del out[path]
         return FreeElement._unchecked(self.quiver, out)
 
     def __neg__(self):
@@ -186,12 +189,10 @@ class FreeElement:
                 acc = out.get(pab)
                 if acc is None:
                     out[pab] = ca * cb
+                elif acc := acc + ca * cb:
+                    out[pab] = acc
                 else:
-                    acc = acc + ca * cb
-                    if acc:
-                        out[pab] = acc
-                    else:
-                        del out[pab]
+                    del out[pab]
         return FreeElement._unchecked(self.quiver, out)
 
     def __rmul__(self, other):

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .quotient import QuotientAlgebra
 
@@ -382,24 +383,37 @@ def _integer_theta(theta: Sequence, p: int | None) -> list:
 # Paths reappear only in ``_vec_text``, for the text of a failing trial.
 
 
-@lru_cache(maxsize=None)
+# each algebra's word vectors by arrow names; a table goes when its algebra does
+_WORD_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _word_vector(algebra: QuotientAlgebra, names: tuple[str, ...]) -> dict[int, int]:
     """Integer basis coordinates of the path through the named arrows,
-    keyed by basis index and reduced once.
+    keyed by basis index and reduced once per algebra.
 
     Sound to cache: an algebra's reduction table never changes once built,
-    and the key holds the algebra as well as the word.  Raises ValueError
-    unless the algebra is ``integral`` (see ``build_quotient``): the
-    integer oracle applies only where reduction divides by nothing.
-    Callers must not change the returned dict.
+    and each algebra has a table of its own in ``_WORD_TABLES``, which
+    holds the algebra weakly.  Raises ValueError unless the algebra is
+    ``integral`` (see ``build_quotient``): the integer oracle applies only
+    where reduction divides by nothing.  Callers must not change the
+    returned dict.
     """
+    words = _WORD_TABLES.get(algebra)
+    if words is not None and names in words:
+        return words[names]
     if not algebra.integral:
         raise ValueError(
             f"{algebra.name} has a non-integral relation or a pivot other than +1 or -1"
         )
     index = algebra.basis_index
     path = algebra.quiver.path(*names)
-    return {index[b]: c.numerator for b, c in algebra.reduce_path(path).items()}
+    vector = {index[b]: c.numerator for b, c in algebra.reduce_path(path).items()}
+    _WORD_TABLES.setdefault(algebra, {})[names] = vector
+    return vector
+
+
+# empties every table, as ``cache_clear`` of a functools cache would
+_word_vector.cache_clear = _WORD_TABLES.clear
 
 
 def _vec_sum(terms: Iterable[tuple], p: int | None) -> tuple[dict[int, int], int]:
@@ -447,10 +461,19 @@ def _generator_vectors(
     sum of the constants of ``s`` times the cached word vectors.
 
     ``s`` holds ``int`` constants over GF(p) (``p`` given) and ``int``,
-    ``Fraction`` or ``_Scaled`` constants over Q (``p`` None).
+    ``Fraction`` or ``_Scaled`` constants over Q (``p`` None).  The
+    algebra's word table is looked up once; a word it lacks goes through
+    ``_word_vector``, which reduces and stores it.
     """
+    words = _WORD_TABLES.get(algebra, {})
     return {
-        name: _vec_sum(((coeff, (_word_vector(algebra, names), 1)) for coeff, names in terms), p)
+        name: _vec_sum(
+            [
+                (coeff, (words[names] if names in words else _word_vector(algebra, names), 1))
+                for coeff, names in terms
+            ],
+            p,
+        )
         for name, terms in generator_terms(s).items()
     }
 

@@ -59,12 +59,17 @@ class Poly:
 
         For results of ring arithmetic on polynomials, whose terms are
         already clean: every exponent is a sum of 9-slot tuples, hence a
-        9-slot tuple; every coefficient is a sum or product of Fractions,
-        or a Fraction times an int, hence a Fraction; and the arithmetic
-        drops each coefficient that comes out zero.  A product with a
-        constant operand keeps the other operand's exponents and multiplies
-        each of its coefficients by a nonzero rational, so none comes out
-        zero, because Q is a domain (see ``__mul__``).
+        9-slot tuple, and every coefficient a nonzero Fraction.  Sums
+        accumulate in a dict with no zero seed: the first term at a
+        monomial is stored as it is, because 0 + t = t; a later one stores
+        the sum, or deletes the key when the sum cancels.  A stored term is
+        an operand's coefficient, an immutable Fraction that is safe to
+        share and keeps its type, or a product of two nonzero Fractions, or
+        of a nonzero Fraction and a nonzero int, which is a nonzero
+        Fraction because Q is a domain.  So no zero is ever stored.  A
+        product with a constant operand keeps the other operand's
+        exponents and multiplies each of its coefficients by a nonzero
+        rational, so none comes out zero either (see ``__mul__``).
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", terms)
@@ -124,11 +129,13 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            acc = out.get(exp, Fraction(0)) + coeff
-            if acc:
+            acc = out.get(exp)
+            if acc is None:
+                out[exp] = coeff
+            elif acc := acc + coeff:
                 out[exp] = acc
             else:
-                out.pop(exp, None)
+                del out[exp]
         return Poly._unchecked(out)
 
     __radd__ = __add__
@@ -153,18 +160,20 @@ class Poly:
 
         Two constants, each with the single monomial ``_ZERO_EXP``, give
         ``{_ZERO_EXP: a * b}`` without the loop below.  This is the term the
-        loop computes: (0,...,0) + (0,...,0) = (0,...,0), and
-        ``Fraction(0) + a * b`` equals ``a * b`` and is a ``Fraction`` too.
-        No other product of nonzero polynomials is a constant.
+        loop computes: (0,...,0) + (0,...,0) = (0,...,0), and the loop
+        stores the first product at a monomial as it is (see
+        ``_unchecked``).  No other product of nonzero polynomials is a
+        constant.
 
         One constant operand k, a constant ``Poly`` or a bare ``int`` or
         ``Fraction``, gives {e: c * k} over the other operand's terms c*t^e,
         also without the loop.  This is what the loop computes: e +
         (0,...,0) = e, so the exponents stay those of the other operand and
-        stay distinct, no two products land on one monomial, and each sum
-        ``Fraction(0) + c * k`` is ``c * k``, a ``Fraction`` because c is
-        one.  A zero k gives the zero polynomial; otherwise every c * k is
-        nonzero, since Q is a domain, as ``_unchecked`` requires.
+        stay distinct, no two products land on one monomial, and each is
+        stored as the first term at its monomial: ``c * k``, a ``Fraction``
+        because c is one.  A zero k gives the zero polynomial; otherwise
+        every c * k is nonzero, since Q is a domain, as ``_unchecked``
+        requires.
         """
         a = self.terms
         if isinstance(other, Poly):
@@ -188,11 +197,13 @@ class Poly:
             for eb, cb in other.terms.items():
                 # from a list, not a generator (see ``oracle._vec_sum``)
                 exp = tuple([x + y for x, y in zip(ea, eb)])
-                acc = out.get(exp, Fraction(0)) + ca * cb
-                if acc:
+                acc = out.get(exp)
+                if acc is None:
+                    out[exp] = ca * cb
+                elif acc := acc + ca * cb:
                     out[exp] = acc
                 else:
-                    out.pop(exp, None)
+                    del out[exp]
         return Poly._unchecked(out)
 
     __rmul__ = __mul__

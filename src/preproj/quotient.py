@@ -77,11 +77,13 @@ class QuotientElement:
         self._check_same_algebra(other)
         out = dict(self.coords)
         for p, c in other.coords.items():
-            acc = out.get(p, Poly.zero()) + c
-            if acc:
+            acc = out.get(p)
+            if acc is None:
+                out[p] = c
+            elif acc := acc + c:
                 out[p] = acc
             else:
-                out.pop(p, None)
+                del out[p]
         return QuotientElement(self.algebra, out)
 
     def __neg__(self):
@@ -185,17 +187,24 @@ class QuotientAlgebra:
         return self.reduction.get(path, _NO_TERMS)
 
     def normal_form(self, element: FreeElement) -> QuotientElement:
-        """The unique basis expression of an element's residue class."""
+        """The unique basis expression of an element's residue class.
+
+        The coordinates accumulate with no zero seed (see
+        ``Poly._unchecked``): every ``coeff * c`` is nonzero, a nonzero
+        ``Poly`` times a nonzero table entry, because Q[t1..t9] is a domain.
+        """
         if element.quiver is not self.quiver:
             raise ValueError("element lives on a different quiver")
         coords: dict[Path, Poly] = {}
         for path, coeff in element.terms.items():
             for b, c in self.reduce_path(path).items():
-                acc = coords.get(b, Poly.zero()) + coeff * c
-                if acc:
+                acc = coords.get(b)
+                if acc is None:
+                    coords[b] = coeff * c
+                elif acc := acc + coeff * c:
                     coords[b] = acc
                 else:
-                    coords.pop(b, None)
+                    del coords[b]
         return QuotientElement(self, coords)
 
     def element(self, coords: Mapping[Path, Poly]) -> QuotientElement:

@@ -2,12 +2,16 @@
 
 ``map_coefficients`` applies a map to every coefficient of a free or a
 quotient element, ``graded_dimensions`` lists an algebra's dimension per
-degree, and ``printed_inverse_mismatches`` names the inverse formulas
-that fail as printed.
+degree, ``printed_inverse_mismatches`` names the inverse formulas that
+fail as printed, and ``assert_clean_poly`` checks a polynomial against
+its copy through the checking constructor.
 """
+
+from fractions import Fraction
 
 from preproj.e6 import CONSTRAINED_THETA, INVERSE_ORDER, verify_inverse
 from preproj.freealg import FreeElement
+from preproj.polyring import NVARS, Poly
 from preproj.quotient import QuotientElement
 
 
@@ -27,3 +31,13 @@ def printed_inverse_mismatches(theta=CONSTRAINED_THETA) -> list[str]:
     """Names of inverse formulas that fail verbatim (stable across runs)."""
     report = verify_inverse("printed", theta)
     return [name for name, check in zip(INVERSE_ORDER, report.checks) if not check.passed]
+
+
+def assert_clean_poly(poly):
+    """``poly`` equals its copy through the checking constructor: 9-slot
+    exponent tuples and nonzero ``Fraction`` coefficients only."""
+    assert type(poly) is Poly
+    assert poly.terms == Poly(poly.terms).terms
+    for exp, coeff in poly.terms.items():
+        assert type(exp) is tuple and len(exp) == NVARS
+        assert type(coeff) is Fraction and coeff != 0

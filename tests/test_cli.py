@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import preproj
 from preproj import cli, e6, oracle
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
 from preproj.e6 import VerificationReport, sample_check
+from preproj.polyring import Poly
 from preproj.quotient import QuotientAlgebra
 
 
@@ -31,6 +33,35 @@ def test_verify_lemma(capsys):
     code, out, _ = invoke(capsys, "verify", "lemma")
     assert code == 0
     assert "3/3 passed" in out
+
+
+def test_warm_verify_all_accumulates_without_zero_seeds(capsys, monkeypatch):
+    # a zero seed is a zero Fraction built outside the fractions module,
+    # such as Fraction(0); a sum that cancels is built inside it
+    assert invoke(capsys, "verify", "all")[0] == 0
+    counts = Counter()
+    new, zero = Fraction.__new__, Poly.zero
+
+    def counting_new(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        if sys._getframe(1).f_globals.get("__name__") != "fractions":
+            counts["Fraction"] += 1
+            counts["zero Fraction"] += not value
+        return value
+
+    def counting_zero():
+        counts["Poly.zero"] += 1
+        return zero()
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Poly, "zero", staticmethod(counting_zero))
+    code, _, _ = invoke(capsys, "verify", "all")
+    monkeypatch.undo()
+    assert code == 0
+    # the counters are live: the run builds nonzero Fractions of its own
+    assert counts["Fraction"] > 0
+    assert counts["zero Fraction"] == 0
+    assert counts["Poly.zero"] == 0
 
 
 def test_verify_lemma_json_schema(capsys):
@@ -599,15 +630,13 @@ def test_admissible_json_is_pinned_modulo_timing(capsys, args):
     assert _sha256(_report_without_timings(out)) == PINNED_ADMISSIBLE[args]
 
 
-def _doubled_word(word_vector, word):
-    """``_word_vector`` with the vector of one word doubled, so that the
-    oracle's generators, and with them its residuals, go wrong."""
-
-    def perturbed(algebra, names):
-        vec = word_vector(algebra, names)
-        return {k: 2 * c for k, c in vec.items()} if names == word else vec
-
-    return perturbed
+def _doubled_word(word):
+    """The oracle's word tables with the vector of one word of pe6 doubled,
+    in a copy of its table, so that the oracle's generators, and with them
+    its residuals, go wrong."""
+    algebra = e6.build_pe6()
+    vector = {k: 2 * c for k, c in oracle._word_vector(algebra, word).items()}
+    return {algebra: {**oracle._WORD_TABLES[algebra], word: vector}}
 
 
 # failing trials: the residual text of a nonzero oracle residual, over Q
@@ -620,7 +649,7 @@ PINNED_FAILING_SAMPLES = {
 
 @pytest.mark.parametrize("args", list(PINNED_FAILING_SAMPLES), ids=lambda a: " ".join(a) or "Q")
 def test_failing_sample_residuals_are_pinned(capsys, monkeypatch, args):
-    monkeypatch.setattr(oracle, "_word_vector", _doubled_word(oracle._word_vector, ("a3",)))
+    monkeypatch.setattr(oracle, "_WORD_TABLES", _doubled_word(("a3",)))
     code, out, _ = invoke(capsys, "sample", "--seed", "7", "--trials", "4", *args, "--json")
     checks = json.loads(out)["checks"]
     assert code == 1 and len(checks) == 4

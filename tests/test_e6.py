@@ -1,8 +1,10 @@
 """Tests for the E6 layer: algebras, admissibility, and verifications."""
 
 import ast
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -997,6 +999,21 @@ def test_sample_check_reduces_no_generator_word_per_trial(monkeypatch):
     calls.clear()
     assert sample_check(seed=4, trials=3, field=11).passed
     assert calls["path"] == calls["reduce_path"] == 0
+
+
+def test_word_vectors_do_not_keep_their_algebra_alive():
+    quiver = builtin_quiver("L2")
+    g = generators(quiver)
+    x, y = g["x"], g["y"]
+    algebra = build_quotient(quiver, [x * x, y * y, x * y + y * x], name="L2/(xy + yx)")
+    xy = algebra.basis_index[quiver.path("x", "y")]
+    assert oracle._word_vector(algebra, ("y", "x")) == {xy: -1}
+    # reduced once per algebra: the second call returns the stored vector
+    assert oracle._word_vector(algebra, ("y", "x")) is oracle._word_vector(algebra, ("y", "x"))
+    ref = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert ref() is None
 
 
 def test_sample_check_rejects_constraint_violation():

@@ -266,6 +266,25 @@ def test_scalars_kept_as_scalars_match_the_per_node_evaluator(ast, quiver):
     assert to_element(ast, quiver) == expected
 
 
+@pytest.mark.parametrize("text,identities", [
+    ("1 + x + 2", 1), ("(1 + x)*(2 + y) - t1 + 3*e0", 1), ("x + y - 2*x", 0), ("5", 1),
+    ("t1*t2 - t2 + x", 1), ("(x + 1)^3 + (y - 1)^2", 1),
+])
+def test_to_element_builds_the_identity_at_most_once(monkeypatch, text, identities):
+    built = []
+    one = FreeElement.one
+
+    def counting_one(quiver):
+        built.append(quiver)
+        return one(quiver)
+
+    monkeypatch.setattr(FreeElement, "one", staticmethod(counting_one))
+    result = parse_element(text, L2)
+    assert len(built) == identities
+    monkeypatch.undo()
+    assert result == per_node_element(parse(text), L2)
+
+
 @pytest.mark.parametrize("quiver,text", [
     (L2, "x^65536"), (L2, "(x^256)^256"), (L2, "((y^2)^0)^32768"), (L2, "1^65536*x"),
     (L2, "(-1)^65536*x + 0^65536*y"), (L2, "2^14284*x"), (E6, "(b0*a0)^65536 + a3^1"),

@@ -68,6 +68,17 @@ def test_identity_element():
     assert a * one == a
 
 
+@pytest.mark.parametrize("quiver", [E6, L2], ids=["E6", "L2"])
+def test_identity_equals_its_copy_through_the_checking_constructor(quiver):
+    one = FreeElement.one(quiver)
+    checked = FreeElement(quiver, {quiver.idempotent(v): Poly.const(1) for v in quiver.vertices})
+    assert type(one) is FreeElement and one.quiver is quiver
+    assert one.terms == checked.terms and len(one.terms) == len(quiver.vertices)
+    for path, coeff in one.terms.items():
+        assert path.quiver is quiver and len(path) == 0
+        assert type(coeff) is Poly and coeff.terms == {_ZERO_EXP: Fraction(1)}
+
+
 def corner_map():
     return GeneratorMap(
         L2, E6, {"x": G["b0"] * G["a0"], "y": G["b2"] * G["a2"]}, vertex_map={0: 3}

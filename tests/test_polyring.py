@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engine_helpers import assert_clean_poly as assert_clean
 from preproj.e6 import lemma_coefficients
 from preproj.polyring import _ZERO_EXP, NVARS, Poly, power
 
@@ -216,16 +217,6 @@ def test_evaluate_rejects_a_value_that_is_not_rational():
 # -- arithmetic results against their re-validated copies ------------------------
 
 
-def assert_clean(poly):
-    """``poly`` equals its copy through the checking constructor: 9-slot
-    exponent tuples and nonzero ``Fraction`` coefficients only."""
-    assert type(poly) is Poly
-    assert poly.terms == Poly(poly.terms).terms
-    for exp, coeff in poly.terms.items():
-        assert type(exp) is tuple and len(exp) == NVARS
-        assert type(coeff) is Fraction and coeff != 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(polys(), polys(), st.integers(min_value=-3, max_value=3))
 def test_arithmetic_results_are_clean(a, b, n):
@@ -305,6 +296,39 @@ def test_product_matches_the_term_by_term_product(a, b):
     product = a * b
     assert product.terms == term_by_term_product(a, b)
     assert_clean(product)
+
+
+# -- sums and products that cancel: against the zero-seeded loops ----------------
+
+
+def zero_seeded_sum(a, b):
+    """Slow path of ``Poly.__add__``: the terms of b added one by one to a
+    copy of a's, each from ``Fraction(0)`` when a lacks its monomial, and
+    every zero sum dropped."""
+    out = dict(a.terms)
+    for exp, coeff in b.terms.items():
+        acc = out.get(exp, Fraction(0)) + coeff
+        if acc:
+            out[exp] = acc
+        else:
+            out.pop(exp, None)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), polys(), polys())
+def test_sums_and_products_that_cancel_match_the_zero_seeded_loops(a, b, c):
+    # a + (b - a) and (a + b) + (-a) cancel every term of a; the cross
+    # terms of (a + c) * (a - c) and the products with b - b cancel
+    for x, y in ((a, b - a), (a + b, -a), (a, -a), (a - c, c - b), (a, b)):
+        assert_clean(y)
+        assert (x + y).terms == zero_seeded_sum(x, y)
+        assert_clean(x + y)
+    for x, y in ((a + c, a - c), (a - b, a + b), (a + b, c - b), (a, b - b)):
+        assert (x * y).terms == term_by_term_product(x, y)
+        assert_clean(x * y)
+    assert (a + (b - a)).terms == b.terms
+    assert not a + (-a)
 
 
 nonzero_fractions = st.fractions(max_denominator=10**12).filter(bool)

@@ -9,6 +9,7 @@ compared table for table with an elimination over every path (the
 checked against the Etingof-Eu Hilbert series.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_helpers import graded_dimensions, map_coefficients
+from engine_helpers import assert_clean_poly, graded_dimensions, map_coefficients
 from field_scalars import PrimeFieldScalars
 import preproj
 from preproj import quotient
@@ -559,6 +560,94 @@ def test_evaluation_commutes_with_reduction(e, values):
     assert map_coefficients(alg.normal_form(e), ev) == alg.normal_form(
         map_coefficients(e, ev)
     )
+
+
+# -- normal forms and sums that cancel: against the zero-seeded loops -------------
+
+
+def zero_seeded_normal_form(alg, element):
+    """Slow path of ``QuotientAlgebra.normal_form``: every coordinate summed
+    from ``Poly.zero()``, each zero sum dropped."""
+    coords = {}
+    for path, coeff in element.terms.items():
+        for b, c in alg.reduce_path(path).items():
+            acc = coords.get(b, Poly.zero()) + coeff * c
+            if acc:
+                coords[b] = acc
+            else:
+                coords.pop(b, None)
+    return coords
+
+
+def zero_seeded_quotient_sum(u, v):
+    """Slow path of ``QuotientElement.__add__``: the coordinates of v added
+    one by one to a copy of u's, each from ``Poly.zero()`` when u lacks
+    its path, and every zero sum dropped."""
+    out = dict(u.coords)
+    for p, c in v.coords.items():
+        acc = out.get(p, Poly.zero()) + c
+        if acc:
+            out[p] = acc
+        else:
+            out.pop(p, None)
+    return out
+
+
+ALGEBRAS = {"pe6": build_pe6, "re6": build_re6}
+
+
+@functools.cache
+def overlapping_paths(name):
+    """The paths of nonzero normal form in ``name``, grouped by source,
+    target and length, in groups of two or more: the reductions of one
+    group lie in one graded corner, so they share basis paths."""
+    groups = {}
+    for p in ALGEBRAS[name]().reduction:
+        groups.setdefault((p.source, p.target, len(p)), []).append(p)
+    return [sorted(g, key=lambda p: p.key) for g in groups.values() if len(g) > 1]
+
+
+@st.composite
+def overlapping_elements(draw, name):
+    """Elements of ``name``'s quiver on one to four paths of one group of
+    ``overlapping_paths``, with rational or polynomial coefficients."""
+    group = draw(st.sampled_from(overlapping_paths(name)))
+    paths = draw(st.lists(st.sampled_from(group), min_size=1, max_size=4, unique=True))
+    coeffs = st.one_of(st.builds(Poly.const, small_fractions.filter(bool)), small_polys)
+    return FreeElement(ALGEBRAS[name]().quiver, {p: draw(coeffs) for p in paths})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(sorted(ALGEBRAS)))
+def test_normal_forms_that_cancel_match_the_zero_seeded_loop(data, name):
+    alg = ALGEBRAS[name]()
+    a = data.draw(overlapping_elements(name))
+    b = data.draw(overlapping_elements(name))
+    lift_a, lift_b = alg.normal_form(a).lift(), alg.normal_form(b).lift()
+    # a - NF(a) and a + b - NF(b) cancel coordinates inside the loop
+    for e in (a, a + b, a - a, a - lift_a, a + (b - lift_b)):
+        nf = alg.normal_form(e)
+        assert nf.coords == zero_seeded_normal_form(alg, e)
+        for coeff in nf.coords.values():
+            assert_clean_poly(coeff)
+    assert alg.normal_form(a - lift_a).is_zero()
+    assert alg.normal_form(a + (b - lift_b)) == alg.normal_form(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(sorted(ALGEBRAS)))
+def test_quotient_sums_that_cancel_match_the_zero_seeded_loop(data, name):
+    alg = ALGEBRAS[name]()
+    u = alg.normal_form(data.draw(overlapping_elements(name)))
+    v = alg.normal_form(data.draw(overlapping_elements(name)))
+    # u + (-u) and u + (v - u) cancel every coordinate of u
+    for x, y in ((u, v), (u, -u), (u, v - u), (u + v, -v)):
+        total = x + y
+        assert total.coords == zero_seeded_quotient_sum(x, y)
+        for coeff in total.coords.values():
+            assert_clean_poly(coeff)
+    assert (u + (-u)).is_zero()
+    assert u + (v - u) == v
 
 
 # -- the basis-driven build against its slow path and the Hilbert series -----
