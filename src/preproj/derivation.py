@@ -23,6 +23,7 @@ the vertex-4 relation b3*a3 + a4*b4 is established.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .e6 import (
@@ -50,11 +51,23 @@ def verify_identities(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport
 
 
 def run_derivation_catalog(theta: Sequence) -> VerificationReport:
+    """The catalog's checks, in order, each building its elements inside
+    its own timed span: ``zero``, ``chain`` and ``equal`` pass thunks to
+    ``VerificationReport.run_zero`` and ``run_equal_nf``.
+
+    The set-up several checks share is built once, on first use
+    (``functools.cache``), and charged to the first check that reads it:
+    the derived constants and the primed generators to "a2'*b2' =
+    a2*b2", each displayed expansion to the first link of its chain, and
+    f(x, y) and f(x, b2'*a2') to the first link of the f chain.  Only the
+    loops x, y, z at the exceptional vertex, three products of two arrows,
+    are built before the first check.
+    """
     report = VerificationReport("identities", "pe6")
     pe6 = build_pe6()
     re6 = build_re6()
     quiver = pe6.quiver
-    s = derived_constants(theta)
+    n = pe6.nilpotency_degree
 
     g = generators(quiver)
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
@@ -64,37 +77,26 @@ def run_derivation_catalog(theta: Sequence) -> VerificationReport:
     y = b2 * a2
     z = a3 * b3
 
-    primed = primed_generators(s)
-    a2p, b2p = primed["a2"], primed["b2"]
-    a3p, b3p = primed["a3"], primed["b3"]
-    a4p, b4p = primed["a4"], primed["b4"]
+    constants = cache(lambda: derived_constants(theta))
+    primed_all = cache(lambda: primed_generators(constants()))
 
-    th1, th2, th3, th4, th5 = s.th1, s.th2, s.th3, s.th4, s.th5
-    th6, th7, th8, th9 = s.th6, s.th7, s.th8, s.th9
-    phi = th3 - th1
-    psi = s.psi
-    alpha, beta, gamma = s.alpha, s.beta, s.gamma
-
-    # f is expanded modulo paths of length >= N (see FreeElement.mul)
-    f_free = as_free_element(theta)
-    n = pe6.nilpotency_degree
-    f_xy = corner_embedding()(f_free, below=n)
-    f_xyp = GeneratorMap(
-        builtin_quiver("L2"),
-        quiver,
-        {"x": x, "y": b2p * a2p},
-        vertex_map={0: 3},
-    )(f_free, below=n)
+    def primed(name: str) -> FreeElement:
+        """The primed generator ``name'``."""
+        return primed_all()[name]
 
     def chain(label: str, algebra, expressions):
-        for k in range(len(expressions) - 1):
-            suffix = "" if len(expressions) == 2 else f" [step {k + 1}]"
+        """One check per link expressions[k] - expressions[k+1].  Each entry
+        is a thunk, built once, in the first link that reads it."""
+        built = [cache(e) for e in expressions]
+        for k in range(len(built) - 1):
+            suffix = "" if len(built) == 2 else f" [step {k + 1}]"
             report.run_zero(
-                f"{label}{suffix}", algebra, expressions[k] - expressions[k + 1]
+                f"{label}{suffix}", algebra, lambda k=k: built[k]() - built[k + 1]()
             )
 
-    def zero(label: str, algebra, element):
-        report.run_zero(label, algebra, element)
+    zero = report.run_zero
+    equal = report.run_equal_nf
+    zero_element = lambda: FreeElement.zero(quiver)  # noqa: E731
 
     # ---- rewriting identities inside re6 (basis-B derivation) ----
     lg = generators(re6.quiver)
@@ -102,365 +104,483 @@ def run_derivation_catalog(theta: Sequence) -> VerificationReport:
     chain(
         "re6: yyx = yyx - (x+y)^3 = -(xyx + xyy + yxy)",
         re6,
-        [ly * ly * lx, ly * ly * lx - (lx + ly) ** 3, -(lx * ly * lx + lx * ly * ly + ly * lx * ly)],
+        [
+            lambda: ly * ly * lx,
+            lambda: ly * ly * lx - (lx + ly) ** 3,
+            lambda: -(lx * ly * lx + lx * ly * ly + ly * lx * ly),
+        ],
     )
     chain(
         "re6: yxyx = -xyyx = xyxy",
         re6,
-        [ly * lx * ly * lx, -(lx * ly * ly * lx), lx * ly * lx * ly],
+        [lambda: ly * lx * ly * lx, lambda: -(lx * ly * ly * lx), lambda: lx * ly * lx * ly],
     )
     chain(
         "re6: yyxy = -(xyxy + yxyy)",
         re6,
-        [ly * ly * lx * ly, -(lx * ly * lx * ly + ly * lx * ly * ly)],
+        [lambda: ly * ly * lx * ly, lambda: -(lx * ly * lx * ly + ly * lx * ly * ly)],
     )
     chain(
         "re6: yyxyy = -yyxyx = yxyyx = -yxyxy = xyyxy = -xyxyy",
         re6,
         [
-            ly * ly * lx * ly * ly,
-            -(ly * ly * lx * ly * lx),
-            ly * lx * ly * ly * lx,
-            -(ly * lx * ly * lx * ly),
-            lx * ly * ly * lx * ly,
-            -(lx * ly * lx * ly * ly),
+            lambda: ly * ly * lx * ly * ly,
+            lambda: -(ly * ly * lx * ly * lx),
+            lambda: ly * lx * ly * ly * lx,
+            lambda: -(ly * lx * ly * lx * ly),
+            lambda: lx * ly * ly * lx * ly,
+            lambda: -(lx * ly * lx * ly * ly),
         ],
     )
 
     # ---- a2'*b2' = a2*b2 and the vertex-2 relation ----
-    chain("a2*b2*a2*b2 = a2*a1*b1*b2 = 0", pe6, [a2 * b2 * a2 * b2, a2 * a1 * b1 * b2, FreeElement.zero(quiver)])
-    zero("a2'*b2' = a2*b2", pe6, a2p * b2p - a2 * b2)
+    chain(
+        "a2*b2*a2*b2 = a2*a1*b1*b2 = 0",
+        pe6,
+        [lambda: a2 * b2 * a2 * b2, lambda: a2 * a1 * b1 * b2, zero_element],
+    )
+    zero("a2'*b2' = a2*b2", pe6, lambda: primed("a2") * primed("b2") - a2 * b2)
     chain(
         "b1*a1 + a2'*b2' = b1*a1 + a2*b2 = 0",
         pe6,
-        [b1 * a1 + a2p * b2p, b1 * a1 + a2 * b2, FreeElement.zero(quiver)],
+        [lambda: b1 * a1 + primed("a2") * primed("b2"), lambda: b1 * a1 + a2 * b2, zero_element],
     )
 
     # ---- b4'*a4' = 0 ----
-    zero("b4*a4 = 0", pe6, b4 * a4)
-    zero("b4'*a4' = 0", pe6, b4p * a4p)
+    zero("b4*a4 = 0", pe6, lambda: b4 * a4)
+    zero("b4'*a4' = 0", pe6, lambda: primed("b4") * primed("a4"))
 
     # ---- preamble facts for the next block ----
-    zero("a4*b4 + b3*a3 = 0", pe6, a4 * b4 + b3 * a3)
-    zero("a0*b0 = 0", pe6, a0 * b0)
-    zero("a2*b2*a2*b2 = 0", pe6, a2 * b2 * a2 * b2)
-    zero("b3*a3*b3*a3 = 0", pe6, b3 * a3 * b3 * a3)
-    zero("a3*b3 + b2*a2 + b0*a0 = 0", pe6, z + y + x)
+    zero("a4*b4 + b3*a3 = 0", pe6, lambda: a4 * b4 + b3 * a3)
+    zero("a0*b0 = 0", pe6, lambda: a0 * b0)
+    zero("a2*b2*a2*b2 = 0", pe6, lambda: a2 * b2 * a2 * b2)
+    zero("b3*a3*b3*a3 = 0", pe6, lambda: b3 * a3 * b3 * a3)
+    zero("a3*b3 + b2*a2 + b0*a0 = 0", pe6, lambda: z + y + x)
 
     # ---- four derived identity chains at vertex 4 ----
     chain(
         "a4*b4*b3*x*a3 = -b3*a3*b3*x*a3 = b3*y*x*a3",
         pe6,
-        [a4 * b4 * b3 * x * a3, -(b3 * a3 * b3 * x * a3), b3 * y * x * a3],
+        [
+            lambda: a4 * b4 * b3 * x * a3,
+            lambda: -(b3 * a3 * b3 * x * a3),
+            lambda: b3 * y * x * a3,
+        ],
     )
     chain(
         "b3*x*a3*a4*b4 = -b3*x*a3*b3*a3 = b3*x*y*a3",
         pe6,
-        [b3 * x * a3 * a4 * b4, -(b3 * x * a3 * b3 * a3), b3 * x * y * a3],
+        [
+            lambda: b3 * x * a3 * a4 * b4,
+            lambda: -(b3 * x * a3 * b3 * a3),
+            lambda: b3 * x * y * a3,
+        ],
     )
     chain(
         "b3*y*x*a3*a4*b4 = -b3*y*x*a3*b3*a3 = b3*y*x*y*a3",
         pe6,
-        [b3 * y * x * a3 * a4 * b4, -(b3 * y * x * a3 * b3 * a3), b3 * y * x * y * a3],
+        [
+            lambda: b3 * y * x * a3 * a4 * b4,
+            lambda: -(b3 * y * x * a3 * b3 * a3),
+            lambda: b3 * y * x * y * a3,
+        ],
     )
     chain(
         "b3*y*x*y*a3 = ... = b3*x*y*x*a3 (signs of steps 5, 6 corrected)",
         pe6,
         [
-            b3 * y * x * y * a3,
-            -(b3 * y * x * a3 * b3 * a3),
-            b3 * y * y * a3 * b3 * a3,
-            -(b3 * y * y * x * a3),
-            b3 * y * a3 * b3 * x * a3,
-            -(b3 * x * a3 * b3 * x * a3),
-            b3 * x * y * x * a3,
+            lambda: b3 * y * x * y * a3,
+            lambda: -(b3 * y * x * a3 * b3 * a3),
+            lambda: b3 * y * y * a3 * b3 * a3,
+            lambda: -(b3 * y * y * x * a3),
+            lambda: b3 * y * a3 * b3 * x * a3,
+            lambda: -(b3 * x * a3 * b3 * x * a3),
+            lambda: b3 * x * y * x * a3,
         ],
     )
-    report.run_equal_nf(
+    equal(
         "printed step b3*y*a3*b3*x*a3 = b3*x*a3*b3*x*a3 is off by 2*[b3*x*y*x*a3]",
         pe6,
-        (b3 * y * a3 * b3 * x * a3) - (b3 * x * a3 * b3 * x * a3),
-        2 * (b3 * x * y * x * a3),
+        lambda: (b3 * y * a3 * b3 * x * a3) - (b3 * x * a3 * b3 * x * a3),
+        lambda: 2 * (b3 * x * y * x * a3),
     )
-    report.run_equal_nf(
+    equal(
         "printed step b3*x*a3*b3*x*a3 = b3*x*y*x*a3 is off by -2*[b3*x*y*x*a3]",
         pe6,
-        (b3 * x * a3 * b3 * x * a3) - (b3 * x * y * x * a3),
-        -2 * (b3 * x * y * x * a3),
+        lambda: (b3 * x * a3 * b3 * x * a3) - (b3 * x * y * x * a3),
+        lambda: -2 * (b3 * x * y * x * a3),
     )
 
     # ---- b3'*a3' expansion ----
-    k_coeff = th4 + th1 ** 2 + 2 * th3 ** 2 - 3 * th1 * th3
-    d1_expr1 = (
-        b3 * a3
-        + (phi + th1 - th3) * (b3 * x * a3)
-        + (alpha + phi * th3) * (b3 * x * y * a3)
-        + (psi + beta) * (b3 * y * x * a3)
-        + (phi * beta) * (b3 * x * y * x * a3)
-        + (th3 * psi) * (b3 * y * x * y * a3)
-        + gamma * (b3 * x * y * x * a3)
-    )
-    d1_big = (
-        th5 * th3 - 2 * th4 * th3 - 2 * th3 ** 3 + 4 * th3 ** 2 * th1
-        - 2 * th1 ** 2 * th3 - th5 * th1 + 2 * th4 * th1 + 2 * th3 ** 2 * th1
-        - 4 * th1 ** 2 * th3 + 2 * th1 ** 3 + th3 * th4 - th3 * th5
-        - th1 * th3 ** 2 + th1 ** 2 * th3
-        + th7 - 8 * th1 * th3 ** 2 + 7 * th1 ** 2 * th3 + 2 * th3 * th4
-        - 2 * th1 ** 3 - 2 * th1 * th4 + 3 * th3 ** 3
-    )
-    d1_expr2 = (
-        b3 * a3
-        + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
-        + d1_big * (b3 * x * y * x * a3)
-    )
-    d1_final_coeff_corrected = (
-        th7 + th3 ** 3 + th3 * th4 - th1 * th5
-        - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
-    )
-    d1_final_coeff_printed = (
-        th7 + th1 ** 3 + th3 * th4 - th1 * th5
-        - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
-    )
-    d1_expr3 = (
-        b3 * a3
-        + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
-        + d1_final_coeff_corrected * (b3 * x * y * x * a3)
-    )
-    chain(
-        "b3'*a3' expansion (final coefficient corrected to t3^3)",
-        pe6,
-        [b3p * a3p, d1_expr1, d1_expr2, d1_expr3],
-    )
-    report.run_equal_nf(
-        "printed b3'*a3' final form differs by (t3^3 - t1^3)*b3*x*y*x*a3",
-        pe6,
-        d1_expr2
-        - (
+    @cache
+    def phi_coefficient():
+        s = constants()
+        return s.th3 - s.th1
+
+    @cache
+    def k_coefficient():
+        s = constants()
+        th1, th3, th4 = s.th1, s.th3, s.th4
+        return th4 + th1 ** 2 + 2 * th3 ** 2 - 3 * th1 * th3
+
+    @cache
+    def b3a3_forms():
+        """The three displayed forms of b3'*a3', the last with its final
+        coefficient corrected to t3^3, and the printed last form."""
+        s = constants()
+        th1, th3, th4, th5, th7 = s.th1, s.th3, s.th4, s.th5, s.th7
+        phi = phi_coefficient()
+        psi, alpha, beta, gamma = s.psi, s.alpha, s.beta, s.gamma
+        k_coeff = k_coefficient()
+        d1_expr1 = (
+            b3 * a3
+            + (phi + th1 - th3) * (b3 * x * a3)
+            + (alpha + phi * th3) * (b3 * x * y * a3)
+            + (psi + beta) * (b3 * y * x * a3)
+            + (phi * beta) * (b3 * x * y * x * a3)
+            + (th3 * psi) * (b3 * y * x * y * a3)
+            + gamma * (b3 * x * y * x * a3)
+        )
+        d1_big = (
+            th5 * th3 - 2 * th4 * th3 - 2 * th3 ** 3 + 4 * th3 ** 2 * th1
+            - 2 * th1 ** 2 * th3 - th5 * th1 + 2 * th4 * th1 + 2 * th3 ** 2 * th1
+            - 4 * th1 ** 2 * th3 + 2 * th1 ** 3 + th3 * th4 - th3 * th5
+            - th1 * th3 ** 2 + th1 ** 2 * th3
+            + th7 - 8 * th1 * th3 ** 2 + 7 * th1 ** 2 * th3 + 2 * th3 * th4
+            - 2 * th1 ** 3 - 2 * th1 * th4 + 3 * th3 ** 3
+        )
+        d1_expr2 = (
+            b3 * a3
+            + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
+            + d1_big * (b3 * x * y * x * a3)
+        )
+        d1_final_coeff_corrected = (
+            th7 + th3 ** 3 + th3 * th4 - th1 * th5
+            - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
+        )
+        d1_final_coeff_printed = (
+            th7 + th1 ** 3 + th3 * th4 - th1 * th5
+            - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
+        )
+        d1_expr3 = (
+            b3 * a3
+            + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
+            + d1_final_coeff_corrected * (b3 * x * y * x * a3)
+        )
+        d1_printed = (
             b3 * a3
             + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
             + d1_final_coeff_printed * (b3 * x * y * x * a3)
-        ),
-        (th3 ** 3 - th1 ** 3) * (b3 * x * y * x * a3),
+        )
+        return d1_expr1, d1_expr2, d1_expr3, d1_printed
+
+    chain(
+        "b3'*a3' expansion (final coefficient corrected to t3^3)",
+        pe6,
+        [
+            lambda: primed("b3") * primed("a3"),
+            lambda: b3a3_forms()[0],
+            lambda: b3a3_forms()[1],
+            lambda: b3a3_forms()[2],
+        ],
+    )
+    equal(
+        "printed b3'*a3' final form differs by (t3^3 - t1^3)*b3*x*y*x*a3",
+        pe6,
+        lambda: b3a3_forms()[1] - b3a3_forms()[3],
+        lambda: (constants().th3 ** 3 - constants().th1 ** 3) * (b3 * x * y * x * a3),
     )
 
     # ---- a4'*b4' expansion ----
-    d2_expr1 = (
-        a4 * b4
-        + s.kappa1 * (b3 * x * a3 * a4 * b4)
-        + (th4 - (th1 - th3) * (2 * th3 - th1)) * (a4 * b4 * b3 * x * a3)
-        + s.kappa2 * (b3 * y * x * a3 * a4 * b4)
+    @cache
+    def a4b4_forms():
+        """The two displayed forms of a4'*b4'."""
+        s = constants()
+        th1, th3, th4 = s.th1, s.th3, s.th4
+        d2_expr1 = (
+            a4 * b4
+            + s.kappa1 * (b3 * x * a3 * a4 * b4)
+            + (th4 - (th1 - th3) * (2 * th3 - th1)) * (a4 * b4 * b3 * x * a3)
+            + s.kappa2 * (b3 * y * x * a3 * a4 * b4)
+        )
+        d2_expr2 = (
+            a4 * b4
+            + (3 * th1 * th3 - th1 ** 2 - 2 * th3 ** 2 - th4) * (b3 * x * y * a3)
+            + k_coefficient() * (b3 * y * x * a3)
+            + s.kappa2 * (b3 * x * y * x * a3)
+        )
+        return d2_expr1, d2_expr2
+
+    chain(
+        "a4'*b4' expansion",
+        pe6,
+        [
+            lambda: primed("a4") * primed("b4"),
+            lambda: a4b4_forms()[0],
+            lambda: a4b4_forms()[1],
+        ],
     )
-    d2_expr2 = (
-        a4 * b4
-        + (3 * th1 * th3 - th1 ** 2 - 2 * th3 ** 2 - th4) * (b3 * x * y * a3)
-        + k_coeff * (b3 * y * x * a3)
-        + s.kappa2 * (b3 * x * y * x * a3)
-    )
-    chain("a4'*b4' expansion", pe6, [a4p * b4p, d2_expr1, d2_expr2])
 
     # ---- vertex-4 relation for the primed generators ----
+    def primed_vertex4():
+        return primed("b3") * primed("a3") + primed("a4") * primed("b4")
+
     chain(
         "b3'*a3' + a4'*b4' = b3*a3 + a4*b4 = 0",
         pe6,
-        [b3p * a3p + a4p * b4p, b3 * a3 + a4 * b4, FreeElement.zero(quiver)],
+        [primed_vertex4, lambda: b3 * a3 + a4 * b4, zero_element],
     )
-    report.run_equal_nf(
+    equal(
         "printed chain with a3*b3 in place of b3*a3 fails as documented",
         pe6,
-        (b3p * a3p + a4p * b4p) - (a3 * b3 + a4 * b4),
-        -(a3 * b3 + a4 * b4),
+        lambda: primed_vertex4() - (a3 * b3 + a4 * b4),
+        lambda: -(a3 * b3 + a4 * b4),
     )
 
     # ---- the sixteen loop identities at the exceptional vertex ----
-    zero("x*z = -x*y", pe6, x * z + x * y)
-    zero("y*z = -y*y - y*x", pe6, y * z + y * y + y * x)
-    zero("z*x = -y*x", pe6, z * x + y * x)
-    zero("x*y*z = -(x*y*x + x*y*y)", pe6, x * y * z + x * y * x + x * y * y)
-    zero("y*x*z = -y*x*y", pe6, y * x * z + y * x * y)
-    zero("x*z*x = -x*y*x", pe6, x * z * x + x * y * x)
+    zero("x*z = -x*y", pe6, lambda: x * z + x * y)
+    zero("y*z = -y*y - y*x", pe6, lambda: y * z + y * y + y * x)
+    zero("z*x = -y*x", pe6, lambda: z * x + y * x)
+    zero("x*y*z = -(x*y*x + x*y*y)", pe6, lambda: x * y * z + x * y * x + x * y * y)
+    zero("y*x*z = -y*x*y", pe6, lambda: y * x * z + y * x * y)
+    zero("x*z*x = -x*y*x", pe6, lambda: x * z * x + x * y * x)
     chain(
         "y*z*x = -y*y*x = x*y*x + x*y*y + y*x*y",
         pe6,
-        [y * z * x, -(y * y * x), x * y * x + x * y * y + y * x * y],
+        [lambda: y * z * x, lambda: -(y * y * x), lambda: x * y * x + x * y * y + y * x * y],
     )
     chain(
         "z*y*x = -(x*y*x + y*y*x) = x*y*y + y*x*y",
         pe6,
-        [z * y * x, -(x * y * x + y * y * x), x * y * y + y * x * y],
+        [lambda: z * y * x, lambda: -(x * y * x + y * y * x), lambda: x * y * y + y * x * y],
     )
-    zero("x*y*x*z = -x*y*x*y", pe6, x * y * x * z + x * y * x * y)
+    zero("x*y*x*z = -x*y*x*y", pe6, lambda: x * y * x * z + x * y * x * y)
     chain(
         "x*y*z*x = -x*y*y*x = x*y*x*y",
         pe6,
-        [x * y * z * x, -(x * y * y * x), x * y * x * y],
+        [lambda: x * y * z * x, lambda: -(x * y * y * x), lambda: x * y * x * y],
     )
     chain(
         "y*x*z*x = -y*x*y*x = -x*y*x*y",
         pe6,
-        [y * x * z * x, -(y * x * y * x), -(x * y * x * y)],
+        [lambda: y * x * z * x, lambda: -(y * x * y * x), lambda: -(x * y * x * y)],
     )
     chain(
         "x*z*y*x = -x*y*y*x = x*y*x*y",
         pe6,
-        [x * z * y * x, -(x * y * y * x), x * y * x * y],
+        [lambda: x * z * y * x, lambda: -(x * y * y * x), lambda: x * y * x * y],
     )
     chain(
         "y*z*y*x = -y*x*y*x = -x*y*x*y",
         pe6,
-        [y * z * y * x, -(y * x * y * x), -(x * y * x * y)],
+        [lambda: y * z * y * x, lambda: -(y * x * y * x), lambda: -(x * y * x * y)],
     )
-    zero("x*y*x*z*x = 0", pe6, x * y * x * z * x)
-    zero("x*y*z*y*x = 0", pe6, x * y * z * y * x)
+    zero("x*y*x*z*x = 0", pe6, lambda: x * y * x * z * x)
+    zero("x*y*z*y*x = 0", pe6, lambda: x * y * z * y * x)
     chain(
         "y*x*z*y*x = -y*x*y*y*x = x*y*x*y*y",
         pe6,
-        [y * x * z * y * x, -(y * x * y * y * x), x * y * x * y * y],
+        [lambda: y * x * z * y * x, lambda: -(y * x * y * y * x), lambda: x * y * x * y * y],
     )
 
     # ---- a3'*b3' expansion ----
-    e_expr1 = (
-        a3
-        + th1 * (x * a3)
-        + th3 * (y * a3)
-        + alpha * (x * y * a3)
-        + beta * (y * x * a3)
-        + gamma * (x * y * x * a3)
-    ) * (b3 + phi * (b3 * x) + psi * (b3 * y * x))
-    e_expr2 = (
-        z
-        + th1 * (x * z)
-        + th3 * (y * z)
-        + phi * (z * x)
-        + th1 * phi * (x * z * x)
-        + th3 * phi * (y * z * x)
-        + alpha * (x * y * z)
-        + beta * (y * x * z)
-        + psi * (z * y * x)
-        + gamma * (x * y * x * z)
-        + phi * alpha * (x * y * z * x)
-        + phi * beta * (y * x * z * x)
-        + th1 * psi * (x * z * y * x)
-        + th3 * psi * (y * z * y * x)
-        + beta * psi * (y * x * z * y * x)
-    )
-    e_expr3 = (
-        z
-        - th1 * (x * y)
-        - (phi + th3) * (y * x)
-        - th3 * (y * y)
-        - (th1 * phi - th3 * phi + alpha) * (x * y * x)
-        - (alpha - th3 * phi - psi) * (x * y * y)
-        - (beta - th3 * phi - psi) * (y * x * y)
-        - (gamma + phi * (beta - alpha) + phi * psi) * (x * y * x * y)
-        + (
+    @cache
+    def a3b3_forms():
+        """The five displayed forms of a3'*b3', the quartic block of the
+        last two corrected to 2*t1*(t3-t1)^3, and that block's corrected
+        and printed coefficients."""
+        s = constants()
+        th1, th2, th3, th4, th5 = s.th1, s.th2, s.th3, s.th4, s.th5
+        th6, th7 = s.th6, s.th7
+        phi = phi_coefficient()
+        psi, alpha, beta, gamma = s.psi, s.alpha, s.beta, s.gamma
+        e_expr1 = (
+            a3
+            + th1 * (x * a3)
+            + th3 * (y * a3)
+            + alpha * (x * y * a3)
+            + beta * (y * x * a3)
+            + gamma * (x * y * x * a3)
+        ) * (b3 + phi * (b3 * x) + psi * (b3 * y * x))
+        e_expr2 = (
+            z
+            + th1 * (x * z)
+            + th3 * (y * z)
+            + phi * (z * x)
+            + th1 * phi * (x * z * x)
+            + th3 * phi * (y * z * x)
+            + alpha * (x * y * z)
+            + beta * (y * x * z)
+            + psi * (z * y * x)
+            + gamma * (x * y * x * z)
+            + phi * alpha * (x * y * z * x)
+            + phi * beta * (y * x * z * x)
+            + th1 * psi * (x * z * y * x)
+            + th3 * psi * (y * z * y * x)
+            + beta * psi * (y * x * z * y * x)
+        )
+        e_expr3 = (
+            z
+            - th1 * (x * y)
+            - (phi + th3) * (y * x)
+            - th3 * (y * y)
+            - (th1 * phi - th3 * phi + alpha) * (x * y * x)
+            - (alpha - th3 * phi - psi) * (x * y * y)
+            - (beta - th3 * phi - psi) * (y * x * y)
+            - (gamma + phi * (beta - alpha) + phi * psi) * (x * y * x * y)
+            + (
+                3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
+                + th4 * (4 * th3 * th1 - 2 * th3 ** 2 - 2 * th1 ** 2 + 2 * th1 * th3 - 2 * th1 ** 2)
+                + th5 * (2 * th3 ** 2 - 4 * th3 * th1 + 2 * th1 ** 2 - th1 * th3 + th1 ** 2)
+                + 2 * th1 * (th3 - th1) ** 3
+            ) * (x * y * x * y * y)
+        )
+        q_coeff = 2 * th4 + 3 * (th3 - th1) ** 2 + th1 * th3 - th1 ** 2
+        e9_corrected = (
             3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-            + th4 * (4 * th3 * th1 - 2 * th3 ** 2 - 2 * th1 ** 2 + 2 * th1 * th3 - 2 * th1 ** 2)
-            + th5 * (2 * th3 ** 2 - 4 * th3 * th1 + 2 * th1 ** 2 - th1 * th3 + th1 ** 2)
-            + 2 * th1 * (th3 - th1) ** 3
-        ) * (x * y * x * y * y)
-    )
-    q_coeff = 2 * th4 + 3 * (th3 - th1) ** 2 + th1 * th3 - th1 ** 2
-    e9_corrected = (
-        3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-        + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
-        + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
-        + 2 * th1 * th3 ** 3 - 6 * th1 ** 2 * th3 ** 2 + 6 * th1 ** 3 * th3 - 2 * th1 ** 4
-    )
-    e9_printed = (
-        3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-        + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
-        + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
-        + 2 * th1 ** 4 - 6 * th1 ** 3 * th3 + 6 * th1 ** 2 * th3 ** 2 - 2 * th1 * th3 ** 3
-    )
-    e_expr4 = (
-        z
-        - th1 * (x * y)
-        - (2 * th3 - th1) * (y * x)
-        - th3 * (y * y)
-        - th4 * (x * y * x)
-        - th5 * (x * y * y)
-        - (2 * th5 - 3 * th4 - 3 * (th3 - th1) ** 2) * (y * x * y)
-        - (th7 + phi * q_coeff + (th1 - th3) * q_coeff) * (x * y * x * y)
-        + e9_corrected * (x * y * x * y * y)
-    )
-    e_expr5 = (
-        z
-        - th1 * (x * y)
-        - th2 * (y * x)
-        - th3 * (y * y)
-        - th4 * (x * y * x)
-        - th5 * (x * y * y)
-        - th6 * (y * x * y)
-        - th7 * (x * y * x * y)
-        + e9_corrected * (x * y * x * y * y)
-    )
+            + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
+            + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
+            + 2 * th1 * th3 ** 3 - 6 * th1 ** 2 * th3 ** 2 + 6 * th1 ** 3 * th3 - 2 * th1 ** 4
+        )
+        e9_printed = (
+            3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
+            + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
+            + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
+            + 2 * th1 ** 4 - 6 * th1 ** 3 * th3 + 6 * th1 ** 2 * th3 ** 2 - 2 * th1 * th3 ** 3
+        )
+        e_expr4 = (
+            z
+            - th1 * (x * y)
+            - (2 * th3 - th1) * (y * x)
+            - th3 * (y * y)
+            - th4 * (x * y * x)
+            - th5 * (x * y * y)
+            - (2 * th5 - 3 * th4 - 3 * (th3 - th1) ** 2) * (y * x * y)
+            - (th7 + phi * q_coeff + (th1 - th3) * q_coeff) * (x * y * x * y)
+            + e9_corrected * (x * y * x * y * y)
+        )
+        e_expr5 = (
+            z
+            - th1 * (x * y)
+            - th2 * (y * x)
+            - th3 * (y * y)
+            - th4 * (x * y * x)
+            - th5 * (x * y * y)
+            - th6 * (y * x * y)
+            - th7 * (x * y * x * y)
+            + e9_corrected * (x * y * x * y * y)
+        )
+        return [e_expr1, e_expr2, e_expr3, e_expr4, e_expr5], e9_corrected, e9_printed
+
     chain(
         "a3'*b3' expansion (quartic block corrected to 2*t1*(t3-t1)^3)",
         pe6,
-        [a3p * b3p, e_expr1, e_expr2, e_expr3, e_expr4, e_expr5],
+        [lambda: primed("a3") * primed("b3")]
+        + [lambda k=k: a3b3_forms()[0][k] for k in range(5)],
     )
-    report.run(
-        "printed quartic block equals 2*t1*(t1-t3)^3, off by 4*t1*(t1-t3)^3",
-        lambda: (
+
+    def quartic_block_check():
+        _, e9_corrected, e9_printed = a3b3_forms()
+        th1, th3 = constants().th1, constants().th3
+        return (
             e9_printed - e9_corrected == 4 * th1 * (th1 - th3) ** 3,
             f"difference is {e9_printed - e9_corrected}",
-        ),
+        )
+
+    report.run(
+        "printed quartic block equals 2*t1*(t1-t3)^3, off by 4*t1*(t1-t3)^3",
+        quartic_block_check,
     )
-    report.run_equal_nf(
+
+    def printed_a3b3_difference():
+        (_, _, e_expr3, e_expr4, _), e9_corrected, e9_printed = a3b3_forms()
+        return e_expr3 - (e_expr4 + (e9_printed - e9_corrected) * (x * y * x * y * y))
+
+    def documented_a3b3_difference():
+        th1, th3 = constants().th1, constants().th3
+        return -(4 * th1 * (th1 - th3) ** 3) * (x * y * x * y * y)
+
+    equal(
         "printed a3'*b3' final forms differ by 4*t1*(t1-t3)^3*[xyxyy]",
         pe6,
-        e_expr3 - (e_expr4 + (e9_printed - e9_corrected) * (x * y * x * y * y)),
-        -(4 * th1 * (th1 - th3) ** 3) * (x * y * x * y * y),
+        printed_a3b3_difference,
+        documented_a3b3_difference,
     )
 
     # ---- b2'*a2' expansion ----
-    delta_full = (
-        2 * th1 ** 4 - 6 * th1 ** 3 * th3 - 3 * th1 ** 2 * th5 + 4 * th1 ** 2 * th4
-        + 6 * th1 ** 2 * th3 ** 2 + 5 * th1 * th3 * th5 - 6 * th1 * th3 * th4
-        + th5 ** 2 - 3 * th5 * th4 + 2 * th4 ** 2 - 2 * th3 ** 3 * th1
-        - 2 * th3 ** 2 * th5 + 2 * th3 ** 2 * th4 + 2 * th1 * th8 - 3 * th3 * th8 - th9
-    )
-    zero(
-        "b2'*a2' = y - t8*y*x*y*y + delta*x*y*x*y*y",
-        pe6,
-        b2p * a2p
-        - (y - th8 * (y * x * y * y) + delta_full * (x * y * x * y * y)),
-    )
+    def b2a2_difference():
+        s = constants()
+        th1, th3, th4, th5, th8, th9 = s.th1, s.th3, s.th4, s.th5, s.th8, s.th9
+        delta_full = (
+            2 * th1 ** 4 - 6 * th1 ** 3 * th3 - 3 * th1 ** 2 * th5 + 4 * th1 ** 2 * th4
+            + 6 * th1 ** 2 * th3 ** 2 + 5 * th1 * th3 * th5 - 6 * th1 * th3 * th4
+            + th5 ** 2 - 3 * th5 * th4 + 2 * th4 ** 2 - 2 * th3 ** 3 * th1
+            - 2 * th3 ** 2 * th5 + 2 * th3 ** 2 * th4 + 2 * th1 * th8 - 3 * th3 * th8 - th9
+        )
+        return primed("b2") * primed("a2") - (
+            y - th8 * (y * x * y * y) + delta_full * (x * y * x * y * y)
+        )
+
+    zero("b2'*a2' = y - t8*y*x*y*y + delta*x*y*x*y*y", pe6, b2a2_difference)
 
     # ---- f(x, b2'*a2') expansion ----
-    g_base = f_xy
-    g_expr1 = (
-        g_base
-        - th1 * th8 * (x * y * x * y * y)
-        - th2 * th8 * (y * x * y * y * x)
-        - th3 * th8 * (y * y * x * y * y)
-    )
-    g_expr2 = g_base + (th2 + th3 - th1) * th8 * (x * y * x * y * y)
-    g_expr3 = g_base + ((2 * th3 - th1) + th3 - th1) * th8 * (x * y * x * y * y)
-    g_expr4 = g_base + (3 * th3 - 2 * th1) * th8 * (x * y * x * y * y)
+    # f is expanded modulo paths of length >= N (see FreeElement.mul)
+    @cache
+    def f_forms():
+        """f(x, b2'*a2'), then its displayed forms over f(x, y)."""
+        s = constants()
+        th1, th2, th3, th8 = s.th1, s.th2, s.th3, s.th8
+        f_free = as_free_element(theta)
+        f_xy = corner_embedding()(f_free, below=n)
+        f_xyp = GeneratorMap(
+            builtin_quiver("L2"),
+            quiver,
+            {"x": x, "y": primed("b2") * primed("a2")},
+            vertex_map={0: 3},
+        )(f_free, below=n)
+        g_base = f_xy
+        g_expr1 = (
+            g_base
+            - th1 * th8 * (x * y * x * y * y)
+            - th2 * th8 * (y * x * y * y * x)
+            - th3 * th8 * (y * y * x * y * y)
+        )
+        g_expr2 = g_base + (th2 + th3 - th1) * th8 * (x * y * x * y * y)
+        g_expr3 = g_base + ((2 * th3 - th1) + th3 - th1) * th8 * (x * y * x * y * y)
+        g_expr4 = g_base + (3 * th3 - 2 * th1) * th8 * (x * y * x * y * y)
+        return [f_xyp, g_expr1, g_expr2, g_expr3, g_expr4], f_xy
+
     chain(
         "f(x, b2'*a2') = f(x, y) + (3*t3 - 2*t1)*t8*[xyxyy]",
         pe6,
-        [f_xyp, g_expr1, g_expr2, g_expr3, g_expr4],
+        [lambda k=k: f_forms()[0][k] for k in range(5)],
     )
 
     # ---- the final sum ----
     chain(
         "x + b2'*a2' + a3'*b3' + f(x, b2'*a2') = x + y + a3*b3 = 0",
         pe6,
-        [x + b2p * a2p + a3p * b3p + f_xyp, x + y + z, FreeElement.zero(quiver)],
+        [
+            lambda: x + primed("b2") * primed("a2") + primed("a3") * primed("b3")
+            + f_forms()[0][0],
+            lambda: x + y + z,
+            zero_element,
+        ],
     )
 
     # ---- integer certificate over the whole catalog ----
-    catalog_elements = [
-        a2p, b2p, a3p, b3p, a4p, b4p, f_xy, f_xyp,
-        d1_expr1, d1_expr2, d1_expr3, d2_expr1, d2_expr2,
-        e_expr1, e_expr2, e_expr3, e_expr4, e_expr5,
-    ]
+    def catalog_elements():
+        (f_xyp, *_), f_xy = f_forms()
+        return [
+            *(primed(name) for name in ("a2", "b2", "a3", "b3", "a4", "b4")),
+            f_xy, f_xyp,
+            *b3a3_forms()[:3], *a4b4_forms(), *a3b3_forms()[0],
+        ]
+
     report.run(
         "integer certificate (catalog coefficients are integral)",
         lambda: (
-            all(e.has_integral_coefficients() for e in catalog_elements)
+            all(e.has_integral_coefficients() for e in catalog_elements())
             and pe6.integral,
             None,
         ),

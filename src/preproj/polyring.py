@@ -174,6 +174,15 @@ class Poly:
         because c is one.  A zero k gives the zero polynomial; otherwise
         every c * k is nonzero, since Q is a domain, as ``_unchecked``
         requires.
+
+        A unit k forms no product at all: for k = 1 the result is the other
+        operand itself, and for k = -1 its negation, since 1*p = p and
+        (-1)*p = -p term by term.  Sharing the operand is sound because a
+        ``Poly`` is immutable and no code changes its ``terms`` in place;
+        its coefficients are already nonzero ``Fraction``s, and so are their
+        negations.  The change of generators is unitriangular and every
+        entry of pe6's reduction table is +1 or -1, so on the symbolic path
+        most scalings are by a unit.
         """
         a = self.terms
         if isinstance(other, Poly):
@@ -181,17 +190,21 @@ class Poly:
             if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
                 return Poly._unchecked({_ZERO_EXP: a[_ZERO_EXP] * b[_ZERO_EXP]})
             if len(b) == 1 and _ZERO_EXP in b:
-                k = b[_ZERO_EXP]
+                scaled, k = self, b[_ZERO_EXP]
             elif len(a) == 1 and _ZERO_EXP in a:
-                a, k = b, a[_ZERO_EXP]
+                scaled, k = other, a[_ZERO_EXP]
             else:
                 k = None
         elif isinstance(other, (int, Fraction)):
-            k = other
+            scaled, k = self, other
         else:
             return NotImplemented
         if k is not None:
-            return Poly._unchecked({e: c * k for e, c in a.items()} if k else {})
+            if k == 1:
+                return scaled
+            if k == -1:
+                return -scaled
+            return Poly._unchecked({e: c * k for e, c in scaled.terms.items()} if k else {})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

@@ -3,12 +3,16 @@
 ``map_coefficients`` applies a map to every coefficient of a free or a
 quotient element, ``graded_dimensions`` lists an algebra's dimension per
 degree, ``printed_inverse_mismatches`` names the inverse formulas that
-fail as printed, and ``assert_clean_poly`` checks a polynomial against
-its copy through the checking constructor.
+fail as printed, ``assert_clean_poly`` checks a polynomial against
+its copy through the checking constructor, and ``verify_all`` runs
+``preproj verify all`` in process.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
+from preproj import cli
 from preproj.e6 import CONSTRAINED_THETA, INVERSE_ORDER, verify_inverse
 from preproj.freealg import FreeElement
 from preproj.polyring import NVARS, Poly
@@ -41,3 +45,9 @@ def assert_clean_poly(poly):
     for exp, coeff in poly.terms.items():
         assert type(exp) is tuple and len(exp) == NVARS
         assert type(coeff) is Fraction and coeff != 0
+
+
+def verify_all():
+    """``preproj verify all --quiet`` in process; returns its exit status."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.run(["verify", "all", "--quiet"])
