@@ -27,7 +27,9 @@ and ``(2*e0)^14285`` are rejected (see ``to_element``).
 
 The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
-is the identity on canonical elements.
+is the identity on canonical elements, polynomial coefficients included
+(``test_print_then_parse_round_trip_with_polynomial_coefficients``), as
+a negative leading power prints "- 1*t1^2" (see ``_coefficient_prefix``).
 """
 
 from __future__ import annotations
@@ -507,18 +509,20 @@ def parse_element(text: str, quiver: Quiver) -> FreeElement:
 
 
 def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
-    """(negative, text) where text is '' for a plain unit coefficient."""
-    if len(poly.terms) != 1:
-        return False, f"({poly})"
-    ((exp, coeff),) = poly.terms.items()
-    negative = coeff < 0
-    text = monomial_text(exp, abs(coeff))
-    if text == "1":
-        return negative, ""
+    """(negative, text) where text is '' for a plain unit coefficient.
+
+    Several terms go in parentheses.  A negative first term whose first
+    factor is a power prints "- 1*t1^2*...": unary "-" binds tighter than
+    "^", so "- t1^2*..." would read back as (-t1)^2*....
+    """
+    terms = [(c < 0, monomial_text(e, abs(c))) for e, c in poly.sorted_terms()]
+    negative, text = terms[0]
     if negative and "^" in text.split("*", 1)[0]:
-        # "- t1^2*..." would re-parse as (-t1)^2; force "- 1*t1^2*..."
-        text = "1*" + text
-    return negative, text
+        terms[0] = negative, "1*" + text
+    if len(terms) != 1:
+        return False, f"({signed_sum(terms)})"
+    negative, text = terms[0]
+    return negative, "" if text == "1" else text
 
 
 def format_element(element: FreeElement) -> str:

@@ -64,9 +64,9 @@ class Poly:
         monomial is stored as it is, because 0 + t = t; a later one stores
         the sum, or deletes the key when the sum cancels.  A stored term is
         an operand's coefficient, an immutable Fraction that is safe to
-        share and keeps its type, or a product of two nonzero Fractions, or
-        of a nonzero Fraction and a nonzero int, which is a nonzero
-        Fraction because Q is a domain.  So no zero is ever stored.  A
+        share and keeps its type, or its negation, or a product of two
+        nonzero Fractions, which is a nonzero Fraction because Q is a
+        domain (see ``_times``).  So no zero is ever stored.  A
         product with a constant operand keeps the other operand's
         exponents and multiplies each of its coefficients by a nonzero
         rational, so none comes out zero either (see ``__mul__``).
@@ -163,17 +163,18 @@ class Poly:
         loop computes: (0,...,0) + (0,...,0) = (0,...,0), and the loop
         stores the first product at a monomial as it is (see
         ``_unchecked``).  No other product of nonzero polynomials is a
-        constant.
+        constant.  A unit a or b returns an operand or its negation, as a
+        unit k does below.
 
         One constant operand k, a constant ``Poly`` or a bare ``int`` or
         ``Fraction``, gives {e: c * k} over the other operand's terms c*t^e,
         also without the loop.  This is what the loop computes: e +
         (0,...,0) = e, so the exponents stay those of the other operand and
         stay distinct, no two products land on one monomial, and each is
-        stored as the first term at its monomial: ``c * k``, a ``Fraction``
-        because c is one.  A zero k gives the zero polynomial; otherwise
-        every c * k is nonzero, since Q is a domain, as ``_unchecked``
-        requires.
+        stored as the first term at its monomial: c * k, taken by
+        ``_times`` with k as a ``Fraction``.  A zero k gives the zero
+        polynomial; otherwise every c * k is nonzero, since Q is a domain,
+        as ``_unchecked`` requires.
 
         A unit k forms no product at all: for k = 1 the result is the other
         operand itself, and for k = -1 its negation, since 1*p = p and
@@ -182,13 +183,19 @@ class Poly:
         its coefficients are already nonzero ``Fraction``s, and so are their
         negations.  The change of generators is unitriangular and every
         entry of pe6's reduction table is +1 or -1, so on the symbolic path
-        most scalings are by a unit.
+        most scalings are by a unit, and most coefficients the loop
+        multiplies are units too; ``_times`` forms no product for those.
         """
         a = self.terms
         if isinstance(other, Poly):
             b = other.terms
             if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
-                return Poly._unchecked({_ZERO_EXP: a[_ZERO_EXP] * b[_ZERO_EXP]})
+                ca, cb = a[_ZERO_EXP], b[_ZERO_EXP]
+                if ca == 1 or ca == -1:
+                    return other if ca == 1 else -other
+                if cb == 1 or cb == -1:
+                    return self if cb == 1 else -self
+                return Poly._unchecked({_ZERO_EXP: ca * cb})
             if len(b) == 1 and _ZERO_EXP in b:
                 scaled, k = self, b[_ZERO_EXP]
             elif len(a) == 1 and _ZERO_EXP in a:
@@ -204,7 +211,8 @@ class Poly:
                 return scaled
             if k == -1:
                 return -scaled
-            return Poly._unchecked({e: c * k for e, c in scaled.terms.items()} if k else {})
+            k = _as_fraction(k)
+            return Poly._unchecked({e: _times(c, k) for e, c in scaled.terms.items()} if k else {})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -212,8 +220,8 @@ class Poly:
                 exp = tuple([x + y for x, y in zip(ea, eb)])
                 acc = out.get(exp)
                 if acc is None:
-                    out[exp] = ca * cb
-                elif acc := acc + ca * cb:
+                    out[exp] = _times(ca, cb)
+                elif acc := acc + _times(ca, cb):
                     out[exp] = acc
                 else:
                     del out[exp]
@@ -318,6 +326,19 @@ class Poly:
         return signed_sum(
             [(coeff < 0, monomial_text(exp, abs(coeff))) for exp, coeff in self.sorted_terms()]
         )
+
+
+def _times(ca: Fraction, cb: Fraction) -> Fraction:
+    """``ca * cb`` for nonzero Fractions, with no product when one is +-1.
+
+    Sound because 1*c = c and (-1)*c = -c, and the other operand is an
+    immutable nonzero ``Fraction``, safe to share, as is its negation.
+    """
+    if ca == 1 or ca == -1:
+        return cb if ca == 1 else -cb
+    if cb == 1 or cb == -1:
+        return ca if cb == 1 else -ca
+    return ca * cb
 
 
 def _coerce(value):

@@ -111,9 +111,14 @@ class Path:
 
     ``arrows`` holds arrow indices into the owning quiver; a length-0 path
     is the idempotent at ``vertex``.
+
+    The hash, hash((id(quiver), arrows, source)), is taken once by each
+    constructor and kept in ``_hash``.  Sound because no code writes
+    those fields after construction (a source test checks this) and
+    ``arrows`` is a tuple; equal paths share all three, so hash equal.
     """
 
-    __slots__ = ("quiver", "arrows", "source", "target")
+    __slots__ = ("quiver", "arrows", "source", "target", "_hash")
 
     def __init__(self, quiver: Quiver, arrows: tuple, vertex: int | None = None):
         self.quiver = quiver
@@ -132,6 +137,7 @@ class Path:
                     )
             self.source = arr[arrows[0]].source
             self.target = arr[arrows[-1]].target
+        self._hash = hash((id(quiver), arrows, self.source))
 
     @classmethod
     def _unchecked(cls, quiver: Quiver, arrows: tuple, source: int, target: int) -> "Path":
@@ -146,6 +152,7 @@ class Path:
         path.arrows = arrows
         path.source = source
         path.target = target
+        path._hash = hash((id(quiver), arrows, source))
         return path
 
     def __len__(self):
@@ -165,7 +172,7 @@ class Path:
         )
 
     def __hash__(self):
-        return hash((id(self.quiver), self.arrows, self.source))
+        return self._hash
 
     def __lt__(self, other):
         return self.key < other.key

@@ -92,6 +92,29 @@ def test_re6_shape():
     assert alg.normal_form(g["x"] * g["y"]) != alg.normal_form(g["y"] * g["x"])
 
 
+def rad2_words(algebra):
+    """The basis words of length >= 2 of a one-vertex algebra, in basis
+    order, each written without separators ("xyx")."""
+    return tuple(
+        "".join(algebra.quiver.arrows[i].name for i in path.arrows)
+        for degree in algebra.basis_by_degree[2:]
+        for path in degree
+    )
+
+
+def test_theta_monomials_are_the_basis_of_rad2_of_re6():
+    """f = sum t_i w_i ranges over all of rad^2 R(E6): the nine words of
+    ``THETA_MONOMIALS`` are exactly re6's basis words of length >= 2, in
+    basis order, 3 + 3 + 2 + 1 by length."""
+    alg = build_re6()
+    assert [len(degree) for degree in alg.basis_by_degree[2:]] == [3, 3, 2, 1]
+    assert rad2_words(alg) == oracle.THETA_MONOMIALS
+    # not vacuous: a missing, an extra or a replaced word is unequal
+    monomials = oracle.THETA_MONOMIALS
+    for wrong in (monomials[:-1], monomials + ("xyxyx",), ("xx",) + monomials[1:]):
+        assert rad2_words(alg) != wrong
+
+
 # -- deformation parameters ----------------------------------------------------
 
 

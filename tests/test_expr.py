@@ -146,7 +146,7 @@ small_polys = st.one_of(
 
 
 @st.composite
-def elements(draw, quiver):
+def elements(draw, quiver, coefficients=small_polys):
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         length = draw(st.integers(min_value=0, max_value=3))
@@ -156,7 +156,7 @@ def elements(draw, quiver):
         if not candidates:
             continue
         path = draw(st.sampled_from(candidates))
-        coeff = draw(small_polys)
+        coeff = draw(coefficients)
         terms[path] = terms.get(path, Poly.zero()) + coeff
     return FreeElement(quiver, terms)
 
@@ -168,6 +168,45 @@ def test_print_then_parse_round_trip(e):
     back = parse_element(text, e.quiver)
     assert back == e
     assert format_element(back) == text
+
+
+# monomials in t1..t3 of degree 2 or 3, powers among them
+monomials = st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=3).map(
+    lambda factors: tuple(factors.count(i) for i in range(3)) + (0,) * 6
+)
+
+
+@st.composite
+def polynomial_coefficients(draw):
+    """Polynomials of two to four terms in t1..t3, printed in parentheses;
+    their coefficients are often 1 or -1, which the printer leaves out."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        terms[draw(monomials)] = draw(st.one_of(st.sampled_from([1, -1]), small_fractions))
+    return Poly(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(elements(E6, polynomial_coefficients()), elements(L2, polynomial_coefficients())))
+def test_print_then_parse_round_trip_with_polynomial_coefficients(e):
+    # a leading "- t1^2" inside parentheses would read back as (-t1)^2
+    text = format_element(e)
+    back = parse_element(text, e.quiver)
+    assert back == e
+    assert format_element(back) == text
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("(0 - t1^2 + t2^3)*x", "(- 1*t1^2 + t2^3)*x"),
+    # unary "-" binds tighter than "^": -t2^2 is (-t2)^2 = t2^2
+    ("(-t2^2*t3 + t1)*x", "(t1 + t2^2*t3)*x"),
+    ("(-t1^2 - t2)*x", "(- t2 + t1^2)*x"),
+    ("(0 - t1^2*t2 - t3^2)*x", "(- 1*t3^2 - t1^2*t2)*x"),
+])
+def test_a_negative_leading_power_is_printed_so_that_it_reads_back(text, printed):
+    e = parse_element(text, L2)
+    assert format_element(e) == printed
+    assert parse_element(printed, L2) == e
 
 
 # -- evaluation: scalars kept as scalars against the per-node slow path ---------

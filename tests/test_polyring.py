@@ -428,35 +428,74 @@ def test_a_constant_and_its_rational_are_one_set_element():
     assert {Poly.const(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
 
 
-# -- a unit scalar forms no product ----------------------------------------------
+# -- no coefficient product has a unit operand --------------------------------------
+
+# +1 and -1 as int and as Fraction, often, between other ints and fractions
+unit_rich = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-3, max_value=3),
+    small_fractions,
+)
 
 
-def unit_rule_scalar(a, b):
-    """The scalar k of ``Poly.__mul__``'s constant-operand branch: a bare
-    ``int`` or ``Fraction`` operand, or the one constant ``Poly`` operand
-    of two; None for two constants (their own branch) or none."""
+@st.composite
+def unit_rich_polys(draw):
+    """Polynomials in t1 and t2 of degree at most 2 in each, so that
+    products of two of them land several terms on one monomial."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        exp = (draw(st.integers(0, 2)), draw(st.integers(0, 2))) + (0,) * (NVARS - 2)
+        terms[exp] = terms.get(exp, Fraction(0)) + draw(unit_rich)
+    return Poly(terms)
+
+
+unit_rich_operands = st.one_of(st.builds(Poly.const, unit_rich), unit_rich_polys())
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_operands, unit_rich_operands, unit_rich)
+def test_products_with_unit_coefficients_match_the_loop_that_forms_every_product(a, b, k):
+    # every branch: two constants, a constant Poly or a bare scalar, the loop
+    for x, y in ((a, b), (b, a), (a, Poly.const(k)), (Poly.const(k), a), (a + b, a - b)):
+        assert (x * y).terms == term_by_term_product(x, y)
+        assert_clean(x * y)
+    for product in (a * k, k * a):
+        assert product.terms == term_by_term_product(a, Poly.const(k))
+        assert_clean(product)
+
+
+def mul_branch(a, b):
+    """The branch of ``Poly.__mul__`` that ``a * b`` takes, told from the
+    operands alone: two constant ``Poly``s, one constant operand (a
+    constant ``Poly`` or a bare scalar), or the loop over both."""
     def constant(x):
-        return isinstance(x, Poly) and len(x.terms) == 1 and _ZERO_EXP in x.terms
+        return not isinstance(x, Poly) or (len(x.terms) == 1 and _ZERO_EXP in x.terms)
 
-    if isinstance(b, (int, Fraction)):
-        return b
-    if isinstance(b, Poly) and constant(a) != constant(b):
-        return (a if constant(a) else b).terms[_ZERO_EXP]
-    return None
+    if isinstance(b, Poly) and constant(a) and constant(b):
+        return "two constants"
+    return "scaling" if constant(a) or constant(b) else "loop"
+
+
+def has_unit_coefficient(*operands):
+    return any(
+        c in (1, -1) for x in operands for c in (x.terms.values() if isinstance(x, Poly) else [x])
+    )
 
 
 def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
-    """Every ``Fraction`` product inside a ``Poly.__mul__`` call whose
-    constant-operand branch scales by +1 or -1 is counted; a warm
-    ``verify all`` forms none.  Without the unit rule it forms 3,514."""
+    """Every ``Fraction`` product of a warm ``verify all`` is counted,
+    whatever calls it; none has a +1 or -1 operand.  Without the unit rule
+    of ``Poly.__mul__`` and ``_times`` it forms 3,504 products, 3,375 of
+    them with a unit operand: 986 of two constants, 214 scalings by a
+    non-unit and 2,175 in the loop."""
     assert verify_all() == 0  # warm: the algebras and caches are built
-    counts = {"unit calls": 0, "products": 0, "unit products": 0}
-    in_unit_call = False
+    counts = {"products": 0, "unit products": 0}
+    unit_calls = {"two constants": 0, "scaling": 0, "loop": 0}
 
     def counting(fraction_op):
         def op(a, b):
             counts["products"] += 1
-            counts["unit products"] += in_unit_call
+            counts["unit products"] += a in (1, -1) or b in (1, -1)
             return fraction_op(a, b)
 
         return op
@@ -464,23 +503,20 @@ def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
     poly_mul = Poly.__mul__
 
     def mul(a, b):
-        nonlocal in_unit_call
-        outer = in_unit_call
-        in_unit_call = unit_rule_scalar(a, b) in (1, -1)
-        counts["unit calls"] += in_unit_call
-        try:
-            return poly_mul(a, b)
-        finally:
-            in_unit_call = outer
+        unit_calls[mul_branch(a, b)] += has_unit_coefficient(a, b)
+        return poly_mul(a, b)
 
     monkeypatch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
     monkeypatch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
     monkeypatch.setattr(Poly, "__mul__", mul)
     monkeypatch.setattr(Poly, "__rmul__", mul)
     assert verify_all() == 0
-    # not vacuous: unit scalings happen, and the counter sees products
-    assert counts["unit calls"] > 1000 and counts["products"] > 1000
     assert counts["unit products"] == 0
+    assert counts["products"] <= 1000
+    # not vacuous: every branch meets unit coefficients, and the counter
+    # sees the products left (129, all in the loop and the scalings)
+    assert min(unit_calls.values()) > 500, unit_calls
+    assert counts["products"] > 100
 
 
 # -- no term dict is changed in place: the unit rule shares operands ---------------

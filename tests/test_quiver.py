@@ -1,7 +1,12 @@
 """Tests for quivers, paths, and the two builtins."""
 
-import pytest
+import ast
+import pathlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import preproj
 from preproj.quiver import Arrow, Path, Quiver, builtin_quiver, compose
 
 E6_ARROWS = {
@@ -144,3 +149,152 @@ def test_invalid_quiver_rejected():
 def test_adjacency_listing_format():
     q = builtin_quiver("L2")
     assert q.adjacency_listing() == "x: 0 -> 0\ny: 0 -> 0"
+
+
+# -- the hash is taken once, when a path is made -------------------------------------
+
+
+@st.composite
+def words(draw):
+    """A quiver and a composable arrow-index word on it, by a random walk."""
+    quiver = builtin_quiver(draw(st.sampled_from(["E6", "L2"])))
+    at = draw(st.sampled_from(quiver.vertices))
+    word = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i = draw(st.sampled_from([i for i, a in enumerate(quiver.arrows) if a.source == at]))
+        word.append(i)
+        at = quiver.arrows[i].target
+    return quiver, tuple(word), at
+
+
+@settings(max_examples=300, deadline=None)
+@given(words(), st.data())
+def test_cached_hash_is_the_hash_of_quiver_arrows_and_source(word, data):
+    quiver, arrows, end = word
+    source = quiver.arrows[arrows[0]].source if arrows else end
+    names = [quiver.arrows[i].name for i in arrows]
+    made = [quiver.path(*names) if arrows else quiver.idempotent(end)]
+    if arrows:
+        made.append(Path._unchecked(quiver, arrows, source, end))
+        cut = data.draw(st.integers(min_value=0, max_value=len(arrows)))
+        head = quiver.path(*names[:cut]) if cut else quiver.idempotent(source)
+        tail = quiver.path(*names[cut:]) if cut < len(arrows) else quiver.idempotent(end)
+        made.append(compose(head, tail))
+    expected = hash((id(quiver), arrows, source))
+    for path in made:
+        assert (path.arrows, path.source) == (arrows, source)
+        assert path._hash == hash(path) == expected
+        assert path == made[0] and {path: 1}[made[0]] == 1
+
+
+# fields that the cached hash reads or that hold it
+_HASHED_FIELDS = {"quiver", "arrows", "source", "_hash"}
+
+
+def hashed_field_writes(tree) -> list[int]:
+    """Line numbers where ``tree`` writes a field in ``_HASHED_FIELDS``
+    outside a constructor.
+
+    A write is an assignment, augmented assignment or ``del`` of
+    ``<expr>.<field>``, or a ``setattr`` or ``object.__setattr__`` call
+    naming the field.  Only a constructor may assign, and only to the
+    object it makes: ``self`` in an ``__init__`` (every class sets its own
+    fields there, ``Path`` among them), or in an ``_unchecked`` a name it
+    binds to ``object.__new__(cls)``.
+    """
+    lines = set()
+
+    def fresh_objects(function):
+        if function.name == "__init__":
+            return {"self"}
+        if function.name != "_unchecked":
+            return set()
+        return {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "__new__"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+
+    def writes(node):
+        """(owner, field, line, is an assignment) for each write in ``node``."""
+        if isinstance(node, (ast.Assign, ast.Delete, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Attribute):
+                        yield t.value, t.attr, t.lineno, isinstance(node, ast.Assign)
+        elif (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "setattr"
+                 or getattr(node.func, "attr", None) == "__setattr__")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[0], node.args[1].value, node.lineno, True
+
+    def visit(node, fresh):
+        for child in ast.iter_child_nodes(node):
+            for owner, field, line, assigns in writes(child):
+                if field in _HASHED_FIELDS and not (
+                    assigns and isinstance(owner, ast.Name) and owner.id in fresh
+                ):
+                    lines.add(line)
+            is_function = isinstance(child, ast.FunctionDef)
+            visit(child, fresh_objects(child) if is_function else fresh)
+
+    visit(tree, set())
+    return sorted(lines)
+
+
+def test_no_code_changes_a_hashed_path_field_after_construction():
+    """``Path`` keeps the hash it takes when it is made; that is sound only
+    while its quiver, arrows and source are never written afterwards."""
+    sources = sorted(pathlib.Path(preproj.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        assert hashed_field_writes(tree) == [], source.name
+    # not vacuous: every form of write is found, and both constructors
+    # write the fields
+    planted = ast.parse(
+        "def f(p, q):\n"
+        "    p.arrows = ()\n"
+        "    q.source += 1\n"
+        "    del p.quiver\n"
+        "    setattr(p, 'source', 0)\n"
+        "    object.__setattr__(q, '_hash', 0)\n"
+        "    p.arrows, q.source = (), 0\n"
+        "class C:\n"
+        "    def move(self):\n"
+        "        self.arrows = ()\n"
+        "    def _unchecked(cls, path):\n"
+        "        made = object.__new__(cls)\n"
+        "        made.source = 0\n"
+        "        path.source = 0\n"
+        "    def __init__(self, path):\n"
+        "        self.arrows = ()\n"
+        "        path.arrows = ()\n"
+    )
+    assert hashed_field_writes(planted) == [2, 3, 4, 5, 6, 7, 10, 14, 17]
+    quiver_tree = ast.parse(pathlib.Path(preproj.quiver.__file__).read_text(encoding="utf-8"))
+    (path_class,) = [
+        node for node in quiver_tree.body if isinstance(node, ast.ClassDef) and node.name == "Path"
+    ]
+    constructors = [
+        method for method in path_class.body
+        if isinstance(method, ast.FunctionDef) and method.name in ("__init__", "_unchecked")
+    ]
+    assert len(constructors) == 2
+    for method in constructors:
+        assigned = {
+            target.attr
+            for node in ast.walk(method)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+        }
+        assert _HASHED_FIELDS <= assigned, method.name
