@@ -1,46 +1,185 @@
 """The catalog of displayed derivation steps, verified link by link.
 
-Every displayed equality of the source derivation is encoded as
-left-minus-right and reduced to normal form; a chain ``A = B = C``
-contributes the links ``A - B`` and ``B - C``.  Identities involving the
-deformation coefficients run over the constrained polynomial ring (t2 and
-t6 eliminated by the admissibility constraints).
+Every displayed step is text in the ``reduce`` grammar (see ``expr``),
+in the scope of ``e6.SymbolicSetup``: the primed generators a2' ... b4',
+the loops x = b0*a0, y = b2*a2 and z = a3*b3 at the exceptional vertex,
+t1..t9 bound to theta (by default the constrained one, t2 and t6
+eliminated), the named constants of ``GeneratorScalars`` and f_xy, f_xy'
+for f(x, y) and f(x, b2'*a2'), plus the displayed forms and coefficients
+of ``DEFINITIONS``.  Each entry of ``CATALOG`` is (kind, check name) or
+(kind, check name, text), the text being the name when left out:
 
-Two coefficient slips in the printed chains are documented rather than
-silently patched (see README):
+  * ``re6`` and ``pe6``: a chain ``A = B = C`` in that algebra, one check
+    per link, that A - B and B - C reduce to zero;
+  * ``differs``: ``A = B`` with A and B of one nonzero normal form, the
+    documented difference between a printed form and the computed one;
+  * ``scalar``: ``A = B`` for two equal polynomials.
 
-  * the final displayed form of the b3'*a3' expansion prints t1^3 where
-    the computation yields t3^3;
-  * the last two displayed forms of the a3'*b3' expansion expand the
-    quartic sub-expression 2*t1*(t3-t1)^3 with the opposite sign.
-
-The catalog verifies the corrected forms and, separately, checks that
-each printed form differs from the computed one by exactly the documented
-residual, so the diff is machine-verified as well.  The same treatment
-covers the mid-derivation line that writes the vertex-3 loop a3*b3 where
-the vertex-4 relation b3*a3 + a4*b4 is established.
+Four slips in the printed derivation are documented rather than silently
+patched (see README): the final form of the b3'*a3' expansion prints t1^3
+where the computation yields t3^3 (``B3_printed``); the last two forms of
+the a3'*b3' expansion expand the quartic block 2*t1*(t3-t1)^3 with the
+opposite sign (``E9_printed``, ``A4_printed``); steps 5 and 6 of the
+fourth vertex-4 chain carry opposite sign slips; and a mid-derivation
+line writes the vertex-3 loop a3*b3 where the vertex-4 relation b3*a3 +
+a4*b4 is established.  The corrected forms are verified and each printed
+one is checked to differ by exactly the documented residual.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Sequence
 
 from .e6 import (
     CONSTRAINED_THETA,
+    SCOPE_NAMES,
+    SymbolicSetup,
     VerificationReport,
-    as_free_element,
     build_pe6,
     build_re6,
-    corner_embedding,
-    derived_constants,
-    primed_generators,
 )
-from .freealg import FreeElement, GeneratorMap, generators
-from .quiver import builtin_quiver
+from .expr import evaluate, parse, to_element
+
+# Displayed forms and coefficients that several steps read, each evaluated
+# once per run, on first use.
+DEFINITIONS = {
+    # b3'*a3': three displayed forms, the last corrected to t3^3, and the printed last
+    "phi": "t3 - t1",
+    "K": "t4 + t1^2 + 2*t3^2 - 3*t1*t3",
+    "B1": "b3*a3 + (phi + t1 - t3)*b3*x*a3 + (alpha + phi*t3)*b3*x*y*a3"
+          " + (psi + beta)*b3*y*x*a3 + phi*beta*b3*x*y*x*a3 + t3*psi*b3*y*x*y*a3"
+          " + gamma*b3*x*y*x*a3",
+    "B2": "b3*a3 + K*(b3*x*y*a3 - b3*y*x*a3) + (t3*t5 - 2*t3*t4 - 2*t3^3 + 4*t1*t3^2"
+          " - 2*t1^2*t3 - t1*t5 + 2*t1*t4 + 2*t1*t3^2 - 4*t1^2*t3 + 2*t1^3 + t3*t4 - t3*t5"
+          " - t1*t3^2 + t1^2*t3 + t7 - 8*t1*t3^2 + 7*t1^2*t3 + 2*t3*t4 - 2*t1^3 - 2*t1*t4"
+          " + 3*t3^3)*b3*x*y*x*a3",
+    "B3": "b3*a3 + K*(b3*x*y*a3 - b3*y*x*a3)"
+          " + (t7 + t3^3 + t3*t4 - t1*t5 - 3*t1*t3^2 + 2*t1^2*t3)*b3*x*y*x*a3",
+    "B3_printed": "b3*a3 + K*(b3*x*y*a3 - b3*y*x*a3)"
+                  " + (t7 + t1^3 + t3*t4 - t1*t5 - 3*t1*t3^2 + 2*t1^2*t3)*b3*x*y*x*a3",
+    # a3'*b3': five displayed forms, the quartic block of the last two
+    # corrected to 2*t1*(t3-t1)^3 (E9), and the printed fourth (E9_printed)
+    "Q": "2*t4 + 3*(t3 - t1)^2 + t1*t3 - t1^2",
+    "E9": "3*t4*t5 - 2*t4^2 - t5^2 + 6*t1*t3*t4 - 4*t1^2*t4 - 2*t3^2*t4 + 2*t3^2*t5"
+          " + 3*t1^2*t5 - 5*t1*t3*t5 + 2*t1*t3^3 - 6*t1^2*t3^2 + 6*t1^3*t3 - 2*t1^4",
+    "E9_printed": "3*t4*t5 - 2*t4^2 - t5^2 + 6*t1*t3*t4 - 4*t1^2*t4 - 2*t3^2*t4"
+                  " + 2*t3^2*t5 + 3*t1^2*t5 - 5*t1*t3*t5 + 2*t1^4 - 6*t1^3*t3"
+                  " + 6*t1^2*t3^2 - 2*t1*t3^3",
+    "A1": "(a3 + t1*x*a3 + t3*y*a3 + alpha*x*y*a3 + beta*y*x*a3 + gamma*x*y*x*a3)"
+          "*(b3 + phi*b3*x + psi*b3*y*x)",
+    "A2": "z + t1*x*z + t3*y*z + phi*z*x + t1*phi*x*z*x + t3*phi*y*z*x + alpha*x*y*z"
+          " + beta*y*x*z + psi*z*y*x + gamma*x*y*x*z + phi*alpha*x*y*z*x + phi*beta*y*x*z*x"
+          " + t1*psi*x*z*y*x + t3*psi*y*z*y*x + beta*psi*y*x*z*y*x",
+    "A3": "z - t1*x*y - (phi + t3)*y*x - t3*y*y - (t1*phi - t3*phi + alpha)*x*y*x"
+          " - (alpha - t3*phi - psi)*x*y*y - (beta - t3*phi - psi)*y*x*y"
+          " - (gamma + phi*(beta - alpha) + phi*psi)*x*y*x*y + (3*t4*t5 - 2*t4^2 - t5^2"
+          " + t4*(4*t1*t3 - 2*t3^2 - 2*t1^2 + 2*t1*t3 - 2*t1^2)"
+          " + t5*(2*t3^2 - 4*t1*t3 + 2*t1^2 - t1*t3 + t1^2) + 2*t1*(t3 - t1)^3)*x*y*x*y*y",
+    "A4": "z - t1*x*y - (2*t3 - t1)*y*x - t3*y*y - t4*x*y*x - t5*x*y*y"
+          " - (2*t5 - 3*t4 - 3*(t3 - t1)^2)*y*x*y - (t7 + phi*Q + (t1 - t3)*Q)*x*y*x*y"
+          " + E9*x*y*x*y*y",
+    "A4_printed": "z - t1*x*y - (2*t3 - t1)*y*x - t3*y*y - t4*x*y*x - t5*x*y*y"
+                  " - (2*t5 - 3*t4 - 3*(t3 - t1)^2)*y*x*y - (t7 + phi*Q + (t1 - t3)*Q)*x*y*x*y"
+                  " + E9_printed*x*y*x*y*y",
+    "A5": "z - t1*x*y - t2*y*x - t3*y*y - t4*x*y*x - t5*x*y*y - t6*y*x*y - t7*x*y*x*y"
+          " + E9*x*y*x*y*y",
+}
+
+CATALOG = (
+    # rewriting identities inside re6 (basis-B derivation)
+    ("re6", "re6: yyx = yyx - (x+y)^3 = -(xyx + xyy + yxy)",
+     "y*y*x = y*y*x - (x + y)^3 = -(x*y*x + x*y*y + y*x*y)"),
+    ("re6", "re6: yxyx = -xyyx = xyxy", "y*x*y*x = -x*y*y*x = x*y*x*y"),
+    ("re6", "re6: yyxy = -(xyxy + yxyy)", "y*y*x*y = -(x*y*x*y + y*x*y*y)"),
+    ("re6", "re6: yyxyy = -yyxyx = yxyyx = -yxyxy = xyyxy = -xyxyy",
+     "y*y*x*y*y = -y*y*x*y*x = y*x*y*y*x = -y*x*y*x*y = x*y*y*x*y = -x*y*x*y*y"),
+    # a2'*b2' = a2*b2 and the vertex-2 relation
+    ("pe6", "a2*b2*a2*b2 = a2*a1*b1*b2 = 0"),
+    ("pe6", "a2'*b2' = a2*b2"),
+    ("pe6", "b1*a1 + a2'*b2' = b1*a1 + a2*b2 = 0"),
+    # b4'*a4' = 0, and the facts the vertex-4 chains use
+    ("pe6", "b4*a4 = 0"),
+    ("pe6", "b4'*a4' = 0"),
+    ("pe6", "a4*b4 + b3*a3 = 0"),
+    ("pe6", "a0*b0 = 0"),
+    ("pe6", "a2*b2*a2*b2 = 0"),
+    ("pe6", "b3*a3*b3*a3 = 0"),
+    ("pe6", "a3*b3 + b2*a2 + b0*a0 = 0"),
+    # four derived identity chains at vertex 4
+    ("pe6", "a4*b4*b3*x*a3 = -b3*a3*b3*x*a3 = b3*y*x*a3"),
+    ("pe6", "b3*x*a3*a4*b4 = -b3*x*a3*b3*a3 = b3*x*y*a3"),
+    ("pe6", "b3*y*x*a3*a4*b4 = -b3*y*x*a3*b3*a3 = b3*y*x*y*a3"),
+    ("pe6", "b3*y*x*y*a3 = ... = b3*x*y*x*a3 (signs of steps 5, 6 corrected)",
+     "b3*y*x*y*a3 = -b3*y*x*a3*b3*a3 = b3*y*y*a3*b3*a3 = -b3*y*y*x*a3"
+     " = b3*y*a3*b3*x*a3 = -b3*x*a3*b3*x*a3 = b3*x*y*x*a3"),
+    ("differs", "printed step b3*y*a3*b3*x*a3 = b3*x*a3*b3*x*a3 is off by 2*[b3*x*y*x*a3]",
+     "b3*y*a3*b3*x*a3 - b3*x*a3*b3*x*a3 = 2*b3*x*y*x*a3"),
+    ("differs", "printed step b3*x*a3*b3*x*a3 = b3*x*y*x*a3 is off by -2*[b3*x*y*x*a3]",
+     "b3*x*a3*b3*x*a3 - b3*x*y*x*a3 = -2*b3*x*y*x*a3"),
+    # the b3'*a3' and a4'*b4' expansions, and the vertex-4 relation they give
+    ("pe6", "b3'*a3' expansion (final coefficient corrected to t3^3)", "b3'*a3' = B1 = B2 = B3"),
+    ("differs", "printed b3'*a3' final form differs by (t3^3 - t1^3)*b3*x*y*x*a3",
+     "B2 - B3_printed = (t3^3 - t1^3)*b3*x*y*x*a3"),
+    ("pe6", "a4'*b4' expansion",
+     "a4'*b4' = a4*b4 + kappa1*b3*x*a3*a4*b4 + (t4 - (t1 - t3)*(2*t3 - t1))*a4*b4*b3*x*a3"
+     " + kappa2*b3*y*x*a3*a4*b4 = a4*b4 + (3*t1*t3 - t1^2 - 2*t3^2 - t4)*b3*x*y*a3"
+     " + K*b3*y*x*a3 + kappa2*b3*x*y*x*a3"),
+    ("pe6", "b3'*a3' + a4'*b4' = b3*a3 + a4*b4 = 0"),
+    ("differs", "printed chain with a3*b3 in place of b3*a3 fails as documented",
+     "b3'*a3' + a4'*b4' - (a3*b3 + a4*b4) = -(a3*b3 + a4*b4)"),
+    # the sixteen loop identities at the exceptional vertex
+    ("pe6", "x*z = -x*y"),
+    ("pe6", "y*z = -y*y - y*x"),
+    ("pe6", "z*x = -y*x"),
+    ("pe6", "x*y*z = -(x*y*x + x*y*y)"),
+    ("pe6", "y*x*z = -y*x*y"),
+    ("pe6", "x*z*x = -x*y*x"),
+    ("pe6", "y*z*x = -y*y*x = x*y*x + x*y*y + y*x*y"),
+    ("pe6", "z*y*x = -(x*y*x + y*y*x) = x*y*y + y*x*y"),
+    ("pe6", "x*y*x*z = -x*y*x*y"),
+    ("pe6", "x*y*z*x = -x*y*y*x = x*y*x*y"),
+    ("pe6", "y*x*z*x = -y*x*y*x = -x*y*x*y"),
+    ("pe6", "x*z*y*x = -x*y*y*x = x*y*x*y"),
+    ("pe6", "y*z*y*x = -y*x*y*x = -x*y*x*y"),
+    ("pe6", "x*y*x*z*x = 0"),
+    ("pe6", "x*y*z*y*x = 0"),
+    ("pe6", "y*x*z*y*x = -y*x*y*y*x = x*y*x*y*y"),
+    # the a3'*b3' expansion and its printed quartic block
+    ("pe6", "a3'*b3' expansion (quartic block corrected to 2*t1*(t3-t1)^3)",
+     "a3'*b3' = A1 = A2 = A3 = A4 = A5"),
+    ("scalar", "printed quartic block equals 2*t1*(t1-t3)^3, off by 4*t1*(t1-t3)^3",
+     "E9_printed - E9 = 4*t1*(t1 - t3)^3"),
+    ("differs", "printed a3'*b3' final forms differ by 4*t1*(t1-t3)^3*[xyxyy]",
+     "A3 - A4_printed = -4*t1*(t1 - t3)^3*x*y*x*y*y"),
+    # b2'*a2', f(x, b2'*a2') and the final sum
+    ("pe6", "b2'*a2' = y - t8*y*x*y*y + delta*x*y*x*y*y",
+     "b2'*a2' = y - t8*y*x*y*y + (2*t1^4 - 6*t1^3*t3 - 3*t1^2*t5 + 4*t1^2*t4"
+     " + 6*t1^2*t3^2 + 5*t1*t3*t5 - 6*t1*t3*t4 + t5^2 - 3*t4*t5 + 2*t4^2 - 2*t1*t3^3"
+     " - 2*t3^2*t5 + 2*t3^2*t4 + 2*t1*t8 - 3*t3*t8 - t9)*x*y*x*y*y"),
+    ("pe6", "f(x, b2'*a2') = f(x, y) + (3*t3 - 2*t1)*t8*[xyxyy]",
+     "f_xy' = f_xy - t1*t8*x*y*x*y*y - t2*t8*y*x*y*y*x - t3*t8*y*y*x*y*y"
+     " = f_xy + (t2 + t3 - t1)*t8*x*y*x*y*y = f_xy + (2*t3 - t1 + t3 - t1)*t8*x*y*x*y*y"
+     " = f_xy + (3*t3 - 2*t1)*t8*x*y*x*y*y"),
+    ("pe6", "x + b2'*a2' + a3'*b3' + f(x, b2'*a2') = x + y + a3*b3 = 0",
+     "x + b2'*a2' + a3'*b3' + f_xy' = x + y + z = 0"),
+)
 
 
-def verify_identities(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
+@cache
+def parsed_catalog() -> tuple[dict, list]:
+    """``DEFINITIONS`` and ``CATALOG`` parsed, once per process, on first
+    use: each definition's AST, and each entry as (kind, check name, the
+    ASTs of the sides of its text, split at "=")."""
+    names = SCOPE_NAMES | DEFINITIONS.keys()
+    definitions = {name: parse(text, names) for name, text in DEFINITIONS.items()}
+    entries = [
+        (kind, name, [parse(side, names) for side in (text[0] if text else name).split("=")])
+        for kind, name, *text in CATALOG
+    ]
+    return definitions, entries
+
+
+def verify_identities(theta=CONSTRAINED_THETA) -> VerificationReport:
     """The derivation catalog, by default over the constrained theta.
 
     It calls ``run_derivation_catalog`` by the name this module binds, at
@@ -50,539 +189,72 @@ def verify_identities(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport
     return run_derivation_catalog(theta)
 
 
-def run_derivation_catalog(theta: Sequence) -> VerificationReport:
-    """The catalog's checks, in order, each building its elements inside
-    its own timed span: ``zero``, ``chain`` and ``equal`` pass thunks to
-    ``VerificationReport.run_zero`` and ``run_equal_nf``.
+def run_derivation_catalog(theta) -> VerificationReport:
+    """The catalog's checks, in order, each evaluating its entry inside its
+    own timed span through ``VerificationReport.run_zero``, ``run_equal_nf``
+    or ``run``; ``theta`` is a point or an ``e6.SymbolicSetup``.
 
-    The set-up several checks share is built once, on first use
-    (``functools.cache``), and charged to the first check that reads it:
-    the derived constants and the primed generators to "a2'*b2' =
-    a2*b2", each displayed expansion to the first link of its chain, and
-    f(x, y) and f(x, b2'*a2') to the first link of the f chain.  Only the
-    loops x, y, z at the exceptional vertex, three products of two arrows,
-    are built before the first check.
+    Every side of a chain is built once, by the first link that reads it,
+    and a definition by the first check that reads it; so is the set-up of
+    ``theta`` (the derived constants, the primed generators, f(x, y) and
+    f(x, b2'*a2')), each charged to the check that first reads it.  The
+    last check, the integer certificate, covers every element the catalog
+    built on pe6, each tested as it was built, and the set-up's elements.
     """
     report = VerificationReport("identities", "pe6")
-    pe6 = build_pe6()
-    re6 = build_re6()
-    quiver = pe6.quiver
-    n = pe6.nilpotency_degree
+    pe6, re6 = build_pe6(), build_re6()
+    setup = SymbolicSetup.at(theta)
+    definitions, entries = parsed_catalog()
+    scope = setup.scope()
+    scope.update(
+        (name, cache(lambda ast=ast: evaluate(ast, pe6.quiver, scope)))
+        for name, ast in definitions.items()
+    )
+    fractional = []  # the elements built on pe6 that fail the integer certificate
 
-    g = generators(quiver)
-    a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
-    a2, b2, a3, b3 = g["a2"], g["b2"], g["a3"], g["b3"]
-    a4, b4 = g["a4"], g["b4"]
-    x = b0 * a0  # loop at the exceptional vertex
-    y = b2 * a2
-    z = a3 * b3
+    def element(ast, algebra):
+        if algebra is re6:
+            return to_element(ast, re6.quiver)
+        value = to_element(ast, pe6.quiver, scope)
+        if not value.has_integral_coefficients():
+            fractional.append(value)
+        return value
 
-    constants = cache(lambda: derived_constants(theta))
-    primed_all = cache(lambda: primed_generators(constants()))
+    for kind, name, sides in entries:
+        if kind == "scalar":
+            lhs, rhs = sides
 
-    def primed(name: str) -> FreeElement:
-        """The primed generator ``name'``."""
-        return primed_all()[name]
+            def scalar_check(lhs=lhs, rhs=rhs):
+                value = evaluate(lhs, pe6.quiver, scope)
+                return value == evaluate(rhs, pe6.quiver, scope), lambda: f"difference is {value}"
 
-    def chain(label: str, algebra, expressions):
-        """One check per link expressions[k] - expressions[k+1].  Each entry
-        is a thunk, built once, in the first link that reads it."""
-        built = [cache(e) for e in expressions]
-        for k in range(len(built) - 1):
-            suffix = "" if len(built) == 2 else f" [step {k + 1}]"
-            report.run_zero(
-                f"{label}{suffix}", algebra, lambda k=k: built[k]() - built[k + 1]()
+            report.run(name, scalar_check)
+        elif kind == "differs":
+            lhs, rhs = sides
+            report.run_equal_nf(
+                name, pe6, lambda lhs=lhs: element(lhs, pe6), lambda rhs=rhs: element(rhs, pe6)
             )
-
-    zero = report.run_zero
-    equal = report.run_equal_nf
-    zero_element = lambda: FreeElement.zero(quiver)  # noqa: E731
-
-    # ---- rewriting identities inside re6 (basis-B derivation) ----
-    lg = generators(re6.quiver)
-    lx, ly = lg["x"], lg["y"]
-    chain(
-        "re6: yyx = yyx - (x+y)^3 = -(xyx + xyy + yxy)",
-        re6,
-        [
-            lambda: ly * ly * lx,
-            lambda: ly * ly * lx - (lx + ly) ** 3,
-            lambda: -(lx * ly * lx + lx * ly * ly + ly * lx * ly),
-        ],
-    )
-    chain(
-        "re6: yxyx = -xyyx = xyxy",
-        re6,
-        [lambda: ly * lx * ly * lx, lambda: -(lx * ly * ly * lx), lambda: lx * ly * lx * ly],
-    )
-    chain(
-        "re6: yyxy = -(xyxy + yxyy)",
-        re6,
-        [lambda: ly * ly * lx * ly, lambda: -(lx * ly * lx * ly + ly * lx * ly * ly)],
-    )
-    chain(
-        "re6: yyxyy = -yyxyx = yxyyx = -yxyxy = xyyxy = -xyxyy",
-        re6,
-        [
-            lambda: ly * ly * lx * ly * ly,
-            lambda: -(ly * ly * lx * ly * lx),
-            lambda: ly * lx * ly * ly * lx,
-            lambda: -(ly * lx * ly * lx * ly),
-            lambda: lx * ly * ly * lx * ly,
-            lambda: -(lx * ly * lx * ly * ly),
-        ],
-    )
-
-    # ---- a2'*b2' = a2*b2 and the vertex-2 relation ----
-    chain(
-        "a2*b2*a2*b2 = a2*a1*b1*b2 = 0",
-        pe6,
-        [lambda: a2 * b2 * a2 * b2, lambda: a2 * a1 * b1 * b2, zero_element],
-    )
-    zero("a2'*b2' = a2*b2", pe6, lambda: primed("a2") * primed("b2") - a2 * b2)
-    chain(
-        "b1*a1 + a2'*b2' = b1*a1 + a2*b2 = 0",
-        pe6,
-        [lambda: b1 * a1 + primed("a2") * primed("b2"), lambda: b1 * a1 + a2 * b2, zero_element],
-    )
-
-    # ---- b4'*a4' = 0 ----
-    zero("b4*a4 = 0", pe6, lambda: b4 * a4)
-    zero("b4'*a4' = 0", pe6, lambda: primed("b4") * primed("a4"))
-
-    # ---- preamble facts for the next block ----
-    zero("a4*b4 + b3*a3 = 0", pe6, lambda: a4 * b4 + b3 * a3)
-    zero("a0*b0 = 0", pe6, lambda: a0 * b0)
-    zero("a2*b2*a2*b2 = 0", pe6, lambda: a2 * b2 * a2 * b2)
-    zero("b3*a3*b3*a3 = 0", pe6, lambda: b3 * a3 * b3 * a3)
-    zero("a3*b3 + b2*a2 + b0*a0 = 0", pe6, lambda: z + y + x)
-
-    # ---- four derived identity chains at vertex 4 ----
-    chain(
-        "a4*b4*b3*x*a3 = -b3*a3*b3*x*a3 = b3*y*x*a3",
-        pe6,
-        [
-            lambda: a4 * b4 * b3 * x * a3,
-            lambda: -(b3 * a3 * b3 * x * a3),
-            lambda: b3 * y * x * a3,
-        ],
-    )
-    chain(
-        "b3*x*a3*a4*b4 = -b3*x*a3*b3*a3 = b3*x*y*a3",
-        pe6,
-        [
-            lambda: b3 * x * a3 * a4 * b4,
-            lambda: -(b3 * x * a3 * b3 * a3),
-            lambda: b3 * x * y * a3,
-        ],
-    )
-    chain(
-        "b3*y*x*a3*a4*b4 = -b3*y*x*a3*b3*a3 = b3*y*x*y*a3",
-        pe6,
-        [
-            lambda: b3 * y * x * a3 * a4 * b4,
-            lambda: -(b3 * y * x * a3 * b3 * a3),
-            lambda: b3 * y * x * y * a3,
-        ],
-    )
-    chain(
-        "b3*y*x*y*a3 = ... = b3*x*y*x*a3 (signs of steps 5, 6 corrected)",
-        pe6,
-        [
-            lambda: b3 * y * x * y * a3,
-            lambda: -(b3 * y * x * a3 * b3 * a3),
-            lambda: b3 * y * y * a3 * b3 * a3,
-            lambda: -(b3 * y * y * x * a3),
-            lambda: b3 * y * a3 * b3 * x * a3,
-            lambda: -(b3 * x * a3 * b3 * x * a3),
-            lambda: b3 * x * y * x * a3,
-        ],
-    )
-    equal(
-        "printed step b3*y*a3*b3*x*a3 = b3*x*a3*b3*x*a3 is off by 2*[b3*x*y*x*a3]",
-        pe6,
-        lambda: (b3 * y * a3 * b3 * x * a3) - (b3 * x * a3 * b3 * x * a3),
-        lambda: 2 * (b3 * x * y * x * a3),
-    )
-    equal(
-        "printed step b3*x*a3*b3*x*a3 = b3*x*y*x*a3 is off by -2*[b3*x*y*x*a3]",
-        pe6,
-        lambda: (b3 * x * a3 * b3 * x * a3) - (b3 * x * y * x * a3),
-        lambda: -2 * (b3 * x * y * x * a3),
-    )
-
-    # ---- b3'*a3' expansion ----
-    @cache
-    def phi_coefficient():
-        s = constants()
-        return s.th3 - s.th1
-
-    @cache
-    def k_coefficient():
-        s = constants()
-        th1, th3, th4 = s.th1, s.th3, s.th4
-        return th4 + th1 ** 2 + 2 * th3 ** 2 - 3 * th1 * th3
-
-    @cache
-    def b3a3_forms():
-        """The three displayed forms of b3'*a3', the last with its final
-        coefficient corrected to t3^3, and the printed last form."""
-        s = constants()
-        th1, th3, th4, th5, th7 = s.th1, s.th3, s.th4, s.th5, s.th7
-        phi = phi_coefficient()
-        psi, alpha, beta, gamma = s.psi, s.alpha, s.beta, s.gamma
-        k_coeff = k_coefficient()
-        d1_expr1 = (
-            b3 * a3
-            + (phi + th1 - th3) * (b3 * x * a3)
-            + (alpha + phi * th3) * (b3 * x * y * a3)
-            + (psi + beta) * (b3 * y * x * a3)
-            + (phi * beta) * (b3 * x * y * x * a3)
-            + (th3 * psi) * (b3 * y * x * y * a3)
-            + gamma * (b3 * x * y * x * a3)
-        )
-        d1_big = (
-            th5 * th3 - 2 * th4 * th3 - 2 * th3 ** 3 + 4 * th3 ** 2 * th1
-            - 2 * th1 ** 2 * th3 - th5 * th1 + 2 * th4 * th1 + 2 * th3 ** 2 * th1
-            - 4 * th1 ** 2 * th3 + 2 * th1 ** 3 + th3 * th4 - th3 * th5
-            - th1 * th3 ** 2 + th1 ** 2 * th3
-            + th7 - 8 * th1 * th3 ** 2 + 7 * th1 ** 2 * th3 + 2 * th3 * th4
-            - 2 * th1 ** 3 - 2 * th1 * th4 + 3 * th3 ** 3
-        )
-        d1_expr2 = (
-            b3 * a3
-            + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
-            + d1_big * (b3 * x * y * x * a3)
-        )
-        d1_final_coeff_corrected = (
-            th7 + th3 ** 3 + th3 * th4 - th1 * th5
-            - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
-        )
-        d1_final_coeff_printed = (
-            th7 + th1 ** 3 + th3 * th4 - th1 * th5
-            - 3 * th1 * th3 ** 2 + 2 * th1 ** 2 * th3
-        )
-        d1_expr3 = (
-            b3 * a3
-            + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
-            + d1_final_coeff_corrected * (b3 * x * y * x * a3)
-        )
-        d1_printed = (
-            b3 * a3
-            + k_coeff * (b3 * x * y * a3 - b3 * y * x * a3)
-            + d1_final_coeff_printed * (b3 * x * y * x * a3)
-        )
-        return d1_expr1, d1_expr2, d1_expr3, d1_printed
-
-    chain(
-        "b3'*a3' expansion (final coefficient corrected to t3^3)",
-        pe6,
-        [
-            lambda: primed("b3") * primed("a3"),
-            lambda: b3a3_forms()[0],
-            lambda: b3a3_forms()[1],
-            lambda: b3a3_forms()[2],
-        ],
-    )
-    equal(
-        "printed b3'*a3' final form differs by (t3^3 - t1^3)*b3*x*y*x*a3",
-        pe6,
-        lambda: b3a3_forms()[1] - b3a3_forms()[3],
-        lambda: (constants().th3 ** 3 - constants().th1 ** 3) * (b3 * x * y * x * a3),
-    )
-
-    # ---- a4'*b4' expansion ----
-    @cache
-    def a4b4_forms():
-        """The two displayed forms of a4'*b4'."""
-        s = constants()
-        th1, th3, th4 = s.th1, s.th3, s.th4
-        d2_expr1 = (
-            a4 * b4
-            + s.kappa1 * (b3 * x * a3 * a4 * b4)
-            + (th4 - (th1 - th3) * (2 * th3 - th1)) * (a4 * b4 * b3 * x * a3)
-            + s.kappa2 * (b3 * y * x * a3 * a4 * b4)
-        )
-        d2_expr2 = (
-            a4 * b4
-            + (3 * th1 * th3 - th1 ** 2 - 2 * th3 ** 2 - th4) * (b3 * x * y * a3)
-            + k_coefficient() * (b3 * y * x * a3)
-            + s.kappa2 * (b3 * x * y * x * a3)
-        )
-        return d2_expr1, d2_expr2
-
-    chain(
-        "a4'*b4' expansion",
-        pe6,
-        [
-            lambda: primed("a4") * primed("b4"),
-            lambda: a4b4_forms()[0],
-            lambda: a4b4_forms()[1],
-        ],
-    )
-
-    # ---- vertex-4 relation for the primed generators ----
-    def primed_vertex4():
-        return primed("b3") * primed("a3") + primed("a4") * primed("b4")
-
-    chain(
-        "b3'*a3' + a4'*b4' = b3*a3 + a4*b4 = 0",
-        pe6,
-        [primed_vertex4, lambda: b3 * a3 + a4 * b4, zero_element],
-    )
-    equal(
-        "printed chain with a3*b3 in place of b3*a3 fails as documented",
-        pe6,
-        lambda: primed_vertex4() - (a3 * b3 + a4 * b4),
-        lambda: -(a3 * b3 + a4 * b4),
-    )
-
-    # ---- the sixteen loop identities at the exceptional vertex ----
-    zero("x*z = -x*y", pe6, lambda: x * z + x * y)
-    zero("y*z = -y*y - y*x", pe6, lambda: y * z + y * y + y * x)
-    zero("z*x = -y*x", pe6, lambda: z * x + y * x)
-    zero("x*y*z = -(x*y*x + x*y*y)", pe6, lambda: x * y * z + x * y * x + x * y * y)
-    zero("y*x*z = -y*x*y", pe6, lambda: y * x * z + y * x * y)
-    zero("x*z*x = -x*y*x", pe6, lambda: x * z * x + x * y * x)
-    chain(
-        "y*z*x = -y*y*x = x*y*x + x*y*y + y*x*y",
-        pe6,
-        [lambda: y * z * x, lambda: -(y * y * x), lambda: x * y * x + x * y * y + y * x * y],
-    )
-    chain(
-        "z*y*x = -(x*y*x + y*y*x) = x*y*y + y*x*y",
-        pe6,
-        [lambda: z * y * x, lambda: -(x * y * x + y * y * x), lambda: x * y * y + y * x * y],
-    )
-    zero("x*y*x*z = -x*y*x*y", pe6, lambda: x * y * x * z + x * y * x * y)
-    chain(
-        "x*y*z*x = -x*y*y*x = x*y*x*y",
-        pe6,
-        [lambda: x * y * z * x, lambda: -(x * y * y * x), lambda: x * y * x * y],
-    )
-    chain(
-        "y*x*z*x = -y*x*y*x = -x*y*x*y",
-        pe6,
-        [lambda: y * x * z * x, lambda: -(y * x * y * x), lambda: -(x * y * x * y)],
-    )
-    chain(
-        "x*z*y*x = -x*y*y*x = x*y*x*y",
-        pe6,
-        [lambda: x * z * y * x, lambda: -(x * y * y * x), lambda: x * y * x * y],
-    )
-    chain(
-        "y*z*y*x = -y*x*y*x = -x*y*x*y",
-        pe6,
-        [lambda: y * z * y * x, lambda: -(y * x * y * x), lambda: -(x * y * x * y)],
-    )
-    zero("x*y*x*z*x = 0", pe6, lambda: x * y * x * z * x)
-    zero("x*y*z*y*x = 0", pe6, lambda: x * y * z * y * x)
-    chain(
-        "y*x*z*y*x = -y*x*y*y*x = x*y*x*y*y",
-        pe6,
-        [lambda: y * x * z * y * x, lambda: -(y * x * y * y * x), lambda: x * y * x * y * y],
-    )
-
-    # ---- a3'*b3' expansion ----
-    @cache
-    def a3b3_forms():
-        """The five displayed forms of a3'*b3', the quartic block of the
-        last two corrected to 2*t1*(t3-t1)^3, and that block's corrected
-        and printed coefficients."""
-        s = constants()
-        th1, th2, th3, th4, th5 = s.th1, s.th2, s.th3, s.th4, s.th5
-        th6, th7 = s.th6, s.th7
-        phi = phi_coefficient()
-        psi, alpha, beta, gamma = s.psi, s.alpha, s.beta, s.gamma
-        e_expr1 = (
-            a3
-            + th1 * (x * a3)
-            + th3 * (y * a3)
-            + alpha * (x * y * a3)
-            + beta * (y * x * a3)
-            + gamma * (x * y * x * a3)
-        ) * (b3 + phi * (b3 * x) + psi * (b3 * y * x))
-        e_expr2 = (
-            z
-            + th1 * (x * z)
-            + th3 * (y * z)
-            + phi * (z * x)
-            + th1 * phi * (x * z * x)
-            + th3 * phi * (y * z * x)
-            + alpha * (x * y * z)
-            + beta * (y * x * z)
-            + psi * (z * y * x)
-            + gamma * (x * y * x * z)
-            + phi * alpha * (x * y * z * x)
-            + phi * beta * (y * x * z * x)
-            + th1 * psi * (x * z * y * x)
-            + th3 * psi * (y * z * y * x)
-            + beta * psi * (y * x * z * y * x)
-        )
-        e_expr3 = (
-            z
-            - th1 * (x * y)
-            - (phi + th3) * (y * x)
-            - th3 * (y * y)
-            - (th1 * phi - th3 * phi + alpha) * (x * y * x)
-            - (alpha - th3 * phi - psi) * (x * y * y)
-            - (beta - th3 * phi - psi) * (y * x * y)
-            - (gamma + phi * (beta - alpha) + phi * psi) * (x * y * x * y)
-            + (
-                3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-                + th4 * (4 * th3 * th1 - 2 * th3 ** 2 - 2 * th1 ** 2 + 2 * th1 * th3 - 2 * th1 ** 2)
-                + th5 * (2 * th3 ** 2 - 4 * th3 * th1 + 2 * th1 ** 2 - th1 * th3 + th1 ** 2)
-                + 2 * th1 * (th3 - th1) ** 3
-            ) * (x * y * x * y * y)
-        )
-        q_coeff = 2 * th4 + 3 * (th3 - th1) ** 2 + th1 * th3 - th1 ** 2
-        e9_corrected = (
-            3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-            + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
-            + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
-            + 2 * th1 * th3 ** 3 - 6 * th1 ** 2 * th3 ** 2 + 6 * th1 ** 3 * th3 - 2 * th1 ** 4
-        )
-        e9_printed = (
-            3 * th4 * th5 - 2 * th4 ** 2 - th5 ** 2
-            + 6 * th1 * th3 * th4 - 4 * th1 ** 2 * th4 - 2 * th3 ** 2 * th4
-            + 2 * th3 ** 2 * th5 + 3 * th1 ** 2 * th5 - 5 * th1 * th3 * th5
-            + 2 * th1 ** 4 - 6 * th1 ** 3 * th3 + 6 * th1 ** 2 * th3 ** 2 - 2 * th1 * th3 ** 3
-        )
-        e_expr4 = (
-            z
-            - th1 * (x * y)
-            - (2 * th3 - th1) * (y * x)
-            - th3 * (y * y)
-            - th4 * (x * y * x)
-            - th5 * (x * y * y)
-            - (2 * th5 - 3 * th4 - 3 * (th3 - th1) ** 2) * (y * x * y)
-            - (th7 + phi * q_coeff + (th1 - th3) * q_coeff) * (x * y * x * y)
-            + e9_corrected * (x * y * x * y * y)
-        )
-        e_expr5 = (
-            z
-            - th1 * (x * y)
-            - th2 * (y * x)
-            - th3 * (y * y)
-            - th4 * (x * y * x)
-            - th5 * (x * y * y)
-            - th6 * (y * x * y)
-            - th7 * (x * y * x * y)
-            + e9_corrected * (x * y * x * y * y)
-        )
-        return [e_expr1, e_expr2, e_expr3, e_expr4, e_expr5], e9_corrected, e9_printed
-
-    chain(
-        "a3'*b3' expansion (quartic block corrected to 2*t1*(t3-t1)^3)",
-        pe6,
-        [lambda: primed("a3") * primed("b3")]
-        + [lambda k=k: a3b3_forms()[0][k] for k in range(5)],
-    )
-
-    def quartic_block_check():
-        _, e9_corrected, e9_printed = a3b3_forms()
-        th1, th3 = constants().th1, constants().th3
-        return (
-            e9_printed - e9_corrected == 4 * th1 * (th1 - th3) ** 3,
-            f"difference is {e9_printed - e9_corrected}",
-        )
-
-    report.run(
-        "printed quartic block equals 2*t1*(t1-t3)^3, off by 4*t1*(t1-t3)^3",
-        quartic_block_check,
-    )
-
-    def printed_a3b3_difference():
-        (_, _, e_expr3, e_expr4, _), e9_corrected, e9_printed = a3b3_forms()
-        return e_expr3 - (e_expr4 + (e9_printed - e9_corrected) * (x * y * x * y * y))
-
-    def documented_a3b3_difference():
-        th1, th3 = constants().th1, constants().th3
-        return -(4 * th1 * (th1 - th3) ** 3) * (x * y * x * y * y)
-
-    equal(
-        "printed a3'*b3' final forms differ by 4*t1*(t1-t3)^3*[xyxyy]",
-        pe6,
-        printed_a3b3_difference,
-        documented_a3b3_difference,
-    )
-
-    # ---- b2'*a2' expansion ----
-    def b2a2_difference():
-        s = constants()
-        th1, th3, th4, th5, th8, th9 = s.th1, s.th3, s.th4, s.th5, s.th8, s.th9
-        delta_full = (
-            2 * th1 ** 4 - 6 * th1 ** 3 * th3 - 3 * th1 ** 2 * th5 + 4 * th1 ** 2 * th4
-            + 6 * th1 ** 2 * th3 ** 2 + 5 * th1 * th3 * th5 - 6 * th1 * th3 * th4
-            + th5 ** 2 - 3 * th5 * th4 + 2 * th4 ** 2 - 2 * th3 ** 3 * th1
-            - 2 * th3 ** 2 * th5 + 2 * th3 ** 2 * th4 + 2 * th1 * th8 - 3 * th3 * th8 - th9
-        )
-        return primed("b2") * primed("a2") - (
-            y - th8 * (y * x * y * y) + delta_full * (x * y * x * y * y)
-        )
-
-    zero("b2'*a2' = y - t8*y*x*y*y + delta*x*y*x*y*y", pe6, b2a2_difference)
-
-    # ---- f(x, b2'*a2') expansion ----
-    # f is expanded modulo paths of length >= N (see FreeElement.mul)
-    @cache
-    def f_forms():
-        """f(x, b2'*a2'), then its displayed forms over f(x, y)."""
-        s = constants()
-        th1, th2, th3, th8 = s.th1, s.th2, s.th3, s.th8
-        f_free = as_free_element(theta)
-        f_xy = corner_embedding()(f_free, below=n)
-        f_xyp = GeneratorMap(
-            builtin_quiver("L2"),
-            quiver,
-            {"x": x, "y": primed("b2") * primed("a2")},
-            vertex_map={0: 3},
-        )(f_free, below=n)
-        g_base = f_xy
-        g_expr1 = (
-            g_base
-            - th1 * th8 * (x * y * x * y * y)
-            - th2 * th8 * (y * x * y * y * x)
-            - th3 * th8 * (y * y * x * y * y)
-        )
-        g_expr2 = g_base + (th2 + th3 - th1) * th8 * (x * y * x * y * y)
-        g_expr3 = g_base + ((2 * th3 - th1) + th3 - th1) * th8 * (x * y * x * y * y)
-        g_expr4 = g_base + (3 * th3 - 2 * th1) * th8 * (x * y * x * y * y)
-        return [f_xyp, g_expr1, g_expr2, g_expr3, g_expr4], f_xy
-
-    chain(
-        "f(x, b2'*a2') = f(x, y) + (3*t3 - 2*t1)*t8*[xyxyy]",
-        pe6,
-        [lambda k=k: f_forms()[0][k] for k in range(5)],
-    )
-
-    # ---- the final sum ----
-    chain(
-        "x + b2'*a2' + a3'*b3' + f(x, b2'*a2') = x + y + a3*b3 = 0",
-        pe6,
-        [
-            lambda: x + primed("b2") * primed("a2") + primed("a3") * primed("b3")
-            + f_forms()[0][0],
-            lambda: x + y + z,
-            zero_element,
-        ],
-    )
-
-    # ---- integer certificate over the whole catalog ----
-    def catalog_elements():
-        (f_xyp, *_), f_xy = f_forms()
-        return [
-            *(primed(name) for name in ("a2", "b2", "a3", "b3", "a4", "b4")),
-            f_xy, f_xyp,
-            *b3a3_forms()[:3], *a4b4_forms(), *a3b3_forms()[0],
-        ]
+        else:
+            algebra = re6 if kind == "re6" else pe6
+            members = [cache(lambda ast=ast: element(ast, algebra)) for ast in sides]
+            for k in range(len(members) - 1):
+                suffix = "" if len(members) == 2 else f" [step {k + 1}]"
+                report.run_zero(
+                    f"{name}{suffix}", algebra, lambda k=k: members[k]() - members[k + 1]()
+                )
 
     report.run(
         "integer certificate (catalog coefficients are integral)",
         lambda: (
-            all(e.has_integral_coefficients() for e in catalog_elements())
+            not fractional
+            and all(e.has_integral_coefficients() for e in setup.primed.values())
+            and setup.f_xy.has_integral_coefficients()
+            and scope["f_xy'"]().has_integral_coefficients()
             and pe6.integral,
             None,
         ),
     )
+    # the definitions refer to the scope that holds them: free them now,
+    # not when the garbage collector finds the cycle
+    scope.clear()
     return report

@@ -21,7 +21,10 @@ and the machine verifications:
 The catalog of displayed derivation steps, ``verify_identities``, is in
 ``derivation``.  The derived constants, the terms of the change of
 generators and the names of the seven relations are in ``oracle``, the
-one place both pipelines read them from.
+one place both pipelines read them from.  ``SymbolicSetup`` holds what
+the symbolic reports share at one theta, and the scope in which the
+inverse formulas and the catalog, text in the ``reduce`` grammar, are
+evaluated.
 
 Vertex labels follow the quiver: the exceptional vertex carrying the
 deformed relation b0*a0 + b2*a2 + a3*b3 (+ f) is vertex 3, and the corner
@@ -32,10 +35,11 @@ from __future__ import annotations
 
 import random
 import time
-from functools import cache, lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import cache, cached_property, lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .freealg import FreeElement, GeneratorMap, dynkin_preprojective, generators
+from .expr import parse, to_element
+from .freealg import FreeElement, GeneratorMap, _as_poly, dynkin_preprojective, generators
 from .oracle import (
     DEFORMED_RELATION_NAMES,
     THETA_MONOMIALS,
@@ -195,92 +199,144 @@ def primed_generators(s: GeneratorScalars) -> dict[str, FreeElement]:
 def substituted_generators(theta: Sequence) -> GeneratorMap:
     """The change of generators of pe6 at an admissible theta (checked by
     ``derived_constants``)."""
+    return _change_of_generators(derived_constants(theta))
+
+
+def _change_of_generators(s: GeneratorScalars) -> GeneratorMap:
     quiver = builtin_quiver("E6")
-    terms = generator_terms(derived_constants(theta))
+    terms = generator_terms(s)
     return GeneratorMap(
         quiver, quiver, {name: _path_sum(quiver, t) for name, t in terms.items()}
     )
 
 
-def inverse_formula_terms(s: GeneratorScalars, mode: str) -> dict[str, list]:
-    """Right-hand sides of the six inverse formulas.
+# the substituted generators, a2' ... b4'
+PRIMED_NAMES = ("a2", "b2", "a3", "b3", "a4", "b4")
+# the named constants of ``GeneratorScalars`` that a scope binds
+SCOPE_CONSTANTS = (
+    "alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2",
+    "alpha1", "beta1", "alpha2", "beta2", "alpha3", "alpha2_inv", "beta2_inv", "alpha3_inv",
+)
+# every name ``SymbolicSetup.scope`` binds beyond the grammar's t1..t9
+SCOPE_NAMES = frozenset(
+    {"x", "y", "z", "f_xy", "f_xy'"} | {f"{n}'" for n in PRIMED_NAMES} | set(SCOPE_CONSTANTS)
+)
 
-    Each term is (coefficient, tuple of symbols); a symbol is an arrow
-    name, or a primed name like ``a2'`` standing for the substituted
-    generator.  ``printed`` is the verbatim form; ``corrected`` drops the
-    stray ``a2'`` factor from the a4 formula, primes the lone unprimed
-    ``a2`` in the a3 formula (immaterial in the quotient), and replaces
-    the three constants alpha2, beta2, alpha3 of the a3 formula by the
-    solved inverting coefficients (the printed ones do not invert).
+
+class SymbolicSetup:
+    """The set-up that the symbolic reports share at one point theta.
+
+    Each part is built on first use, by the check that first reads it, and
+    kept for the life of the object.  ``verify all`` makes one and hands
+    it to the theorem, the derivation catalog, the corner isomorphism and
+    the inverse formulas, so the derived constants, the primed generators,
+    the corner embedding and f(x, y) are each built once per run; a report
+    run on its own makes its own.  It is per run, not a process cache: a
+    CLI call runs once and would gain nothing from one.
     """
-    p = lambda name: name + "'"  # noqa: E731 - tiny local shorthand
-    xp = ("b0", "a0")
-    yp = (p("b2"), p("a2"))
-    a3_beta1_mid = ("a2",) if mode == "printed" else (p("a2"),)
-    a4_leading = (p("a4"), p("a2")) if mode == "printed" else (p("a4"),)
-    if mode == "printed":
-        a3_xyx, a3_yxy, a3_xyxy = s.alpha2, s.beta2, s.alpha3
-    else:
-        a3_xyx, a3_yxy, a3_xyxy = s.alpha2_inv, s.beta2_inv, s.alpha3_inv
-    return {
-        "a2": [
-            (1, (p("a2"),)),
-            (s.th8, (p("a2"),) + xp + yp + yp),
-        ],
-        "b2": [
-            (1, (p("b2"),)),
-            (-s.delta, xp + yp + xp + yp + (p("b2"),)),
-        ],
-        "a3": [
-            (1, (p("a3"),)),
-            (-s.th1, xp + (p("a3"),)),
-            (-s.th3, yp + (p("a3"),)),
-            (s.alpha1, xp + yp + (p("a3"),)),
-            (s.beta1, (p("b2"),) + a3_beta1_mid + xp + (p("a3"),)),
-            (a3_xyx, xp + yp + xp + (p("a3"),)),
-            (a3_yxy, yp + xp + yp + (p("a3"),)),
-            (a3_xyxy, xp + yp + xp + yp + (p("a3"),)),
-        ],
-        "b3": [
-            (1, (p("b3"),)),
-            (-(s.th3 - s.th1), (p("b3"),) + xp),
-            (-s.psi, (p("b3"),) + yp + xp),
-            ((s.th3 - s.th1) * s.psi, (p("b3"),) + xp + yp + xp),
-            (s.psi * s.psi, (p("b3"),) + yp + xp + yp + xp),
-        ],
-        "a4": [
-            (1, a4_leading),
-            (-s.kappa1, (p("b3"),) + xp + (p("a3"), p("a4"))),
-            (-s.kappa2, (p("b3"),) + yp + xp + (p("a3"), p("a4"))),
-        ],
-        "b4": [
-            (1, (p("b4"),)),
-            (s.kappa1, (p("b4"), p("b3")) + xp + (p("a3"),)),
-            (-s.th3 * s.kappa1, (p("b4"), p("b3")) + xp + yp + (p("a3"),)),
-        ],
-    }
+
+    def __init__(self, theta: Sequence = CONSTRAINED_THETA):
+        self.theta = theta
+
+    @staticmethod
+    def at(theta) -> "SymbolicSetup":
+        """``theta`` itself if it is a set-up, else a new set-up at it."""
+        return theta if isinstance(theta, SymbolicSetup) else SymbolicSetup(theta)
+
+    @cached_property
+    def constants(self) -> GeneratorScalars:
+        return derived_constants(self.theta)
+
+    @cached_property
+    def primed(self) -> dict[str, FreeElement]:
+        return primed_generators(self.constants)
+
+    @cached_property
+    def embedding(self) -> GeneratorMap:
+        return corner_embedding()
+
+    @cached_property
+    def f_xy(self) -> FreeElement:
+        """f(b0*a0, b2*a2), expanded modulo paths of length >= N, the
+        nilpotency degree of pe6 (see ``FreeElement.mul``)."""
+        return self.embedding(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
+
+    def f_xy_primed(self) -> FreeElement:
+        """f(b0*a0, b2'*a2'), expanded as ``f_xy`` is; built at each call,
+        as only the derivation catalog reads it."""
+        quiver = builtin_quiver("E6")
+        y_primed = self.primed["b2"] * self.primed["a2"]
+        substitution = GeneratorMap(
+            builtin_quiver("L2"),
+            quiver,
+            {"x": FreeElement.from_path(quiver.path("b0", "a0")), "y": y_primed},
+            vertex_map={0: EXCEPTIONAL_VERTEX},
+        )
+        return substitution(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
+
+    def scope(self) -> dict:
+        """The names of ``SCOPE_NAMES`` and t1..t9, for ``expr.evaluate`` on E6.
+
+        t1..t9 are the entries of theta; x, y and z are the loops b0*a0,
+        b2*a2 and a3*b3 at the exceptional vertex, as paths, so that a word
+        such as b3*y*x*a3 composes to one path; a2' ... b4' are the primed
+        generators; the constants are those of ``GeneratorScalars``; f_xy
+        and f_xy' are f(x, y) and f(x, b2'*a2').  Each is looked up, and
+        the costly ones built, on first use.  A new dict at each call, not
+        kept on the set-up: its functions refer to the set-up, and a set-up
+        that held them would be a reference cycle, freed only by the
+        garbage collector.
+        """
+        quiver = builtin_quiver("E6")
+        scope = {
+            name: (lambda path=quiver.path(*word): path)
+            for name, word in (("x", ("b0", "a0")), ("y", ("b2", "a2")), ("z", ("a3", "b3")))
+        }
+        scope.update(
+            (f"t{i}", lambda value=_as_poly(value): value) for i, value in enumerate(self.theta, 1)
+        )
+        scope.update((f"{n}'", lambda n=n: self.primed[n]) for n in PRIMED_NAMES)
+        scope.update(
+            (n, lambda n=n: _as_poly(getattr(self.constants, n))) for n in SCOPE_CONSTANTS
+        )
+        scope["f_xy"] = lambda: self.f_xy
+        scope["f_xy'"] = cache(self.f_xy_primed)
+        return scope
 
 
-def _element_from_symbols(
-    quiver: Quiver,
-    terms: Iterable,
-    primed: Mapping[str, FreeElement],
-    below: int | None = None,
-) -> FreeElement:
-    """Sum of coefficient-weighted symbol products, each product taken with
-    ``FreeElement.mul(..., below)``."""
-    total = FreeElement.zero(quiver)
-    for coeff, symbols in terms:
-        product = None
-        for sym in symbols:
-            factor = (
-                primed[sym[:-1]]
-                if sym.endswith("'")
-                else FreeElement.from_path(quiver.path(sym))
-            )
-            product = factor if product is None else product.mul(factor, below)
-        total = total + product.scale(coeff)
-    return total
+# The six inverse formulas, in the scope of ``SymbolicSetup``.  ``printed``
+# is the verbatim form; ``corrected`` drops the stray ``a2'`` factor from
+# the a4 formula, primes the lone unprimed ``a2`` in the a3 formula
+# (immaterial in the quotient), and replaces the three constants alpha2,
+# beta2, alpha3 of the a3 formula by the solved inverting coefficients
+# (the printed ones do not invert).
+_PRINTED_INVERSE = {
+    "a2": "a2' + t8*a2'*x*b2'*a2'*b2'*a2'",
+    "b2": "b2' - delta*x*b2'*a2'*x*b2'*a2'*b2'",
+    "a3": "a3' - t1*x*a3' - t3*b2'*a2'*a3' + alpha1*x*b2'*a2'*a3' + beta1*b2'*a2*x*a3'"
+          " + alpha2*x*b2'*a2'*x*a3' + beta2*b2'*a2'*x*b2'*a2'*a3'"
+          " + alpha3*x*b2'*a2'*x*b2'*a2'*a3'",
+    "b3": "b3' - (t3 - t1)*b3'*x - psi*b3'*b2'*a2'*x + (t3 - t1)*psi*b3'*x*b2'*a2'*x"
+          " + psi^2*b3'*b2'*a2'*x*b2'*a2'*x",
+    "a4": "a4'*a2' - kappa1*b3'*x*a3'*a4' - kappa2*b3'*b2'*a2'*x*a3'*a4'",
+    "b4": "b4' + kappa1*b4'*b3'*x*a3' - t3*kappa1*b4'*b3'*x*b2'*a2'*a3'",
+}
+INVERSE_FORMULAS = {
+    "printed": _PRINTED_INVERSE,
+    "corrected": {
+        **_PRINTED_INVERSE,
+        "a3": "a3' - t1*x*a3' - t3*b2'*a2'*a3' + alpha1*x*b2'*a2'*a3' + beta1*b2'*a2'*x*a3'"
+              " + alpha2_inv*x*b2'*a2'*x*a3' + beta2_inv*b2'*a2'*x*b2'*a2'*a3'"
+              " + alpha3_inv*x*b2'*a2'*x*b2'*a2'*a3'",
+        "a4": "a4' - kappa1*b3'*x*a3'*a4' - kappa2*b3'*b2'*a2'*x*a3'*a4'",
+    },
+}
+
+
+@cache
+def _parsed_inverse_formulas(mode: str) -> dict:
+    """The formulas of ``mode``, parsed once per process, on first use."""
+    return {name: parse(text, SCOPE_NAMES) for name, text in INVERSE_FORMULAS[mode].items()}
 
 
 # -- admissibility -----------------------------------------------------------------
@@ -341,12 +397,22 @@ class VerificationReport:
         good = sum(1 for c in self.checks if c.passed)
         return good, len(self.checks)
 
-    def run(self, name: str, fn: Callable[[], tuple[bool, str | None]]):
-        """Run one check; its ``ms`` is the wall time of ``fn``."""
+    def run(self, name: str, fn: Callable[[], tuple]):
+        """Run one check; its ``ms`` is the wall time of ``fn``.
+
+        ``fn`` returns (passed, residual), the residual a string, ``None``,
+        or a function that makes the string; a passing check keeps no
+        residual, so the function is called only when the check fails, and
+        a passing check formats nothing.
+        """
         start = time.perf_counter()
         passed, residual = fn()
+        if passed:
+            residual = None
+        elif callable(residual):
+            residual = residual()
         ms = (time.perf_counter() - start) * 1000.0
-        self.checks.append(CheckResult(name, passed, None if passed else residual, ms))
+        self.checks.append(CheckResult(name, passed, residual, ms))
 
     def run_zero(
         self, name: str, algebra: QuotientAlgebra, element: Callable[[], FreeElement]
@@ -359,7 +425,7 @@ class VerificationReport:
 
         def check():
             nf = algebra.normal_form(element())
-            return nf.is_zero(), str(nf)
+            return nf.is_zero(), lambda: str(nf)
 
         self.run(name, check)
 
@@ -377,7 +443,7 @@ class VerificationReport:
             got = algebra.normal_form(element())
             want = algebra.normal_form(expected())
             ok = got == want and not got.is_zero()
-            return ok, f"got {got}; expected {want}"
+            return ok, lambda: f"got {got}; expected {want}"
 
         self.run(name, check)
 
@@ -400,13 +466,13 @@ def verify_lemma() -> VerificationReport:
             (x * y * x * y).scale(c1) + (x * y * x * y * y).scale(c2)
         )
         ok = residual == expected
-        return ok, f"got {residual}"
+        return ok, lambda: f"got {residual}"
 
     report.run("residual of (x+y+f)^3 equals c1*[xyxy] + c2*[xyxyy]", check_free_residual)
 
     def check_constrained_residual():
         residual = admissibility_residual(CONSTRAINED_THETA)
-        return residual.is_zero(), str(residual)
+        return residual.is_zero(), lambda: str(residual)
 
     report.run("residual vanishes under the two constraints", check_constrained_residual)
 
@@ -415,7 +481,7 @@ def verify_lemma() -> VerificationReport:
         _, substituted = lemma_coefficients((t[0], constraint_theta2(t[0], t[2])) + t[2:])
         target = t[5] - constraint_theta6(t[0], t[2], t[3], t[4])
         ok = substituted == target
-        return ok, f"got {substituted}; expected {target}"
+        return ok, lambda: f"got {substituted}; expected {target}"
 
     report.run(
         "second coefficient rewrites to t6 - (2*t5 - 3*t4 - 3*(t3-t1)^2)",
@@ -427,33 +493,30 @@ def verify_lemma() -> VerificationReport:
 # -- deformed relations and theorem --------------------------------------------------
 
 
-def deformed_relations(theta: Sequence) -> list[FreeElement]:
+def deformed_relations(theta) -> list[FreeElement]:
     """The seven relations presenting the deformed algebra, f expanded.
 
     f(b0*a0, b2*a2) is expanded modulo paths of length >= N, the
-    nilpotency degree of pe6 (see ``FreeElement.mul``).
+    nilpotency degree of pe6 (see ``FreeElement.mul``).  ``theta`` is a
+    point or a ``SymbolicSetup``, whose f(x, y) is then shared.
     """
     quiver = builtin_quiver("E6")
     g = generators(quiver)
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
     a2, b2, a3, b3 = g["a2"], g["b2"], g["a3"], g["b3"]
     a4, b4 = g["a4"], g["b4"]
-    f_on_e6 = corner_embedding()(
-        as_free_element(theta), below=build_pe6().nilpotency_degree
-    )
     return [
         a0 * b0,
         a1 * b1,
         b1 * a1 + a2 * b2,
         b3 * a3 + a4 * b4,
         b4 * a4,
-        b0 * a0 + b2 * a2 + a3 * b3 + f_on_e6,
+        b0 * a0 + b2 * a2 + a3 * b3 + SymbolicSetup.at(theta).f_xy,
         (b0 * a0 + b2 * a2) ** 3,
     ]
 
 
-
-def _theorem_rows(theta: Sequence):
+def _theorem_rows(setup: SymbolicSetup):
     """Yield (name, substituted relation, normal form), one relation at a time.
 
     The substitution drops paths of length >= N, the nilpotency degree of
@@ -461,8 +524,8 @@ def _theorem_rows(theta: Sequence):
     terms below N.
     """
     algebra = build_pe6()
-    change = substituted_generators(theta)
-    for name, relation in zip(DEFORMED_RELATION_NAMES, deformed_relations(theta)):
+    change = _change_of_generators(setup.constants)
+    for name, relation in zip(DEFORMED_RELATION_NAMES, deformed_relations(setup)):
         image = change(relation, below=algebra.nilpotency_degree)
         yield name, image, algebra.normal_form(image)
 
@@ -471,17 +534,17 @@ def theorem_residuals(
     theta: Sequence,
 ) -> list[tuple[str, FreeElement, QuotientElement]]:
     """(name, substituted relation, normal form) for the seven relations."""
-    return list(_theorem_rows(theta))
+    return list(_theorem_rows(SymbolicSetup.at(theta)))
 
 
-def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
+def verify_theorem(theta=CONSTRAINED_THETA) -> VerificationReport:
     """All seven deformed relations vanish after the change of generators.
 
-    Defaults to the fully symbolic constrained theta.  Each relation's
-    check takes the next row of ``_theorem_rows``, so its time covers its
-    own substitution and reduction; the first one's also covers building
-    the change of generators and the seven relations (and pe6 itself, on
-    first use).
+    Defaults to the fully symbolic constrained theta; ``theta`` is a point
+    or a ``SymbolicSetup``.  Each relation's check takes the next row of
+    ``_theorem_rows``, so its time covers its own substitution and
+    reduction; the first one's also covers building the change of
+    generators and the seven relations (and pe6 itself, on first use).
 
     Also records the integer certificate: every substituted relation has
     integer coefficients before reduction.  The substitution keeps only the
@@ -494,13 +557,13 @@ def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
     nothing (see ``build_quotient``).
     """
     report = VerificationReport("theorem", "pe6")
-    rows = _theorem_rows(theta)
+    rows = _theorem_rows(SymbolicSetup.at(theta))
     images = []
 
     def next_relation():
         _, image, nf = next(rows)
         images.append(image)
-        return nf.is_zero(), str(nf)
+        return nf.is_zero(), lambda: str(nf)
 
     for name in DEFORMED_RELATION_NAMES:
         report.run(name, next_relation)
@@ -518,40 +581,32 @@ def verify_theorem(theta: Sequence = CONSTRAINED_THETA) -> VerificationReport:
 # -- inverse change of generators ------------------------------------------------------
 
 
-INVERSE_ORDER = ("a2", "b2", "a3", "b3", "a4", "b4")
+INVERSE_ORDER = PRIMED_NAMES
 
 
-def verify_inverse(
-    mode: str = "corrected", theta: Sequence = CONSTRAINED_THETA
-) -> VerificationReport:
+def verify_inverse(mode: str = "corrected", theta=CONSTRAINED_THETA) -> VerificationReport:
     """Substitute the primed definitions into the six inverse formulas.
 
-    ``corrected`` applies the two documented corrections (the stray
-    ``a2'`` factor in the a4 formula and the unprimed ``a2`` in the a3
-    formula); ``printed`` uses the formulas verbatim and records the
-    mismatches it finds.
+    ``corrected`` applies the documented corrections (see
+    ``INVERSE_FORMULAS``); ``printed`` uses the formulas verbatim and
+    records the mismatches it finds.  ``theta`` is a point or a
+    ``SymbolicSetup``.
 
-    Each check builds its own substituted formula inside its timed span.
-    The set-up the six share, the derived constants, the primed
-    generators and the formulas, is built once, by the first check, and
-    charged to it.
+    Each check evaluates its formula inside its timed span, every product
+    dropping the paths of length >= N (see ``expr.evaluate``).  The set-up
+    the six share, the derived constants and the primed generators, is
+    built by the first check that reads it and charged to it.
     """
-    if mode not in ("printed", "corrected"):
+    if mode not in INVERSE_FORMULAS:
         raise ValueError(f"unknown mode {mode!r}")
     report = VerificationReport(f"inverse ({mode})", "pe6")
     algebra = build_pe6()
     quiver = algebra.quiver
-
-    @cache
-    def shared():
-        s = derived_constants(theta)
-        return primed_generators(s), inverse_formula_terms(s, mode)
+    scope = SymbolicSetup.at(theta).scope()
+    formulas = _parsed_inverse_formulas(mode)
 
     def difference(name):
-        primed, formulas = shared()
-        rhs = _element_from_symbols(
-            quiver, formulas[name], primed, below=algebra.nilpotency_degree
-        )
+        rhs = to_element(formulas[name], quiver, scope, below=algebra.nilpotency_degree)
         return rhs - FreeElement.from_path(quiver.path(name))
 
     for name in INVERSE_ORDER:
@@ -566,7 +621,7 @@ def verify_inverse(
 # -- corner isomorphism ---------------------------------------------------------------
 
 
-def verify_corner_iso() -> VerificationReport:
+def verify_corner_iso(setup: SymbolicSetup | None = None) -> VerificationReport:
     """re6 is the corner of pe6 at the exceptional vertex.
 
     The corner at the exceptional vertex 3 (where the deformed relation
@@ -576,13 +631,14 @@ def verify_corner_iso() -> VerificationReport:
     conventional labeling of the corner statement.
 
     Each check builds its elements inside its timed span; the embedding,
-    which the relation checks and the rank check share, is built by the
-    first check that maps an element and charged to it.
+    which the relation checks and the rank check share, is that of
+    ``setup`` (a new one by default), built by the first check that maps
+    an element and charged to it.
     """
     report = VerificationReport("corner-iso", "pe6")
     pe6 = build_pe6()
     re6 = build_re6()
-    embedding = cache(corner_embedding)
+    setup = setup or SymbolicSetup()
     v = EXCEPTIONAL_VERTEX
 
     report.run(
@@ -604,13 +660,13 @@ def verify_corner_iso() -> VerificationReport:
         report.run_zero(
             f"relation image {text} vanishes under x -> b0*a0, y -> b2*a2",
             pe6,
-            lambda rel=rel: embedding()(rel()),
+            lambda rel=rel: setup.embedding(rel()),
         )
 
     def rank_check():
         pivots: dict = {}
         for word in re6.basis:
-            image = pe6.normal_form(embedding()(FreeElement.from_path(word)))
+            image = pe6.normal_form(setup.embedding(FreeElement.from_path(word)))
             _insert_row(
                 pivots,
                 {pe6.basis_index[p]: c.as_rational() for p, c in image.coords.items()},
@@ -712,7 +768,7 @@ def _symbolic_side() -> tuple[tuple, tuple]:
     They depend on no trial, seed or field, so they are computed once;
     ``theorem_residuals`` is looked up on the module at that first call.
     """
-    primed = primed_generators(derived_constants(CONSTRAINED_THETA))
+    setup = SymbolicSetup()
     algebra = build_pe6()
     index = algebra.basis_index
 
@@ -720,6 +776,6 @@ def _symbolic_side() -> tuple[tuple, tuple]:
         return tuple((index[b], poly) for b, poly in nf.coords.items())
 
     return (
-        tuple(by_index(nf) for _, _, nf in theorem_residuals(CONSTRAINED_THETA)),
-        by_index(algebra.normal_form(primed["b2"] * primed["a2"])),
+        tuple(by_index(nf) for _, _, nf in theorem_residuals(setup)),
+        by_index(algebra.normal_form(setup.primed["b2"] * setup.primed["a2"])),
     )

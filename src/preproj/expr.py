@@ -9,6 +9,10 @@ Grammar (LL(1); ``*`` is mandatory between factors):
     rational := int ("/" posint)?
     ident    := "a0".."a4" | "b0".."b4" | "x" | "y" | "e0".."e5" | "t1".."t9"
 
+A scope (see ``parse`` and ``evaluate``) binds further identifiers, such
+as the primed generators "a2'" of the derivation catalog; ``reduce``
+passes none, so there they stay unknown.
+
 An atom nests at most ``MAX_NESTING`` = 100 deep: each "(" and each unary
 "-" still open around it counts one level, so x inside 100 parentheses,
 or after 100 unary minus signs, is accepted, and the 101st level is an
@@ -18,12 +22,12 @@ level, and the cap keeps them far inside Python's recursion limit.
 The product of the exponents along any chain of nested powers, an
 exponent 0 counted as 1, is at most ``MAX_EXPONENT`` = 2^16 = 65536:
 ``x^65536`` and ``(x^256)^256`` are accepted, ``x^65537`` and
-``((x^2)^256)^256`` are rejected when the AST is evaluated.  A power of a
+``((x^2)^256)^256`` are rejected when the text is parsed.  A power of a
 scalar (numbers and t1..t9), or of an element with an idempotent term,
 is also rejected, before it is computed, when its coefficients could
 exceed ``MAX_COEFFICIENT_DIGITS`` = 4300 digits, the default limit of
 ``str`` on an int: ``2^14284`` is accepted, ``2^14285``, ``3^10000``
-and ``(2*e0)^14285`` are rejected (see ``to_element``).
+and ``(2*e0)^14285`` are rejected (see ``evaluate``).
 
 The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
@@ -46,7 +50,7 @@ ARROW_IDENTS = {f"a{i}" for i in range(5)} | {f"b{i}" for i in range(5)} | {"x",
 IDEMPOTENT_IDENTS = {f"e{i}" for i in range(6)}
 INDETERMINATE_IDENTS = {f"t{i}" for i in range(1, NVARS + 1)}
 KNOWN_IDENTS = ARROW_IDENTS | IDEMPOTENT_IDENTS | INDETERMINATE_IDENTS
-# the largest product of nested exponents that ``to_element`` accepts
+# the largest product of nested exponents that ``parse`` accepts
 MAX_EXPONENT = 2 ** 16
 # the most "(" and unary "-" that the parser accepts around one atom
 MAX_NESTING = 100
@@ -57,6 +61,9 @@ MAX_NESTING = 100
 MAX_COEFFICIENT_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
 MAX_COEFFICIENT_BITS = _DIGIT_BOUND.bit_length() - 1
+# the unit coefficients of a path taken as an element; a Poly is immutable
+_UNIT = Poly.const(1)
+_MINUS_ONE = Poly.const(-1)
 
 
 class ExprError(ValueError):
@@ -119,7 +126,8 @@ _SYMBOLS = set("+-*/^()")
 _DIGITS = set("0123456789")
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, primes: bool = False) -> list[Token]:
+    """The tokens of ``text``; with ``primes`` an identifier may end in "'"."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -147,6 +155,8 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isalpha():
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while primes and j < len(text) and text[j] == "'":
                 j += 1
             tokens.append(Token("IDENT", text[i:j], line, start_col))
             col += j - i
@@ -178,10 +188,14 @@ def _int(tok: Token) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], names: frozenset):
         self.tokens = tokens
+        self.names = names
         self.pos = 0
         self.depth = 0  # "(" and unary "-" open around the current atom
+        # the largest product of exponents along a chain of nested powers
+        # in the node parsed last, an exponent 0 counted as 1
+        self.chain = 1
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -212,29 +226,37 @@ class _Parser:
                 tok.column,
                 expected={"'+'", "'-'", "'*'", "'^'", "end of input"},
             )
+        if self.chain > MAX_EXPONENT:
+            _check_exponents(node)
         return node
 
     def expr(self):
         parts = [(1, self.term())]
+        chain = self.chain
         while True:
             tok = self.peek()
             if tok.kind == "SYMBOL" and tok.text in "+-":
                 self.advance()
                 sign = 1 if tok.text == "+" else -1
                 parts.append((sign, self.term()))
+                chain = max(chain, self.chain)
             else:
                 break
+        self.chain = chain
         return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else Sum(tuple(parts))
 
     def term(self):
         factors = [self.factor()]
+        chain = self.chain
         while True:
             tok = self.peek()
             if tok.kind == "SYMBOL" and tok.text == "*":
                 self.advance()
                 factors.append(self.factor())
+                chain = max(chain, self.chain)
             else:
                 break
+        self.chain = chain
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self):
@@ -251,7 +273,9 @@ class _Parser:
                     expected={"integer"},
                 )
             self.advance()
-            return Pow(base, _int(exp_tok), exp_tok.line, exp_tok.column)
+            exponent = _int(exp_tok)
+            self.chain *= max(exponent, 1)
+            return Pow(base, exponent, exp_tok.line, exp_tok.column)
         return base
 
     def atom(self):
@@ -272,10 +296,12 @@ class _Parser:
                     )
                 self.advance()
                 value = value / _int(den_tok)
+            self.chain = 1
             return Num(value)
         if tok.kind == "IDENT":
             self.advance()
-            if tok.text not in KNOWN_IDENTS:
+            self.chain = 1
+            if tok.text not in KNOWN_IDENTS and tok.text not in self.names:
                 raise ExprError(
                     f"unknown identifier {tok.text!r}", tok.line, tok.column
                 )
@@ -304,9 +330,23 @@ class _Parser:
         )
 
 
-def parse(text: str):
-    """Parse surface syntax to an AST; raises ExprError with position info."""
-    return _Parser(_tokenize(text)).parse()
+def parse(text: str, names: frozenset = frozenset()):
+    """Parse surface syntax to an AST; raises ExprError with position info.
+
+    ``names`` are identifiers beyond the grammar's, bound by the scope the
+    AST is to be evaluated in (see ``evaluate``); with them, an identifier
+    may end in "'", as the primed generators do.
+
+    The exponent cap (see ``evaluate``) is checked here, in the one walk
+    of the parse: each node's largest product of nested exponents follows
+    from its children's.  Only when the root's exceeds the cap does
+    ``_check_exponents`` walk the AST again, to name the first offending
+    power in pre-order.  Checked after the whole text is read, as before
+    any evaluation, so a syntax error anywhere comes first and no power is
+    computed before the cap is checked.
+    """
+    primes = any(name.endswith("'") for name in names)
+    return _Parser(_tokenize(text, primes), names).parse()
 
 
 # -- AST evaluation ------------------------------------------------------------
@@ -314,7 +354,7 @@ def parse(text: str):
 
 def _check_exponents(node, outer: int = 1) -> None:
     """Reject the first power whose exponent, times those of the powers
-    around it, exceeds ``MAX_EXPONENT`` (see ``to_element``)."""
+    around it, exceeds ``MAX_EXPONENT`` (see ``parse``)."""
     if isinstance(node, Pow):
         outer *= max(node.exponent, 1)
         if outer > MAX_EXPONENT:
@@ -337,7 +377,7 @@ def _check_exponents(node, outer: int = 1) -> None:
 def _check_power(coeffs: list[Fraction], node: Pow, kind: str) -> None:
     """Reject the power at ``node`` of a base with the rational coefficients
     ``coeffs`` if a coefficient of it could have more than
-    ``MAX_COEFFICIENT_DIGITS`` digits (see ``to_element``); ``kind`` names
+    ``MAX_COEFFICIENT_DIGITS`` digits (see ``evaluate``); ``kind`` names
     the base in the message.
 
     With D the lcm of the denominators and S the sum of |numerator| * D /
@@ -379,28 +419,41 @@ def printable(coeff: Poly) -> bool:
     )
 
 
-def to_element(ast, quiver: Quiver) -> FreeElement:
-    """Evaluate an AST to a FreeElement on the given quiver.
+def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
+    """The value of an AST on the given quiver: a ``Poly`` scalar, a
+    ``Path``, or a ``FreeElement``.
 
     Identifiers that are not arrows or idempotents of the quiver are
     rejected, which is what rules out mixing alphabets of different
     quivers in one expression.
 
+    ``scope`` maps further names (see ``parse``) to functions of no
+    arguments that give their values, a ``Poly``, a ``Path`` or a
+    ``FreeElement`` on ``quiver``; a name in it shadows the quiver's names
+    and t1..t9.  The function is called at every use, so one whose value is
+    costly should keep it.  ``reduce`` passes no scope.
+
     Numbers and t1..t9, with their products, negations, powers and sums,
     stay ``Poly`` scalars, and a product scales the product of its other
     factors by them.  This is exact because scalars are central in kQ and
     c*x = (c*1)*x, 1 the identity; a scalar becomes c*1 only where it is
-    added to an element, and 1 is built at most once per call.  A run of
-    arrows and idempotents in a product is one path, formed by
-    ``compose``; the other products are ``FreeElement.mul``.
+    added to an element, and 1 is built at most once per call.  A unary
+    minus on a factor of a product is taken out of it, as (-a)*b = -(a*b).
+    A run of paths in a product is one path, formed by ``compose``; the
+    other products are ``FreeElement.mul``.
+
+    With ``below`` set, every product and power drops the paths of length
+    ``below`` or more (see ``FreeElement.mul``); sums and single factors
+    are kept whole.  For ``below`` the nilpotency degree of a quotient this
+    leaves the normal form unchanged.
 
     Powers are formed by repeated squaring, so x^n builds x^(2^k) for
     2^k <= n.  The product of the exponents along any chain of nested
     powers, an exponent 0 counted as 1, may be at most ``MAX_EXPONENT``
-    (2^16); a larger one is an ``ExprError`` at its exponent.  Without the
-    cap "x^1000000000" would build one path of about 2^30 arrows.  A power
-    of a scalar is an ``ExprError`` at its exponent, before it is
-    computed, when its coefficients could have more than
+    (2^16); ``parse`` rejects a larger one, an ``ExprError`` at its
+    exponent.  Without the cap "x^1000000000" would build one path of about
+    2^30 arrows.  A power of a scalar is an ``ExprError`` at its exponent,
+    before it is computed, when its coefficients could have more than
     ``MAX_COEFFICIENT_DIGITS`` digits (see ``_check_power``): such a
     coefficient could not be printed, and "<4,000 nines>^65536" would
     build a number of 870 million bits.  So is a power of an element with
@@ -410,9 +463,11 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
     because its power may be zero in the quotient whatever its
     coefficients: "(2*x)^65536" reduces to 0 in re6.
     """
-    _check_exponents(ast)
-    arrow_names = {a.name for a in quiver.arrows}
+    arrows = quiver.arrows
+    arrow_index = quiver.arrow_index
     idem_names = {f"e{v}": v for v in quiver.vertices}
+    bound = {} if scope is None else scope
+    zero = FreeElement._unchecked(quiver, {})
 
     identity = None  # built on the first scalar that becomes an element
 
@@ -421,61 +476,63 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
         if isinstance(value, FreeElement):
             return value
         if isinstance(value, Path):
-            return FreeElement.from_path(value)
+            return FreeElement._unchecked(quiver, {value: _UNIT})
         if identity is None:
             identity = FreeElement.one(quiver)
         return identity.scale(value)
 
     def ev(node):
         """A ``Poly`` scalar, a ``Path`` or a ``FreeElement``."""
-        if isinstance(node, Num):
-            return Poly.const(node.value)
-        if isinstance(node, Ident):
-            if node.name in arrow_names:
-                return quiver.path(node.name)
-            if node.name in idem_names:
-                return quiver.idempotent(idem_names[node.name])
-            if node.name in INDETERMINATE_IDENTS:
-                return Poly.var(int(node.name[1:]))
+        kind = type(node)
+        if kind is Ident:
+            name = node.name
+            if name in bound:
+                return bound[name]()
+            index = arrow_index.get(name)
+            if index is not None:
+                # one arrow always composes: no check of ``Path.__init__`` to run
+                arrow = arrows[index]
+                return Path._unchecked(quiver, (index,), arrow.source, arrow.target)
+            if name in idem_names:
+                return quiver.idempotent(idem_names[name])
+            if name in INDETERMINATE_IDENTS:
+                return Poly.var(int(name[1:]))
             raise ExprError(
-                f"identifier {node.name!r} is not defined in quiver {quiver.name}",
+                f"identifier {name!r} is not defined in quiver {quiver.name}",
                 node.line,
                 node.column,
             )
-        if isinstance(node, Neg):
-            value = ev(node.operand)
-            return FreeElement.from_path(value, -1) if isinstance(value, Path) else -value
-        if isinstance(node, Pow):
-            value = ev(node.base)
-            if isinstance(value, Poly):
-                _check_power(list(value.terms.values()), node, "scalar")
-                return value ** node.exponent
-            base = element(value)
-            if any(not len(p) for p in base.terms):
-                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
-                _check_power(coeffs, node, "element")
-            return base.power(node.exponent)
-        if isinstance(node, Mul):
-            scalar = Poly.const(1)
+        if kind is Mul:
+            scalar = None
+            negative = False
             product = None  # a Path, a FreeElement, or None before the first
             for f in node.factors:
+                while type(f) is Neg:
+                    negative = not negative
+                    f = f.operand
                 value = ev(f)
                 if isinstance(value, Poly):
-                    scalar = scalar * value
+                    scalar = value if scalar is None else scalar * value
                 elif product is None:
                     product = value
                 elif isinstance(product, Path) and isinstance(value, Path):
                     product = compose(product, value)
-                    if product is None:
-                        product = FreeElement.zero(quiver)
+                    if product is None or below is not None and len(product) >= below:
+                        product = zero
                 else:
-                    product = element(product).mul(element(value))
+                    product = element(product).mul(element(value), below)
+            if negative:
+                scalar = _MINUS_ONE if scalar is None else -scalar
             if product is None:
                 return scalar
+            if scalar is None:
+                return product
             if isinstance(product, Path):
-                return FreeElement.from_path(product, scalar)
+                return FreeElement._unchecked(quiver, {product: scalar}) if scalar else zero
             return product.scale(scalar)
-        if isinstance(node, Sum):
+        if kind is Num:
+            return Poly.const(node.value)
+        if kind is Sum:
             values = [(sign, ev(part)) for sign, part in node.parts]
             if all(isinstance(value, Poly) for _, value in values):
                 (sign, result), *rest = values
@@ -486,7 +543,11 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
             # one dict for all parts, accumulated as in ``FreeElement.__add__``
             terms: dict = {}
             for sign, value in values:
-                for path, coeff in element(value).terms.items():
+                if isinstance(value, Path):
+                    items = ((value, _UNIT),)
+                else:
+                    items = element(value).terms.items()
+                for path, coeff in items:
                     coeff = coeff if sign > 0 else -coeff
                     acc = terms.get(path)
                     if acc is None:
@@ -496,9 +557,40 @@ def to_element(ast, quiver: Quiver) -> FreeElement:
                     else:
                         del terms[path]
             return FreeElement._unchecked(quiver, terms)
+        if kind is Neg:
+            value = ev(node.operand)
+            if isinstance(value, Path):
+                return FreeElement._unchecked(quiver, {value: _MINUS_ONE})
+            return -value
+        if kind is Pow:
+            value = ev(node.base)
+            if isinstance(value, Poly):
+                _check_power(list(value.terms.values()), node, "scalar")
+                return value ** node.exponent
+            base = element(value)
+            if any(not len(p) for p in base.terms):
+                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
+                _check_power(coeffs, node, "element")
+            return base.power(node.exponent, below)
         raise TypeError(f"unexpected AST node {node!r}")
 
-    return element(ev(ast))
+    try:
+        return ev(ast)
+    finally:
+        # ev refers to itself through its closure; without this the cycle,
+        # and all it holds, would wait for the garbage collector
+        del ev
+
+
+def to_element(ast, quiver: Quiver, scope=None, below: int | None = None) -> FreeElement:
+    """``evaluate``, with a scalar c made the element c*1 and a path p the
+    element 1*p."""
+    value = evaluate(ast, quiver, scope, below)
+    if isinstance(value, FreeElement):
+        return value
+    if isinstance(value, Path):
+        return FreeElement._unchecked(quiver, {value: _UNIT})
+    return FreeElement.one(quiver).scale(value)
 
 
 def parse_element(text: str, quiver: Quiver) -> FreeElement:

@@ -123,6 +123,20 @@ def test_reduce_cross_quiver_exit_2(capsys):
     assert "not defined in quiver" in err
 
 
+@pytest.mark.parametrize("algebra,text,message", [
+    ("pe6", "a2'*b2'", "unexpected character \"'\" at 1:3"),
+    ("pe6", "b3*a3 + alpha*a3*b3", "unknown identifier 'alpha' at 1:9"),
+    ("pe6", "a3*z", "unknown identifier 'z' at 1:4"),
+    ("re6", "x*f_xy", "unknown identifier 'f_xy' at 1:3"),
+    ("pe6", "b3*y*a3", "identifier 'y' is not defined in quiver E6 at 1:4"),
+])
+def test_reduce_knows_none_of_the_catalog_scope(capsys, algebra, text, message):
+    # the primed generators, the constants and the loops at vertex 3 are
+    # bound only where the derivation catalog evaluates its entries
+    code, out, err = invoke(capsys, "reduce", "--algebra", algebra, text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_admissible_theta_spec_example(capsys):
     code, out, _ = invoke(
         capsys,

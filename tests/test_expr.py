@@ -16,6 +16,7 @@ from preproj.expr import (
     Num,
     Pow,
     Sum,
+    evaluate,
     format_element,
     parse,
     parse_element,
@@ -372,3 +373,106 @@ huge_fractions = st.builds(
 @given(huge_fractions, huge_fractions, st.integers(min_value=0, max_value=40))
 def test_an_accepted_polynomial_power_prints(c, d, k):
     assert_capped_or_printable(c, d, k)
+
+
+# -- the exponent cap, checked while parsing ---------------------------------------
+
+
+@pytest.mark.parametrize("text,outer,column", [
+    ("x^65537", 65537, 3),
+    # the first offending power in pre-order: the innermost of its chain,
+    # past two powers that are each at the cap
+    ("y + ((x^65536)^65536)^0", 2**32, 9),
+    ("x*(y*(x^2)^300)^300 + y^2", 90000, 12),
+    ("((x^2)^3 + (y^256)^256)^2", 131072, 15),
+    ("-(x + -(y^3)^30000)^2", 180000, 11),
+])
+def test_nested_exponents_over_the_cap_are_rejected_at_the_first_offender(text, outer, column):
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert str(exc.value) == f"nested exponents multiply to {outer} (at most 65536) at 1:{column}"
+
+
+def test_a_syntax_error_comes_before_the_exponent_cap():
+    with pytest.raises(ExprError, match="unexpected end of input at 1:18"):
+        parse("((x^2)^256)^256 +")
+
+
+def test_the_cap_reads_the_largest_chain_not_the_product_of_all_exponents():
+    # 2^16 in each of two chains, side by side: each chain is at the cap
+    for text in ("x^256*y^256*(x^16)^4096", "(x^256)^256 + (y^65536)^1 - x^0"):
+        to_element(parse(text), L2)
+
+
+# -- scope: the names the derivation catalog binds ---------------------------------
+
+
+SCOPE_TEST_NAMES = frozenset({"u", "u'", "c"})
+
+
+def test_a_scope_binds_paths_elements_and_scalars():
+    g = generators(E6)
+    u_path = E6.path("b0", "a0")
+    scope = {
+        "u": lambda: u_path,
+        "u'": lambda: g["b0"] * g["a0"] + g["b2"] * g["a2"],
+        "c": lambda: Poly.var(2) - 1,
+        "t1": lambda: Poly.var(3),
+    }
+    ast = parse("b3*u*u'*a3 - c*t1*u + t2*a3*b3", SCOPE_TEST_NAMES)
+    b0a0 = g["b0"] * g["a0"]
+    expected = (
+        g["b3"] * b0a0 * (b0a0 + g["b2"] * g["a2"]) * g["a3"]
+        - (Poly.var(2) - 1) * Poly.var(3) * b0a0
+        + Poly.var(2) * g["a3"] * g["b3"]
+    )
+    assert to_element(ast, E6, scope) == expected
+
+
+def test_a_word_of_scope_paths_is_one_path_and_forms_no_product(monkeypatch):
+    u_path, c = E6.path("b0", "a0"), Poly.var(1)
+    scope = {"u": lambda: u_path, "c": lambda: c}
+    ast = parse("b3*u*u*a3", SCOPE_TEST_NAMES)
+    scaled = parse("-2*c*b3*u*a3", SCOPE_TEST_NAMES)
+
+    def forbidden(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(FreeElement, "mul", forbidden)
+    monkeypatch.setattr(Poly, "__mul__", forbidden)
+    monkeypatch.setattr(Poly, "__rmul__", forbidden)
+    monkeypatch.setattr(type(E6.path("a0")), "__init__", forbidden)
+    value = evaluate(ast, E6, scope)
+    assert str(value) == "b3*b0*a0*b0*a0*a3"
+    assert len(value) == 6
+    with pytest.raises(AssertionError, match="a product was formed"):
+        evaluate(scaled, E6, scope)
+    monkeypatch.undo()
+    assert str(evaluate(scaled, E6, scope)) == "- 2*t1*b3*b0*a0*a3"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a2'", "unexpected character \"'\" at 1:3"),
+    ("x + u'", "unexpected character \"'\" at 1:6"),
+    ("c*x", "unknown identifier 'c' at 1:1"),
+])
+def test_scope_names_are_unknown_without_the_scope(text, message):
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    parse(text.replace("a2'", "u'"), SCOPE_TEST_NAMES)
+
+
+def test_truncation_drops_long_products_only():
+    scope = {"u": lambda: E6.path("b0", "a0")}
+    g = generators(E6)
+    ast = parse("b3*u*a3 + b3*u*a3*a4 + 2*b3*u*u*a3 + (a3*b3)^2 + b3*a3", frozenset({"u"}))
+    cut = to_element(ast, E6, scope, below=5)
+    full = to_element(ast, E6, scope)
+    b3xa3 = g["b3"] * g["b0"] * g["a0"] * g["a3"]
+    assert full == (
+        b3xa3 + b3xa3 * g["a4"] + 2 * g["b3"] * g["b0"] * g["a0"] * g["b0"] * g["a0"] * g["a3"]
+        + g["a3"] * g["b3"] * g["a3"] * g["b3"] + g["b3"] * g["a3"]
+    )
+    assert cut == FreeElement(E6, {p: c for p, c in full.terms.items() if len(p) < 5})
+    assert len(cut.terms) == 3
