@@ -31,7 +31,6 @@ from __future__ import annotations
 from functools import cache
 
 from .e6 import (
-    CONSTRAINED_THETA,
     SCOPE_NAMES,
     SymbolicSetup,
     VerificationReport,
@@ -179,31 +178,32 @@ def parsed_catalog() -> tuple[dict, list]:
     return definitions, entries
 
 
-def verify_identities(theta=CONSTRAINED_THETA) -> VerificationReport:
+def verify_identities(setup: SymbolicSetup | None = None) -> VerificationReport:
     """The derivation catalog, by default over the constrained theta.
 
     It calls ``run_derivation_catalog`` by the name this module binds, at
     call time, so a wrapper set on this module (the benchmark's tracer)
     sees the call.
     """
-    return run_derivation_catalog(theta)
+    return run_derivation_catalog(setup)
 
 
-def run_derivation_catalog(theta) -> VerificationReport:
+def run_derivation_catalog(setup: SymbolicSetup | None = None) -> VerificationReport:
     """The catalog's checks, in order, each evaluating its entry inside its
     own timed span through ``VerificationReport.run_zero``, ``run_equal_nf``
-    or ``run``; ``theta`` is a point or an ``e6.SymbolicSetup``.
+    or ``run``, at the theta of ``setup`` (by default a new
+    ``e6.SymbolicSetup`` at the constrained theta).
 
     Every side of a chain is built once, by the first link that reads it,
-    and a definition by the first check that reads it; so is the set-up of
-    ``theta`` (the derived constants, the primed generators, f(x, y) and
+    and a definition by the first check that reads it; so is the set-up
+    (the derived constants, the primed generators, f(x, y) and
     f(x, b2'*a2')), each charged to the check that first reads it.  The
     last check, the integer certificate, covers every element the catalog
     built on pe6, each tested as it was built, and the set-up's elements.
     """
     report = VerificationReport("identities", "pe6")
     pe6, re6 = build_pe6(), build_re6()
-    setup = SymbolicSetup.at(theta)
+    setup = setup or SymbolicSetup()
     definitions, entries = parsed_catalog()
     scope = setup.scope()
     scope.update(

@@ -217,10 +217,6 @@ SCOPE_CONSTANTS = (
     "alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2",
     "alpha1", "beta1", "alpha2", "beta2", "alpha3", "alpha2_inv", "beta2_inv", "alpha3_inv",
 )
-# every name ``SymbolicSetup.scope`` binds beyond the grammar's t1..t9
-SCOPE_NAMES = frozenset(
-    {"x", "y", "z", "f_xy", "f_xy'"} | {f"{n}'" for n in PRIMED_NAMES} | set(SCOPE_CONSTANTS)
-)
 
 
 class SymbolicSetup:
@@ -237,11 +233,6 @@ class SymbolicSetup:
 
     def __init__(self, theta: Sequence = CONSTRAINED_THETA):
         self.theta = theta
-
-    @staticmethod
-    def at(theta) -> "SymbolicSetup":
-        """``theta`` itself if it is a set-up, else a new set-up at it."""
-        return theta if isinstance(theta, SymbolicSetup) else SymbolicSetup(theta)
 
     @cached_property
     def constants(self) -> GeneratorScalars:
@@ -275,7 +266,7 @@ class SymbolicSetup:
         return substitution(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
 
     def scope(self) -> dict:
-        """The names of ``SCOPE_NAMES`` and t1..t9, for ``expr.evaluate`` on E6.
+        """The names of ``SCOPE_NAMES``, for ``expr.evaluate`` on E6.
 
         t1..t9 are the entries of theta; x, y and z are the loops b0*a0,
         b2*a2 and a3*b3 at the exceptional vertex, as paths, so that a word
@@ -302,6 +293,10 @@ class SymbolicSetup:
         scope["f_xy"] = lambda: self.f_xy
         scope["f_xy'"] = cache(self.f_xy_primed)
         return scope
+
+
+# every name a scope binds: t1..t9 and the names beyond the grammar's
+SCOPE_NAMES = frozenset(SymbolicSetup().scope())
 
 
 # The six inverse formulas, in the scope of ``SymbolicSetup``.  ``printed``
@@ -493,13 +488,17 @@ def verify_lemma() -> VerificationReport:
 # -- deformed relations and theorem --------------------------------------------------
 
 
-def deformed_relations(theta) -> list[FreeElement]:
+def deformed_relations(theta: Sequence) -> list[FreeElement]:
     """The seven relations presenting the deformed algebra, f expanded.
 
     f(b0*a0, b2*a2) is expanded modulo paths of length >= N, the
-    nilpotency degree of pe6 (see ``FreeElement.mul``).  ``theta`` is a
-    point or a ``SymbolicSetup``, whose f(x, y) is then shared.
+    nilpotency degree of pe6 (see ``FreeElement.mul``).
     """
+    return _relations(SymbolicSetup(theta))
+
+
+def _relations(setup: SymbolicSetup) -> list[FreeElement]:
+    """``deformed_relations`` at the theta of ``setup``, sharing its f(x, y)."""
     quiver = builtin_quiver("E6")
     g = generators(quiver)
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
@@ -511,7 +510,7 @@ def deformed_relations(theta) -> list[FreeElement]:
         b1 * a1 + a2 * b2,
         b3 * a3 + a4 * b4,
         b4 * a4,
-        b0 * a0 + b2 * a2 + a3 * b3 + SymbolicSetup.at(theta).f_xy,
+        b0 * a0 + b2 * a2 + a3 * b3 + setup.f_xy,
         (b0 * a0 + b2 * a2) ** 3,
     ]
 
@@ -525,7 +524,7 @@ def _theorem_rows(setup: SymbolicSetup):
     """
     algebra = build_pe6()
     change = _change_of_generators(setup.constants)
-    for name, relation in zip(DEFORMED_RELATION_NAMES, deformed_relations(setup)):
+    for name, relation in zip(DEFORMED_RELATION_NAMES, _relations(setup)):
         image = change(relation, below=algebra.nilpotency_degree)
         yield name, image, algebra.normal_form(image)
 
@@ -534,14 +533,14 @@ def theorem_residuals(
     theta: Sequence,
 ) -> list[tuple[str, FreeElement, QuotientElement]]:
     """(name, substituted relation, normal form) for the seven relations."""
-    return list(_theorem_rows(SymbolicSetup.at(theta)))
+    return list(_theorem_rows(SymbolicSetup(theta)))
 
 
-def verify_theorem(theta=CONSTRAINED_THETA) -> VerificationReport:
+def verify_theorem(setup: SymbolicSetup | None = None) -> VerificationReport:
     """All seven deformed relations vanish after the change of generators.
 
-    Defaults to the fully symbolic constrained theta; ``theta`` is a point
-    or a ``SymbolicSetup``.  Each relation's check takes the next row of
+    At the theta of ``setup``, by default a new set-up at the fully
+    symbolic constrained theta.  Each relation's check takes the next row of
     ``_theorem_rows``, so its time covers its own substitution and
     reduction; the first one's also covers building the change of
     generators and the seven relations (and pe6 itself, on first use).
@@ -557,7 +556,7 @@ def verify_theorem(theta=CONSTRAINED_THETA) -> VerificationReport:
     nothing (see ``build_quotient``).
     """
     report = VerificationReport("theorem", "pe6")
-    rows = _theorem_rows(SymbolicSetup.at(theta))
+    rows = _theorem_rows(setup or SymbolicSetup())
     images = []
 
     def next_relation():
@@ -584,13 +583,15 @@ def verify_theorem(theta=CONSTRAINED_THETA) -> VerificationReport:
 INVERSE_ORDER = PRIMED_NAMES
 
 
-def verify_inverse(mode: str = "corrected", theta=CONSTRAINED_THETA) -> VerificationReport:
+def verify_inverse(
+    mode: str = "corrected", setup: SymbolicSetup | None = None
+) -> VerificationReport:
     """Substitute the primed definitions into the six inverse formulas.
 
     ``corrected`` applies the documented corrections (see
     ``INVERSE_FORMULAS``); ``printed`` uses the formulas verbatim and
-    records the mismatches it finds.  ``theta`` is a point or a
-    ``SymbolicSetup``.
+    records the mismatches it finds.  At the theta of ``setup``, by
+    default a new set-up at the constrained theta.
 
     Each check evaluates its formula inside its timed span, every product
     dropping the paths of length >= N (see ``expr.evaluate``).  The set-up
@@ -602,7 +603,7 @@ def verify_inverse(mode: str = "corrected", theta=CONSTRAINED_THETA) -> Verifica
     report = VerificationReport(f"inverse ({mode})", "pe6")
     algebra = build_pe6()
     quiver = algebra.quiver
-    scope = SymbolicSetup.at(theta).scope()
+    scope = (setup or SymbolicSetup()).scope()
     formulas = _parsed_inverse_formulas(mode)
 
     def difference(name):
@@ -768,7 +769,7 @@ def _symbolic_side() -> tuple[tuple, tuple]:
     They depend on no trial, seed or field, so they are computed once;
     ``theorem_residuals`` is looked up on the module at that first call.
     """
-    setup = SymbolicSetup()
+    primed = SymbolicSetup().primed
     algebra = build_pe6()
     index = algebra.basis_index
 
@@ -776,6 +777,6 @@ def _symbolic_side() -> tuple[tuple, tuple]:
         return tuple((index[b], poly) for b, poly in nf.coords.items())
 
     return (
-        tuple(by_index(nf) for _, _, nf in theorem_residuals(setup)),
-        by_index(algebra.normal_form(setup.primed["b2"] * setup.primed["a2"])),
+        tuple(by_index(nf) for _, _, nf in theorem_residuals(CONSTRAINED_THETA)),
+        by_index(algebra.normal_form(primed["b2"] * primed["a2"])),
     )

@@ -61,9 +61,6 @@ MAX_NESTING = 100
 MAX_COEFFICIENT_DIGITS = 4300
 _DIGIT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
 MAX_COEFFICIENT_BITS = _DIGIT_BOUND.bit_length() - 1
-# the unit coefficients of a path taken as an element; a Poly is immutable
-_UNIT = Poly.const(1)
-_MINUS_ONE = Poly.const(-1)
 
 
 class ExprError(ValueError):
@@ -193,9 +190,6 @@ class _Parser:
         self.names = names
         self.pos = 0
         self.depth = 0  # "(" and unary "-" open around the current atom
-        # the largest product of exponents along a chain of nested powers
-        # in the node parsed last, an exponent 0 counted as 1
-        self.chain = 1
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -226,37 +220,30 @@ class _Parser:
                 tok.column,
                 expected={"'+'", "'-'", "'*'", "'^'", "end of input"},
             )
-        if self.chain > MAX_EXPONENT:
-            _check_exponents(node)
+        _check_exponents(node)
         return node
 
     def expr(self):
         parts = [(1, self.term())]
-        chain = self.chain
         while True:
             tok = self.peek()
             if tok.kind == "SYMBOL" and tok.text in "+-":
                 self.advance()
                 sign = 1 if tok.text == "+" else -1
                 parts.append((sign, self.term()))
-                chain = max(chain, self.chain)
             else:
                 break
-        self.chain = chain
         return parts[0][1] if len(parts) == 1 and parts[0][0] == 1 else Sum(tuple(parts))
 
     def term(self):
         factors = [self.factor()]
-        chain = self.chain
         while True:
             tok = self.peek()
             if tok.kind == "SYMBOL" and tok.text == "*":
                 self.advance()
                 factors.append(self.factor())
-                chain = max(chain, self.chain)
             else:
                 break
-        self.chain = chain
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def factor(self):
@@ -273,9 +260,7 @@ class _Parser:
                     expected={"integer"},
                 )
             self.advance()
-            exponent = _int(exp_tok)
-            self.chain *= max(exponent, 1)
-            return Pow(base, exponent, exp_tok.line, exp_tok.column)
+            return Pow(base, _int(exp_tok), exp_tok.line, exp_tok.column)
         return base
 
     def atom(self):
@@ -296,11 +281,9 @@ class _Parser:
                     )
                 self.advance()
                 value = value / _int(den_tok)
-            self.chain = 1
             return Num(value)
         if tok.kind == "IDENT":
             self.advance()
-            self.chain = 1
             if tok.text not in KNOWN_IDENTS and tok.text not in self.names:
                 raise ExprError(
                     f"unknown identifier {tok.text!r}", tok.line, tok.column
@@ -337,13 +320,10 @@ def parse(text: str, names: frozenset = frozenset()):
     AST is to be evaluated in (see ``evaluate``); with them, an identifier
     may end in "'", as the primed generators do.
 
-    The exponent cap (see ``evaluate``) is checked here, in the one walk
-    of the parse: each node's largest product of nested exponents follows
-    from its children's.  Only when the root's exceeds the cap does
-    ``_check_exponents`` walk the AST again, to name the first offending
-    power in pre-order.  Checked after the whole text is read, as before
-    any evaluation, so a syntax error anywhere comes first and no power is
-    computed before the cap is checked.
+    The exponent cap (see ``evaluate``) is checked here, by
+    ``_check_exponents`` once the whole text is read: a syntax error
+    anywhere comes first, and no power is computed before the cap is
+    checked.
     """
     primes = any(name.endswith("'") for name in names)
     return _Parser(_tokenize(text, primes), names).parse()
@@ -437,10 +417,9 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
     stay ``Poly`` scalars, and a product scales the product of its other
     factors by them.  This is exact because scalars are central in kQ and
     c*x = (c*1)*x, 1 the identity; a scalar becomes c*1 only where it is
-    added to an element, and 1 is built at most once per call.  A unary
-    minus on a factor of a product is taken out of it, as (-a)*b = -(a*b).
-    A run of paths in a product is one path, formed by ``compose``; the
-    other products are ``FreeElement.mul``.
+    added to an element, and 1 is built at most once per call.  A run of
+    paths in a product is one path, formed by ``compose``; the other
+    products are ``FreeElement.mul``.
 
     With ``below`` set, every product and power drops the paths of length
     ``below`` or more (see ``FreeElement.mul``); sums and single factors
@@ -467,7 +446,6 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
     arrow_index = quiver.arrow_index
     idem_names = {f"e{v}": v for v in quiver.vertices}
     bound = {} if scope is None else scope
-    zero = FreeElement._unchecked(quiver, {})
 
     identity = None  # built on the first scalar that becomes an element
 
@@ -476,15 +454,16 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
         if isinstance(value, FreeElement):
             return value
         if isinstance(value, Path):
-            return FreeElement._unchecked(quiver, {value: _UNIT})
+            return FreeElement.from_path(value)
         if identity is None:
             identity = FreeElement.one(quiver)
         return identity.scale(value)
 
     def ev(node):
         """A ``Poly`` scalar, a ``Path`` or a ``FreeElement``."""
-        kind = type(node)
-        if kind is Ident:
+        if isinstance(node, Num):
+            return Poly.const(node.value)
+        if isinstance(node, Ident):
             name = node.name
             if name in bound:
                 return bound[name]()
@@ -502,14 +481,23 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
                 node.line,
                 node.column,
             )
-        if kind is Mul:
+        if isinstance(node, Neg):
+            value = ev(node.operand)
+            return FreeElement.from_path(value, -1) if isinstance(value, Path) else -value
+        if isinstance(node, Pow):
+            value = ev(node.base)
+            if isinstance(value, Poly):
+                _check_power(list(value.terms.values()), node, "scalar")
+                return value ** node.exponent
+            base = element(value)
+            if any(not len(p) for p in base.terms):
+                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
+                _check_power(coeffs, node, "element")
+            return base.power(node.exponent, below)
+        if isinstance(node, Mul):
             scalar = None
-            negative = False
             product = None  # a Path, a FreeElement, or None before the first
             for f in node.factors:
-                while type(f) is Neg:
-                    negative = not negative
-                    f = f.operand
                 value = ev(f)
                 if isinstance(value, Poly):
                     scalar = value if scalar is None else scalar * value
@@ -518,21 +506,17 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
                 elif isinstance(product, Path) and isinstance(value, Path):
                     product = compose(product, value)
                     if product is None or below is not None and len(product) >= below:
-                        product = zero
+                        product = FreeElement.zero(quiver)
                 else:
                     product = element(product).mul(element(value), below)
-            if negative:
-                scalar = _MINUS_ONE if scalar is None else -scalar
             if product is None:
                 return scalar
             if scalar is None:
                 return product
             if isinstance(product, Path):
-                return FreeElement._unchecked(quiver, {product: scalar}) if scalar else zero
+                return FreeElement.from_path(product, scalar)
             return product.scale(scalar)
-        if kind is Num:
-            return Poly.const(node.value)
-        if kind is Sum:
+        if isinstance(node, Sum):
             values = [(sign, ev(part)) for sign, part in node.parts]
             if all(isinstance(value, Poly) for _, value in values):
                 (sign, result), *rest = values
@@ -543,11 +527,7 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
             # one dict for all parts, accumulated as in ``FreeElement.__add__``
             terms: dict = {}
             for sign, value in values:
-                if isinstance(value, Path):
-                    items = ((value, _UNIT),)
-                else:
-                    items = element(value).terms.items()
-                for path, coeff in items:
+                for path, coeff in element(value).terms.items():
                     coeff = coeff if sign > 0 else -coeff
                     acc = terms.get(path)
                     if acc is None:
@@ -557,21 +537,6 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
                     else:
                         del terms[path]
             return FreeElement._unchecked(quiver, terms)
-        if kind is Neg:
-            value = ev(node.operand)
-            if isinstance(value, Path):
-                return FreeElement._unchecked(quiver, {value: _MINUS_ONE})
-            return -value
-        if kind is Pow:
-            value = ev(node.base)
-            if isinstance(value, Poly):
-                _check_power(list(value.terms.values()), node, "scalar")
-                return value ** node.exponent
-            base = element(value)
-            if any(not len(p) for p in base.terms):
-                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
-                _check_power(coeffs, node, "element")
-            return base.power(node.exponent, below)
         raise TypeError(f"unexpected AST node {node!r}")
 
     try:
@@ -589,7 +554,7 @@ def to_element(ast, quiver: Quiver, scope=None, below: int | None = None) -> Fre
     if isinstance(value, FreeElement):
         return value
     if isinstance(value, Path):
-        return FreeElement._unchecked(quiver, {value: _UNIT})
+        return FreeElement.from_path(value)
     return FreeElement.one(quiver).scale(value)
 
 

@@ -13,7 +13,7 @@ import io
 from fractions import Fraction
 
 from preproj import cli
-from preproj.e6 import CONSTRAINED_THETA, INVERSE_ORDER, verify_inverse
+from preproj.e6 import CONSTRAINED_THETA, INVERSE_ORDER, SymbolicSetup, verify_inverse
 from preproj.freealg import FreeElement
 from preproj.polyring import NVARS, Poly
 from preproj.quotient import QuotientElement
@@ -33,7 +33,7 @@ def graded_dimensions(algebra) -> list[int]:
 
 def printed_inverse_mismatches(theta=CONSTRAINED_THETA) -> list[str]:
     """Names of inverse formulas that fail verbatim (stable across runs)."""
-    report = verify_inverse("printed", theta)
+    report = verify_inverse("printed", SymbolicSetup(theta))
     return [name for name, check in zip(INVERSE_ORDER, report.checks) if not check.passed]
 
 

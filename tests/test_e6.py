@@ -340,7 +340,7 @@ def test_verify_theorem_symbolic():
 
 
 def test_verify_theorem_at_zero():
-    report = verify_theorem(ZERO)
+    report = verify_theorem(SymbolicSetup(ZERO))
     assert report.passed, failures(report)
 
 
@@ -391,7 +391,7 @@ def test_verify_inverse_printed_mismatch_set_is_stable():
 
 def test_inverse_trivial_at_zero():
     for mode in ("printed", "corrected"):
-        report = verify_inverse(mode, ZERO)
+        report = verify_inverse(mode, SymbolicSetup(ZERO))
         # at theta = 0 every correction term vanishes except the printed
         # a4 = a4'*a2' formula, whose leading product is non-composable
         names = failures(report)
@@ -1125,7 +1125,7 @@ def test_integer_certificate_fails_at_a_non_integral_point():
     # coefficients of the substituted relations, here halves
     t1 = Fraction(1, 2)
     theta = (t1, constraint_theta2(t1, 0), 0, 0, 0, constraint_theta6(t1, 0, 0, 0), 0, 0, 0)
-    report = verify_theorem(theta)
+    report = verify_theorem(SymbolicSetup(theta))
     assert [c.passed for c in report.checks] == [True] * 7 + [False]
     assert "integer certificate" in report.checks[-1].name
 
