@@ -33,7 +33,7 @@ The pretty-printer emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
 is the identity on canonical elements, polynomial coefficients included
 (``test_print_then_parse_round_trip_with_polynomial_coefficients``), as
-a negative leading power prints "- 1*t1^2" (see ``_coefficient_prefix``).
+a negative leading power prints "- 1*t1^2" (see ``polyring.signed_terms``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .freealg import FreeElement
-from .polyring import NVARS, Poly, monomial_text, signed_sum
+from .polyring import NVARS, Poly, signed_sum, signed_terms
 from .quiver import Path, Quiver, compose
 
 ARROW_IDENTS = {f"a{i}" for i in range(5)} | {f"b{i}" for i in range(5)} | {"x", "y"}
@@ -568,14 +568,11 @@ def parse_element(text: str, quiver: Quiver) -> FreeElement:
 def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
     """(negative, text) where text is '' for a plain unit coefficient.
 
-    Several terms go in parentheses.  A negative first term whose first
-    factor is a power prints "- 1*t1^2*...": unary "-" binds tighter than
-    "^", so "- t1^2*..." would read back as (-t1)^2*....
+    Several terms go in parentheses.  The terms are those ``str(poly)``
+    prints (``polyring.signed_terms``), so a negative leading power reads
+    back here too.
     """
-    terms = [(c < 0, monomial_text(e, abs(c))) for e, c in poly.sorted_terms()]
-    negative, text = terms[0]
-    if negative and "^" in text.split("*", 1)[0]:
-        terms[0] = negative, "1*" + text
+    terms = signed_terms(poly)
     if len(terms) != 1:
         return False, f"({signed_sum(terms)})"
     negative, text = terms[0]

@@ -323,9 +323,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        return signed_sum(
-            [(coeff < 0, monomial_text(exp, abs(coeff))) for exp, coeff in self.sorted_terms()]
-        )
+        return signed_sum(signed_terms(self))
 
 
 def _times(ca: Fraction, cb: Fraction) -> Fraction:
@@ -389,6 +387,23 @@ def monomial_text(exp: Exponent, magnitude: Fraction) -> str:
     if magnitude != 1 or not factors:
         factors.insert(0, str(magnitude))
     return "*".join(factors)
+
+
+def signed_terms(poly: Poly) -> list[tuple[bool, str]]:
+    """The terms of ``poly`` in ``sorted_terms`` order as (negative, text)
+    pairs for ``signed_sum``, each text a ``monomial_text``.
+
+    A negative first term whose first factor is a power keeps its unit
+    magnitude, "- 1*t1^2*...": unary "-" binds tighter than "^", so
+    "- t1^2*..." would read back as (-t1)^2*....  A later term follows a
+    binary "-", which binds looser than "^", and needs no such care.
+    """
+    terms = [(c < 0, monomial_text(e, abs(c))) for e, c in poly.sorted_terms()]
+    if terms:
+        negative, text = terms[0]
+        if negative and "^" in text.split("*", 1)[0]:
+            terms[0] = negative, "1*" + text
+    return terms
 
 
 def signed_sum(terms) -> str:

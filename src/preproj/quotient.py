@@ -20,7 +20,11 @@ maps every path it does not hold, shorter or longer than N, to zero.
 
 Products go through the structure constants of basis pairs, on
 coordinates keyed by basis index (``QuotientAlgebra.product``); paths
-appear only where ``multiply`` maps elements in and out.
+appear only where ``multiply`` maps elements in and out.  The constants
+live in one table of rows, row i mapping each j with a nonzero product
+basis[i]*basis[j] to that product.  A row is filled on first use, from
+the basis words that start where basis[i] ends, since every other pair
+does not compose; pe6 has 1,657 nonzero pairs among its 24,336.
 
 Reduction data is stored over the rationals only.  Elements with
 polynomial coefficients are reduced coefficient-wise, which is sound
@@ -156,7 +160,8 @@ class QuotientAlgebra:
         self.integral = integral
         self.basis: list[Path] = [p for deg in basis_by_degree for p in deg]
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
-        self._structure: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        # row i of the structure constants, filled by ``structure_row``
+        self._rows: list[dict[int, list] | None] = [None] * len(self.basis)
 
     # -- queries -------------------------------------------------------------
 
@@ -217,28 +222,34 @@ class QuotientAlgebra:
 
         A coefficient with denominator 1 is stored as an ``int`` (see
         ``_exact``), so every scalar type multiplies it without converting
-        a ``Fraction``.
+        a ``Fraction``.  Computed afresh on each call; ``structure_row``
+        keeps the nonzero ones.
         """
-        try:
-            return self._structure[(i, j)]
-        except KeyError:
-            pass
         product = compose(self.basis[i], self.basis[j])
         if product is None:
-            entry: list[tuple[int, Fraction | int]] = []
-        else:
-            entry = [
-                (self.basis_index[b], _exact(c))
-                for b, c in self.reduce_path(product).items()
-            ]
-        self._structure[(i, j)] = entry
-        return entry
+            return []
+        return [
+            (self.basis_index[b], _exact(c)) for b, c in self.reduce_path(product).items()
+        ]
+
+    def structure_row(self, i: int) -> dict[int, list[tuple[int, Fraction | int]]]:
+        """The nonzero structure constants of basis element i on the left:
+        j -> ``structure_constant(i, j)`` for every j where it is not empty,
+        in ascending j.  Filled on first use; callers must not change it.
+        """
+        row = self._rows[i]
+        if row is None:
+            target = self.basis[i].target
+            row = {}
+            for j, q in enumerate(self.basis):
+                if q.source == target and (entry := self.structure_constant(i, j)):
+                    row[j] = entry
+            self._rows[i] = row
+        return row
 
     def precompute_structure_constants(self):
-        n = self.dimension()
-        for i in range(n):
-            for j in range(n):
-                self.structure_constant(i, j)
+        for i in range(self.dimension()):
+            self.structure_row(i)
 
     def product(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict[int, object]:
         """Bilinear product of coordinate dicts through the structure constants.
@@ -249,13 +260,29 @@ class QuotientAlgebra:
         scalar with that arithmetic).  A constant 1 adds the coefficient
         product unscaled.
         No zero coordinates are stored.
+
+        Only the pairs in the rows of ``structure_row`` are multiplied.
+        That is the full bilinear sum because:
+
+        * a pair missing from row iu is an empty sum: either basis[iu]
+          does not end where basis[iv] starts, so ``compose`` gives None,
+          or the composed path reduces to zero;
+        * the rows never go stale: they are read from the reduction
+          table, which does not change once ``build_quotient`` has
+          returned;
+        * the result's keys come in the same order as from a loop over
+          every pair, u's coordinates outside and v's inside, since the
+          pairs left out add no key.
         """
         right = list(v.items())
         acc: dict[int, object] = {}
         for iu, cu in u.items():
+            row = self.structure_row(iu)
+            if not row:
+                continue
             for iv, cv in right:
-                entry = self.structure_constant(iu, iv)
-                if not entry:
+                entry = row.get(iv)
+                if entry is None:
                     continue
                 cuv = cu * cv
                 for k, c in entry:
@@ -278,12 +305,10 @@ class QuotientAlgebra:
         Rows are in ascending index order, so the file does not depend on
         the order in which elimination wrote the reduction table.
         """
-        self.precompute_structure_constants()
         lines = []
-        n = self.dimension()
-        for i in range(n):
-            for j in range(n):
-                for k, c in sorted(self._structure[(i, j)]):
+        for i in range(self.dimension()):
+            for j, entry in self.structure_row(i).items():
+                for k, c in sorted(entry):
                     lines.append(f"{i},{j},{k},{c}")
         return "\n".join(lines)
 

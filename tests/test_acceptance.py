@@ -157,23 +157,23 @@ def test_criterion_07_oracle_equivalence():
 
 def _associativity_sweep(alg) -> bool:
     n = alg.dimension()
-    alg.precompute_structure_constants()
-    sc = alg._structure
+    # the rows hold every nonzero product; a pair they lack is an empty sum
+    rows = [alg.structure_row(i) for i in range(n)]
     empty: list = []
     for i in range(n):
         for j in range(n):
-            uv = sc[(i, j)]
+            uv = rows[i].get(j, empty)
             for k in range(n):
-                vw = sc[(j, k)]
+                vw = rows[j].get(k, empty)
                 if not uv and not vw:
                     continue  # both sides are empty sums
                 lhs = {}
                 for t, c in uv:
-                    for m, d in sc[(t, k)]:
+                    for m, d in rows[t].get(k, empty):
                         lhs[m] = lhs.get(m, 0) + c * d
                 rhs = {}
                 for t, c in vw:
-                    for m, d in sc[(i, t)]:
+                    for m, d in rows[i].get(t, empty):
                         rhs[m] = rhs.get(m, 0) + c * d
                 if {m: c for m, c in lhs.items() if c} != {
                     m: c for m, c in rhs.items() if c

@@ -47,3 +47,7 @@ def test_worker_traces_a_workload_without_failures(workload, tmp_path):
     expected = {m["name"] for m in declared} - {"trace.overhead"}
     assert len(expected) == 38
     assert set(record["layers"]) == expected
+    if workload == "sample":
+        # the counter counts the structure constants computed, each once
+        # per process, and a traced pass starts with no row filled
+        assert record["layers"]["quotient.structure_constant.calls"] > 0

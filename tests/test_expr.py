@@ -178,11 +178,12 @@ monomials = st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size
 
 
 @st.composite
-def polynomial_coefficients(draw):
-    """Polynomials of two to four terms in t1..t3, printed in parentheses;
-    their coefficients are often 1 or -1, which the printer leaves out."""
+def polynomial_coefficients(draw, min_terms=2):
+    """Polynomials of ``min_terms`` to four terms in t1..t3, printed in
+    parentheses when there are several; their coefficients are often 1 or
+    -1, which the printer leaves out."""
     terms = {}
-    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+    for _ in range(draw(st.integers(min_value=min_terms, max_value=4))):
         terms[draw(monomials)] = draw(st.one_of(st.sampled_from([1, -1]), small_fractions))
     return Poly(terms)
 
@@ -208,6 +209,25 @@ def test_a_negative_leading_power_is_printed_so_that_it_reads_back(text, printed
     e = parse_element(text, L2)
     assert format_element(e) == printed
     assert parse_element(printed, L2) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_coefficients(min_terms=0))
+def test_a_polynomial_prints_so_that_it_reads_back(p):
+    assert evaluate(parse(str(p)), L2) == p
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("0 - t5^2 + t1*t2*t3", "- 1*t5^2 + t1*t2*t3"),
+    ("0 - t1^2*t2", "- 1*t1^2*t2"),
+    ("-t1*t2^2", "- t1*t2^2"),
+    ("t1 - t2^2", "t1 - t2^2"),
+    ("0 - 2*t1^2", "- 2*t1^2"),
+])
+def test_a_polynomial_with_a_negative_leading_power_prints_its_unit(text, printed):
+    p = evaluate(parse(text), L2)
+    assert str(p) == printed
+    assert evaluate(parse(printed), L2) == p
 
 
 # -- evaluation: scalars kept as scalars against the per-node slow path ---------

@@ -308,7 +308,10 @@ def test_coordinate_product_matches_pairwise_reference(build, kind):
         # factor in play, with its unit and non-unit constants
         u[alg.quiver.idempotent(rng.choice(alg.quiver.vertices))] = convert(Fraction(1))
         got = by_path(alg, alg.product(by_index(alg, u), by_index(alg, v)))
-        assert got == pairwise_product(alg, u, v)
+        expected = pairwise_product(alg, u, v)
+        assert got == expected
+        # the same keys in the same order: rows skip only the empty pairs
+        assert list(got) == list(expected)
         sample = next(iter(u.values()))
         assert all(type(c) is type(sample) and c for c in got.values())
         nonzero += bool(got)
@@ -318,10 +321,50 @@ def test_coordinate_product_matches_pairwise_reference(build, kind):
 @pytest.mark.parametrize("build", [build_re6, build_pe6])
 def test_structure_constants_are_ints(build):
     alg = build()
-    alg.precompute_structure_constants()
-    constants = [c for entry in alg._structure.values() for _, c in entry]
+    constants = [
+        c
+        for i in range(alg.dimension())
+        for entry in alg.structure_row(i).values()
+        for _, c in entry
+    ]
     assert constants and all(type(c) is int for c in constants)
     assert {abs(c) for c in constants} == {1}
+
+
+D8_EDGES = ((0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
+# basis pairs with a nonzero product, of dimension^2 pairs in all
+NONZERO_PAIRS = {"pe6": 1657, "re6": 61, "D8": 3822}
+
+
+@pytest.mark.parametrize("which", ["pe6", "re6", "D8"])
+def test_structure_rows_hold_every_nonzero_product(which, dynkin_preprojective):
+    """Slow path of ``structure_row``: every pair (i, j) composed and
+    reduced, with no use of the rows' candidates by vertex.
+
+    A row that took its candidates from the words starting at
+    ``basis[i].source`` rather than ``.target`` would be empty wherever
+    the two differ; pe6 and D8 have nonzero rows there, so it fails.
+    """
+    if which == "D8":
+        alg = build_quotient(*dynkin_preprojective("D8", 8, D8_EDGES), name="D8")
+    else:
+        alg = build_pe6() if which == "pe6" else build_re6()
+    basis, index = alg.basis, alg.basis_index
+    nonzero = 0
+    for i, p in enumerate(basis):
+        expected = {}
+        for j, q in enumerate(basis):
+            path = compose(p, q)
+            if path is not None and (terms := alg.reduce_path(path)):
+                expected[j] = [(index[b], c) for b, c in terms.items()]
+        row = alg.structure_row(i)
+        assert row == expected, (which, i)
+        assert list(row) == sorted(row)
+        assert alg.structure_row(i) is row
+        nonzero += len(row)
+    assert nonzero == NONZERO_PAIRS[which]
+    if which != "re6":
+        assert any(alg.structure_row(i) for i, p in enumerate(basis) if p.source != p.target)
 
 
 # quiver, relations and number of elimination pivots of each built-in algebra
