@@ -42,7 +42,7 @@ from .freealg import FreeElement
 from .polyring import Poly, power
 from .quiver import Path, Quiver, compose
 
-Row = dict  # monomial (Path or arrow tuple) -> Fraction, single degree
+Row = dict  # monomial (Path or arrow tuple) -> Fraction | int, single degree
 
 # the build gives up when no degree up to this one vanishes
 MAX_DEGREE = 64
@@ -147,7 +147,7 @@ class QuotientAlgebra:
         name: str,
         quiver: Quiver,
         basis_by_degree: list[list[Path]],
-        reduction: dict[Path, dict[Path, Fraction]],
+        reduction: dict[Path, dict[Path, Fraction | int]],
         nilpotency_degree: int,
         integral: bool,
     ):
@@ -181,13 +181,15 @@ class QuotientAlgebra:
 
     # -- reduction -------------------------------------------------------------
 
-    def reduce_path(self, path: Path) -> Mapping[Path, Fraction]:
+    def reduce_path(self, path: Path) -> Mapping[Path, Fraction | int]:
         """Rational reduction of a single path to basis coordinates.
 
         The table holds exactly the paths whose normal form is nonzero
         (``build_quotient`` stores each of them below the nilpotency
         degree N, and nothing of length >= N), so any other path reduces
-        to zero: a shared read-only empty mapping.
+        to zero: a shared read-only empty mapping.  The mapping returned
+        is the table's own row, which other paths with the same normal
+        form share: callers must not change it.
         """
         return self.reduction.get(path, _NO_TERMS)
 
@@ -220,17 +222,16 @@ class QuotientAlgebra:
     def structure_constant(self, i: int, j: int) -> list[tuple[int, Fraction | int]]:
         """Product of basis elements i and j as (basis index, coefficient) pairs.
 
-        A coefficient with denominator 1 is stored as an ``int`` (see
-        ``_exact``), so every scalar type multiplies it without converting
-        a ``Fraction``.  Computed afresh on each call; ``structure_row``
-        keeps the nonzero ones.
+        The reduction table stores a coefficient with denominator 1 as an
+        ``int`` (see ``_exact``), so every scalar type multiplies it without
+        converting a ``Fraction``.  Computed afresh on each call;
+        ``structure_row`` keeps the nonzero ones.
         """
         product = compose(self.basis[i], self.basis[j])
         if product is None:
             return []
-        return [
-            (self.basis_index[b], _exact(c)) for b, c in self.reduce_path(product).items()
-        ]
+        index = self.basis_index
+        return [(index[b], c) for b, c in self.reduce_path(product).items()]
 
     def structure_row(self, i: int) -> dict[int, list[tuple[int, Fraction | int]]]:
         """The nonzero structure constants of basis element i on the left:
@@ -337,28 +338,42 @@ def _exact(c: Fraction) -> Fraction | int:
 
 
 def _add_multiple(row: Row, factor, other: Mapping) -> None:
-    """row += factor * other in place, dropping zero entries."""
+    """row += factor * other in place, dropping zero entries.
+
+    No zero seed: a key new to ``row`` takes the term ``factor * c``
+    itself, a sum that cancels deletes its key, and any other sum replaces
+    the value where it stands.  That stores what seeding with
+    ``Fraction(0)`` stores, in the same key order, as long as ``factor``
+    and every c are nonzero (every caller's factor is a coefficient of a
+    row, and no row holds a zero): over Q, a domain, each term is then
+    nonzero, so a new key is never a zero entry.
+    """
     for p, c in other.items():
-        acc = row.get(p, Fraction(0)) + factor * c
-        if acc:
+        acc = row.get(p)
+        if acc is None:
+            row[p] = factor * c
+        elif acc := acc + factor * c:
             row[p] = acc
         else:
-            row.pop(p, None)
+            del row[p]
 
 
-def _insert_row(pivots: dict, row: Row) -> Fraction | None:
+def _insert_row(pivots: dict, row: Row) -> Fraction | int | None:
     """Reduce a row against current pivots and record it if nonzero.
 
     Returns the pivot, the lead coefficient the recorded row was divided
-    by, or None when the row reduced to zero.
+    by, or None when the row reduced to zero.  The division is exact on
+    ``int`` rows too: a pivot -1 negates, any other a ``Fraction`` divides.
     """
     while row:
         lead = max(row)
         pivot_row = pivots.get(lead)
         if pivot_row is None:
             coeff = row.pop(lead)
-            if coeff != 1:
-                row = {p: c / coeff for p, c in row.items()}
+            if coeff == -1:
+                row = {p: -c for p, c in row.items()}
+            elif coeff != 1:
+                row = {p: Fraction(c, coeff) for p, c in row.items()}
             pivots[lead] = row
             return coeff
         _add_multiple(row, -row.pop(lead), pivot_row)
@@ -376,6 +391,27 @@ def _back_substitute(pivots: dict):
         tail = pivots[lead]
         for p in [p for p in tail if p in pivots]:
             _add_multiple(tail, -tail.pop(p), pivots[p])
+
+
+def _prepend(normal: dict, i: int, nf: Row) -> Row:
+    """NF of arrow i times a path whose normal form is nf."""
+    row: Row = {}
+    for b, c in nf.items():
+        _add_multiple(row, c, normal[(i,) + b])
+    return row
+
+
+def _normal_form(normal: dict, word: tuple) -> Row:
+    """NF of a word of degree >= 1, memoised in ``normal``.
+
+    A module function, not a closure in ``build_quotient``: a closure that
+    calls itself is a reference cycle, which would keep ``normal`` and
+    every row in it alive after the build until the collector runs.
+    """
+    row = normal.get(word)
+    if row is None:
+        row = normal[word] = _prepend(normal, word[0], _normal_form(normal, word[1:]))
+    return row
 
 
 def _relation_rows(quiver: Quiver, relations: Sequence[FreeElement]) -> dict[int, list]:
@@ -443,7 +479,11 @@ def build_quotient(
     so every path of nonzero normal form extends a path of nonzero normal
     form, and the fill reaches it.  ``reduce_path`` sends every path the
     table lacks to zero: below N its normal form is zero, and from N on
-    the path lies in the ideal.
+    the path lies in the ideal.  Each distinct row is stored once, its
+    entries ``_exact``: paths whose normal forms have the same terms in
+    the same order, coefficients included, share one dict, which thus has
+    every replaced row's keys, values and key order.  Sharing is sound
+    because no table row changes once the build returns (``reduce_path``).
 
     The algebra records as ``integral`` whether every relation coefficient
     is an integer and every pivot, the lead coefficient a recorded row is
@@ -473,23 +513,10 @@ def build_quotient(
     # NF of every candidate, and of the lower-degree words pi has needed
     normal: dict[tuple, Row] = {}
 
-    def prepend(i: int, nf: Row) -> Row:
-        """NF of arrow i times a path whose normal form is nf."""
-        row: Row = {}
-        for b, c in nf.items():
-            _add_multiple(row, c, normal[(i,) + b])
-        return row
-
-    def normal_form(word: tuple) -> Row:
-        row = normal.get(word)
-        if row is None:
-            row = normal[word] = prepend(word[0], normal_form(word[1:]))
-        return row
-
     def project(word: tuple) -> Row:
         if len(word) == 1:
             return {word: Fraction(1)}
-        return {word[:1] + b: c for b, c in normal_form(word[1:]).items()}
+        return {word[:1] + b: c for b, c in _normal_form(normal, word[1:]).items()}
 
     for degree in range(1, MAX_DEGREE + 1):
         pivots: dict[tuple, Row] = {}
@@ -534,9 +561,8 @@ def build_quotient(
             "the quotient does not appear to be finite-dimensional"
         )
 
-    reduction: dict[Path, dict[Path, Fraction]] = {
-        e: {e: Fraction(1)} for e in basis_by_degree[0]
-    }
+    reduction: dict[Path, dict[Path, Fraction | int]] = {e: {e: 1} for e in basis_by_degree[0]}
+    shared: dict[tuple, dict[Path, Fraction | int]] = {}
     # every path of degree d > 1 is an arrow times a path of degree d - 1;
     # a path in the ideal has only extensions in the ideal, so each layer
     # keeps the paths of nonzero normal form alone
@@ -546,7 +572,7 @@ def build_quotient(
             extended = (((i,), normal[(i,)]) for i in range(len(arrows)))
         else:
             extended = (
-                ((i,) + q, prepend(i, nf))
+                ((i,) + q, _prepend(normal, i, nf))
                 for q, nf in layer.items()
                 for i in into[arrows[q[0]].source]
             )
@@ -555,5 +581,9 @@ def build_quotient(
             path = basis_paths.get(w) or Path._unchecked(
                 quiver, w, arrows[w[0]].source, arrows[w[-1]].target
             )
-            reduction[path] = {basis_paths[b]: c for b, c in nf.items()}
+            terms = tuple([(b, _exact(c)) for b, c in nf.items()])
+            row = shared.get(terms)
+            if row is None:
+                row = shared[terms] = {basis_paths[b]: c for b, c in terms}
+            reduction[path] = row
     return QuotientAlgebra(name, quiver, basis_by_degree, reduction, degree, integral)

@@ -4,11 +4,13 @@
 quotient element, ``graded_dimensions`` lists an algebra's dimension per
 degree, ``printed_inverse_mismatches`` names the inverse formulas that
 fail as printed, ``assert_clean_poly`` checks a polynomial against
-its copy through the checking constructor, and ``verify_all`` runs
-``preproj verify all`` in process.
+its copy through the checking constructor, ``verify_all`` runs
+``preproj verify all`` in process, and ``preproj_garbage`` lists the
+package's objects that a call leaves in reference cycles.
 """
 
 import contextlib
+import gc
 import io
 from fractions import Fraction
 
@@ -51,3 +53,34 @@ def verify_all():
     """``preproj verify all --quiet`` in process; returns its exit status."""
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.run(["verify", "all", "--quiet"])
+
+
+def preproj_garbage(fn) -> list:
+    """The objects that ``fn()`` leaves unreachable in reference cycles and
+    whose type or function is defined in ``preproj``.
+
+    The collector is off while ``fn`` runs, so nothing is freed before the
+    one collection after it, which saves all it finds in ``gc.garbage``.
+    Objects of other modules' cycles, such as the standard library's
+    ``json`` indent encoder, are left out by their module.
+    """
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    garbage = list(gc.garbage)
+    gc.garbage.clear()
+    return [o for o in garbage if _defined_in_preproj(o)]
+
+
+def _defined_in_preproj(obj) -> bool:
+    """Whether ``obj`` is a function or class of ``preproj``, or an
+    instance of one of its classes."""
+    module = getattr(obj, "__module__", None) or type(obj).__module__
+    return isinstance(module, str) and module.split(".")[0] == "preproj"

@@ -15,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from engine_helpers import preproj_garbage
 import preproj
 from preproj import cli, e6, oracle
 from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
@@ -62,6 +63,41 @@ def test_warm_verify_all_accumulates_without_zero_seeds(capsys, monkeypatch):
     assert counts["Fraction"] > 0
     assert counts["zero Fraction"] == 0
     assert counts["Poly.zero"] == 0
+
+
+# commands that read the built-in reduction tables: the headline, the
+# oracle over Q and GF(11), and reduce on both algebras
+TABLE_READERS = [
+    ["verify", "all", "--json"],
+    ["sample", "--seed", "3", "--trials", "10", "--json"],
+    ["sample", "--seed", "3", "--trials", "10", "--field", "11", "--json"],
+    ["reduce", "--json", "--algebra", "pe6", "--", "(b0*a0 + t1*b2*a2)^3 - a3*b3"],
+    ["reduce", "--algebra", "re6", "--", "(x + y)^4 - t2*y*x*y"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_READERS, ids=" ".join)
+def test_commands_leave_no_reference_cycle(capsys, argv):
+    assert preproj_garbage(lambda: run(argv)) == []
+    assert capsys.readouterr().out
+
+
+def test_commands_leave_every_table_row_unchanged(capsys):
+    """Table rows are shared between paths and never copied, so no
+    command may change one: every row of pe6 and re6 keeps its object,
+    keys, key order, values and value types."""
+
+    def snapshot():
+        return {
+            (algebra.name, path): (id(row), [(b, c, type(c)) for b, c in row.items()])
+            for algebra in (e6.build_pe6(), e6.build_re6())
+            for path, row in algebra.reduction.items()
+        }
+
+    before = snapshot()
+    for argv in TABLE_READERS:
+        assert invoke(capsys, *argv)[0] == 0
+    assert snapshot() == before
 
 
 def test_verify_lemma_json_schema(capsys):

@@ -21,11 +21,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_helpers import assert_clean_poly, graded_dimensions, map_coefficients
+from engine_helpers import (
+    assert_clean_poly,
+    graded_dimensions,
+    map_coefficients,
+    preproj_garbage,
+)
 from field_scalars import PrimeFieldScalars
 import preproj
 from preproj import quotient
-from preproj.e6 import build_pe6, build_re6, pe6_relations
+from preproj.e6 import E6_EDGES, build_pe6, build_re6, pe6_relations
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
 from preproj.quiver import Arrow, Quiver, builtin_quiver, compose
@@ -405,6 +410,63 @@ def test_every_elimination_pivot_is_plus_or_minus_one(monkeypatch, name):
     assert algebra.integral is True
 
 
+# -- elimination rows: no zero seed, exact division -----------------------------
+
+
+def zero_seeded_add_multiple(row, factor, other):
+    """Slow path of ``_add_multiple``: every sum from ``Fraction(0)``, each
+    zero sum dropped."""
+    for p, c in other.items():
+        acc = row.get(p, Fraction(0)) + factor * c
+        if acc:
+            row[p] = acc
+        else:
+            row.pop(p, None)
+
+
+row_scalars = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5)
+).filter(bool)
+sparse_rows = st.dictionaries(st.integers(0, 9), row_scalars, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_add_multiple_matches_the_zero_seeded_loop(data):
+    row, factor = data.draw(sparse_rows), data.draw(row_scalars)
+    # other cancels a drawn subset of row's keys exactly, in a drawn key order
+    cancelled = data.draw(st.lists(st.sampled_from(sorted(row) or [0]), unique=True))
+    terms = data.draw(sparse_rows)
+    terms.update({p: -Fraction(row[p]) / factor for p in cancelled if p in row})
+    other = dict(data.draw(st.permutations(list(terms.items()))))
+    fast, slow = dict(row), dict(row)
+    quotient._add_multiple(fast, factor, other)
+    zero_seeded_add_multiple(slow, factor, other)
+    assert list(fast.items()) == list(slow.items())
+    assert all(fast.values())
+    assert not any(p in fast for p in cancelled if p in row)
+
+
+def test_add_multiple_drops_a_sum_that_cancels_and_keeps_the_key_order():
+    row = {(2,): Fraction(1, 2), (1,): 3, (0,): 1}
+    quotient._add_multiple(row, -2, {(5,): 1, (2,): Fraction(1, 4), (1,): 1})
+    assert list(row.items()) == [((1,), 1), ((0,), 1), ((5,), -2)]
+
+
+def test_insert_row_divides_an_int_row_exactly():
+    pivots = {}
+    assert quotient._insert_row(pivots, {(3,): 2, (1,): 3, (0,): -4}) == 2
+    assert quotient._insert_row(pivots, {(2,): -1, (1,): 5, (0,): 1}) == -1
+    assert quotient._insert_row(pivots, {(3,): 4, (2,): 1, (1,): 1}) == 9
+    values = [c for row in pivots.values() for c in row.values()]
+    assert values and all(type(c) in (int, Fraction) for c in values)
+    assert pivots == {
+        (3,): {(1,): Fraction(3, 2), (0,): -2},
+        (2,): {(1,): -5, (0,): -1},
+        (0,): {},
+    }
+
+
 def assert_table_holds_the_nonzero_rows_of(alg, reduction):
     """The reduction table against a full one (every path below N).
 
@@ -447,6 +509,49 @@ def test_tables_stop_below_the_nilpotency_degree(rational_rank, full_path_build)
     # slow path: the whole brute-force ideal fills degrees N and N + 1 of re6
     for degree in (6, 7):
         assert brute_force_ideal_rank(RE6_RELATIONS, degree, rational_rank) == 2 ** degree
+
+
+E7_EDGES = ((0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+# (table entries, distinct row objects) of each algebra's reduction table
+TABLE_ROWS = {"pe6": (1557, 313), "re6": (21, 16), "D8": (7480, 535), "E7": (48894, 1029)}
+
+
+def build_named(which, dynkin_preprojective):
+    if which in ("pe6", "re6"):
+        return ALGEBRAS[which]()
+    n, edges = {"D8": (8, D8_EDGES), "E7": (7, E7_EDGES)}[which]
+    return build_quotient(*dynkin_preprojective(which, n, edges), name=which)
+
+
+@pytest.mark.parametrize("which", list(TABLE_ROWS))
+def test_equal_table_rows_are_one_shared_exact_row(which, dynkin_preprojective):
+    """The fill stores each distinct normal form once: rows with the same
+    terms in the same order are one dict, rows that differ are distinct,
+    and every entry is an ``int`` or a ``Fraction`` that is not one."""
+    table = build_named(which, dynkin_preprojective).reduction
+    objects = {}
+    for row in table.values():
+        objects.setdefault(tuple(row.items()), set()).add(id(row))
+        assert all(
+            type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in row.values()
+        )
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(set().union(*objects.values())) == len(objects)
+    assert (len(table), len(objects)) == TABLE_ROWS[which]
+
+
+@pytest.mark.parametrize("which", ["E6", "D8"])
+def test_build_leaves_no_reference_cycle(which, dynkin_preprojective):
+    n, edges = {"E6": (6, E6_EDGES), "D8": (8, D8_EDGES)}[which]
+    quiver, relations = dynkin_preprojective(which, n, edges)
+    assert preproj_garbage(lambda: build_quotient(quiver, relations, name=which)) == []
+
+    def cycle():
+        # the guard is live: an element that holds itself is reported
+        element = build_pe6().one()
+        element.coords["self"] = element
+
+    assert "QuotientElement" in {type(o).__name__ for o in preproj_garbage(cycle)}
 
 
 def test_dimensions():
