@@ -302,13 +302,7 @@ def cmd_admissible(args) -> int:
 
 def cmd_basis(args) -> int:
     algebra = get_algebra(args.algebra)
-    if args.corner is not None:
-        lines = [
-            f"deg={len(p)} {p.source}->{p.target} {p}"
-            for p in algebra.corner_basis(args.corner)
-        ]
-    else:
-        lines = algebra.basis_listing().splitlines()
+    lines = algebra.basis_listing(args.corner).splitlines()
     if args.constants:
         # the file is opened before any constant is computed
         try:

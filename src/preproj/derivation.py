@@ -4,16 +4,13 @@ Every displayed step is text in the ``reduce`` grammar (see ``expr``),
 in the scope of ``e6.SymbolicSetup``: the primed generators a2' ... b4',
 the loops x = b0*a0, y = b2*a2 and z = a3*b3 at the exceptional vertex,
 t1..t9 bound to theta (by default the constrained one, t2 and t6
-eliminated), the named constants of ``GeneratorScalars`` and f_xy, f_xy'
-for f(x, y) and f(x, b2'*a2'), plus the displayed forms and coefficients
-of ``DEFINITIONS``.  Each entry of ``CATALOG`` is (kind, check name) or
-(kind, check name, text), the text being the name when left out:
-
-  * ``re6`` and ``pe6``: a chain ``A = B = C`` in that algebra, one check
-    per link, that A - B and B - C reduce to zero;
-  * ``differs``: ``A = B`` with A and B of one nonzero normal form, the
-    documented difference between a printed form and the computed one;
-  * ``scalar``: ``A = B`` for two equal polynomials.
+eliminated), the named constants of the change of generators
+(``e6.SCOPE_CONSTANTS``) and f_xy, f_xy' for f(x, y) and f(x, b2'*a2'),
+plus the displayed forms and coefficients of ``DEFINITIONS``.
+``CATALOG`` is a table of entries of ``e6.run_text_checks``, the runner
+that the inverse formulas go through too: ``re6`` and ``pe6`` chains,
+checked link by link; ``differs``, the documented difference between a
+printed form and the computed one; and ``scalar``, two equal polynomials.
 
 Four slips in the printed derivation are documented rather than silently
 patched (see README): the final form of the b3'*a3' expansion prints t1^3
@@ -28,16 +25,7 @@ one is checked to differ by exactly the documented residual.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .e6 import (
-    SCOPE_NAMES,
-    SymbolicSetup,
-    VerificationReport,
-    build_pe6,
-    build_re6,
-)
-from .expr import evaluate, parse, to_element
+from .e6 import SymbolicSetup, VerificationReport, build_pe6, run_text_checks
 
 # Displayed forms and coefficients that several steps read, each evaluated
 # once per run, on first use.
@@ -164,20 +152,6 @@ CATALOG = (
 )
 
 
-@cache
-def parsed_catalog() -> tuple[dict, list]:
-    """``DEFINITIONS`` and ``CATALOG`` parsed, once per process, on first
-    use: each definition's AST, and each entry as (kind, check name, the
-    ASTs of the sides of its text, split at "=")."""
-    names = SCOPE_NAMES | DEFINITIONS.keys()
-    definitions = {name: parse(text, names) for name, text in DEFINITIONS.items()}
-    entries = [
-        (kind, name, [parse(side, names) for side in (text[0] if text else name).split("=")])
-        for kind, name, *text in CATALOG
-    ]
-    return definitions, entries
-
-
 def verify_identities(setup: SymbolicSetup | None = None) -> VerificationReport:
     """The derivation catalog, by default over the constrained theta.
 
@@ -189,72 +163,30 @@ def verify_identities(setup: SymbolicSetup | None = None) -> VerificationReport:
 
 
 def run_derivation_catalog(setup: SymbolicSetup | None = None) -> VerificationReport:
-    """The catalog's checks, in order, each evaluating its entry inside its
-    own timed span through ``VerificationReport.run_zero``, ``run_equal_nf``
-    or ``run``, at the theta of ``setup`` (by default a new
+    """The catalog's checks, in order, run by ``e6.run_text_checks`` with
+    ``DEFINITIONS`` at the theta of ``setup`` (by default a new
     ``e6.SymbolicSetup`` at the constrained theta).
 
-    Every side of a chain is built once, by the first link that reads it,
-    and a definition by the first check that reads it; so is the set-up
-    (the derived constants, the primed generators, f(x, y) and
-    f(x, b2'*a2')), each charged to the check that first reads it.  The
-    last check, the integer certificate, covers every element the catalog
+    The set-up (the derived constants, the primed generators, f(x, y) and
+    f(x, b2'*a2')) is built by the first check that reads it.  The last
+    check, the integer certificate, covers every element the catalog
     built on pe6, each tested as it was built, and the set-up's elements.
+    Every element holds only its terms below the nilpotency degree N, so
+    the certificate covers those; the dropped ones lie in J^N, which is
+    contained in the ideal of relations (see ``e6.verify_theorem``).
     """
     report = VerificationReport("identities", "pe6")
-    pe6, re6 = build_pe6(), build_re6()
     setup = setup or SymbolicSetup()
-    definitions, entries = parsed_catalog()
-    scope = setup.scope()
-    scope.update(
-        (name, cache(lambda ast=ast: evaluate(ast, pe6.quiver, scope)))
-        for name, ast in definitions.items()
-    )
-    fractional = []  # the elements built on pe6 that fail the integer certificate
-
-    def element(ast, algebra):
-        if algebra is re6:
-            return to_element(ast, re6.quiver)
-        value = to_element(ast, pe6.quiver, scope)
-        if not value.has_integral_coefficients():
-            fractional.append(value)
-        return value
-
-    for kind, name, sides in entries:
-        if kind == "scalar":
-            lhs, rhs = sides
-
-            def scalar_check(lhs=lhs, rhs=rhs):
-                value = evaluate(lhs, pe6.quiver, scope)
-                return value == evaluate(rhs, pe6.quiver, scope), lambda: f"difference is {value}"
-
-            report.run(name, scalar_check)
-        elif kind == "differs":
-            lhs, rhs = sides
-            report.run_equal_nf(
-                name, pe6, lambda lhs=lhs: element(lhs, pe6), lambda rhs=rhs: element(rhs, pe6)
-            )
-        else:
-            algebra = re6 if kind == "re6" else pe6
-            members = [cache(lambda ast=ast: element(ast, algebra)) for ast in sides]
-            for k in range(len(members) - 1):
-                suffix = "" if len(members) == 2 else f" [step {k + 1}]"
-                report.run_zero(
-                    f"{name}{suffix}", algebra, lambda k=k: members[k]() - members[k + 1]()
-                )
-
+    integral = run_text_checks(report, DEFINITIONS, CATALOG, setup)
     report.run(
         "integer certificate (catalog coefficients are integral)",
         lambda: (
-            not fractional
+            integral
             and all(e.has_integral_coefficients() for e in setup.primed.values())
             and setup.f_xy.has_integral_coefficients()
-            and scope["f_xy'"]().has_integral_coefficients()
-            and pe6.integral,
+            and setup.f_xy_primed.has_integral_coefficients()
+            and build_pe6().integral,
             None,
         ),
     )
-    # the definitions refer to the scope that holds them: free them now,
-    # not when the garbage collector finds the cycle
-    scope.clear()
     return report

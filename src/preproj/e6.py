@@ -38,7 +38,7 @@ import time
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import parse, to_element
+from .expr import evaluate, parse, to_element
 from .freealg import FreeElement, GeneratorMap, _as_poly, dynkin_preprojective, generators
 from .oracle import (
     DEFORMED_RELATION_NAMES,
@@ -213,10 +213,7 @@ def _change_of_generators(s: GeneratorScalars) -> GeneratorMap:
 # the substituted generators, a2' ... b4'
 PRIMED_NAMES = ("a2", "b2", "a3", "b3", "a4", "b4")
 # the named constants of ``GeneratorScalars`` that a scope binds
-SCOPE_CONSTANTS = (
-    "alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2",
-    "alpha1", "beta1", "alpha2", "beta2", "alpha3", "alpha2_inv", "beta2_inv", "alpha3_inv",
-)
+SCOPE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
 
 
 class SymbolicSetup:
@@ -252,9 +249,9 @@ class SymbolicSetup:
         nilpotency degree of pe6 (see ``FreeElement.mul``)."""
         return self.embedding(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
 
+    @cached_property
     def f_xy_primed(self) -> FreeElement:
-        """f(b0*a0, b2'*a2'), expanded as ``f_xy`` is; built at each call,
-        as only the derivation catalog reads it."""
+        """f(b0*a0, b2'*a2'), expanded as ``f_xy`` is."""
         quiver = builtin_quiver("E6")
         y_primed = self.primed["b2"] * self.primed["a2"]
         substitution = GeneratorMap(
@@ -291,7 +288,7 @@ class SymbolicSetup:
             (n, lambda n=n: _as_poly(getattr(self.constants, n))) for n in SCOPE_CONSTANTS
         )
         scope["f_xy"] = lambda: self.f_xy
-        scope["f_xy'"] = cache(self.f_xy_primed)
+        scope["f_xy'"] = lambda: self.f_xy_primed
         return scope
 
 
@@ -299,12 +296,12 @@ class SymbolicSetup:
 SCOPE_NAMES = frozenset(SymbolicSetup().scope())
 
 
-# The six inverse formulas, in the scope of ``SymbolicSetup``.  ``printed``
-# is the verbatim form; ``corrected`` drops the stray ``a2'`` factor from
-# the a4 formula, primes the lone unprimed ``a2`` in the a3 formula
-# (immaterial in the quotient), and replaces the three constants alpha2,
-# beta2, alpha3 of the a3 formula by the solved inverting coefficients
-# (the printed ones do not invert).
+# The six inverse formulas, in the scope of ``SymbolicSetup`` and of
+# ``INVERSE_CONSTANTS``.  ``printed`` is the verbatim form; ``corrected``
+# drops the stray ``a2'`` factor from the a4 formula, primes the lone
+# unprimed ``a2`` in the a3 formula (immaterial in the quotient), and
+# replaces the three constants alpha2, beta2, alpha3 of the a3 formula by
+# the solved inverting coefficients (the printed ones do not invert).
 _PRINTED_INVERSE = {
     "a2": "a2' + t8*a2'*x*b2'*a2'*b2'*a2'",
     "b2": "b2' - delta*x*b2'*a2'*x*b2'*a2'*b2'",
@@ -326,12 +323,28 @@ INVERSE_FORMULAS = {
         "a4": "a4' - kappa1*b3'*x*a3'*a4' - kappa2*b3'*b2'*a2'*x*a3'*a4'",
     },
 }
-
-
-@cache
-def _parsed_inverse_formulas(mode: str) -> dict:
-    """The formulas of ``mode``, parsed once per process, on first use."""
-    return {name: parse(text, SCOPE_NAMES) for name, text in INVERSE_FORMULAS[mode].items()}
+# The constants that only the inverse a3 formula reads, as printed, and the
+# exactly solved alpha2_inv, beta2_inv, alpha3_inv of the corrected one.
+# Unary "-" binds tighter than "^", so a leading -t3^2 is written -1*t3^2.
+# At the constrained theta the printed constants differ from the solved ones by
+#   alpha2 - alpha2_inv = (t3 - t1)*(2*t4 + 3*t3^2 - 6*t1*t3 + 2*t1^2)
+#   beta2 - beta2_inv = t3^2*(t1 - t3)
+#   alpha3 - alpha3_inv = t3*((t3 - t1)*(t3*t5 - (t3 + 7)*t4 + t1*t3*(t3 - t1)
+#       - 11*t3^2 + 20*t1*t3 - 7*t1^2) - 2*t7)
+INVERSE_CONSTANTS = {
+    "alpha1": "-alpha + t1*t3 - t3^2",
+    "beta1": "-beta + t1*t3 - t3^2",
+    "alpha2": "-gamma - t3^2*(t2 - t3) + t1*beta + t1*alpha1 - t3*alpha1",
+    "beta2": "-1*t3^2*(t1 - t3) + t3*alpha + t3*beta1 + t3*beta",
+    "alpha3": "-1*t3^2*(t1^2 + t2^2 + 2*t4 - 2*t5 + t6 - t1*t2 - t2*t3)"
+              " + alpha1*t3^2*(t1 - t3) + beta*t3^2*(t2 - t3) + t3*t8 - t3*alpha2"
+              " - t3*beta2 - alpha*alpha1 + beta*alpha1 - beta*beta1 - gamma*t3",
+    "alpha2_inv": "-t7 + t1*t5 + t1*t4 - 3*t3*t4 + t1^3 - 7*t1^2*t3 + 11*t1*t3^2 - 5*t3^3",
+    "beta2_inv": "t3*t4 + t1^2*t3 - 3*t1*t3^2 + 2*t3^3",
+    "alpha3_inv": "t5^2 - 5*t4*t5 + 7*t4^2 + t3*t8 + 2*t3*t7 - 5*t3^2*t5 + 21*t3^2*t4"
+                  " + 9*t1*t3*t5 - 33*t1*t3*t4 - 5*t1^2*t5 + 14*t1^2*t4 + 18*t3^4"
+                  " - 55*t1*t3^3 + 63*t1^2*t3^2 - 33*t1^3*t3 + 7*t1^4",
+}
 
 
 # -- admissibility -----------------------------------------------------------------
@@ -441,6 +454,90 @@ class VerificationReport:
             return ok, lambda: f"got {got}; expected {want}"
 
         self.run(name, check)
+
+
+# -- text checks: the derivation catalog and the inverse formulas -------------------
+
+
+@cache
+def parsed(text: str, names: frozenset):
+    """``parse(text, names)``, once per process for each text and names."""
+    return parse(text, names)
+
+
+def run_text_checks(
+    report: VerificationReport, definitions: dict, entries: Iterable, setup: SymbolicSetup
+) -> bool:
+    """Run the checks of ``entries``, text in the ``reduce`` grammar, into ``report``.
+
+    Each entry is (kind, check name) or (kind, check name, text), the text
+    being the name when left out:
+
+      * ``re6`` and ``pe6``: a chain ``A = B = C`` in that algebra, one check
+        per link, that A - B and B - C reduce to zero;
+      * ``differs``: ``A = B`` with A and B of one nonzero normal form;
+      * ``scalar``: ``A = B`` for two equal polynomials.
+
+    pe6 text is read in the scope of ``setup`` and of ``definitions``,
+    named texts that the entries and each other read, each evaluated by
+    the first check that reads it; re6 text has no scope.  Every text is
+    parsed once per process.  Each side of a chain is built once, by the
+    first link that reads it, inside that check's timed span.  Every
+    product and power drops the paths of length N or more, N the
+    nilpotency degree of the algebra (see ``expr.evaluate``); they lie in
+    the ideal of relations, so every normal form is that of the full
+    element.
+
+    Returns whether every element built on pe6 has integer coefficients.
+    The definitions refer to the scope that holds them, so the scope is
+    cleared on return, not left to the garbage collector.
+    """
+    pe6, re6 = build_pe6(), build_re6()
+    n = pe6.nilpotency_degree
+    names = SCOPE_NAMES.union(definitions)
+    scope = setup.scope()
+    scope.update(
+        (name, cache(lambda ast=parsed(text, names): evaluate(ast, pe6.quiver, scope, n)))
+        for name, text in definitions.items()
+    )
+    integral = True
+
+    def element(ast, algebra):
+        nonlocal integral
+        if algebra is re6:
+            return to_element(ast, re6.quiver, below=re6.nilpotency_degree)
+        value = to_element(ast, pe6.quiver, scope, n)
+        integral = integral and value.has_integral_coefficients()
+        return value
+
+    try:
+        for kind, name, *text in entries:
+            sides = [parsed(side, names) for side in (text[0] if text else name).split("=")]
+            if kind == "scalar":
+                lhs, rhs = sides
+
+                def scalar_check(lhs=lhs, rhs=rhs):
+                    value = evaluate(lhs, pe6.quiver, scope, n)
+                    ok = value == evaluate(rhs, pe6.quiver, scope, n)
+                    return ok, lambda: f"difference is {value}"
+
+                report.run(name, scalar_check)
+            elif kind == "differs":
+                lhs, rhs = sides
+                report.run_equal_nf(
+                    name, pe6, lambda lhs=lhs: element(lhs, pe6), lambda rhs=rhs: element(rhs, pe6)
+                )
+            else:
+                algebra = re6 if kind == "re6" else pe6
+                members = [cache(lambda ast=ast: element(ast, algebra)) for ast in sides]
+                for k in range(len(members) - 1):
+                    suffix = "" if len(members) == 2 else f" [step {k + 1}]"
+                    report.run_zero(
+                        f"{name}{suffix}", algebra, lambda k=k: members[k]() - members[k + 1]()
+                    )
+    finally:
+        scope.clear()
+    return integral
 
 
 # -- lemma -------------------------------------------------------------------------
@@ -593,29 +690,20 @@ def verify_inverse(
     records the mismatches it finds.  At the theta of ``setup``, by
     default a new set-up at the constrained theta.
 
-    Each check evaluates its formula inside its timed span, every product
-    dropping the paths of length >= N (see ``expr.evaluate``).  The set-up
-    the six share, the derived constants and the primed generators, is
-    built by the first check that reads it and charged to it.
+    Each formula is the entry "<formula> = <arrow>" of ``run_text_checks``,
+    with the constants of ``INVERSE_CONSTANTS``.  The set-up the six share,
+    the derived constants and the primed generators, is built by the first
+    check that reads it and charged to it.
     """
     if mode not in INVERSE_FORMULAS:
         raise ValueError(f"unknown mode {mode!r}")
     report = VerificationReport(f"inverse ({mode})", "pe6")
-    algebra = build_pe6()
-    quiver = algebra.quiver
-    scope = (setup or SymbolicSetup()).scope()
-    formulas = _parsed_inverse_formulas(mode)
-
-    def difference(name):
-        rhs = to_element(formulas[name], quiver, scope, below=algebra.nilpotency_degree)
-        return rhs - FreeElement.from_path(quiver.path(name))
-
-    for name in INVERSE_ORDER:
-        report.run_zero(
-            f"{name} recovered from the {mode} formula",
-            algebra,
-            lambda name=name: difference(name),
-        )
+    formulas = INVERSE_FORMULAS[mode]
+    entries = [
+        ("pe6", f"{name} recovered from the {mode} formula", f"{formulas[name]} = {name}")
+        for name in INVERSE_ORDER
+    ]
+    run_text_checks(report, INVERSE_CONSTANTS, entries, setup or SymbolicSetup())
     return report
 
 

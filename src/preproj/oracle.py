@@ -17,7 +17,9 @@ in, so that every name the oracle may use appears in its import lines:
   * ``constraint_theta2`` and ``constraint_theta6``: the two
     admissibility constraints;
   * ``GeneratorScalars``: the named constants of the change of
-    generators, over any commutative scalar ring;
+    generators, over any commutative scalar ring (the constants of the
+    inverse formulas, which only the symbolic pipeline reads, are text
+    in ``e6``);
   * ``generator_terms`` and ``primed_generator_terms``: the terms of the
     change of generators, all ten images and the six substituted ones;
   * ``_scalar_text``: how a report writes a scalar;
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
@@ -72,21 +73,21 @@ def constraint_theta6(th1, th3, th4, th5):
 
 
 class GeneratorScalars:
-    """All named coefficients of the change of generators, over one scalar ring.
+    """The named coefficients of the change of generators, over one scalar ring.
 
     Works over any commutative scalar ring with +, -, * and integer
     multiples (Poly, Fraction, ``_Scaled`` in a ``sample`` trial over Q,
     or ``int``, which the numeric oracle reduces mod p afterwards).  The
-    constants of the inverse formulas are computed on first use: only
-    ``inverse_formula_terms`` reads them, and the numeric oracle never does.
-    The unit coefficient of the formulas is the ``int`` 1, which
-    ``FreeElement.scale`` and ``_vec_sum`` read in every ring.
+    constants that only the inverse formulas read are text beside them
+    (``e6.INVERSE_CONSTANTS``).  The unit coefficient of the terms is the
+    ``int`` 1, which ``FreeElement.scale`` and ``_vec_sum`` read in every
+    ring.
     """
 
     def __init__(self, theta: Sequence):
-        (self.th1, self.th2, self.th3, self.th4, self.th5,
-         self.th6, self.th7, self.th8, self.th9) = theta
         t1, t2, t3, t4, t5, t6, t7, t8, t9 = theta
+        # the entries that the terms of the change of generators read
+        self.th1, self.th3, self.th8 = t1, t3, t8
         # each shared power once: these are most of the work per trial
         t1_2, t3_2, t13 = t1 * t1, t3 * t3, t1 * t3
         t1_3, t3_3, t1_2t3, t1t3_2 = t1_2 * t1, t3_2 * t3, t1_2 * t3, t1 * t3_2
@@ -109,82 +110,6 @@ class GeneratorScalars:
         self.kappa1 = 3 * t13 - t1_2 - 2 * t3_2 - t4  # (t1 - t3)*(2*t3 - t1) - t4
         self.kappa2 = (
             3 * t1t3_2 - t3 * t4 - t7 - 2 * t1_2t3 - t3_3 + t1 * t5
-        )
-
-    # -- constants of the inverse formulas ------------------------------------
-
-    @cached_property
-    def alpha1(self):
-        t1, t3 = self.th1, self.th3
-        return -self.alpha + t1 * t3 - t3 ** 2
-
-    @cached_property
-    def beta1(self):
-        t1, t3 = self.th1, self.th3
-        return -self.beta + t1 * t3 - t3 ** 2
-
-    @cached_property
-    def alpha2(self):
-        t1, t2, t3 = self.th1, self.th2, self.th3
-        return (
-            -self.gamma - t3 ** 2 * (t2 - t3) + t1 * self.beta
-            + t1 * self.alpha1 - t3 * self.alpha1
-        )
-
-    @cached_property
-    def beta2(self):
-        t1, t3 = self.th1, self.th3
-        return -t3 ** 2 * (t1 - t3) + t3 * self.alpha + t3 * self.beta1 + t3 * self.beta
-
-    @cached_property
-    def alpha3(self):
-        t1, t2, t3, t4, t5, t6, t8 = (
-            self.th1, self.th2, self.th3, self.th4, self.th5, self.th6, self.th8
-        )
-        alpha, beta, alpha1, beta1 = self.alpha, self.beta, self.alpha1, self.beta1
-        return (
-            -t3 ** 2 * (
-                t1 ** 2 + t2 ** 2 + 2 * t4 - 2 * t5 + t6 - t1 * t2 - t2 * t3
-            )
-            + alpha1 * t3 ** 2 * (t1 - t3)
-            + beta * t3 ** 2 * (t2 - t3)
-            + t3 * t8
-            - t3 * self.alpha2
-            - t3 * self.beta2
-            - alpha * alpha1
-            + beta * alpha1
-            - beta * beta1
-            - self.gamma * t3
-        )
-
-    # True coefficients of the inverse a3 formula, solved exactly from the
-    # triangular system; the printed alpha2 / beta2 / alpha3 do not invert
-    # (see README).  Differences from the printed constants:
-    #   alpha2 - inv: (t3-t1)*(2*t4 + 3*t3^2 - 6*t1*t3 + 2*t1^2)
-    #   beta2  - inv: -t3^2*(t3-t1)
-
-    @cached_property
-    def alpha2_inv(self):
-        t1, t3, t4, t5, t7 = self.th1, self.th3, self.th4, self.th5, self.th7
-        return (
-            -t7 + t1 * t5 + t1 * t4 - 3 * t3 * t4
-            + t1 ** 3 - 7 * t1 ** 2 * t3 + 11 * t1 * t3 ** 2 - 5 * t3 ** 3
-        )
-
-    @cached_property
-    def beta2_inv(self):
-        t1, t3, t4 = self.th1, self.th3, self.th4
-        return t3 * t4 + t1 ** 2 * t3 - 3 * t1 * t3 ** 2 + 2 * t3 ** 3
-
-    @cached_property
-    def alpha3_inv(self):
-        t1, t3, t4, t5, t7, t8 = self.th1, self.th3, self.th4, self.th5, self.th7, self.th8
-        return (
-            t5 ** 2 - 5 * t4 * t5 + 7 * t4 ** 2 + t3 * t8 + 2 * t3 * t7
-            - 5 * t3 ** 2 * t5 + 21 * t3 ** 2 * t4 + 9 * t1 * t3 * t5
-            - 33 * t1 * t3 * t4 - 5 * t1 ** 2 * t5 + 14 * t1 ** 2 * t4
-            + 18 * t3 ** 4 - 55 * t1 * t3 ** 3 + 63 * t1 ** 2 * t3 ** 2
-            - 33 * t1 ** 3 * t3 + 7 * t1 ** 4
         )
 
 

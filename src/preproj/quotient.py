@@ -319,11 +319,11 @@ class QuotientAlgebra:
         self.quiver._check_vertex(v)
         return [p for p in self.basis if p.source == v and p.target == v]
 
-    def basis_listing(self) -> str:
-        """One line per basis element: ``deg=<d> <source>-><target> <path>``."""
-        return "\n".join(
-            f"deg={len(p)} {p.source}->{p.target} {p}" for p in self.basis
-        )
+    def basis_listing(self, vertex: int | None = None) -> str:
+        """One line per basis element, or per loop at ``vertex`` (see
+        ``corner_basis``): ``deg=<d> <source>-><target> <path>``."""
+        paths = self.basis if vertex is None else self.corner_basis(vertex)
+        return "\n".join(f"deg={len(p)} {p.source}->{p.target} {p}" for p in paths)
 
     def __repr__(self):
         return (

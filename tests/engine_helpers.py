@@ -3,7 +3,10 @@
 ``map_coefficients`` applies a map to every coefficient of a free or a
 quotient element, ``graded_dimensions`` lists an algebra's dimension per
 degree, ``printed_inverse_mismatches`` names the inverse formulas that
-fail as printed, ``assert_clean_poly`` checks a polynomial against
+fail as printed, ``text_scope`` binds text definitions into a set-up's
+scope, ``text_inverse_constants`` and ``reference_inverse_constants``
+give the constants of the inverse formulas from their text and from
+Python arithmetic, ``assert_clean_poly`` checks a polynomial against
 its copy through the checking constructor, ``verify_all`` runs
 ``preproj verify all`` in process, and ``preproj_garbage`` lists the
 package's objects that a call leaves in reference cycles.
@@ -13,10 +16,21 @@ import contextlib
 import gc
 import io
 from fractions import Fraction
+from functools import cache
 
 from preproj import cli
-from preproj.e6 import CONSTRAINED_THETA, INVERSE_ORDER, SymbolicSetup, verify_inverse
+from preproj.e6 import (
+    CONSTRAINED_THETA,
+    INVERSE_CONSTANTS,
+    INVERSE_ORDER,
+    SCOPE_NAMES,
+    SymbolicSetup,
+    build_pe6,
+    verify_inverse,
+)
+from preproj.expr import evaluate, parse
 from preproj.freealg import FreeElement
+from preproj.oracle import GeneratorScalars
 from preproj.polyring import NVARS, Poly
 from preproj.quotient import QuotientElement
 
@@ -37,6 +51,70 @@ def printed_inverse_mismatches(theta=CONSTRAINED_THETA) -> list[str]:
     """Names of inverse formulas that fail verbatim (stable across runs)."""
     report = verify_inverse("printed", SymbolicSetup(theta))
     return [name for name, check in zip(INVERSE_ORDER, report.checks) if not check.passed]
+
+
+def text_scope(setup, definitions, below=None) -> dict:
+    """``setup.scope()`` with the text ``definitions`` bound, each parsed
+    anew and evaluated on pe6 on first use, every product dropping the
+    paths of length ``below`` or more if it is given and kept whole if not.
+    The definitions refer to the scope, so the caller clears it."""
+    quiver = build_pe6().quiver
+    names = SCOPE_NAMES.union(definitions)
+    scope = setup.scope()
+    scope.update(
+        (name, cache(lambda ast=parse(text, names): evaluate(ast, quiver, scope, below)))
+        for name, text in definitions.items()
+    )
+    return scope
+
+
+def text_inverse_constants(theta) -> dict:
+    """The ``Poly`` values of ``e6.INVERSE_CONSTANTS`` at ``theta``."""
+    scope = text_scope(SymbolicSetup(theta), INVERSE_CONSTANTS)
+    try:
+        return {name: scope[name]() for name in INVERSE_CONSTANTS}
+    finally:
+        scope.clear()
+
+
+def reference_inverse_constants(theta) -> dict:
+    """Slow path of ``e6.INVERSE_CONSTANTS``: the eight constants of the
+    inverse formulas in Python arithmetic, over any commutative scalar ring
+    that ``GeneratorScalars`` takes (``Poly``, ``Fraction``, ``GF``,
+    ``_Scaled``), on the change-of-generator constants it computes."""
+    s = GeneratorScalars(theta)
+    alpha, beta, gamma = s.alpha, s.beta, s.gamma
+    t1, t2, t3, t4, t5, t6, t7, t8, _ = theta
+    alpha1 = -alpha + t1 * t3 - t3 ** 2
+    beta1 = -beta + t1 * t3 - t3 ** 2
+    alpha2 = -gamma - t3 ** 2 * (t2 - t3) + t1 * beta + t1 * alpha1 - t3 * alpha1
+    beta2 = -t3 ** 2 * (t1 - t3) + t3 * alpha + t3 * beta1 + t3 * beta
+    alpha3 = (
+        -t3 ** 2 * (t1 ** 2 + t2 ** 2 + 2 * t4 - 2 * t5 + t6 - t1 * t2 - t2 * t3)
+        + alpha1 * t3 ** 2 * (t1 - t3)
+        + beta * t3 ** 2 * (t2 - t3)
+        + t3 * t8 - t3 * alpha2 - t3 * beta2
+        - alpha * alpha1 + beta * alpha1 - beta * beta1 - gamma * t3
+    )
+    return {
+        "alpha1": alpha1,
+        "beta1": beta1,
+        "alpha2": alpha2,
+        "beta2": beta2,
+        "alpha3": alpha3,
+        "alpha2_inv": (
+            -t7 + t1 * t5 + t1 * t4 - 3 * t3 * t4
+            + t1 ** 3 - 7 * t1 ** 2 * t3 + 11 * t1 * t3 ** 2 - 5 * t3 ** 3
+        ),
+        "beta2_inv": t3 * t4 + t1 ** 2 * t3 - 3 * t1 * t3 ** 2 + 2 * t3 ** 3,
+        "alpha3_inv": (
+            t5 ** 2 - 5 * t4 * t5 + 7 * t4 ** 2 + t3 * t8 + 2 * t3 * t7
+            - 5 * t3 ** 2 * t5 + 21 * t3 ** 2 * t4 + 9 * t1 * t3 * t5
+            - 33 * t1 * t3 * t4 - 5 * t1 ** 2 * t5 + 14 * t1 ** 2 * t4
+            + 18 * t3 ** 4 - 55 * t1 * t3 ** 3 + 63 * t1 ** 2 * t3 ** 2
+            - 33 * t1 ** 3 * t3 + 7 * t1 ** 4
+        ),
+    }
 
 
 def assert_clean_poly(poly):

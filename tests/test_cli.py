@@ -473,6 +473,16 @@ def test_basis_corner(capsys):
     assert all("3->3" in l for l in body)
 
 
+def test_corner_listing_is_the_matching_lines_of_the_full_listing(capsys):
+    _, full, _ = invoke(capsys, "basis", "--algebra", "pe6")
+    _, corner, _ = invoke(capsys, "basis", "--algebra", "pe6", "--corner", "3")
+    lines = full.splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    loops = [line for line in lines if line.split()[1:2] == ["3->3"]]
+    assert corner.splitlines() == header + loops
+    assert len(loops) == 12 and len(lines) == len(header) + 156
+
+
 def test_basis_constants_csv(tmp_path, capsys):
     target = tmp_path / "sc.csv"
     code, _, _ = invoke(

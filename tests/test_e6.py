@@ -13,13 +13,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engine_helpers import printed_inverse_mismatches, verify_all
+from engine_helpers import (
+    printed_inverse_mismatches,
+    reference_inverse_constants,
+    text_inverse_constants,
+    text_scope,
+    verify_all,
+)
 from field_scalars import GF, PrimeFieldScalars, RationalScalars
 from preproj import derivation, e6, oracle
 from preproj.derivation import verify_identities
 from preproj.e6 import (
     CONSTRAINED_THETA,
     FREE_THETA,
+    INVERSE_CONSTANTS,
     INVERSE_FORMULAS,
     SCOPE_NAMES,
     SymbolicSetup,
@@ -42,7 +49,7 @@ from preproj.e6 import (
     verify_lemma,
     verify_theorem,
 )
-from preproj.expr import parse, to_element
+from preproj.expr import evaluate, parse, to_element
 from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.oracle import (
     GeneratorScalars,
@@ -228,10 +235,10 @@ def test_lemma_random_numeric_spot_checks():
 
 def test_derived_constants_zero():
     dc = derived_constants(ZERO)
-    assert all(
-        not getattr(dc, name)
-        for name in ("alpha", "beta", "gamma", "delta", "alpha1", "beta1", "alpha2", "beta2", "alpha3")
-    )
+    assert all(not getattr(dc, name) for name in ("alpha", "beta", "gamma", "delta"))
+    # the printed constants of the inverse formulas, from their text
+    inverse = text_inverse_constants(ZERO)
+    assert all(not inverse[name] for name in ("alpha1", "beta1", "alpha2", "beta2", "alpha3"))
 
 
 def test_alpha_at_equal_thetas():
@@ -241,9 +248,10 @@ def test_alpha_at_equal_thetas():
 
 def test_alpha1_identity():
     dc = derived_constants(CONSTRAINED_THETA)
+    inverse = text_inverse_constants(CONSTRAINED_THETA)
     t1, t3 = Poly.var(1), Poly.var(3)
-    assert dc.alpha1 + dc.alpha == t1 * t3 - t3 ** 2
-    assert dc.beta1 + dc.beta == t1 * t3 - t3 ** 2
+    assert inverse["alpha1"] + dc.alpha == t1 * t3 - t3 ** 2
+    assert inverse["beta1"] + dc.beta == t1 * t3 - t3 ** 2
 
 
 def test_derived_constants_require_constraints():
@@ -839,34 +847,70 @@ def test_change_constants_agree_with_the_displayed_formulas(field):
             assert as_field_scalar(getattr(lifted, name), scalars) == expected, name
 
 
-LAZY_CONSTANTS = (
-    "alpha1", "beta1", "alpha2", "beta2", "alpha3", "alpha2_inv", "beta2_inv", "alpha3_inv",
-)
+@pytest.mark.parametrize("theta", [CONSTRAINED_THETA, ZERO], ids=["constrained", "zero"])
+def test_inverse_constants_text_matches_the_python_formulas(theta):
+    text = text_inverse_constants(theta)
+    reference = reference_inverse_constants(theta)
+    assert list(text) == list(reference) == list(INVERSE_CONSTANTS)
+    for name, value in text.items():
+        assert type(value) is Poly and value == reference[name], name
+    # not vacuous: at the constrained theta every constant is a polynomial
+    assert theta is ZERO or all(value.terms for value in text.values())
+
+
+def documented_differences():
+    """(printed name, solved name, text) for each difference that the
+    comment beside ``e6.INVERSE_CONSTANTS`` records, continuation lines
+    joined."""
+    with open(e6.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    block = source.split("differ from the solved ones by\n", 1)[1]
+    block = block.split("\nINVERSE_CONSTANTS", 1)[0]
+    text = re.sub(r"\n#\s{5,}", " ", block)
+    return re.findall(r"^#   (\w+) - (\w+) = (.+)$", text, re.M)
+
+
+def test_the_documented_differences_of_the_inverse_constants_hold():
+    differences = documented_differences()
+    assert [(printed, solved) for printed, solved, _ in differences] == [
+        ("alpha2", "alpha2_inv"), ("beta2", "beta2_inv"), ("alpha3", "alpha3_inv")
+    ]
+    constants = text_inverse_constants(CONSTRAINED_THETA)
+    quiver = build_pe6().quiver
+    scope = SymbolicSetup().scope()
+    degrees = []
+    for printed, solved, text in differences:
+        value = evaluate(parse(text), quiver, scope)
+        assert value == constants[printed] - constants[solved], printed
+        degrees.append(max(sum(exponents) for exponents in value.terms))
+    # README gives the degree of the last
+    assert degrees == [3, 3, 5]
 
 
 @pytest.mark.parametrize("field", list(FIELDS))
 def test_lazy_constants_agree_with_the_symbolic_bundle(field):
+    """The text constants of the inverse formulas, at the constrained
+    theta, evaluated at random points of the field, against their Python
+    formulas computed in the field."""
     scalars = FIELDS[field]
-    symbolic = derived_constants(CONSTRAINED_THETA)
+    symbolic = text_inverse_constants(CONSTRAINED_THETA)
     rng = random.Random(43)
     for _ in range(5):
         theta = random_constrained_theta(rng, scalars)
-        numeric = GeneratorScalars(theta)
-        primed_generator_terms(numeric)
-        # the change of generators reads none of the inverse constants
-        assert not set(LAZY_CONSTANTS) & set(vars(numeric))
+        # the change of generators, shared with the oracle, has none of them
+        assert not set(INVERSE_CONSTANTS) & set(dir(GeneratorScalars(theta)))
+        reference = reference_inverse_constants(theta)
         assignment = {i + 1: v for i, v in enumerate(theta)}
-        for name in LAZY_CONSTANTS:
-            poly = getattr(symbolic, name)
+        for name in INVERSE_CONSTANTS:
+            poly = symbolic[name]
             if isinstance(scalars, PrimeFieldScalars):
                 residues = {i: v.value for i, v in assignment.items()}
                 expected = GF(scalars.p, poly.evaluate_mod(residues, scalars.p))
             else:
                 expected = poly.evaluate(assignment)
-            assert getattr(numeric, name) == expected, name
+            assert reference[name] == expected, name
 
 
-ALL_CONSTANTS = CHANGE_CONSTANTS + LAZY_CONSTANTS
 Q = RationalScalars()
 
 
@@ -876,9 +920,10 @@ Q = RationalScalars()
     st.integers(min_value=0, max_value=2**32),
 )
 def test_integer_constants_over_q_match_the_fraction_bundle(free, seed):
-    """Slow path of the ``_Scaled`` bundle: every named constant, the lazy
-    inverse ones included, against ``GeneratorScalars`` on ``Fraction``.
-    A given theta is over one power of d; a drawn one has t6 over d^2."""
+    """Slow path of the ``_Scaled`` bundle: every named constant against
+    ``GeneratorScalars`` on ``Fraction``, and the Python formulas of the
+    inverse constants on both.  A given theta is over one power of d; a
+    drawn one has t6 over d^2."""
     t1, t3, t4, t5, t7, t8, t9 = free
     given_theta = [
         t1, constraint_theta2(t1, t3), t3, t4, t5, constraint_theta6(t1, t3, t4, t5), t7, t8, t9
@@ -890,8 +935,11 @@ def test_integer_constants_over_q_match_the_fraction_bundle(free, seed):
     ):
         reference = GeneratorScalars(theta)
         lifted = GeneratorScalars(integer)
-        for name in ALL_CONSTANTS:
+        for name in CHANGE_CONSTANTS:
             assert as_field_scalar(getattr(lifted, name), Q) == getattr(reference, name), name
+        reference, lifted = reference_inverse_constants(theta), reference_inverse_constants(integer)
+        for name in INVERSE_CONSTANTS:
+            assert as_field_scalar(lifted[name], Q) == reference[name], name
 
 
 def test_scaled_values_over_different_bases_do_not_mix():
@@ -1213,16 +1261,17 @@ def test_truncation_keeps_theorem_and_inverse_normal_forms():
         ), name
         assert nf == algebra.normal_form(full), name
 
-    scope = SymbolicSetup(theta).scope()
+    scope = text_scope(SymbolicSetup(theta), INVERSE_CONSTANTS)
     truncated = 0
     for mode, formulas in INVERSE_FORMULAS.items():
         for name, text in formulas.items():
-            formula = parse(text, SCOPE_NAMES)
+            formula = parse(text, SCOPE_NAMES.union(INVERSE_CONSTANTS))
             cut = to_element(formula, quiver, scope, below=n)
             full = to_element(formula, quiver, scope)
             assert algebra.normal_form(cut) == algebra.normal_form(full), (mode, name)
             assert cut.terms.items() <= full.terms.items(), (mode, name)
             truncated += cut != full
+    scope.clear()
     # not vacuous: the truncation drops terms of some formulas
     assert truncated > 0
 
