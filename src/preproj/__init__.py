@@ -16,7 +16,6 @@ from .e6 import (
     as_free_element,
     build_pe6,
     build_re6,
-    corner_embedding,
     deformed_relations,
     derived_constants,
     is_admissible,
@@ -49,7 +48,6 @@ __all__ = [
     "build_quotient",
     "build_re6",
     "builtin_quiver",
-    "corner_embedding",
     "deformed_relations",
     "derived_constants",
     "format_element",

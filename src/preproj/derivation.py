@@ -8,9 +8,10 @@ eliminated), the named constants of the change of generators
 (``e6.SCOPE_CONSTANTS``) and f_xy, f_xy' for f(x, y) and f(x, b2'*a2'),
 plus the displayed forms and coefficients of ``DEFINITIONS``.
 ``CATALOG`` is a table of entries of ``e6.run_text_checks``, the runner
-that the inverse formulas go through too: ``re6`` and ``pe6`` chains,
-checked link by link; ``differs``, the documented difference between a
-printed form and the computed one; and ``scalar``, two equal polynomials.
+that the theorem, the corner isomorphism and the inverse formulas go
+through too: ``re6`` and ``pe6`` chains, checked link by link;
+``differs``, the documented difference between a printed form and the
+computed one; and ``scalar``, two equal polynomials.
 
 Four slips in the printed derivation are documented rather than silently
 patched (see README): the final form of the b3'*a3' expansion prints t1^3

@@ -22,9 +22,11 @@ The catalog of displayed derivation steps, ``verify_identities``, is in
 ``derivation``.  The derived constants, the terms of the change of
 generators and the names of the seven relations are in ``oracle``, the
 one place both pipelines read them from.  ``SymbolicSetup`` holds what
-the symbolic reports share at one theta, and the scope in which the
-inverse formulas and the catalog, text in the ``reduce`` grammar, are
-evaluated.
+the symbolic reports share at one theta, and the scope in which their
+elements are evaluated: the theorem's seven relations, f(x, y), the
+corner isomorphism, the inverse formulas and the catalog are all text in
+the ``reduce`` grammar, and every check of them goes through the one
+runner, ``run_text_checks``.
 
 Vertex labels follow the quiver: the exceptional vertex carrying the
 deformed relation b0*a0 + b2*a2 + a3*b3 (+ f) is vertex 3, and the corner
@@ -96,18 +98,6 @@ def get_algebra(name: str) -> QuotientAlgebra:
     if name == "re6":
         return build_re6()
     raise KeyError(f"unknown algebra {name!r} (expected pe6 or re6)")
-
-
-def corner_embedding() -> GeneratorMap:
-    """x -> b0*a0, y -> b2*a2: the two-loop quiver into loops at vertex 3."""
-    e6 = builtin_quiver("E6")
-    g = generators(e6)
-    return GeneratorMap(
-        builtin_quiver("L2"),
-        e6,
-        {"x": g["b0"] * g["a0"], "y": g["b2"] * g["a2"]},
-        vertex_map={0: EXCEPTIONAL_VERTEX},
-    )
 
 
 # -- deformations: points theta of k^9 -----------------------------------------
@@ -198,13 +188,14 @@ def primed_generators(s: GeneratorScalars) -> dict[str, FreeElement]:
 
 def substituted_generators(theta: Sequence) -> GeneratorMap:
     """The change of generators of pe6 at an admissible theta (checked by
-    ``derived_constants``)."""
-    return _change_of_generators(derived_constants(theta))
+    ``derived_constants``), as a homomorphism of the free path algebra.
 
-
-def _change_of_generators(s: GeneratorScalars) -> GeneratorMap:
+    No report calls it: they read the primed generators as text (see
+    ``SymbolicSetup.scope``), and the tests apply this map as their
+    reference.
+    """
     quiver = builtin_quiver("E6")
-    terms = generator_terms(s)
+    terms = generator_terms(derived_constants(theta))
     return GeneratorMap(
         quiver, quiver, {name: _path_sum(quiver, t) for name, t in terms.items()}
     )
@@ -214,6 +205,10 @@ def _change_of_generators(s: GeneratorScalars) -> GeneratorMap:
 PRIMED_NAMES = ("a2", "b2", "a3", "b3", "a4", "b4")
 # the named constants of ``GeneratorScalars`` that a scope binds
 SCOPE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
+# f(x, y) = sum t_i * w_i over the words of ``THETA_MONOMIALS``, and
+# f(x, b2'*a2'), as text in the scope of ``SymbolicSetup``
+F_TEXT = " + ".join(f"t{i}*{'*'.join(word)}" for i, word in enumerate(THETA_MONOMIALS, 1))
+F_PRIMED_TEXT = F_TEXT.replace("y", "b2'*a2'")
 
 
 class SymbolicSetup:
@@ -223,9 +218,9 @@ class SymbolicSetup:
     kept for the life of the object.  ``verify all`` makes one and hands
     it to the theorem, the derivation catalog, the corner isomorphism and
     the inverse formulas, so the derived constants, the primed generators,
-    the corner embedding and f(x, y) are each built once per run; a report
-    run on its own makes its own.  It is per run, not a process cache: a
-    CLI call runs once and would gain nothing from one.
+    f(x, y) and f(x, b2'*a2') are each built once per run; a report run on
+    its own makes its own.  It is per run, not a process cache: a CLI call
+    runs once and would gain nothing from one.
     """
 
     def __init__(self, theta: Sequence = CONSTRAINED_THETA):
@@ -240,27 +235,23 @@ class SymbolicSetup:
         return primed_generators(self.constants)
 
     @cached_property
-    def embedding(self) -> GeneratorMap:
-        return corner_embedding()
-
-    @cached_property
     def f_xy(self) -> FreeElement:
-        """f(b0*a0, b2*a2), expanded modulo paths of length >= N, the
-        nilpotency degree of pe6 (see ``FreeElement.mul``)."""
-        return self.embedding(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
+        """f(b0*a0, b2*a2), the text ``F_TEXT`` (see ``element``)."""
+        return self.element(F_TEXT)
 
     @cached_property
     def f_xy_primed(self) -> FreeElement:
-        """f(b0*a0, b2'*a2'), expanded as ``f_xy`` is."""
-        quiver = builtin_quiver("E6")
-        y_primed = self.primed["b2"] * self.primed["a2"]
-        substitution = GeneratorMap(
-            builtin_quiver("L2"),
-            quiver,
-            {"x": FreeElement.from_path(quiver.path("b0", "a0")), "y": y_primed},
-            vertex_map={0: EXCEPTIONAL_VERTEX},
+        """f(b0*a0, b2'*a2'), the text ``F_PRIMED_TEXT`` (see ``element``)."""
+        return self.element(F_PRIMED_TEXT)
+
+    def element(self, text: str) -> FreeElement:
+        """The element of ``text`` on E6 in a new ``scope``, every product
+        and power dropping the paths of length >= N, the nilpotency degree
+        of pe6, as ``run_text_checks`` builds its elements."""
+        pe6 = build_pe6()
+        return to_element(
+            parsed(text, SCOPE_NAMES), pe6.quiver, self.scope(), pe6.nilpotency_degree
         )
-        return substitution(as_free_element(self.theta), below=build_pe6().nilpotency_degree)
 
     def scope(self) -> dict:
         """The names of ``SCOPE_NAMES``, for ``expr.evaluate`` on E6.
@@ -456,7 +447,7 @@ class VerificationReport:
         self.run(name, check)
 
 
-# -- text checks: the derivation catalog and the inverse formulas -------------------
+# -- text checks: the theorem, the corner, the catalog and the inverse formulas -----
 
 
 @cache
@@ -470,23 +461,26 @@ def run_text_checks(
 ) -> bool:
     """Run the checks of ``entries``, text in the ``reduce`` grammar, into ``report``.
 
-    Each entry is (kind, check name) or (kind, check name, text), the text
-    being the name when left out:
+    The one runner of every symbolic check of a relation or an identity:
+    the theorem's seven relations, the corner isomorphism's three, the
+    derivation catalog and the inverse formulas.  Each entry is (kind,
+    check name) or (kind, check name, text), the text being the name when
+    left out:
 
       * ``re6`` and ``pe6``: a chain ``A = B = C`` in that algebra, one check
         per link, that A - B and B - C reduce to zero;
       * ``differs``: ``A = B`` with A and B of one nonzero normal form;
       * ``scalar``: ``A = B`` for two equal polynomials.
 
-    pe6 text is read in the scope of ``setup`` and of ``definitions``,
-    named texts that the entries and each other read, each evaluated by
-    the first check that reads it; re6 text has no scope.  Every text is
-    parsed once per process.  Each side of a chain is built once, by the
-    first link that reads it, inside that check's timed span.  Every
-    product and power drops the paths of length N or more, N the
-    nilpotency degree of the algebra (see ``expr.evaluate``); they lie in
-    the ideal of relations, so every normal form is that of the full
-    element.
+    pe6 text is read in the scope of ``setup`` (see ``SymbolicSetup.scope``)
+    and of ``definitions``, named texts that the entries and each other
+    read, each evaluated by the first check that reads it; re6 text has no
+    scope.  Every text is parsed once per process.  Each side of a chain
+    is built once, by the first link that reads it, inside that check's
+    timed span.  Every product and power drops the paths of length N or
+    more, N the nilpotency degree of the algebra (see ``expr.evaluate``);
+    they lie in the ideal of relations, so every normal form is that of
+    the full element.
 
     Returns whether every element built on pe6 has integer coefficients.
     The definitions refer to the scope that holds them, so the scope is
@@ -585,19 +579,28 @@ def verify_lemma() -> VerificationReport:
 # -- deformed relations and theorem --------------------------------------------------
 
 
+# The seven deformed relations after the change of generators phi, in the
+# order of ``DEFORMED_RELATION_NAMES``, as text in the scope of
+# ``SymbolicSetup``: phi fixes a0, b0, a1 and b1 and sends every other arrow
+# to its primed generator, so phi(f(b0*a0, b2*a2)) is f_xy' = f(x, b2'*a2').
+THEOREM_TEXTS = (
+    "a0*b0",
+    "a1*b1",
+    "b1*a1 + a2'*b2'",
+    "b3'*a3' + a4'*b4'",
+    "b4'*a4'",
+    "b0*a0 + b2'*a2' + a3'*b3' + f_xy'",
+    "(b0*a0 + b2'*a2')^3",
+)
+
+
 def deformed_relations(theta: Sequence) -> list[FreeElement]:
     """The seven relations presenting the deformed algebra, f expanded.
 
     f(b0*a0, b2*a2) is expanded modulo paths of length >= N, the
-    nilpotency degree of pe6 (see ``FreeElement.mul``).
+    nilpotency degree of pe6 (see ``SymbolicSetup.f_xy``).
     """
-    return _relations(SymbolicSetup(theta))
-
-
-def _relations(setup: SymbolicSetup) -> list[FreeElement]:
-    """``deformed_relations`` at the theta of ``setup``, sharing its f(x, y)."""
-    quiver = builtin_quiver("E6")
-    g = generators(quiver)
+    g = generators(builtin_quiver("E6"))
     a0, b0, a1, b1 = g["a0"], g["b0"], g["a1"], g["b1"]
     a2, b2, a3, b3 = g["a2"], g["b2"], g["a3"], g["b3"]
     a4, b4 = g["a4"], g["b4"]
@@ -607,43 +610,37 @@ def _relations(setup: SymbolicSetup) -> list[FreeElement]:
         b1 * a1 + a2 * b2,
         b3 * a3 + a4 * b4,
         b4 * a4,
-        b0 * a0 + b2 * a2 + a3 * b3 + setup.f_xy,
+        b0 * a0 + b2 * a2 + a3 * b3 + SymbolicSetup(theta).f_xy,
         (b0 * a0 + b2 * a2) ** 3,
     ]
-
-
-def _theorem_rows(setup: SymbolicSetup):
-    """Yield (name, substituted relation, normal form), one relation at a time.
-
-    The substitution drops paths of length >= N, the nilpotency degree of
-    pe6 (see ``FreeElement.mul``), so a substituted relation holds only its
-    terms below N.
-    """
-    algebra = build_pe6()
-    change = _change_of_generators(setup.constants)
-    for name, relation in zip(DEFORMED_RELATION_NAMES, _relations(setup)):
-        image = change(relation, below=algebra.nilpotency_degree)
-        yield name, image, algebra.normal_form(image)
 
 
 def theorem_residuals(
     theta: Sequence,
 ) -> list[tuple[str, FreeElement, QuotientElement]]:
-    """(name, substituted relation, normal form) for the seven relations."""
-    return list(_theorem_rows(SymbolicSetup(theta)))
+    """(name, substituted relation, normal form) for the seven relations:
+    the texts of ``THEOREM_TEXTS`` at ``theta``, built as ``verify_theorem``
+    builds them, below N (see ``SymbolicSetup.element``)."""
+    setup, algebra = SymbolicSetup(theta), build_pe6()
+    rows = []
+    for name, text in zip(DEFORMED_RELATION_NAMES, THEOREM_TEXTS):
+        image = setup.element(text)
+        rows.append((name, image, algebra.normal_form(image)))
+    return rows
 
 
 def verify_theorem(setup: SymbolicSetup | None = None) -> VerificationReport:
     """All seven deformed relations vanish after the change of generators.
 
     At the theta of ``setup``, by default a new set-up at the fully
-    symbolic constrained theta.  Each relation's check takes the next row of
-    ``_theorem_rows``, so its time covers its own substitution and
-    reduction; the first one's also covers building the change of
-    generators and the seven relations (and pe6 itself, on first use).
+    symbolic constrained theta.  Each relation is the entry "<text> = 0" of
+    ``run_text_checks``, its text that of ``THEOREM_TEXTS``, so its check's
+    time covers building and reducing its image; the set-up it reads
+    first, the derived constants, the primed generators and f_xy', is
+    charged to the first check that reads it.
 
     Also records the integer certificate: every substituted relation has
-    integer coefficients before reduction.  The substitution keeps only the
+    integer coefficients before reduction.  The runner keeps only the
     terms of length below N, the nilpotency degree, so the certificate
     covers those terms; the dropped ones lie in J^N, which is contained in
     the ideal of relations.  It still holds over Z, so the identities hold
@@ -653,23 +650,13 @@ def verify_theorem(setup: SymbolicSetup | None = None) -> VerificationReport:
     nothing (see ``build_quotient``).
     """
     report = VerificationReport("theorem", "pe6")
-    rows = _theorem_rows(setup or SymbolicSetup())
-    images = []
-
-    def next_relation():
-        _, image, nf = next(rows)
-        images.append(image)
-        return nf.is_zero(), lambda: str(nf)
-
-    for name in DEFORMED_RELATION_NAMES:
-        report.run(name, next_relation)
+    entries = [
+        ("pe6", name, f"{text} = 0") for name, text in zip(DEFORMED_RELATION_NAMES, THEOREM_TEXTS)
+    ]
+    integral = run_text_checks(report, {}, entries, setup or SymbolicSetup())
     report.run(
         "integer certificate (substituted relations have integer coefficients)",
-        lambda: (
-            all(image.has_integral_coefficients() for image in images)
-            and build_pe6().integral,
-            None,
-        ),
+        lambda: (integral and build_pe6().integral, None),
     )
     return report
 
@@ -719,10 +706,12 @@ def verify_corner_iso(setup: SymbolicSetup | None = None) -> VerificationReport:
     the final informational check records that discrepancy with the
     conventional labeling of the corner statement.
 
-    Each check builds its elements inside its timed span; the embedding,
-    which the relation checks and the rank check share, is that of
-    ``setup`` (a new one by default), built by the first check that maps
-    an element and charged to it.
+    The map is no object of its own: x and y are the loops b0*a0 and
+    b2*a2 of the scope of ``setup`` (a new one by default), so the image of
+    re6 text is that text read in pe6's scope.  The three relations are
+    entries "<relation> = 0" of ``run_text_checks``; the rank check reads
+    the twelve basis words of re6 as text, its idempotent e0 as pe6's e3.
+    Each check builds its elements inside its timed span.
     """
     report = VerificationReport("corner-iso", "pe6")
     pe6 = build_pe6()
@@ -738,24 +727,16 @@ def verify_corner_iso(setup: SymbolicSetup | None = None) -> VerificationReport:
         ),
     )
 
-    g = generators(re6.quiver)
-    x, y = g["x"], g["y"]
-    relations = (
-        (lambda: x * x, "x^2"),
-        (lambda: y * y * y, "y^3"),
-        (lambda: (x + y) ** 3, "(x+y)^3"),
-    )
-    for rel, text in relations:
-        report.run_zero(
-            f"relation image {text} vanishes under x -> b0*a0, y -> b2*a2",
-            pe6,
-            lambda rel=rel: setup.embedding(rel()),
-        )
+    entries = [
+        ("pe6", f"relation image {text} vanishes under x -> b0*a0, y -> b2*a2", f"{text} = 0")
+        for text in ("x^2", "y^3", "(x+y)^3")
+    ]
+    run_text_checks(report, {}, entries, setup)
 
     def rank_check():
         pivots: dict = {}
         for word in re6.basis:
-            image = pe6.normal_form(setup.embedding(FreeElement.from_path(word)))
+            image = pe6.normal_form(setup.element(str(word) if len(word) else f"e{v}"))
             _insert_row(
                 pivots,
                 {pe6.basis_index[p]: c.as_rational() for p, c in image.coords.items()},

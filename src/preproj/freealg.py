@@ -8,9 +8,11 @@ well-typed.
 
 A GeneratorMap sends each arrow of a source quiver to an
 endpoint-homogeneous element of a target quiver and extends to the unique
-algebra homomorphism on free elements.  It is the engine behind both the
-embedding x -> b0*a0, y -> b2*a2 of the two-loop quiver and the change of
-generators used in the isomorphism verification.
+algebra homomorphism on free elements.  It does not drive the
+verification: the reports substitute by reading text in a scope that
+binds the images (see ``e6.run_text_checks``).  It is the library's form
+of the change of generators (``e6.substituted_generators``), and the
+tests apply it as the reference that the text is checked against.
 """
 
 from __future__ import annotations

@@ -248,10 +248,6 @@ class QuotientAlgebra:
             self._rows[i] = row
         return row
 
-    def precompute_structure_constants(self):
-        for i in range(self.dimension()):
-            self.structure_row(i)
-
     def product(self, u: Mapping[int, object], v: Mapping[int, object]) -> dict[int, object]:
         """Bilinear product of coordinate dicts through the structure constants.
 

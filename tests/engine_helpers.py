@@ -8,8 +8,10 @@ scope, ``text_inverse_constants`` and ``reference_inverse_constants``
 give the constants of the inverse formulas from their text and from
 Python arithmetic, ``assert_clean_poly`` checks a polynomial against
 its copy through the checking constructor, ``verify_all`` runs
-``preproj verify all`` in process, and ``preproj_garbage`` lists the
-package's objects that a call leaves in reference cycles.
+``preproj verify all`` in process, ``preproj_garbage`` lists the
+package's objects that a call leaves in reference cycles, and
+``corner_embedding`` is the corner map x -> b0*a0, y -> b2*a2 as a
+``GeneratorMap``, the reference for the text that the reports read.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from functools import cache
 from preproj import cli
 from preproj.e6 import (
     CONSTRAINED_THETA,
+    EXCEPTIONAL_VERTEX,
     INVERSE_CONSTANTS,
     INVERSE_ORDER,
     SCOPE_NAMES,
@@ -29,9 +32,10 @@ from preproj.e6 import (
     verify_inverse,
 )
 from preproj.expr import evaluate, parse
-from preproj.freealg import FreeElement
+from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.oracle import GeneratorScalars
 from preproj.polyring import NVARS, Poly
+from preproj.quiver import builtin_quiver
 from preproj.quotient import QuotientElement
 
 
@@ -41,6 +45,18 @@ def map_coefficients(element, fn):
     if isinstance(element, FreeElement):
         return FreeElement(element.quiver, {p: fn(c) for p, c in element.terms.items()})
     return QuotientElement(element.algebra, {p: fn(c) for p, c in element.coords.items()})
+
+
+def corner_embedding() -> GeneratorMap:
+    """x -> b0*a0, y -> b2*a2: the two-loop quiver into loops at vertex 3."""
+    e6 = builtin_quiver("E6")
+    g = generators(e6)
+    return GeneratorMap(
+        builtin_quiver("L2"),
+        e6,
+        {"x": g["b0"] * g["a0"], "y": g["b2"] * g["a2"]},
+        vertex_map={0: EXCEPTIONAL_VERTEX},
+    )
 
 
 def graded_dimensions(algebra) -> list[int]:

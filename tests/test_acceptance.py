@@ -9,14 +9,18 @@ import random
 import time
 from fractions import Fraction
 
-from engine_helpers import graded_dimensions, map_coefficients, printed_inverse_mismatches
+from engine_helpers import (
+    corner_embedding,
+    graded_dimensions,
+    map_coefficients,
+    printed_inverse_mismatches,
+)
 from preproj.derivation import verify_identities
 from preproj.e6 import (
     FREE_THETA,
     admissibility_residual,
     build_pe6,
     build_re6,
-    corner_embedding,
     lemma_coefficients,
     sample_check,
     verify_corner_iso,

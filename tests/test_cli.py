@@ -646,6 +646,13 @@ PINNED_REPORTS = {
         "024f4a31cb9757af8aa15869b778b6468643d3cfb03153f836703fab3ed3d549",
     ("verify", "all"):
         "553b1f83183f2306f0c533a780805042db3517ebf080fe292b6bc19dce7ec678",
+    # each report on its own builds its own set-up, which verify all shares
+    ("verify", "theorem"):
+        "ffadbbe84fe5626b03b204ef7022564c520fd529a5ccaef5cc55373c82c68eed",
+    ("verify", "corner-iso"):
+        "b1a0ce4d6667171a8ab8dfa226ebc30689b61d593e396b1fe4f6d359833ef63b",
+    ("verify", "identities"):
+        "0e80b7c1be8e9a14e5d44a28b485b1d7225aa245b02306b50b196fc3804e7002",
     # its a3 residual prints a leading "- 1*t3^3", which reads back as printed
     ("verify", "inverse", "--mode", "printed"):
         "a49549a0520a681b7e39b73c1088b66d7bb9f818d3d774d9c4a011f3d9bc810d",

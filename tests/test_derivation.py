@@ -32,6 +32,7 @@ from preproj.expr import (
     to_element,
 )
 from preproj.freealg import FreeElement
+from preproj.oracle import DEFORMED_RELATION_NAMES
 from preproj.polyring import Poly
 from preproj.quotient import QuotientElement
 
@@ -309,21 +310,28 @@ def test_one_flipped_sign_in_a_definition_fails_a_check(monkeypatch, name):
 
 def test_verify_all_builds_the_constrained_set_up_once(monkeypatch):
     assert verify_all() == 0
-    calls = {"derived_constants": 0, "primed_generators": 0, "corner_embedding": 0}
-    for name in calls:
-        original = getattr(e6, name)
+    calls = {"derived_constants": 0, "primed_generators": 0, "f_xy": 0, "f_xy_primed": 0}
 
-        def counting(*args, name=name, original=original):
+    def counting(name, original):
+        def count(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(e6, name, counting)
+        return count
+
+    for name in ("derived_constants", "primed_generators"):
+        monkeypatch.setattr(e6, name, counting(name, getattr(e6, name)))
+    # the builds of f(x, y) and f(x, b2'*a2'), under their cached properties
+    for name in ("f_xy", "f_xy_primed"):
+        prop = vars(SymbolicSetup)[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
     assert verify_all() == 0
-    assert calls == {"derived_constants": 1, "primed_generators": 1, "corner_embedding": 1}
-    # a report run on its own builds its own
+    assert calls == {"derived_constants": 1, "primed_generators": 1, "f_xy": 1, "f_xy_primed": 1}
+    # a report run on its own builds its own, once each: the theorem reads
+    # f(x, b2'*a2') only, the inverse formulas neither f, the catalog both
     for report in (e6.verify_theorem, e6.verify_inverse, derivation.verify_identities):
         report()
-    assert calls == {"derived_constants": 4, "primed_generators": 3, "corner_embedding": 3}
+    assert calls == {"derived_constants": 4, "primed_generators": 4, "f_xy": 2, "f_xy_primed": 3}
 
 
 def test_a_passing_report_formats_no_residual(monkeypatch):
@@ -366,6 +374,14 @@ def test_readme_map_names_every_catalog_entry_and_only_checks_of_verify_all(caps
     for name in names:
         pattern = re.escape(f"identities: {name}") + r"( \[step \d+\])?"
         assert any(re.fullmatch(pattern, check) for check in checks), name
+
+
+def test_readme_theorem_table_is_the_theorem_texts():
+    section = README.read_text(encoding="utf-8").split("## The theorem as text", 1)[1]
+    section = section.split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    table = [tuple(re.findall(r"`([^`]+)`", row)) for row in rows]
+    assert table == list(zip(DEFORMED_RELATION_NAMES, e6.THEOREM_TEXTS, strict=True))
 
 
 def test_the_catalog_and_the_inverse_formulas_leave_no_reference_cycle():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from engine_helpers import (
+    corner_embedding,
     printed_inverse_mismatches,
     reference_inverse_constants,
     text_inverse_constants,
@@ -36,7 +37,6 @@ from preproj.e6 import (
     build_pe6,
     build_re6,
     constraint_residuals,
-    corner_embedding,
     deformed_relations,
     derived_constants,
     is_admissible,
@@ -1052,7 +1052,8 @@ def test_sample_check_reduces_no_generator_word_per_trial(monkeypatch):
     algebra = build_pe6()
     # with every structure constant cached, a reduce_path call can only
     # come from a generator word
-    algebra.precompute_structure_constants()
+    for i in range(algebra.dimension()):
+        algebra.structure_row(i)
     oracle._word_vector.cache_clear()
     calls = Counter()
 
@@ -1274,6 +1275,126 @@ def test_truncation_keeps_theorem_and_inverse_normal_forms():
     scope.clear()
     # not vacuous: the truncation drops terms of some formulas
     assert truncated > 0
+
+
+# -- the theorem, f and the corner as text against the generator maps ---------------
+
+
+def _admissible(t1, t3, t4, t5, t7, t8, t9):
+    """The admissible theta with these free entries."""
+    return (
+        t1, constraint_theta2(t1, t3), t3, t4, t5,
+        constraint_theta6(t1, t3, t4, t5), t7, t8, t9,
+    )
+
+
+THEOREM_POINTS = {
+    "constrained": CONSTRAINED_THETA,
+    "zero": ZERO,
+    "integer": _admissible(1, 2, -1, 3, 5, -2, 7),
+    # the certificate fails here: the images have coefficients in 1/2
+    "rational": _admissible(Fraction(1, 2), 2, -1, 3, 5, -2, 7),
+}
+
+
+def shift_alpha(monkeypatch):
+    """Every ``GeneratorScalars`` from here on has alpha + t1 for alpha,
+    t1 the indeterminate at every point, so that the change of generators
+    no longer sends the relations to 0."""
+    init = GeneratorScalars.__init__
+
+    def shifted(self, theta):
+        init(self, theta)
+        self.alpha = self.alpha + Poly.var(1)
+
+    monkeypatch.setattr(GeneratorScalars, "__init__", shifted)
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["phi", "alpha + t1"])
+@pytest.mark.parametrize("point", list(THEOREM_POINTS))
+def test_theorem_texts_match_the_change_of_generators(monkeypatch, point, shifted):
+    """The slow path of the theorem: ``substituted_generators(theta)``, a
+    ``GeneratorMap``, applied below N to each of ``deformed_relations``
+    gives the image, the normal form, the check and the certificate that
+    the texts of ``THEOREM_TEXTS`` give."""
+    if shifted:
+        shift_alpha(monkeypatch)
+    theta = THEOREM_POINTS[point]
+    algebra = build_pe6()
+    change = substituted_generators(theta)
+    slow = [
+        change(relation, below=algebra.nilpotency_degree)
+        for relation in deformed_relations(theta)
+    ]
+    rows = theorem_residuals(theta)
+    report = verify_theorem(SymbolicSetup(theta))
+    assert [c.name for c in report.checks[:7]] == [name for name, _, _ in rows]
+    for (name, image, nf), check, want in zip(rows, report.checks[:7], slow, strict=True):
+        want_nf = algebra.normal_form(want)
+        assert image == want and nf == want_nf, name
+        assert check.passed == want_nf.is_zero(), name
+        assert check.residual == (None if check.passed else str(want_nf)), name
+    certificate = report.checks[7]
+    integral = all(image.has_integral_coefficients() for image in slow)
+    assert certificate.passed == integral == (point != "rational")
+    # not vacuous: phi sends every relation to 0, the shifted map does not
+    assert all(c.passed for c in report.checks[:7]) != shifted
+
+
+@pytest.mark.parametrize("point", list(THEOREM_POINTS) + ["free"])
+def test_f_texts_match_the_corner_maps(point):
+    """f(x, y) and f(x, b2'*a2') as text equal the substitution of
+    x -> b0*a0 and y -> b2*a2, or y -> b2'*a2', into f, below N."""
+    theta = FREE_THETA if point == "free" else THEOREM_POINTS[point]
+    setup = SymbolicSetup(theta)
+    e6_quiver = builtin_quiver("E6")
+    n = build_pe6().nilpotency_degree
+    f = as_free_element(theta)
+    assert setup.f_xy == corner_embedding()(f, below=n)
+    if point == "free":
+        return  # no change of generators off the constraint variety
+    primed = GeneratorMap(
+        builtin_quiver("L2"),
+        e6_quiver,
+        {
+            "x": FreeElement.from_path(e6_quiver.path("b0", "a0")),
+            "y": setup.primed["b2"] * setup.primed["a2"],
+        },
+        vertex_map={0: 3},
+    )
+    assert setup.f_xy_primed == primed(f, below=n)
+    # not vacuous: f has all nine words, and the primed y changes some
+    assert point == "zero" or len(setup.f_xy.terms) == 9
+    assert point == "zero" or setup.f_xy_primed != setup.f_xy
+
+
+def test_corner_iso_reads_each_basis_word_as_its_embedded_image(monkeypatch):
+    """The rank check's twelve images, re6 text read in pe6's scope, are
+    the corner embedding's images of the basis words: the idempotent e0 of
+    re6 goes to e3 of pe6."""
+    images = []
+    element = SymbolicSetup.element
+
+    def recording(self, text):
+        images.append(element(self, text))
+        return images[-1]
+
+    monkeypatch.setattr(SymbolicSetup, "element", recording)
+    assert verify_corner_iso().passed
+    embed = corner_embedding()
+    assert images == [embed(FreeElement.from_path(word)) for word in build_re6().basis]
+
+
+def test_the_reports_apply_no_generator_map(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a report applied a GeneratorMap")
+
+    monkeypatch.setattr(GeneratorMap, "__call__", forbidden)
+    setup = SymbolicSetup()
+    for report in (verify_theorem(setup), verify_corner_iso(setup)):
+        assert report.passed, failures(report)
+    assert setup.f_xy and setup.f_xy_primed
+    assert all(nf.is_zero() for _, _, nf in theorem_residuals(CONSTRAINED_THETA))
 
 
 # -- per-check timing covers the check's own work ----------------------------------

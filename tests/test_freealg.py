@@ -6,11 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from preproj.e6 import (
-    corner_embedding,
-    get_algebra,
-    substituted_generators,
-)
+from preproj.e6 import get_algebra, substituted_generators
 from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.polyring import _ZERO_EXP, Poly
 from preproj.quiver import builtin_quiver, compose
@@ -308,7 +304,7 @@ def test_first_power_drops_long_paths_of_the_base():
 def test_truncated_corner_embedding_matches_slow_path(a):
     algebra = get_algebra("pe6")
     n = algebra.nilpotency_degree
-    embed = corner_embedding()
+    embed = corner_map()
     cut = embed(a, below=n)
     assert cut == truncated(embed(a), n)
     assert algebra.normal_form(cut) == algebra.normal_form(embed(a))

@@ -482,41 +482,89 @@ def has_unit_coefficient(*operands):
     )
 
 
+def count_fraction_products(monkeypatch) -> dict:
+    """Count every ``Fraction`` product from here on, whatever forms it,
+    and those with a +1 or -1 operand, in the dict returned.  A call that
+    returns ``NotImplemented``, such as ``Fraction(-1) * poly`` before
+    ``Poly.__rmul__`` takes over, forms no product and is not counted."""
+    counts = {"products": 0, "unit products": 0}
+
+    def counting(fraction_op):
+        def op(a, b):
+            result = fraction_op(a, b)
+            if result is not NotImplemented:
+                counts["products"] += 1
+                counts["unit products"] += a in (1, -1) or b in (1, -1)
+            return result
+
+        return op
+
+    monkeypatch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
+    return counts
+
+
 def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
     """Every ``Fraction`` product of a warm ``verify all`` is counted,
     whatever calls it; none has a +1 or -1 operand.  Without the unit rule
     of ``Poly.__mul__`` and ``_times`` it forms 3,504 products, 3,375 of
     them with a unit operand: 986 of two constants, 214 scalings by a
-    non-unit and 2,175 in the loop."""
+    non-unit and 2,175 in the loop.  Each branch meets unit coefficients
+    here; ``test_each_branch_forms_no_product_with_a_unit_coefficient``
+    drives every branch with them directly."""
     assert verify_all() == 0  # warm: the algebras and caches are built
-    counts = {"products": 0, "unit products": 0}
     unit_calls = {"two constants": 0, "scaling": 0, "loop": 0}
-
-    def counting(fraction_op):
-        def op(a, b):
-            counts["products"] += 1
-            counts["unit products"] += a in (1, -1) or b in (1, -1)
-            return fraction_op(a, b)
-
-        return op
-
     poly_mul = Poly.__mul__
 
     def mul(a, b):
         unit_calls[mul_branch(a, b)] += has_unit_coefficient(a, b)
         return poly_mul(a, b)
 
-    monkeypatch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
-    monkeypatch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
+    counts = count_fraction_products(monkeypatch)
     monkeypatch.setattr(Poly, "__mul__", mul)
     monkeypatch.setattr(Poly, "__rmul__", mul)
     assert verify_all() == 0
     assert counts["unit products"] == 0
     assert counts["products"] <= 1000
-    # not vacuous: every branch meets unit coefficients, and the counter
-    # sees the products left (129, all in the loop and the scalings)
-    assert min(unit_calls.values()) > 500, unit_calls
+    # not vacuous: every branch meets unit coefficients (268 of two
+    # constants, 1,010 scalings and 526 in the loop), and the counter sees
+    # the products left (110, all in the loop and the scalings)
+    assert min(unit_calls.values()) > 0, unit_calls
     assert counts["products"] > 100
+
+
+# +1 and -1 as int and as Fraction
+UNITS = (1, -1, Fraction(1), Fraction(-1))
+
+
+def unit_battery(u):
+    """Products that take each branch of ``Poly.__mul__`` with the unit
+    ``u`` as an operand or a coefficient, each beside non-unit ones."""
+    k = Fraction(2, 3)
+    # p has no unit coefficient, q has only unit ones
+    p = 3 * T[1] * T[2] - Fraction(1, 2) * T[1] + 5
+    q = T[1] - T[2] + Poly.const(u)
+    unit, scalar = Poly.const(u), Poly.const(k)
+    return {
+        "two constants": [(unit, scalar), (scalar, unit), (unit, unit)],
+        "scaling": [(unit, p), (p, unit), (u, p), (p, u), (scalar, q), (q, scalar), (q, 7)],
+        "loop": [(q, p), (p, q), (q, q), (q, q * p)],
+    }
+
+
+@pytest.mark.parametrize("u", UNITS, ids=repr)
+def test_each_branch_forms_no_product_with_a_unit_coefficient(monkeypatch, u):
+    for branch, pairs in unit_battery(u).items():
+        for a, b in pairs:
+            # the battery takes the branch it names, with a unit in it
+            assert mul_branch(a, b) == branch and has_unit_coefficient(a, b)
+            expected = term_by_term_product(*(x if isinstance(x, Poly) else Poly.const(x) for x in (a, b)))
+            with monkeypatch.context() as patch:
+                counts = count_fraction_products(patch)
+                product = a * b
+            assert counts["unit products"] == 0, (branch, a, b)
+            assert product.terms == expected, (branch, a, b)
+            assert_clean(product)
 
 
 # -- no term dict is changed in place: the unit rule shares operands ---------------
