@@ -278,7 +278,7 @@ def cmd_admissible(args) -> int:
         theta = _parse_theta(args.theta)
     else:
         theta = _theta_from_expression(args.f_expr)
-    report = VerificationReport("admissible", "re6")
+    report = VerificationReport("admissible")
     c1, c2 = lemma_coefficients(theta)
     report.run("first condition: t1 + t2 - 2*t3 = 0", lambda: (c1 == 0, str(c1)))
     report.run(

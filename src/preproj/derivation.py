@@ -176,7 +176,7 @@ def run_derivation_catalog(setup: SymbolicSetup | None = None) -> VerificationRe
     the certificate covers those; the dropped ones lie in J^N, which is
     contained in the ideal of relations (see ``e6.verify_theorem``).
     """
-    report = VerificationReport("identities", "pe6")
+    report = VerificationReport("identities")
     setup = setup or SymbolicSetup()
     integral = run_text_checks(report, DEFINITIONS, CATALOG, setup)
     report.run(

@@ -382,9 +382,8 @@ class CheckResult(NamedTuple):
 
 
 class VerificationReport:
-    def __init__(self, title: str, algebra: str):
+    def __init__(self, title: str):
         self.title = title
-        self.algebra = algebra
         self.checks: list[CheckResult] = []
 
     @property
@@ -399,6 +398,9 @@ class VerificationReport:
     def run(self, name: str, fn: Callable[[], tuple]):
         """Run one check; its ``ms`` is the wall time of ``fn``.
 
+        The one way a check is run: every report, and every kind of text
+        check (``run_text_checks``), passes its check here as ``fn``, which
+        builds and reduces its elements itself, so ``ms`` covers that work.
         ``fn`` returns (passed, residual), the residual a string, ``None``,
         or a function that makes the string; a passing check keeps no
         residual, so the function is called only when the check fails, and
@@ -412,39 +414,6 @@ class VerificationReport:
             residual = residual()
         ms = (time.perf_counter() - start) * 1000.0
         self.checks.append(CheckResult(name, passed, residual, ms))
-
-    def run_zero(
-        self, name: str, algebra: QuotientAlgebra, element: Callable[[], FreeElement]
-    ):
-        """Check that an element reduces to the zero class.
-
-        ``element`` is a thunk, called inside the check's timed span, so
-        the check's ``ms`` covers building the element as well as reducing it.
-        """
-
-        def check():
-            nf = algebra.normal_form(element())
-            return nf.is_zero(), lambda: str(nf)
-
-        self.run(name, check)
-
-    def run_equal_nf(
-        self,
-        name: str,
-        algebra: QuotientAlgebra,
-        element: Callable[[], FreeElement],
-        expected: Callable[[], FreeElement],
-    ):
-        """Check that an element's normal form equals a documented one;
-        both are thunks, built inside the timed span (see ``run_zero``)."""
-
-        def check():
-            got = algebra.normal_form(element())
-            want = algebra.normal_form(expected())
-            ok = got == want and not got.is_zero()
-            return ok, lambda: f"got {got}; expected {want}"
-
-        self.run(name, check)
 
 
 # -- text checks: the theorem, the corner, the catalog and the inverse formulas -----
@@ -468,9 +437,16 @@ def run_text_checks(
     left out:
 
       * ``re6`` and ``pe6``: a chain ``A = B = C`` in that algebra, one check
-        per link, that A - B and B - C reduce to zero;
-      * ``differs``: ``A = B`` with A and B of one nonzero normal form;
-      * ``scalar``: ``A = B`` for two equal polynomials.
+        per link, that A - B and B - C reduce to zero; a failing link's
+        residual is the normal form of its difference;
+      * ``differs``: ``A = B`` with A and B of one nonzero normal form; the
+        residual is ``got <nf of A>; expected <nf of B>``, and the check
+        fails when both are zero;
+      * ``scalar``: ``A = B`` for two equal polynomials; the residual is
+        ``difference is <A>``, A being written as the difference.
+
+    Each kind is a check function passed to ``VerificationReport.run``,
+    the one way a check is run.
 
     pe6 text is read in the scope of ``setup`` (see ``SymbolicSetup.scope``)
     and of ``definitions``, named texts that the entries and each other
@@ -518,17 +494,25 @@ def run_text_checks(
                 report.run(name, scalar_check)
             elif kind == "differs":
                 lhs, rhs = sides
-                report.run_equal_nf(
-                    name, pe6, lambda lhs=lhs: element(lhs, pe6), lambda rhs=rhs: element(rhs, pe6)
-                )
+
+                def differs_check(lhs=lhs, rhs=rhs):
+                    got = pe6.normal_form(element(lhs, pe6))
+                    want = pe6.normal_form(element(rhs, pe6))
+                    ok = got == want and not got.is_zero()
+                    return ok, lambda: f"got {got}; expected {want}"
+
+                report.run(name, differs_check)
             else:
                 algebra = re6 if kind == "re6" else pe6
                 members = [cache(lambda ast=ast: element(ast, algebra)) for ast in sides]
                 for k in range(len(members) - 1):
+
+                    def link_check(a=members[k], b=members[k + 1]):
+                        nf = algebra.normal_form(a() - b())
+                        return nf.is_zero(), lambda: str(nf)
+
                     suffix = "" if len(members) == 2 else f" [step {k + 1}]"
-                    report.run_zero(
-                        f"{name}{suffix}", algebra, lambda k=k: members[k]() - members[k + 1]()
-                    )
+                    report.run(f"{name}{suffix}", link_check)
     finally:
         scope.clear()
     return integral
@@ -539,7 +523,7 @@ def run_text_checks(
 
 def verify_lemma() -> VerificationReport:
     """Three checks pinning down the admissibility criterion exactly."""
-    report = VerificationReport("lemma", "re6")
+    report = VerificationReport("lemma")
     algebra = build_re6()
     quiver = algebra.quiver
     g = generators(quiver)
@@ -649,7 +633,7 @@ def verify_theorem(setup: SymbolicSetup | None = None) -> VerificationReport:
     the table is +1 or -1, so reducing an integral relation divides by
     nothing (see ``build_quotient``).
     """
-    report = VerificationReport("theorem", "pe6")
+    report = VerificationReport("theorem")
     entries = [
         ("pe6", name, f"{text} = 0") for name, text in zip(DEFORMED_RELATION_NAMES, THEOREM_TEXTS)
     ]
@@ -662,9 +646,6 @@ def verify_theorem(setup: SymbolicSetup | None = None) -> VerificationReport:
 
 
 # -- inverse change of generators ------------------------------------------------------
-
-
-INVERSE_ORDER = PRIMED_NAMES
 
 
 def verify_inverse(
@@ -684,11 +665,11 @@ def verify_inverse(
     """
     if mode not in INVERSE_FORMULAS:
         raise ValueError(f"unknown mode {mode!r}")
-    report = VerificationReport(f"inverse ({mode})", "pe6")
+    report = VerificationReport(f"inverse ({mode})")
     formulas = INVERSE_FORMULAS[mode]
     entries = [
         ("pe6", f"{name} recovered from the {mode} formula", f"{formulas[name]} = {name}")
-        for name in INVERSE_ORDER
+        for name in PRIMED_NAMES
     ]
     run_text_checks(report, INVERSE_CONSTANTS, entries, setup or SymbolicSetup())
     return report
@@ -710,10 +691,12 @@ def verify_corner_iso(setup: SymbolicSetup | None = None) -> VerificationReport:
     b2*a2 of the scope of ``setup`` (a new one by default), so the image of
     re6 text is that text read in pe6's scope.  The three relations are
     entries "<relation> = 0" of ``run_text_checks``; the rank check reads
-    the twelve basis words of re6 as text, its idempotent e0 as pe6's e3.
-    Each check builds its elements inside its timed span.
+    the twelve basis words of re6 as text, its idempotent e0 as pe6's e3,
+    and requires every image to lie in e3*pe6*e3, every path of it
+    running 3 -> 3, and the images to have rank 12.  Each check builds its
+    elements inside its timed span.
     """
-    report = VerificationReport("corner-iso", "pe6")
+    report = VerificationReport("corner-iso")
     pe6 = build_pe6()
     re6 = build_re6()
     setup = setup or SymbolicSetup()
@@ -735,15 +718,18 @@ def verify_corner_iso(setup: SymbolicSetup | None = None) -> VerificationReport:
 
     def rank_check():
         pivots: dict = {}
+        stray = ""
         for word in re6.basis:
             image = pe6.normal_form(setup.element(str(word) if len(word) else f"e{v}"))
+            if not stray and any((p.source, p.target) != (v, v) for p in image.coords):
+                stray = f"; the image {image} of {word} is not in e{v}*pe6*e{v}"
             _insert_row(
                 pivots,
                 {pe6.basis_index[p]: c.as_rational() for p, c in image.coords.items()},
             )
         rank = len(pivots)
-        ok = rank == 12 == pe6.dimension_at(v, v)
-        return ok, f"rank = {rank}"
+        ok = not stray and rank == 12 == pe6.dimension_at(v, v)
+        return ok, lambda: f"rank = {rank}{stray}"
 
     report.run("images of the 12 basis words have rank 12 (isomorphism)", rank_check)
 
@@ -790,7 +776,7 @@ def sample_check(
     if p is not None:
         check_field(p)
     field_name = "rationals" if p is None else f"GF({p})"
-    report = VerificationReport(f"sample ({field_name})", "pe6")
+    report = VerificationReport(f"sample ({field_name})")
     symbolic, symbolic_y = _symbolic_side()
     algebra = build_pe6()
     rng = random.Random(seed)

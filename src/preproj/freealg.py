@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .polyring import Poly, power
-from .quiver import Arrow, Path, Quiver, compose
+from .quiver import Path, Quiver, compose, double_quiver
 
 
 def _as_poly(value) -> Poly:
@@ -261,17 +261,14 @@ def dynkin_preprojective(
 ) -> tuple[Quiver, tuple[FreeElement, ...]]:
     """Double quiver of a Dynkin diagram and its preprojective relations.
 
-    Edge i ``(u, v)`` becomes arrows ``a<i>: u -> v`` and ``b<i>: v -> u``;
-    the relation at a vertex is the sum of the loops there through each
-    incident edge, ``b<i>*a<i>`` for the edges into it before ``a<i>*b<i>``
-    for the edges out of it (all signs +, which over a tree loses no
-    generality).  ``edges`` is a tuple, so that the call is memoised: the
-    same arguments give the same quiver object, whose paths compose.
+    The quiver is ``quiver.double_quiver(name, n, edges)``, edge i ``(u, v)``
+    giving arrows ``a<i>: u -> v`` and ``b<i>: v -> u``; the relation at a
+    vertex is the sum of the loops there through each incident edge,
+    ``b<i>*a<i>`` for the edges into it before ``a<i>*b<i>`` for the edges
+    out of it (all signs +, which over a tree loses no generality).
+    ``edges`` is a tuple, so that the call is memoised.
     """
-    arrows = []
-    for i, (u, v) in enumerate(edges):
-        arrows += [Arrow(f"a{i}", u, v), Arrow(f"b{i}", v, u)]
-    quiver = Quiver(name, range(n), arrows)
+    quiver = double_quiver(name, n, edges)
     g = generators(quiver)
     relations = []
     for v in range(n):

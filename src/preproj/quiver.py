@@ -13,6 +13,7 @@ checks at load time.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -213,25 +214,28 @@ def compose(p: Path, q: Path) -> Path | None:
 E6_EDGES = ((0, 3), (1, 2), (2, 3), (3, 4), (4, 5))
 
 
-def _build_e6() -> Quiver:
-    # freealg imports this module, so the E6 quiver is built on first use
-    from .freealg import dynkin_preprojective
+@lru_cache(maxsize=None)
+def double_quiver(name: str, n: int, edges: tuple[tuple[int, int], ...]) -> Quiver:
+    """The double quiver of a graph on the vertices 0..n-1.
 
-    return dynkin_preprojective("E6", 6, E6_EDGES)[0]
+    Edge i ``(u, v)`` becomes arrows ``a<i>: u -> v`` and ``b<i>: v -> u``.
+    ``edges`` is a tuple, so that the call is memoised: the same arguments
+    give the same quiver object, whose paths compose.
+    """
+    arrows = []
+    for i, (u, v) in enumerate(edges):
+        arrows += [Arrow(f"a{i}", u, v), Arrow(f"b{i}", v, u)]
+    return Quiver(name, range(n), arrows)
 
 
-def _build_l2() -> Quiver:
-    return Quiver("L2", [0], [Arrow("x", 0, 0), Arrow("y", 0, 0)])
-
-
-_L2 = _build_l2()
+_L2 = Quiver("L2", [0], [Arrow("x", 0, 0), Arrow("y", 0, 0)])
 
 
 def builtin_quiver(which: str) -> Quiver:
     """The built-in quivers: ``E6`` (double quiver of E6) or ``L2`` (two loops)."""
     key = which.upper()
     if key == "E6":
-        return _build_e6()
+        return double_quiver("E6", 6, E6_EDGES)
     if key == "L2":
         return _L2
     raise KeyError(f"unknown builtin quiver {which!r} (expected E6 or L2)")

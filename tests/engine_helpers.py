@@ -25,7 +25,7 @@ from preproj.e6 import (
     CONSTRAINED_THETA,
     EXCEPTIONAL_VERTEX,
     INVERSE_CONSTANTS,
-    INVERSE_ORDER,
+    PRIMED_NAMES,
     SCOPE_NAMES,
     SymbolicSetup,
     build_pe6,
@@ -66,7 +66,7 @@ def graded_dimensions(algebra) -> list[int]:
 def printed_inverse_mismatches(theta=CONSTRAINED_THETA) -> list[str]:
     """Names of inverse formulas that fail verbatim (stable across runs)."""
     report = verify_inverse("printed", SymbolicSetup(theta))
-    return [name for name, check in zip(INVERSE_ORDER, report.checks) if not check.passed]
+    return [name for name, check in zip(PRIMED_NAMES, report.checks) if not check.passed]
 
 
 def text_scope(setup, definitions, below=None) -> dict:

@@ -544,7 +544,7 @@ def test_sample_rejects_non_positive_trials(capsys, trials):
 
 
 def test_report_without_checks_does_not_pass():
-    document = report_document("sample", "pe6", [VerificationReport("sample", "pe6")], 0.0)
+    document = report_document("sample", "pe6", [VerificationReport("sample")], 0.0)
     assert document["status"] == "fail"
 
 

@@ -17,8 +17,10 @@ from preproj.e6 import (
     INVERSE_FORMULAS,
     SCOPE_NAMES,
     SymbolicSetup,
+    VerificationReport,
     build_pe6,
     build_re6,
+    run_text_checks,
 )
 from preproj.expr import (
     Mul,
@@ -96,6 +98,30 @@ def test_each_entry_is_parsed_once_per_process(monkeypatch):
     texts = {text for text, _ in calls}
     assert texts >= {*DEFINITIONS.values(), *INVERSE_CONSTANTS.values()}
     assert sum(text.startswith(INVERSE_FORMULAS["printed"]["a2"]) for text in texts) == 1
+
+
+def test_a_failing_check_of_each_kind_keeps_its_residual_text():
+    """The residual strings of the runner's kinds, read by no report that
+    passes: ``differs`` gives both normal forms and fails when both are
+    zero, a chain link the normal form of its difference, and ``scalar``
+    the difference that its left side writes."""
+    report = VerificationReport("failing")
+    integral = run_text_checks(report, {"h": "1/2*x"}, [
+        ("differs", "unequal", "x = y"),
+        ("differs", "both zero", "a0*b0 = 0"),
+        ("pe6", "chain", "x = x = 2*y + h"),
+        ("re6", "loops commute", "x*y = y*x"),
+        ("scalar", "scalars", "t1 - t3 = 0"),
+    ], SymbolicSetup())
+    assert [(c.name, c.passed, c.residual) for c in report.checks] == [
+        ("unequal", False, "got b0*a0; expected b2*a2"),
+        ("both zero", False, "got 0; expected 0"),
+        ("chain [step 1]", True, None),
+        ("chain [step 2]", False, "1/2*b0*a0 - 2*b2*a2"),
+        ("loops commute", False, "x*y - y*x"),
+        ("scalars", False, "difference is - t3 + t1"),
+    ]
+    assert not integral
 
 
 # -- the runner builds every element below the nilpotency degree -------------------

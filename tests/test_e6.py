@@ -22,7 +22,7 @@ from engine_helpers import (
     verify_all,
 )
 from field_scalars import GF, PrimeFieldScalars, RationalScalars
-from preproj import derivation, e6, oracle
+from preproj import derivation, e6, oracle, quiver as quiver_module
 from preproj.derivation import verify_identities
 from preproj.e6 import (
     CONSTRAINED_THETA,
@@ -794,6 +794,12 @@ def test_numeric_oracle_imports_nothing_of_the_symbolic_pipeline():
     assert imports_inside_functions(planted) == [6]
 
 
+def test_quiver_imports_no_preproj_module():
+    """The quiver layer is the bottom of the package: it builds the E6
+    double quiver itself, and nowhere imports a module of the package."""
+    assert package_imports(module_tree(quiver_module)) == set()
+
+
 CHANGE_CONSTANTS = ("alpha", "beta", "gamma", "delta", "psi", "kappa1", "kappa2")
 
 
@@ -1383,6 +1389,27 @@ def test_corner_iso_reads_each_basis_word_as_its_embedded_image(monkeypatch):
     assert verify_corner_iso().passed
     embed = corner_embedding()
     assert images == [embed(FreeElement.from_path(word)) for word in build_re6().basis]
+
+
+@pytest.mark.parametrize("word,text,stray", [
+    ("e0", "e0", "e3"),  # re6's idempotent read as pe6's e0: runs 0 -> 0
+    ("x", "a0", "x"),  # runs 0 -> 3
+    ("x", "b0", "x"),  # runs 3 -> 0
+])
+def test_corner_iso_fails_an_image_outside_the_corner(monkeypatch, word, text, stray):
+    """With one basis word of re6 read as a path that leaves vertex 3 at
+    either end, the twelve images still have rank 12, but that image is
+    not in e3*pe6*e3, so the rank check fails and names it."""
+    setup = SymbolicSetup()
+    element = setup.element
+    monkeypatch.setattr(setup, "element", lambda t: element(text if t == stray else t))
+    report = verify_corner_iso(setup)
+    assert [(c.name, c.residual) for c in report.checks if not c.passed] == [
+        (
+            "images of the 12 basis words have rank 12 (isomorphism)",
+            f"rank = 12; the image {text} of {word} is not in e3*pe6*e3",
+        )
+    ]
 
 
 def test_the_reports_apply_no_generator_map(monkeypatch):

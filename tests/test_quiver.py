@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import preproj
-from preproj.quiver import Arrow, Path, Quiver, builtin_quiver, compose
+from preproj.e6 import build_pe6, pe6_relations
+from preproj.freealg import dynkin_preprojective
+from preproj.quiver import E6_EDGES, Arrow, Path, Quiver, builtin_quiver, compose, double_quiver
 
 E6_ARROWS = {
     "a0": (0, 3), "b0": (3, 0),
@@ -25,6 +27,17 @@ def test_builtin_e6_shape():
     for name, (src, tgt) in E6_ARROWS.items():
         arrow = q.arrow(name)
         assert (arrow.source, arrow.target) == (src, tgt)
+
+
+def test_builtin_e6_is_the_quiver_of_the_pe6_relations():
+    """One memoised E6 double quiver: the builtin, the quiver of the
+    Dynkin builder on E6's edges and the one that pe6 and its relations
+    live on, so their paths compose."""
+    q = builtin_quiver("E6")
+    assert double_quiver("E6", 6, E6_EDGES) is q
+    assert dynkin_preprojective("E6", 6, E6_EDGES)[0] is q
+    assert build_pe6().quiver is q
+    assert all(relation.quiver is q for relation in pe6_relations())
 
 
 def test_builtin_l2_shape():
