@@ -29,12 +29,12 @@ up to the timing fields (``ms``, ``total_ms``).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .derivation import verify_identities
@@ -88,6 +88,62 @@ JSON_REPORT_SCHEMA = {
 }
 
 
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` for the values of a report: dicts
+    with string keys, lists, strings, ints, floats, bools and None.
+
+    Strings go through the standard library's C escaper
+    (``json.encoder.encode_basestring_ascii``), ints and floats through
+    their ``repr`` as in ``json``, and bools are tested before ints,
+    whose subclass they are.  The pieces are joined once, as ``json``
+    joins its own, so a large report is not copied level by level.  The
+    recursion forms no closure, so a report leaves no reference cycle, as
+    the encoder of ``json.dumps`` with ``indent`` does.
+    """
+    chunks: list[str] = []
+    _json_chunks(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, indent: str, chunks: list[str]) -> None:
+    """Append the text of ``value`` to ``chunks``; ``indent`` is the newline
+    and the spaces before the value's closing bracket."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, (int, float)):
+        chunks.append(repr(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        separator = "{" + indent + "  "
+        for key, item in value.items():
+            chunks.append(separator)
+            chunks.append(encode_basestring_ascii(key))
+            chunks.append(": ")
+            _json_chunks(item, indent + "  ", chunks)
+            separator = "," + indent + "  "
+        chunks.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            chunks.append("[]")
+            return
+        separator = "[" + indent + "  "
+        for item in value:
+            chunks.append(separator)
+            _json_chunks(item, indent + "  ", chunks)
+            separator = "," + indent + "  "
+        chunks.append(indent + "]")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}")
+
+
 def _document(command: str, algebra: str, checks: list, status: str) -> dict:
     """The fields every JSON report starts with, in ``JSON_REPORT_SCHEMA``."""
     built = get_algebra(algebra)
@@ -126,7 +182,7 @@ def report_document(command: str, algebra: str, reports, total_ms: float) -> dic
 
 def _emit(document: dict, reports, args) -> int:
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=False))
+        print(json_text(document))
     elif not args.quiet:
         fp = document["algebra"]
         print(
@@ -197,7 +253,7 @@ def cmd_reduce(args) -> int:
         document = _document(f"reduce --algebra {args.algebra}", args.algebra, [], "pass")
         document["input"] = args.expr
         document["normal_form"] = text
-        print(json.dumps(document, indent=2))
+        print(json_text(document))
     else:
         print(text)
     return 0
@@ -314,7 +370,7 @@ def cmd_basis(args) -> int:
     if args.json:
         document = _document(f"basis --algebra {args.algebra}", args.algebra, [], "pass")
         document["basis"] = lines
-        print(json.dumps(document, indent=2))
+        print(json_text(document))
     elif not args.quiet:
         print(f"# quiver {algebra.quiver.name}")
         for arrow_line in algebra.quiver.adjacency_listing().splitlines():

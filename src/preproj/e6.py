@@ -443,7 +443,7 @@ def run_text_checks(
         residual is ``got <nf of A>; expected <nf of B>``, and the check
         fails when both are zero;
       * ``scalar``: ``A = B`` for two equal polynomials; the residual is
-        ``difference is <A>``, A being written as the difference.
+        ``difference is <A - B>``.
 
     Each kind is a check function passed to ``VerificationReport.run``,
     the one way a check is run.
@@ -488,8 +488,8 @@ def run_text_checks(
 
                 def scalar_check(lhs=lhs, rhs=rhs):
                     value = evaluate(lhs, pe6.quiver, scope, n)
-                    ok = value == evaluate(rhs, pe6.quiver, scope, n)
-                    return ok, lambda: f"difference is {value}"
+                    other = evaluate(rhs, pe6.quiver, scope, n)
+                    return value == other, lambda: f"difference is {value - other}"
 
                 report.run(name, scalar_check)
             elif kind == "differs":

@@ -1,4 +1,4 @@
-"""Surface syntax for path-algebra elements: parser and pretty-printer.
+"""Surface syntax for path-algebra elements: parser and evaluator.
 
 Grammar (LL(1); ``*`` is mandatory between factors):
 
@@ -29,7 +29,8 @@ exceed ``MAX_COEFFICIENT_DIGITS`` = 4300 digits, the default limit of
 ``str`` on an int: ``2^14284`` is accepted, ``2^14285``, ``3^10000``
 and ``(2*e0)^14285`` are rejected (see ``evaluate``).
 
-The pretty-printer emits terms in the canonical order (path length, then
+The pretty-printer, ``freealg.format_element``, which this module
+exports too, emits terms in the canonical order (path length, then
 arrow-lexicographic) so output is diff-stable; printing then re-parsing
 is the identity on canonical elements, polynomial coefficients included
 (``test_print_then_parse_round_trip_with_polynomial_coefficients``), as
@@ -42,8 +43,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .freealg import FreeElement
-from .polyring import NVARS, Poly, signed_sum, signed_terms
+from .freealg import FreeElement, format_element
+from .polyring import NVARS, Poly
 from .quiver import Path, Quiver, compose
 
 ARROW_IDENTS = {f"a{i}" for i in range(5)} | {f"b{i}" for i in range(5)} | {"x", "y"}
@@ -335,7 +336,14 @@ def parse(text: str, names: frozenset = frozenset()):
 def _check_exponents(node, outer: int = 1) -> None:
     """Reject the first power whose exponent, times those of the powers
     around it, exceeds ``MAX_EXPONENT`` (see ``parse``)."""
-    if isinstance(node, Pow):
+    kind = type(node)
+    if kind is Mul:
+        for factor in node.factors:
+            _check_exponents(factor, outer)
+    elif kind is Sum:
+        for _, part in node.parts:
+            _check_exponents(part, outer)
+    elif kind is Pow:
         outer *= max(node.exponent, 1)
         if outer > MAX_EXPONENT:
             raise ExprError(
@@ -344,14 +352,8 @@ def _check_exponents(node, outer: int = 1) -> None:
                 node.column,
             )
         _check_exponents(node.base, outer)
-    elif isinstance(node, Neg):
+    elif kind is Neg:
         _check_exponents(node.operand, outer)
-    elif isinstance(node, Mul):
-        for factor in node.factors:
-            _check_exponents(factor, outer)
-    elif isinstance(node, Sum):
-        for _, part in node.parts:
-            _check_exponents(part, outer)
 
 
 def _check_power(coeffs: list[Fraction], node: Pow, kind: str) -> None:
@@ -405,7 +407,8 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
 
     Identifiers that are not arrows or idempotents of the quiver are
     rejected, which is what rules out mixing alphabets of different
-    quivers in one expression.
+    quivers in one expression.  The quiver's ``arrow_index`` and
+    ``idempotent_index`` resolve its names.
 
     ``scope`` maps further names (see ``parse``) to functions of no
     arguments that give their values, a ``Poly``, a ``Path`` or a
@@ -418,8 +421,12 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
     factors by them.  This is exact because scalars are central in kQ and
     c*x = (c*1)*x, 1 the identity; a scalar becomes c*1 only where it is
     added to an element, and 1 is built at most once per call.  A run of
-    paths in a product is one path, formed by ``compose``; the other
-    products are ``FreeElement.mul``.
+    arrow identifiers in a product, with scalars among them or not, is one
+    path: its arrow indices are checked to compose pair by pair and one
+    ``Path`` is built for the run, and a run that does not compose is
+    zero.  Other paths in a product, idempotents and the paths of the
+    scope, join the path so far by ``compose``; the other products are
+    ``FreeElement.mul``.
 
     With ``below`` set, every product and power drops the paths of length
     ``below`` or more (see ``FreeElement.mul``); sums and single factors
@@ -442,147 +449,181 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
     because its power may be zero in the quotient whatever its
     coefficients: "(2*x)^65536" reduces to 0 in re6.
     """
-    arrows = quiver.arrows
-    arrow_index = quiver.arrow_index
-    idem_names = {f"e{v}": v for v in quiver.vertices}
-    bound = {} if scope is None else scope
+    return _Evaluation(quiver, scope, below).value(ast)
 
-    identity = None  # built on the first scalar that becomes an element
 
-    def element(value) -> FreeElement:
-        nonlocal identity
-        if isinstance(value, FreeElement):
-            return value
-        if isinstance(value, Path):
-            return FreeElement.from_path(value)
-        if identity is None:
-            identity = FreeElement.one(quiver)
-        return identity.scale(value)
+class _Evaluation:
+    """One call of ``evaluate``: the quiver, scope and ``below`` it reads,
+    and the identity once a scalar has been made an element.
 
-    def ev(node):
+    A node's value comes from the method for its type in ``_NODE_VALUES``.
+    The methods are looked up on the class, not kept on the instance, so an
+    evaluation refers to no function and forms no reference cycle.
+    """
+
+    __slots__ = ("quiver", "bound", "below", "identity")
+
+    def __init__(self, quiver: Quiver, scope, below: int | None):
+        self.quiver = quiver
+        self.bound = {} if scope is None else scope
+        self.below = below
+        self.identity = None
+
+    def value(self, node):
         """A ``Poly`` scalar, a ``Path`` or a ``FreeElement``."""
-        if isinstance(node, Num):
-            return Poly.const(node.value)
-        if isinstance(node, Ident):
-            name = node.name
-            if name in bound:
-                return bound[name]()
-            index = arrow_index.get(name)
-            if index is not None:
-                # one arrow always composes: no check of ``Path.__init__`` to run
-                arrow = arrows[index]
-                return Path._unchecked(quiver, (index,), arrow.source, arrow.target)
-            if name in idem_names:
-                return quiver.idempotent(idem_names[name])
-            if name in INDETERMINATE_IDENTS:
-                return Poly.var(int(name[1:]))
-            raise ExprError(
-                f"identifier {name!r} is not defined in quiver {quiver.name}",
-                node.line,
-                node.column,
-            )
-        if isinstance(node, Neg):
-            value = ev(node.operand)
-            return FreeElement.from_path(value, -1) if isinstance(value, Path) else -value
-        if isinstance(node, Pow):
-            value = ev(node.base)
-            if isinstance(value, Poly):
-                _check_power(list(value.terms.values()), node, "scalar")
-                return value ** node.exponent
-            base = element(value)
-            if any(not len(p) for p in base.terms):
-                coeffs = [c for q in base.terms.values() for c in q.terms.values()]
-                _check_power(coeffs, node, "element")
-            return base.power(node.exponent, below)
-        if isinstance(node, Mul):
-            scalar = None
-            product = None  # a Path, a FreeElement, or None before the first
-            for f in node.factors:
-                value = ev(f)
-                if isinstance(value, Poly):
-                    scalar = value if scalar is None else scalar * value
-                elif product is None:
-                    product = value
-                elif isinstance(product, Path) and isinstance(value, Path):
-                    product = compose(product, value)
-                    if product is None or below is not None and len(product) >= below:
-                        product = FreeElement.zero(quiver)
-                else:
-                    product = element(product).mul(element(value), below)
-            if product is None:
-                return scalar
-            if scalar is None:
-                return product
-            if isinstance(product, Path):
-                return FreeElement.from_path(product, scalar)
-            return product.scale(scalar)
-        if isinstance(node, Sum):
-            values = [(sign, ev(part)) for sign, part in node.parts]
-            if all(isinstance(value, Poly) for _, value in values):
-                (sign, result), *rest = values
-                result = result if sign > 0 else -result
-                for sign, value in rest:
-                    result = result + value if sign > 0 else result - value
-                return result
-            # one dict for all parts, accumulated as in ``FreeElement.__add__``
-            terms: dict = {}
-            for sign, value in values:
-                for path, coeff in element(value).terms.items():
-                    coeff = coeff if sign > 0 else -coeff
-                    acc = terms.get(path)
-                    if acc is None:
-                        terms[path] = coeff
-                    elif acc := acc + coeff:
-                        terms[path] = acc
-                    else:
-                        del terms[path]
-            return FreeElement._unchecked(quiver, terms)
-        raise TypeError(f"unexpected AST node {node!r}")
+        method = _NODE_VALUES.get(type(node))
+        if method is None:
+            raise TypeError(f"unexpected AST node {node!r}")
+        return method(self, node)
 
-    try:
-        return ev(ast)
-    finally:
-        # ev refers to itself through its closure; without this the cycle,
-        # and all it holds, would wait for the garbage collector
-        del ev
+    def element(self, value) -> FreeElement:
+        kind = type(value)
+        if kind is FreeElement:
+            return value
+        if kind is Path:
+            return FreeElement.from_path(value)
+        if self.identity is None:
+            self.identity = FreeElement.one(self.quiver)
+        return self.identity.scale(value)
+
+    def number(self, node: Num) -> Poly:
+        return Poly.const(node.value)
+
+    def ident(self, node: Ident):
+        name = node.name
+        if name in self.bound:
+            return self.bound[name]()
+        quiver = self.quiver
+        index = quiver.arrow_index.get(name)
+        if index is not None:
+            # one arrow always composes: no check of ``Path.__init__`` to run
+            arrow = quiver.arrows[index]
+            return Path._unchecked(quiver, (index,), arrow.source, arrow.target)
+        vertex = quiver.idempotent_index.get(name)
+        if vertex is not None:
+            return quiver.idempotent(vertex)
+        if name in INDETERMINATE_IDENTS:
+            return Poly.var(int(name[1:]))
+        raise ExprError(
+            f"identifier {name!r} is not defined in quiver {quiver.name}",
+            node.line,
+            node.column,
+        )
+
+    def negation(self, node: Neg):
+        value = self.value(node.operand)
+        return FreeElement.from_path(value, -1) if type(value) is Path else -value
+
+    def power(self, node: Pow):
+        value = self.value(node.base)
+        if type(value) is Poly:
+            _check_power(list(value.terms.values()), node, "scalar")
+            return value ** node.exponent
+        base = self.element(value)
+        if any(not len(p) for p in base.terms):
+            coeffs = [c for q in base.terms.values() for c in q.terms.values()]
+            _check_power(coeffs, node, "element")
+        return base.power(node.exponent, self.below)
+
+    def product(self, node: Mul):
+        bound, arrow_index = self.bound, self.quiver.arrow_index
+        scalar = None
+        product = None  # a Path, a FreeElement, or None before the first
+        run: list[int] = []  # arrow indices of the bare arrows since the last other factor
+        for f in node.factors:
+            if type(f) is Ident and f.name not in bound:
+                index = arrow_index.get(f.name)
+                if index is not None:
+                    run.append(index)
+                    continue
+            value = self.value(f)
+            if type(value) is Poly:
+                scalar = value if scalar is None else scalar * value
+                continue
+            if run:
+                product = self.join(product, run)
+                run = []
+            product = self.times(product, value)
+        if run:
+            product = self.join(product, run)
+        if product is None:
+            return scalar
+        if scalar is None:
+            return product
+        if type(product) is Path:
+            return FreeElement.from_path(product, scalar)
+        return product.scale(scalar)
+
+    def join(self, product, run: list[int]):
+        """``times(product, p)`` for the path p of the arrows ``run``, built
+        on their indices, or zero if two of them do not compose."""
+        quiver = self.quiver
+        arrows = quiver.arrows
+        first = arrows[run[0]]
+        target = first.target
+        for index in run[1:]:
+            arrow = arrows[index]
+            if arrow.source != target:
+                return FreeElement.zero(quiver)
+            target = arrow.target
+        below = self.below
+        if product is None and len(run) > 1 and below is not None and len(run) >= below:
+            # a product of two or more paths, cut as in ``times``
+            return FreeElement.zero(quiver)
+        return self.times(product, Path._unchecked(quiver, tuple(run), first.source, target))
+
+    def times(self, product, value):
+        """The product so far, a ``Path``, a ``FreeElement`` or None before
+        the first factor, times a factor ``value`` that is not a scalar."""
+        if product is None:
+            return value
+        if type(product) is Path and type(value) is Path:
+            path = compose(product, value)
+            below = self.below
+            if path is None or below is not None and len(path) >= below:
+                return FreeElement.zero(self.quiver)
+            return path
+        return self.element(product).mul(self.element(value), self.below)
+
+    def sum(self, node: Sum):
+        values = [(sign, self.value(part)) for sign, part in node.parts]
+        if all(type(value) is Poly for _, value in values):
+            (sign, result), *rest = values
+            result = result if sign > 0 else -result
+            for sign, value in rest:
+                result = result + value if sign > 0 else result - value
+            return result
+        # one dict for all parts, accumulated as in ``FreeElement.__add__``
+        terms: dict = {}
+        for sign, value in values:
+            for path, coeff in self.element(value).terms.items():
+                coeff = coeff if sign > 0 else -coeff
+                acc = terms.get(path)
+                if acc is None:
+                    terms[path] = coeff
+                elif acc := acc + coeff:
+                    terms[path] = acc
+                else:
+                    del terms[path]
+        return FreeElement._unchecked(self.quiver, terms)
+
+
+_NODE_VALUES = {
+    Num: _Evaluation.number,
+    Ident: _Evaluation.ident,
+    Neg: _Evaluation.negation,
+    Pow: _Evaluation.power,
+    Mul: _Evaluation.product,
+    Sum: _Evaluation.sum,
+}
 
 
 def to_element(ast, quiver: Quiver, scope=None, below: int | None = None) -> FreeElement:
     """``evaluate``, with a scalar c made the element c*1 and a path p the
     element 1*p."""
-    value = evaluate(ast, quiver, scope, below)
-    if isinstance(value, FreeElement):
-        return value
-    if isinstance(value, Path):
-        return FreeElement.from_path(value)
-    return FreeElement.one(quiver).scale(value)
+    evaluation = _Evaluation(quiver, scope, below)
+    return evaluation.element(evaluation.value(ast))
 
 
 def parse_element(text: str, quiver: Quiver) -> FreeElement:
     return to_element(parse(text), quiver)
-
-
-# -- pretty-printing --------------------------------------------------------------
-
-
-def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
-    """(negative, text) where text is '' for a plain unit coefficient.
-
-    Several terms go in parentheses.  The terms are those ``str(poly)``
-    prints (``polyring.signed_terms``), so a negative leading power reads
-    back here too.
-    """
-    terms = signed_terms(poly)
-    if len(terms) != 1:
-        return False, f"({signed_sum(terms)})"
-    negative, text = terms[0]
-    return negative, "" if text == "1" else text
-
-
-def format_element(element: FreeElement) -> str:
-    """Canonical text: terms by (length, path-lex), '*' separated factors."""
-    terms = []
-    for path, coeff in element.sorted_terms():
-        negative, prefix = _coefficient_prefix(coeff)
-        terms.append((negative, f"{prefix}*{path}" if prefix else str(path)))
-    return signed_sum(terms)

@@ -13,6 +13,9 @@ verification: the reports substitute by reading text in a scope that
 binds the images (see ``e6.run_text_checks``).  It is the library's form
 of the change of generators (``e6.substituted_generators``), and the
 tests apply it as the reference that the text is checked against.
+
+``format_element`` prints an element in the canonical order, the text
+that ``expr.parse`` reads back (see ``expr``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .polyring import Poly, power
+from .polyring import Poly, power, signed_sum, signed_terms
 from .quiver import Path, Quiver, compose, double_quiver
 
 
@@ -79,7 +82,14 @@ class FreeElement:
 
     @staticmethod
     def from_path(path: Path, coeff=1) -> "FreeElement":
-        return FreeElement(path.quiver, {path: _as_poly(coeff)})
+        """The element coeff*path.
+
+        Built unchecked (see ``_unchecked``): ``path`` is a path on its own
+        quiver, ``_as_poly`` makes the coefficient a ``Poly`` or raises, and
+        a zero coefficient gives no term.
+        """
+        c = _as_poly(coeff)
+        return FreeElement._unchecked(path.quiver, {path: c} if c else {})
 
     @staticmethod
     def one(quiver: Quiver) -> "FreeElement":
@@ -239,12 +249,33 @@ class FreeElement:
         return bool(self.terms)
 
     def __str__(self):
-        from .expr import format_element
-
         return format_element(self)
 
     def __repr__(self):
         return f"FreeElement({self})"
+
+
+def _coefficient_prefix(poly: Poly) -> tuple[bool, str]:
+    """(negative, text) where text is '' for a plain unit coefficient.
+
+    Several terms go in parentheses.  The terms are those ``str(poly)``
+    prints (``polyring.signed_terms``), so a negative leading power reads
+    back here too.
+    """
+    terms = signed_terms(poly)
+    if len(terms) != 1:
+        return False, f"({signed_sum(terms)})"
+    negative, text = terms[0]
+    return negative, "" if text == "1" else text
+
+
+def format_element(element: FreeElement) -> str:
+    """Canonical text: terms by (length, path-lex), '*' separated factors."""
+    terms = []
+    for path, coeff in element.sorted_terms():
+        negative, prefix = _coefficient_prefix(coeff)
+        terms.append((negative, f"{prefix}*{path}" if prefix else str(path)))
+    return signed_sum(terms)
 
 
 def generators(quiver: Quiver) -> dict[str, FreeElement]:

@@ -42,6 +42,7 @@ class Quiver:
                 raise ValueError(f"duplicate arrow name {a.name!r}")
             names.add(a.name)
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
+        self.idempotent_index = {f"e{v}": v for v in self.vertices}
         self._out = {v: [] for v in self.vertices}
         self._into = {v: [] for v in self.vertices}
         for i, a in enumerate(self.arrows):

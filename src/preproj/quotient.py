@@ -38,7 +38,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .freealg import FreeElement
+from .freealg import FreeElement, format_element
 from .polyring import Poly, power
 from .quiver import Path, Quiver, compose
 
@@ -68,8 +68,14 @@ class QuotientElement:
         return not self.coords
 
     def lift(self) -> FreeElement:
-        """The canonical basis-path representative as a free element."""
-        return FreeElement(self.algebra.quiver, dict(self.coords))
+        """The canonical basis-path representative as a free element.
+
+        Built unchecked (see ``FreeElement._unchecked``) on a copy of the
+        coordinates, which are already clean: every key is a basis path of
+        the algebra, hence a path on its quiver; every coefficient is a
+        ``Poly``, as the class states; and ``__init__`` keeps no zero one.
+        """
+        return FreeElement._unchecked(self.algebra.quiver, dict(self.coords))
 
     def _check_same_algebra(self, other: "QuotientElement"):
         if self.algebra is not other.algebra:
@@ -131,8 +137,6 @@ class QuotientElement:
         return bool(self.coords)
 
     def __str__(self):
-        from .expr import format_element
-
         return format_element(self.lift())
 
     def __repr__(self):

@@ -8,8 +8,8 @@ scope, ``text_inverse_constants`` and ``reference_inverse_constants``
 give the constants of the inverse formulas from their text and from
 Python arithmetic, ``assert_clean_poly`` checks a polynomial against
 its copy through the checking constructor, ``verify_all`` runs
-``preproj verify all`` in process, ``preproj_garbage`` lists the
-package's objects that a call leaves in reference cycles, and
+``preproj verify all`` in process, ``cyclic_garbage`` lists the objects
+that a call leaves in reference cycles, and
 ``corner_embedding`` is the corner map x -> b0*a0, y -> b2*a2 as a
 ``GeneratorMap``, the reference for the text that the reports read.
 """
@@ -149,14 +149,12 @@ def verify_all():
         return cli.run(["verify", "all", "--quiet"])
 
 
-def preproj_garbage(fn) -> list:
-    """The objects that ``fn()`` leaves unreachable in reference cycles and
-    whose type or function is defined in ``preproj``.
+def cyclic_garbage(fn) -> list:
+    """The objects that ``fn()`` leaves unreachable in reference cycles,
+    of every module.
 
     The collector is off while ``fn`` runs, so nothing is freed before the
     one collection after it, which saves all it finds in ``gc.garbage``.
-    Objects of other modules' cycles, such as the standard library's
-    ``json`` indent encoder, are left out by their module.
     """
     gc.collect()
     gc.garbage.clear()
@@ -170,11 +168,4 @@ def preproj_garbage(fn) -> list:
         gc.enable()
     garbage = list(gc.garbage)
     gc.garbage.clear()
-    return [o for o in garbage if _defined_in_preproj(o)]
-
-
-def _defined_in_preproj(obj) -> bool:
-    """Whether ``obj`` is a function or class of ``preproj``, or an
-    instance of one of its classes."""
-    module = getattr(obj, "__module__", None) or type(obj).__module__
-    return isinstance(module, str) and module.split(".")[0] == "preproj"
+    return garbage

@@ -10,15 +10,17 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from engine_helpers import preproj_garbage
+from engine_helpers import cyclic_garbage
 import preproj
 from preproj import cli, e6, oracle
-from preproj.cli import JSON_REPORT_SCHEMA, report_document, run
+from preproj.cli import JSON_REPORT_SCHEMA, json_text, report_document, run
 from preproj.e6 import VerificationReport, sample_check
 from preproj.polyring import Poly
 from preproj.quotient import QuotientAlgebra
@@ -76,9 +78,15 @@ TABLE_READERS = [
 ]
 
 
-@pytest.mark.parametrize("argv", TABLE_READERS, ids=" ".join)
+@pytest.mark.parametrize("argv", TABLE_READERS + [
+    ["basis", "--algebra", "re6", "--json"],
+    ["admissible", "--json", "--theta", "t1=1,t2=-1,t6=-3"],
+], ids=" ".join)
 def test_commands_leave_no_reference_cycle(capsys, argv):
-    assert preproj_garbage(lambda: run(argv)) == []
+    # the parser is built once per process, and building it leaves
+    # argparse's own cycles; a call leaves none of any module
+    cli._parser()
+    assert cyclic_garbage(lambda: run(argv)) == []
     assert capsys.readouterr().out
 
 
@@ -98,6 +106,32 @@ def test_commands_leave_every_table_row_unchanged(capsys):
     for argv in TABLE_READERS:
         assert invoke(capsys, *argv)[0] == 0
     assert snapshot() == before
+
+
+# the values a report holds, with the strings and floats that escaping and
+# repr make hard; bool is an int, so the writer must test it first
+json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "\U0001f600", "'"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-05, 0.1 + 0.2, -0.0, 1e16, 123.456]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 def test_verify_lemma_json_schema(capsys):
@@ -820,6 +854,186 @@ def test_reduce_json_of_a_seeded_stream_is_pinned(capsys):
         assert (code, err) == (0, ""), text
         outputs.append(out)
     assert _sha256("".join(outputs)) == PINNED_REDUCE_STREAM
+
+
+# -- a pinned corpus of reduce calls -----------------------------------------------
+#
+# About 3,000 ``reduce`` calls from a seeded generator, of three kinds:
+# "valid" (sums, products, small powers, unary minus, rationals, t1..t9,
+# idempotents and runs of arrows, composable or not, with scalars inside
+# them, and random spacing), "malformed" (a valid text with one character
+# deleted, inserted, replaced or swapped, or a text of the other quiver) and
+# "capped" (exponents, coefficient digits, nesting and literal lengths at or
+# past their caps).  Each call's exit code, stdout and stderr are hashed,
+# and the hashes of one kind are pinned as one digest, taken before the
+# evaluator composed runs of arrows on their indices and before the report
+# writer replaced ``json.dumps``.  The generator draws only with
+# ``random.Random`` methods whose streams every supported Python repeats.
+
+_CORPUS_SPACES = ("", "", " ", " ", "  ", "\n")
+_CORPUS_NUMBERS = ("0", "1", "1", "2", "3", "5", "12", "100", "1/2", "2/3", "7/4", "3/1")
+_CORPUS_SCALARS = _CORPUS_NUMBERS + ("t1", "t2", "t3", "t5", "t9")
+# no digits: an inserted or replaced digit could raise an exponent
+_CORPUS_NOISE = "()+-*/^ '_.,;=\t\n$²٣éxyzabet"
+_CORPUS_EXPONENT = re.compile(r"\^\s*(\d+)")
+
+
+def _corpus_run(rng, quiver):
+    """A product of arrows, a walk or random ones, with the odd idempotent
+    or scalar among them."""
+    vertex = rng.choice(quiver.vertices)
+    walk = rng.random() < 0.7
+    factors = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.1:
+            factors.append(rng.choice(_CORPUS_SCALARS))
+        elif rng.random() < 0.08:
+            factors.append(f"e{vertex if walk else rng.choice(quiver.vertices)}")
+        else:
+            arrows = [a for a in quiver.arrows if a.source == vertex] if walk else quiver.arrows
+            arrow = rng.choice(arrows)
+            factors.append(arrow.name)
+            vertex = arrow.target
+    return "*".join(factors)
+
+
+def _corpus_factor(rng, quiver, depth):
+    """(text, a bound on the terms of its free expansion)."""
+    r = rng.random()
+    if depth and r < 0.25:
+        text, size = _corpus_sum(rng, quiver, depth - 1)
+        text = f"({text})"
+    elif r < 0.4:
+        text, size = rng.choice(_CORPUS_SCALARS), 1
+    elif r < 0.45:
+        text, size = f"e{rng.choice(quiver.vertices)}", 1
+    elif r < 0.5:
+        text, size = rng.choice(quiver.arrows).name, 1
+    else:
+        text, size = _corpus_run(rng, quiver), 1
+        if rng.random() >= 0.5:
+            text = f"({text})"
+    if rng.random() < 0.15:
+        if text[0] != "(" and "*" in text:
+            text = f"({text})"
+        exponent = rng.randint(0, 4 if size == 1 else 3)
+        text, size = f"{text}^{exponent}", size ** exponent
+    if rng.random() < 0.1:
+        text = f"-{text}"
+    return text, size
+
+
+def _corpus_sum(rng, quiver, depth):
+    terms, total = [], 0
+    for k in range(rng.randint(1, 3)):
+        factors, size = [], 1
+        for _ in range(rng.randint(1, 3)):
+            text, s = _corpus_factor(rng, quiver, depth)
+            factors.append(text)
+            size *= s
+        sign = rng.choice(("+", "-")) if k else rng.choice(("", "", "-"))
+        terms.append(sign + rng.choice(_CORPUS_SPACES) + "*".join(factors))
+        total += size
+    return rng.choice(_CORPUS_SPACES).join(terms), total
+
+
+def _corpus_valid(rng, quiver):
+    while True:
+        text, size = _corpus_sum(rng, quiver, 2)
+        if size <= 40:
+            return text
+
+
+def _corpus_malformed(rng, algebra, quiver):
+    if rng.random() < 0.1:
+        other = e6.get_algebra("re6" if algebra == "pe6" else "pe6").quiver
+        return _corpus_valid(rng, other)
+    while True:
+        text = _corpus_valid(rng, quiver)
+        i = rng.randrange(len(text))
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(_CORPUS_NOISE) + text[i:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(_CORPUS_NOISE) + text[i + 1:]
+        elif edit == 3:
+            text = text[:i]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+        if all(int(e) <= 4 for e in _CORPUS_EXPONENT.findall(text)):
+            return text
+
+
+def _corpus_capped(rng, quiver):
+    arrow = rng.choice(quiver.arrows).name
+    kind = rng.randrange(7)
+    near = rng.randint(-2, 2)
+    if kind == 0:
+        return f"{arrow}^{65536 + near}"
+    if kind == 1:
+        i = rng.randint(1, 15)
+        j = rng.randint(15, 17) - i
+        return f"({arrow}^{2 ** i})^{2 ** j}" if rng.random() < 0.5 else f"(({arrow}^{2 ** i})^0)^{2 ** j}"
+    if kind == 2:
+        base, bits = rng.choice((("2", 1), ("3", 2), ("(1/2)", 1), ("(-2/3)", 2), ("7", 3), ("10", 4)))
+        return f"{base}^{14284 // bits + near}*{arrow}"
+    if kind == 3:
+        form = rng.choice(("({}*e0)^{}", "(1 + t1)^{}*{}", "({} + e0)^{}"))
+        coefficient = rng.choice(("2", "-2", "3/2"))
+        exponent = 14285 + rng.randint(0, 3)
+        if form == "(1 + t1)^{}*{}":
+            return form.format(exponent, arrow)
+        return form.format(coefficient, exponent)
+    if kind == 4:
+        depth = 100 + near
+        opener = rng.choice(("(", "-", "(-"))
+        closer = {"(": ")", "-": "", "(-": ")"}[opener]
+        return opener * depth + arrow + closer * depth
+    if kind == 5:
+        digits = "9" * (4300 + near)
+        return rng.choice((f"{digits}*{arrow}", f"{arrow}*1/{digits}", f"{arrow}^{digits}"))
+    # each power is under the cap; their product may not be printable
+    base, exponent = rng.choice((("3", 7000), ("10", 2150), ("(1/3)", 7000)))
+    return f"{base}^{exponent}*{base}^{exponent - 1 + near}*{arrow}"
+
+
+@lru_cache(maxsize=None)
+def reduce_corpus():
+    """``kind -> [argv, ...]`` of the pinned corpus of reduce calls."""
+    rng = random.Random(1802)
+    corpus = {"valid": [], "malformed": [], "capped": []}
+    for kind, count in (("valid", 2000), ("malformed", 700), ("capped", 300)):
+        for _ in range(count):
+            algebra = rng.choice(("pe6", "re6"))
+            quiver = e6.get_algebra(algebra).quiver
+            if kind == "valid":
+                text = _corpus_valid(rng, quiver)
+            elif kind == "malformed":
+                text = _corpus_malformed(rng, algebra, quiver)
+            else:
+                text = _corpus_capped(rng, quiver)
+            flags = rng.choice(((), ("--json",), ("--quiet",)))
+            corpus[kind].append(("reduce", "--algebra", algebra, *flags, "--", text))
+    return corpus
+
+
+PINNED_REDUCE_CORPUS = {
+    "valid": ("2f4d863629dbdae0e80804441810f419268c5b4a73fb294cdd478a09ac68027f", {0: 2000}),
+    "malformed": ("da38d8d5fbce9bf90d9bcbcabbbf5ca0805ca847434955e7f4de8cdb732bfa7b", {0: 119, 2: 581}),
+    "capped": ("eea89a6d6b9e208ef56ec415dfe6c759668dc60bd6e2e08e147d8fa6bdaa540c", {0: 125, 2: 175}),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_REDUCE_CORPUS))
+def test_reduce_corpus_is_pinned(capsys, kind):
+    digests, codes = [], Counter()
+    for argv in reduce_corpus()[kind]:
+        code, out, err = invoke(capsys, *argv)
+        digests.append(_sha256(f"{code}\n{out}\n{err}"))
+        codes[code] += 1
+    assert (_sha256("".join(digests)), dict(codes)) == PINNED_REDUCE_CORPUS[kind]
 
 
 # -- one parser per process ------------------------------------------------------

@@ -104,7 +104,7 @@ def test_a_failing_check_of_each_kind_keeps_its_residual_text():
     """The residual strings of the runner's kinds, read by no report that
     passes: ``differs`` gives both normal forms and fails when both are
     zero, a chain link the normal form of its difference, and ``scalar``
-    the difference that its left side writes."""
+    the difference of its two sides."""
     report = VerificationReport("failing")
     integral = run_text_checks(report, {"h": "1/2*x"}, [
         ("differs", "unequal", "x = y"),
@@ -112,6 +112,7 @@ def test_a_failing_check_of_each_kind_keeps_its_residual_text():
         ("pe6", "chain", "x = x = 2*y + h"),
         ("re6", "loops commute", "x*y = y*x"),
         ("scalar", "scalars", "t1 - t3 = 0"),
+        ("scalar", "two sides", "t1 = t3"),
     ], SymbolicSetup())
     assert [(c.name, c.passed, c.residual) for c in report.checks] == [
         ("unequal", False, "got b0*a0; expected b2*a2"),
@@ -120,6 +121,7 @@ def test_a_failing_check_of_each_kind_keeps_its_residual_text():
         ("chain [step 2]", False, "1/2*b0*a0 - 2*b2*a2"),
         ("loops commute", False, "x*y - y*x"),
         ("scalars", False, "difference is - t3 + t1"),
+        ("two sides", False, "difference is - t3 + t1"),
     ]
     assert not integral
 

@@ -25,7 +25,7 @@ from preproj.expr import (
 )
 from preproj.freealg import FreeElement, generators
 from preproj.polyring import Poly
-from preproj.quiver import builtin_quiver
+from preproj.quiver import Path, builtin_quiver
 
 E6 = builtin_quiver("E6")
 L2 = builtin_quiver("L2")
@@ -233,17 +233,24 @@ def test_a_polynomial_with_a_negative_leading_power_prints_its_unit(text, printe
 # -- evaluation: scalars kept as scalars against the per-node slow path ---------
 
 
-def per_node_element(ast, quiver):
+def per_node_element(ast, quiver, scope=None, below=None):
     """Slow path of ``to_element``: every node a ``FreeElement``, every
     number and indeterminate a multiple of the identity, every product and
-    power through ``FreeElement.mul`` from the left."""
+    power through ``FreeElement.mul`` from the left, dropping the paths of
+    length ``below`` or more.  A name of ``scope`` shadows the quiver's."""
     arrow_names = {a.name for a in quiver.arrows}
     idem_names = {f"e{v}": v for v in quiver.vertices}
+    scope = scope or {}
 
     def ev(node):
         if isinstance(node, Num):
             return FreeElement.one(quiver).scale(node.value)
         if isinstance(node, Ident):
+            if node.name in scope:
+                value = scope[node.name]()
+                if isinstance(value, Poly):
+                    return FreeElement.one(quiver).scale(value)
+                return value if isinstance(value, FreeElement) else FreeElement.from_path(value)
             if node.name in arrow_names:
                 return FreeElement.from_path(quiver.path(node.name))
             if node.name in idem_names:
@@ -260,13 +267,13 @@ def per_node_element(ast, quiver):
         if isinstance(node, Pow):
             base, result = ev(node.base), FreeElement.one(quiver)
             for _ in range(node.exponent):
-                result = result.mul(base)
+                result = result.mul(base, below)
             return result
         if isinstance(node, Mul):
             result = None
             for f in node.factors:
                 value = ev(f)
-                result = value if result is None else result.mul(value)
+                result = value if result is None else result.mul(value, below)
             return result
         if isinstance(node, Sum):
             result = FreeElement.zero(quiver)
@@ -324,6 +331,94 @@ def test_scalars_kept_as_scalars_match_the_per_node_evaluator(ast, quiver):
         assert str(exc.value) == str(error)
         return
     assert to_element(ast, quiver) == expected
+
+
+# Products with runs of arrows among idempotents, scalars and the names of
+# a scope, one of which shadows an arrow; the names are mostly the
+# quiver's own, so that runs compose, with one of the other quiver.  The
+# scope's paths have length 2 and ``below`` is 3 or more, so no single
+# factor or sum is long enough to be kept whole where the slow path
+# would drop it.
+RUN_NAMES = {
+    "E6": ["a0", "b0", "a3", "b3", "a4", "b4", "e0", "e3", "u", "x"],
+    "L2": ["x", "y", "x", "y", "e0", "u", "a0"],
+}
+RUN_SCOPES = {
+    "E6": {"u": lambda: E6.path("b0", "a0"), "a0": lambda: E6.path("a0", "b0")},
+    "L2": {"u": lambda: L2.path("x", "y"), "x": lambda: Poly.var(2)},
+}
+
+
+def run_asts(names):
+    leaves = st.one_of(
+        st.sampled_from(names).map(Ident),
+        st.sampled_from([Num(Fraction(2)), Num(Fraction(-1, 2)), Ident("t1")]),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, min_size=2, max_size=6).map(lambda fs: Mul(tuple(fs))),
+            st.builds(Pow, children, st.integers(min_value=0, max_value=2)),
+            st.lists(st.tuples(st.sampled_from([1, -1]), children), min_size=1, max_size=2).map(
+                lambda parts: Sum(tuple(parts))
+            ),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), st.sampled_from([E6, L2]), st.sampled_from([None, 3, 4, 6]), st.booleans())
+def test_runs_of_arrows_match_the_per_node_evaluator(data, quiver, below, scoped):
+    ast = data.draw(run_asts(RUN_NAMES[quiver.name]))
+    scope = RUN_SCOPES[quiver.name] if scoped else None
+    try:
+        expected = per_node_element(ast, quiver, scope, below)
+    except ExprError as error:
+        with pytest.raises(ExprError) as exc:
+            to_element(ast, quiver, scope, below)
+        assert str(exc.value) == str(error)
+        return
+    assert to_element(ast, quiver, scope, below) == expected
+
+
+@pytest.mark.parametrize("text,below,word", [
+    ("x*y*x", 3, "0"),
+    ("x*y", 3, "x*y"),
+    ("2*x*t1*y*x", 3, "0"),
+    ("a3*a4*b4*b3*a3", 5, "0"),
+    ("-a3*a4*b4*b3", 5, "- a3*a4*b4*b3"),
+])
+def test_a_run_of_arrows_of_length_below_is_zero(text, below, word):
+    quiver = E6 if "a" in text else L2
+    ast = parse(text)
+    assert str(to_element(ast, quiver, below=below)) == word
+    assert str(per_node_element(ast, quiver, below=below)) == word
+
+
+@pytest.mark.parametrize("text,word", [
+    ("b3*a3*a4*b4*b3", "b3*a3*a4*b4*b3"),
+    ("2*b0*t1*a0*b2*a2", "2*t1*b0*a0*b2*a2"),
+    ("x*x*y*x*y*y*x", "x*x*y*x*y*y*x"),
+    ("a0*a0*b0", "0"),
+])
+def test_a_run_of_arrows_is_one_path_built_on_its_indices(monkeypatch, text, word):
+    ast = parse(text)
+    quiver = E6 if "x" not in text else L2
+    built = []
+    unchecked = Path._unchecked.__func__
+
+    def counting(cls, *args):
+        built.append(args[1])
+        return unchecked(cls, *args)
+
+    monkeypatch.setattr("preproj.expr.compose", None)
+    monkeypatch.setattr(Path, "_unchecked", classmethod(counting))
+    value = evaluate(ast, quiver)
+    monkeypatch.undo()
+    assert str(value) == word
+    indices = tuple(quiver.arrow_index[a] for a in text.split("*") if a in quiver.arrow_index)
+    assert built == ([] if word == "0" else [indices])
 
 
 @pytest.mark.parametrize("text,identities", [

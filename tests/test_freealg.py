@@ -357,10 +357,16 @@ def test_arithmetic_results_are_clean(data, quiver):
     a = data.draw(poly_elements(quiver))
     b = data.draw(poly_elements(quiver))
     c = data.draw(st.sampled_from([Poly.zero(), Poly.const(-2), Poly.var(1) - 1]))
-    n = get_algebra("re6" if quiver is L2 else "pe6").nilpotency_degree
-    # a - a, (a + b) * (a - b) and the zero scale cancel terms
+    algebra = get_algebra("re6" if quiver is L2 else "pe6")
+    n = algebra.nilpotency_degree
+    path = next(iter(a.terms), quiver.idempotent(0))
+    # a - a, (a + b) * (a - b) and the zero scale cancel terms; so does
+    # the zero coefficient of from_path, and the normal form of a - a
     for result in (
         a + b, a - b, -a, a * b, a - a, (a + b) * (a - b), a.mul(b, below=3),
         a.scale(c), c * a, a * 3, a.power(0), a.power(3), (a - b).power(2, below=n),
+        FreeElement.from_path(path), FreeElement.from_path(path, c),
+        FreeElement.from_path(path, Fraction(-1, 2)), algebra.normal_form(a * b).lift(),
+        algebra.normal_form(a - a).lift(),
     ):
         assert_clean(result)

@@ -25,7 +25,7 @@ from engine_helpers import (
     assert_clean_poly,
     graded_dimensions,
     map_coefficients,
-    preproj_garbage,
+    cyclic_garbage,
 )
 from field_scalars import PrimeFieldScalars
 import preproj
@@ -544,14 +544,14 @@ def test_equal_table_rows_are_one_shared_exact_row(which, dynkin_preprojective):
 def test_build_leaves_no_reference_cycle(which, dynkin_preprojective):
     n, edges = {"E6": (6, E6_EDGES), "D8": (8, D8_EDGES)}[which]
     quiver, relations = dynkin_preprojective(which, n, edges)
-    assert preproj_garbage(lambda: build_quotient(quiver, relations, name=which)) == []
+    assert cyclic_garbage(lambda: build_quotient(quiver, relations, name=which)) == []
 
     def cycle():
         # the guard is live: an element that holds itself is reported
         element = build_pe6().one()
         element.coords["self"] = element
 
-    assert "QuotientElement" in {type(o).__name__ for o in preproj_garbage(cycle)}
+    assert "QuotientElement" in {type(o).__name__ for o in cyclic_garbage(cycle)}
 
 
 def test_dimensions():
