@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument(
         "--constants", metavar="FILE", help="write structure constants as CSV"
     )
-    p_basis.set_defaults(func=cmd_basis)
+    # ``run`` reports a --corner that is not a vertex through this subparser
+    p_basis.set_defaults(func=cmd_basis, subparser=p_basis)
 
     p_sample = sub.add_parser(
         "sample", parents=[common], help="numeric cross-check of the theorem"
@@ -484,7 +485,8 @@ def _parser() -> argparse.ArgumentParser:
     * no action has a mutable default that a command could change in
       place: every argument is ``store_true``, a ``choices`` string, a
       plain string, or goes through a pure ``type=`` callable
-      (``int``, ``positive_int``, ``prime``);
+      (``int``, ``positive_int``, ``prime``), and the one other default,
+      ``basis``'s ``subparser``, is only asked for its ``error``;
     * ``set_defaults(func=cmd_*)`` binds functions that look up their
       collaborators (``verify_lemma``, ``parse_element``, ...) in this
       module's globals at call time, so a later ``setattr`` on the module
@@ -505,7 +507,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         corner = getattr(args, "corner", None)
         if corner is not None and corner not in get_algebra(args.algebra).quiver.vertices:
-            parser.error(f"argument --corner: {corner} is not a vertex of {args.algebra}")
+            args.subparser.error(f"argument --corner: {corner} is not a vertex of {args.algebra}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

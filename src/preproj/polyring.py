@@ -40,7 +40,7 @@ def monomial_key(exp: Exponent) -> tuple:
 class Poly:
     """Immutable sparse polynomial in t1..t9 with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
         clean = {}
@@ -254,6 +254,41 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _evaluation_plan(self) -> tuple:
+        """What evaluation needs of this polynomial alone, built on the first
+        call and kept in ``_plan``: (L, tops, terms).
+
+        L is the lcm of the coefficient denominators; ``tops`` holds
+        (i, E_i) for each indeterminate t_(i+1) present, E_i its highest
+        exponent; ``terms`` holds, for each term (a/b) * t^e, the integer
+        a * (L/b) and the tuple of its exponents e_i in the order of
+        ``tops``.  Why keeping it is sound: every part is a function of
+        ``terms`` alone, and a ``Poly`` is immutable: ``__setattr__``
+        raises and no code changes ``terms`` in place (see ``__mul__``),
+        so a plan built once is the plan of every later call.  Nothing of
+        a call is kept: the point, p, and whether p divides L are read
+        anew by each call (``_value_over``).  Construction builds no plan,
+        so arithmetic results that are never evaluated pay nothing.
+        """
+        try:
+            return self._plan
+        except AttributeError:
+            pass
+        terms = self.terms
+        # a list, not a generator, is unpacked (see ``oracle._vec_sum``)
+        scale = lcm(*[c.denominator for c in terms.values()])
+        tops = [(i, top) for i, top in enumerate(map(max, zip(*terms))) if top]
+        plan = (
+            scale,
+            tuple(tops),
+            tuple([
+                (c.numerator * (scale // c.denominator), tuple([exp[i] for i, _ in tops]))
+                for exp, c in terms.items()
+            ]),
+        )
+        object.__setattr__(self, "_plan", plan)
+        return plan
+
     def _value_over(self, assignment: Mapping[int, Scalar], p: int | None) -> tuple[int, int]:
         """The value at ``assignment`` as (numerator, denominator) integers,
         reduced mod ``p`` when one is given; the fraction is not reduced.
@@ -265,22 +300,19 @@ class Poly:
         (a/b) * prod v_i^e_i equals
             a * (L/b) * prod n_i^e_i * d_i^(E_i - e_i)  /  (L * prod d_i^E_i),
         so the numerators sum over one denominator, and each n_i^e *
-        d_i^(E_i - e) is formed once per call.  Mod p both integers are
-        reduced once at the end, which is exact because Z -> GF(p) is a
-        ring homomorphism; L is invertible mod p exactly when no
-        coefficient denominator is divisible by p.
+        d_i^(E_i - e) is formed once per call.  L, the E_i and each term's
+        a * (L/b) and exponents come from ``_evaluation_plan``.  Mod p both
+        integers are reduced once at the end, which is exact because
+        Z -> GF(p) is a ring homomorphism; L is invertible mod p exactly
+        when no coefficient denominator is divisible by p.
         """
-        terms = self.terms
-        # a list, not a generator, is unpacked (see ``oracle._vec_sum``)
-        scale = lcm(*[c.denominator for c in terms.values()])
+        scale, tops, plan_terms = self._evaluation_plan()
         if p is not None and scale % p == 0:
-            coeff = next(c for c in terms.values() if c.denominator % p == 0)
+            coeff = next(c for c in self.terms.values() if c.denominator % p == 0)
             raise ZeroDivisionError(f"coefficient {coeff} has denominator divisible by {p}")
         den = scale
-        rows = []  # (slot, n^e * d^(E - e) for e = 0..E)
-        for i, top in enumerate(map(max, zip(*terms))):
-            if not top:
-                continue
+        rows = []  # n^e * d^(E - e) for e = 0..E, one list per entry of ``tops``
+        for i, top in tops:
             if i + 1 not in assignment:
                 raise KeyError(f"no value bound for indeterminate t{i + 1}")
             value = assignment[i + 1]
@@ -290,13 +322,12 @@ class Poly:
                 raise TypeError(
                     f"expected a rational value, got {type(value).__name__}"
                 ) from None
-            rows.append((i, [n ** e * d ** (top - e) for e in range(top + 1)]))
+            rows.append([n ** e * d ** (top - e) for e in range(top + 1)])
             den *= d ** top
         total = 0
-        for exp, coeff in terms.items():
-            term = coeff.numerator * (scale // coeff.denominator)
-            for i, row in rows:
-                term *= row[exp[i]]
+        for term, exps in plan_terms:
+            for row, e in zip(rows, exps):
+                term *= row[e]
             total += term
         if p is None:
             return total, den

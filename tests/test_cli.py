@@ -609,11 +609,20 @@ def test_field_out_of_range_is_a_prompt_usage_error(capsys):
     assert time.perf_counter() - start < 2.0
 
 
-def test_basis_corner_not_a_vertex_exit_2(capsys):
+def test_basis_corner_not_a_vertex_exit_2(capsys, monkeypatch):
+    # argparse wraps its usage line to the terminal width it reads
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = invoke(capsys, "basis", "--algebra", "re6", "--corner", "3")
     assert code == 2
-    assert "not a vertex of re6" in err
+    # the basis usage and prefix, as for every other bad basis argument
+    assert err == (
+        "usage: preproj basis [-h] [--json] [--quiet] --algebra {pe6,re6}\n"
+        "                     [--corner CORNER] [--constants FILE]\n"
+        "preproj basis: error: argument --corner: 3 is not a vertex of re6\n"
+    )
     assert out == ""
+    _, _, bad_int = invoke(capsys, "basis", "--algebra", "re6", "--corner", "x")
+    assert bad_int.splitlines()[:2] == err.splitlines()[:2]
 
 
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])
@@ -678,6 +687,9 @@ PINNED_REPORTS = {
         "52c249fba7253a9bd142b61ad3ab3018202fec7abcbac113d0fc1c8757d34390",
     ("sample", "--seed", "7", "--trials", "30", "--field", "2"):
         "024f4a31cb9757af8aa15869b778b6468643d3cfb03153f836703fab3ed3d549",
+    # the largest field the CLI accepts, 2^31 - 1
+    ("sample", "--seed", "7", "--trials", "30", "--field", "2147483647"):
+        "5ceb94bced0176f7412663c10c0036676e6a65b04c755516c10994d492f92fc7",
     ("verify", "all"):
         "553b1f83183f2306f0c533a780805042db3517ebf080fe292b6bc19dce7ec678",
     # each report on its own builds its own set-up, which verify all shares

@@ -554,6 +554,24 @@ def test_cached_generator_vectors_match_a_fresh_reduction(field):
             assert got[0] != got[1]
 
 
+@pytest.mark.parametrize("p", [None, 11], ids=["Q", "GF(11)"])
+def test_every_generator_reads_its_arrow_from_the_word_table(monkeypatch, p):
+    """Each generator's vector, a fixed one's too, follows its arrow's
+    vector in ``_WORD_TABLES`` as the table stands at the call: doubling
+    the vector of the arrow a changes the vector of a alone."""
+    algebra = build_pe6()
+    s = GeneratorScalars(_draw_theta(random.Random(17), p))
+    before = _generator_vectors(algebra, s, p)
+    table = oracle._WORD_TABLES[algebra]
+    for name in before:
+        word = (name,)
+        doubled = {k: 2 * c for k, c in table[word].items()}
+        monkeypatch.setattr(oracle, "_WORD_TABLES", {algebra: {**table, word: doubled}})
+        after = _generator_vectors(algebra, s, p)
+        assert {n for n in before if after[n] != before[n]} == {name}
+    assert len(before) == 10
+
+
 def generic_relation_residuals(theta, scalars):
     """Slow path of ``numeric_relation_residuals``: field scalars throughout.
 

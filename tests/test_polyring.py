@@ -207,6 +207,37 @@ def test_evaluate_mod_is_evaluate_reduced_mod_p(poly, p, values):
     assert residue == value.numerator * pow(value.denominator, -1, p) % p
 
 
+# a monomial no ``sparse_polys`` term has (t1^5), so a coefficient there stays
+_T1_FIFTH = (5,) + (0,) * (NVARS - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_polys(st.fractions(min_value=-10, max_value=10, max_denominator=12)),
+    st.lists(st.lists(point_values, min_size=NVARS, max_size=NVARS), min_size=2, max_size=4),
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=NVARS, max_size=NVARS),
+    st.lists(st.sampled_from([2, 5, 7, 11, 2**31 - 1]), min_size=1, max_size=4),
+)
+def test_one_poly_evaluates_at_many_points_and_fields(poly, points, values, primes):
+    """The evaluation plan is built once per ``Poly`` and read by every later
+    call: each call must still read its own point and its own p.  GF(3)
+    cannot invert the coefficient 1/3 of t1^5, so it raises both before
+    and after evaluations that succeed."""
+    poly = poly + Poly({_T1_FIFTH: Fraction(1, 3)})
+    for point in points:
+        sigma = dict(enumerate(point, 1))
+        assert poly.evaluate(sigma) == term_by_term_value(poly, sigma)
+    sigma = dict(enumerate(values, 1))
+    value = term_by_term_value(poly, sigma)
+    for p in [3, *primes, 3, *primes]:
+        if any(c.denominator % p == 0 for c in poly.terms.values()):
+            with pytest.raises(ZeroDivisionError, match=f"denominator divisible by {p}$"):
+                poly.evaluate_mod(sigma, p)
+        else:
+            assert poly.evaluate_mod(sigma, p) == value.numerator * pow(value.denominator, -1, p) % p
+    assert poly.evaluate(sigma) == value
+
+
 def test_evaluate_mod_rejects_a_coefficient_the_field_cannot_invert():
     poly = T[1] + Fraction(1, 11) * T[2]
     with pytest.raises(ZeroDivisionError, match="1/11 has denominator divisible by 11"):
