@@ -52,7 +52,15 @@ from .e6 import (
     verify_lemma,
     verify_theorem,
 )
-from .expr import MAX_COEFFICIENT_DIGITS, ExprError, format_element, parse_element, printable
+from .expr import (
+    MAX_COEFFICIENT_DIGITS,
+    ExprError,
+    format_element,
+    parse,
+    parse_element,
+    printable,
+    to_element,
+)
 from .oracle import THETA_MONOMIALS
 
 JSON_REPORT_SCHEMA = {
@@ -307,9 +315,16 @@ def _parse_theta(text: str) -> list[Fraction]:
 
 
 def _theta_from_expression(text: str) -> list[Fraction]:
-    """Read f given as an expression in x, y; must lie in rad^2 of re6."""
+    """Read f given as an expression in x, y; must lie in rad^2 of re6.
+
+    Every product and power drops the paths of length N or more, N the
+    nilpotency degree of re6, as ``e6.run_text_checks`` reads its texts:
+    they lie in J^N, inside the ideal of relations, so the normal form is
+    that of the full element (see ``FreeElement.mul``).  Kept whole,
+    "(x+y)^64" would expand 2^64 words.
+    """
     algebra = build_re6()
-    element = parse_element(text, algebra.quiver)
+    element = to_element(parse(text), algebra.quiver, below=algebra.nilpotency_degree)
     normal = algebra.normal_form(element)
     words = {str(p).replace("*", ""): p for p in algebra.basis}
     coords = dict(normal.coords)

@@ -40,7 +40,7 @@ import time
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import evaluate, parse, to_element
+from .expr import ProductTable, evaluate, parse, to_element
 from .freealg import FreeElement, GeneratorMap, _as_poly, dynkin_preprojective, generators
 from .oracle import (
     DEFORMED_RELATION_NAMES,
@@ -58,7 +58,7 @@ from .oracle import (
     primed_generator_terms,
 )
 from .polyring import Poly
-from .quiver import E6_EDGES, Quiver, builtin_quiver
+from .quiver import E6_EDGES, Path, Quiver, builtin_quiver
 from .quotient import (
     QuotientAlgebra,
     QuotientElement,
@@ -221,10 +221,20 @@ class SymbolicSetup:
     f(x, y) and f(x, b2'*a2') are each built once per run; a report run on
     its own makes its own.  It is per run, not a process cache: a CLI call
     runs once and would gain nothing from one.
+
+    ``products`` is the set-up's ``expr.ProductTable``: the free products
+    of the values its scope hands out (the loops x, y and z, the primed
+    generators, f(x, y), f(x, b2'*a2') and the definitions of a report),
+    and of products already in it, each formed once for the run although
+    many texts ask for it: ``verify all`` asks for b2'*a2' eleven times.
+    ``element`` and ``run_text_checks`` pass it to ``expr``; the table
+    holds no reference to the set-up, so it is freed with it.  Its
+    soundness argument is in ``expr.ProductTable``.
     """
 
     def __init__(self, theta: Sequence = CONSTRAINED_THETA):
         self.theta = theta
+        self.products = ProductTable()
 
     @cached_property
     def constants(self) -> GeneratorScalars:
@@ -233,6 +243,17 @@ class SymbolicSetup:
     @cached_property
     def primed(self) -> dict[str, FreeElement]:
         return primed_generators(self.constants)
+
+    @cached_property
+    def loops(self) -> dict[str, Path]:
+        """x = b0*a0, y = b2*a2 and z = a3*b3, the loops at the exceptional
+        vertex, as paths: one object each for the set-up, so that the
+        product table finds their products."""
+        quiver = builtin_quiver("E6")
+        return {
+            name: quiver.path(*word)
+            for name, word in (("x", ("b0", "a0")), ("y", ("b2", "a2")), ("z", ("a3", "b3")))
+        }
 
     @cached_property
     def f_xy(self) -> FreeElement:
@@ -247,16 +268,21 @@ class SymbolicSetup:
     def element(self, text: str) -> FreeElement:
         """The element of ``text`` on E6 in a new ``scope``, every product
         and power dropping the paths of length >= N, the nilpotency degree
-        of pe6, as ``run_text_checks`` builds its elements."""
+        of pe6, and the products of scope values read from ``products``, as
+        ``run_text_checks`` builds its elements."""
         pe6 = build_pe6()
         return to_element(
-            parsed(text, SCOPE_NAMES), pe6.quiver, self.scope(), pe6.nilpotency_degree
+            parsed(text, SCOPE_NAMES),
+            pe6.quiver,
+            self.scope(),
+            pe6.nilpotency_degree,
+            self.products,
         )
 
     def scope(self) -> dict:
         """The names of ``SCOPE_NAMES``, for ``expr.evaluate`` on E6.
 
-        t1..t9 are the entries of theta; x, y and z are the loops b0*a0,
+        t1..t9 are the entries of theta; x, y and z are the ``loops`` b0*a0,
         b2*a2 and a3*b3 at the exceptional vertex, as paths, so that a word
         such as b3*y*x*a3 composes to one path; a2' ... b4' are the primed
         generators; the constants are those of ``GeneratorScalars``; f_xy
@@ -266,11 +292,7 @@ class SymbolicSetup:
         that held them would be a reference cycle, freed only by the
         garbage collector.
         """
-        quiver = builtin_quiver("E6")
-        scope = {
-            name: (lambda path=quiver.path(*word): path)
-            for name, word in (("x", ("b0", "a0")), ("y", ("b2", "a2")), ("z", ("a3", "b3")))
-        }
+        scope = {name: (lambda name=name: self.loops[name]) for name in ("x", "y", "z")}
         scope.update(
             (f"t{i}", lambda value=_as_poly(value): value) for i, value in enumerate(self.theta, 1)
         )
@@ -450,10 +472,11 @@ def run_text_checks(
 
     pe6 text is read in the scope of ``setup`` (see ``SymbolicSetup.scope``)
     and of ``definitions``, named texts that the entries and each other
-    read, each evaluated by the first check that reads it; re6 text has no
-    scope.  Every text is parsed once per process.  Each side of a chain
-    is built once, by the first link that reads it, inside that check's
-    timed span.  Every product and power drops the paths of length N or
+    read, each evaluated by the first check that reads it, and a product of
+    scope values is read from the set-up's product table (see
+    ``SymbolicSetup``); re6 text has no scope and no table.  Every text is
+    parsed once per process.  Each side of a chain is built once, by the
+    first link that reads it, inside that check's timed span.  Every product and power drops the paths of length N or
     more, N the nilpotency degree of the algebra (see ``expr.evaluate``);
     they lie in the ideal of relations, so every normal form is that of
     the full element.
@@ -465,9 +488,12 @@ def run_text_checks(
     pe6, re6 = build_pe6(), build_re6()
     n = pe6.nilpotency_degree
     names = SCOPE_NAMES.union(definitions)
-    scope = setup.scope()
+    scope, products = setup.scope(), setup.products
     scope.update(
-        (name, cache(lambda ast=parsed(text, names): evaluate(ast, pe6.quiver, scope, n)))
+        (
+            name,
+            cache(lambda ast=parsed(text, names): evaluate(ast, pe6.quiver, scope, n, products)),
+        )
         for name, text in definitions.items()
     )
     integral = True
@@ -476,7 +502,7 @@ def run_text_checks(
         nonlocal integral
         if algebra is re6:
             return to_element(ast, re6.quiver, below=re6.nilpotency_degree)
-        value = to_element(ast, pe6.quiver, scope, n)
+        value = to_element(ast, pe6.quiver, scope, n, products)
         integral = integral and value.has_integral_coefficients()
         return value
 
@@ -487,8 +513,8 @@ def run_text_checks(
                 lhs, rhs = sides
 
                 def scalar_check(lhs=lhs, rhs=rhs):
-                    value = evaluate(lhs, pe6.quiver, scope, n)
-                    other = evaluate(rhs, pe6.quiver, scope, n)
+                    value = evaluate(lhs, pe6.quiver, scope, n, products)
+                    other = evaluate(rhs, pe6.quiver, scope, n, products)
                     return value == other, lambda: f"difference is {value - other}"
 
                 report.run(name, scalar_check)

@@ -401,7 +401,44 @@ def printable(coeff: Poly) -> bool:
     )
 
 
-def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
+class ProductTable:
+    """The free products of the values that one scope hands out, formed
+    once each for the life of the table.
+
+    ``evaluate`` given a table holds each value that its scope hands out
+    (``held``, keyed by ``id``), and forms a product of two held values,
+    in a product node, at most once per ``below``: ``formed`` maps
+    (id of the left operand, id of the right one, ``below``) to the
+    product, which is held in turn, so a chain such as x*b2'*a2' finds
+    x*b2' and then its product with a2'.
+
+    Sound because a key names its product exactly while the table lives:
+      * the table keeps every held value, the operands of every product
+        in it among them, so no id in a key is reused by another object
+        while the table exists;
+      * the operands are immutable: no code changes a ``.terms`` dict in
+        place, or writes a ``Path``'s hashed fields, after the object is
+        made (tier-1 tests check both on the source);
+      * the product of two elements is fixed by them and by ``below``,
+        the length from which its paths are dropped; the operands fix
+        the quiver too.
+    ``e6.SymbolicSetup`` keeps one table per set-up, for pe6's one quiver,
+    so the table is freed with the set-up: it is per run, not a process
+    cache.
+    """
+
+    __slots__ = ("held", "formed", "__weakref__")
+
+    def __init__(self):
+        self.held: dict = {}
+        self.formed: dict = {}
+
+    def hold(self, value):
+        self.held[id(value)] = value
+        return value
+
+
+def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None, products=None):
     """The value of an AST on the given quiver: a ``Poly`` scalar, a
     ``Path``, or a ``FreeElement``.
 
@@ -448,25 +485,32 @@ def evaluate(ast, quiver: Quiver, scope=None, below: int | None = None):
     build that number too.  A base with no such term is not checked,
     because its power may be zero in the quotient whatever its
     coefficients: "(2*x)^65536" reduces to 0 in re6.
+
+    ``products``, a ``ProductTable`` or None, keeps the products of the
+    values of ``scope`` that a product node forms, and gives each again
+    when it is asked for with the same operands and ``below``.  The
+    reports' runner (``e6.run_text_checks``) and ``SymbolicSetup.element``
+    pass their set-up's table; ``reduce`` and ``admissible`` pass none.
     """
-    return _Evaluation(quiver, scope, below).value(ast)
+    return _Evaluation(quiver, scope, below, products).value(ast)
 
 
 class _Evaluation:
-    """One call of ``evaluate``: the quiver, scope and ``below`` it reads,
-    and the identity once a scalar has been made an element.
+    """One call of ``evaluate``: the quiver, scope, ``below`` and product
+    table it reads, and the identity once a scalar has been made an element.
 
     A node's value comes from the method for its type in ``_NODE_VALUES``.
     The methods are looked up on the class, not kept on the instance, so an
     evaluation refers to no function and forms no reference cycle.
     """
 
-    __slots__ = ("quiver", "bound", "below", "identity")
+    __slots__ = ("quiver", "bound", "below", "products", "identity")
 
-    def __init__(self, quiver: Quiver, scope, below: int | None):
+    def __init__(self, quiver: Quiver, scope, below: int | None, products):
         self.quiver = quiver
         self.bound = {} if scope is None else scope
         self.below = below
+        self.products = products
         self.identity = None
 
     def value(self, node):
@@ -492,7 +536,8 @@ class _Evaluation:
     def ident(self, node: Ident):
         name = node.name
         if name in self.bound:
-            return self.bound[name]()
+            value = self.bound[name]()
+            return value if self.products is None else self.products.hold(value)
         quiver = self.quiver
         index = quiver.arrow_index.get(name)
         if index is not None:
@@ -574,9 +619,21 @@ class _Evaluation:
 
     def times(self, product, value):
         """The product so far, a ``Path``, a ``FreeElement`` or None before
-        the first factor, times a factor ``value`` that is not a scalar."""
+        the first factor, times a factor ``value`` that is not a scalar;
+        looked up in the product table when both are held there."""
         if product is None:
             return value
+        table = self.products
+        if table is None or id(product) not in table.held or id(value) not in table.held:
+            return self.form(product, value)
+        key = (id(product), id(value), self.below)
+        result = table.formed.get(key)
+        if result is None:
+            result = table.formed[key] = table.hold(self.form(product, value))
+        return result
+
+    def form(self, product, value):
+        """The product of ``times``, formed anew."""
         if type(product) is Path and type(value) is Path:
             path = compose(product, value)
             below = self.below
@@ -618,10 +675,12 @@ _NODE_VALUES = {
 }
 
 
-def to_element(ast, quiver: Quiver, scope=None, below: int | None = None) -> FreeElement:
+def to_element(
+    ast, quiver: Quiver, scope=None, below: int | None = None, products=None
+) -> FreeElement:
     """``evaluate``, with a scalar c made the element c*1 and a path p the
-    element 1*p."""
-    evaluation = _Evaluation(quiver, scope, below)
+    element 1*p; ``products`` is the product table of ``evaluate``."""
+    evaluation = _Evaluation(quiver, scope, below, products)
     return evaluation.element(evaluation.value(ast))
 
 

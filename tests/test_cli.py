@@ -15,13 +15,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engine_helpers import cyclic_garbage
 import preproj
 from preproj import cli, e6, oracle
 from preproj.cli import JSON_REPORT_SCHEMA, json_text, report_document, run
 from preproj.e6 import VerificationReport, sample_check
+from preproj.expr import to_element
 from preproj.polyring import Poly
 from preproj.quotient import QuotientAlgebra
 
@@ -454,6 +455,57 @@ def test_element_power_without_an_idempotent_term_is_not_capped(algebra, text):
     # its coefficients pass the cap, but it is zero in the quotient
     result = _python("-c", _LIMITED_RUN, "reduce", "--algebra", algebra, text, timeout=2)
     assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("text", ["(x+y)^64", f"({NINES}*x)^65536"], ids=["(x+y)^64", "(nines*x)^65536"])
+def test_admissible_reads_a_long_power_of_f_promptly(text):
+    # f is read below the nilpotency degree of re6; kept whole, (x+y)^20
+    # took seconds, (x+y)^64 did not finish and the nines built a number of
+    # 870 million bits
+    result = _python("-c", _LIMITED_RUN, "admissible", "--quiet", "--", text, timeout=2)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+# f as a sum of terms c*w, w a product of two or three factors of degree
+# 1 to 4, so that f lies in rad^2 and its words have lengths 2 to 12,
+# on both sides of re6's N = 6
+_F_FACTORS = st.one_of(
+    st.sampled_from(["x", "y"]),
+    st.builds(
+        lambda base, k: f"({base})^{k}",
+        st.sampled_from(["x + y", "x - 3*y", "2*y + x"]),
+        st.integers(min_value=1, max_value=4),
+    ),
+)
+F_TEXTS = st.lists(
+    st.builds(
+        lambda c, factors: f"{c}*{'*'.join(factors)}",
+        st.sampled_from(["1", "2", "-1/3", "t1"]),
+        st.lists(_F_FACTORS, min_size=2, max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
+).map(" + ".join)
+
+
+def _f_reading(text):
+    try:
+        return cli._theta_from_expression(text)
+    except cli.ExprError as error:
+        return str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(F_TEXTS)
+@example("x*y*x*y*y - (x + y)^3*(x - 3*y)^4")  # words of length 5 and 7
+def test_admissible_reads_f_as_its_untruncated_element_does(text):
+    """Slow path of the truncation in ``cli._theta_from_expression``: f
+    read with every product kept whole gives the same nine values, or the
+    same error."""
+    truncated = _f_reading(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "to_element", lambda ast, quiver, below: to_element(ast, quiver))
+        assert _f_reading(text) == truncated
 
 
 def test_theta_over_the_digit_cap_is_a_usage_error(capsys):

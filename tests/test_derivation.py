@@ -136,8 +136,8 @@ def elements_the_runner_builds(monkeypatch):
     built = {}
 
     def recording(evaluator):
-        def wrapper(ast, quiver, scope=None, below=None):
-            value = evaluator(ast, quiver, scope, below)
+        def wrapper(ast, quiver, scope=None, below=None, products=None):
+            value = evaluator(ast, quiver, scope, below, products)
             built[ast, quiver] = value, below
             return value
 

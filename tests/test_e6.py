@@ -1,7 +1,10 @@
 """Tests for the E6 layer: algebras, admissibility, and verifications."""
 
 import ast
+import contextlib
 import gc
+import io
+import json
 import pathlib
 import random
 import re
@@ -24,7 +27,7 @@ from engine_helpers import (
 )
 from field_scalars import GF, PrimeFieldScalars, RationalScalars
 import preproj
-from preproj import derivation, e6, oracle, quiver as quiver_module
+from preproj import cli, derivation, e6, expr, oracle, quiver as quiver_module
 from preproj.derivation import verify_identities
 from preproj.e6 import (
     CONSTRAINED_THETA,
@@ -51,7 +54,7 @@ from preproj.e6 import (
     verify_lemma,
     verify_theorem,
 )
-from preproj.expr import evaluate, parse, to_element
+from preproj.expr import ProductTable, evaluate, parse, to_element
 from preproj.freealg import FreeElement, GeneratorMap, generators
 from preproj.oracle import (
     GeneratorScalars,
@@ -1513,3 +1516,117 @@ def test_verify_all_forms_every_symbolic_product_inside_a_check(monkeypatch):
     evaluator = {kind for kind, where in inside if where.startswith("preproj.expr.")}
     assert evaluator == {"Poly", "FreeElement"}
 
+
+
+# -- the set-up's product table -------------------------------------------------------
+
+
+def verify_json(argv) -> tuple[int, list]:
+    """The exit status of ``preproj <argv> --json`` in process, and the
+    (name, status, residual) of each of its checks."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run([*argv, "--json"])
+    checks = [(c["name"], c["status"], c["residual"]) for c in json.loads(out.getvalue())["checks"]]
+    return code, checks
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all"),
+    ("verify", "theorem"),
+    ("verify", "identities"),
+    ("verify", "inverse"),
+    ("verify", "inverse", "--mode", "printed"),
+], ids=["all", "theorem", "identities", "inverse", "inverse-printed"])
+def test_the_product_table_changes_no_check(monkeypatch, argv):
+    """Slow path of ``SymbolicSetup.products``: with ``e6.to_element`` and
+    ``e6.evaluate`` called without the table, every product formed anew,
+    the reports give the same check names, statuses and residuals; the
+    failing printed inverse formulas keep their residuals."""
+    free_mul, formed = FreeElement.mul, [0]
+
+    def counting(a, b, below=None):
+        formed[0] += 1
+        return free_mul(a, b, below)
+
+    def without_the_table(evaluator):
+        def wrapper(ast, quiver, scope=None, below=None, products=None):
+            return evaluator(ast, quiver, scope, below)
+
+        return wrapper
+
+    monkeypatch.setattr(FreeElement, "mul", counting)
+    expected = verify_json(argv)
+    with_the_table = formed[0]
+    monkeypatch.setattr(e6, "to_element", without_the_table(to_element))
+    monkeypatch.setattr(e6, "evaluate", without_the_table(evaluate))
+    assert verify_json(argv) == expected
+    assert expected[0] == (1 if "printed" in argv else 0)
+    # not vacuous: the table spares products in each run
+    assert with_the_table < formed[0] - with_the_table
+
+
+def test_a_warm_verify_all_forms_no_product_of_two_table_values_twice(monkeypatch):
+    """In a warm ``verify all`` each product of two values of the set-up's
+    table (its scope's values and the products in it) is formed once, and
+    the run forms at most 140 free products (199 without the table)."""
+    assert verify_all() == 0
+    setups, formed, free_products, asked = [], Counter(), 0, 0
+    init, times, form = SymbolicSetup.__init__, expr._Evaluation.times, expr._Evaluation.form
+    free_mul = FreeElement.mul
+
+    def recording_init(self, *args):
+        init(self, *args)
+        setups.append(self)  # kept, so that no id counted below is reused
+
+    def held(evaluation, product, value):
+        table = evaluation.products
+        return table is not None and id(product) in table.held and id(value) in table.held
+
+    def counting_times(self, product, value):
+        nonlocal asked
+        asked += product is not None and held(self, product, value)
+        return times(self, product, value)
+
+    def counting_form(self, product, value):
+        if held(self, product, value):
+            formed[id(self.products), id(product), id(value), self.below] += 1
+        return form(self, product, value)
+
+    def counting_mul(a, b, below=None):
+        nonlocal free_products
+        free_products += 1
+        return free_mul(a, b, below)
+
+    monkeypatch.setattr(SymbolicSetup, "__init__", recording_init)
+    monkeypatch.setattr(expr._Evaluation, "times", counting_times)
+    monkeypatch.setattr(expr._Evaluation, "form", counting_form)
+    monkeypatch.setattr(FreeElement, "mul", counting_mul)
+    assert verify_all() == 0
+    assert len(setups) == 1
+    assert max(formed.values()) == 1
+    assert free_products <= 140
+    # not vacuous: the table is asked for more products than it forms
+    assert asked > len(formed) > 0
+
+
+def test_verify_all_leaves_no_set_up_or_product_table(monkeypatch):
+    """The set-up of a ``verify all`` run and its product table are freed
+    by reference counting when the run returns, and no module holds a
+    table: it is per run, not a process cache."""
+    refs = []
+    init = SymbolicSetup.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        refs.append((weakref.ref(self), weakref.ref(self.products)))
+
+    monkeypatch.setattr(SymbolicSetup, "__init__", recording_init)
+    gc.disable()
+    try:
+        assert verify_json(("verify", "all"))[0] == 0
+        assert len(refs) == 1
+        assert [(setup(), table()) for setup, table in refs] == [(None, None)]
+    finally:
+        gc.enable()
+    for module in list(sys.modules.values()):
+        assert not any(isinstance(v, ProductTable) for v in vars(module).values()), module

@@ -15,6 +15,7 @@ from preproj.expr import (
     Neg,
     Num,
     Pow,
+    ProductTable,
     Sum,
     evaluate,
     format_element,
@@ -591,3 +592,53 @@ def test_truncation_drops_long_products_only():
     )
     assert cut == FreeElement(E6, {p: c for p, c in full.terms.items() if len(p) < 5})
     assert len(cut.terms) == 3
+
+
+# -- a product table changes no value ---------------------------------------------
+
+# one object per name for the module, as ``e6.SymbolicSetup`` hands out
+# one per name for its run, so that the table finds their products
+_TABLE_VALUES = {
+    "u": parse_element("x + y", L2),
+    "v": parse_element("2*x*y - t1*y", L2),
+    "p": L2.path("x", "y"),
+    "q": L2.path("y", "x", "x"),
+    "c": Poly.var(2),
+}
+TABLE_SCOPE = {name: (lambda value=value: value) for name, value in _TABLE_VALUES.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(run_asts(["u", "v", "p", "q", "c", "x", "y"]), st.sampled_from([None, 2, 3, 4, 6])),
+    min_size=1,
+    max_size=6,
+))
+def test_a_product_table_changes_no_value(evaluations):
+    """Slow path of ``ProductTable``: each text read with one table, twice
+    over, the second time from the products the first put in it, has the
+    value it has without a table, at every ``below``."""
+    table = ProductTable()
+    for _ in range(2):
+        for ast, below in evaluations:
+            assert to_element(ast, L2, TABLE_SCOPE, below, table) == to_element(
+                ast, L2, TABLE_SCOPE, below
+            )
+
+
+def test_a_product_table_keys_both_operands_and_below():
+    """A product of two held values is found again only for the same two
+    operands and ``below``: u*v cut below 2 is not u*v cut below 3, nor
+    kept whole, nor u*p, nor v*u."""
+    table = ProductTable()
+    texts = [("u*v", 2), ("u*v", 3), ("u*v", None), ("u*p", None), ("v*u", None), ("u*v*q", None)]
+    values = set()
+    for text, below in texts * 2:
+        value = to_element(parse(text, frozenset(TABLE_SCOPE)), L2, TABLE_SCOPE, below, table)
+        assert value == to_element(parse(text, frozenset(TABLE_SCOPE)), L2, TABLE_SCOPE, below)
+        values.add(str(value))
+    assert len(values) == len(texts)
+    # one product per text, each formed once: u*v*q finds u*v kept whole
+    # and forms only its product with q
+    assert len(table.formed) == len(texts)
+    assert all(id(_TABLE_VALUES[name]) in table.held for name in "uvpq")

@@ -538,9 +538,10 @@ def count_fraction_products(monkeypatch) -> dict:
 def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
     """Every ``Fraction`` product of a warm ``verify all`` is counted,
     whatever calls it; none has a +1 or -1 operand.  Without the unit rule
-    of ``Poly.__mul__`` and ``_times`` it forms 3,504 products, 3,375 of
-    them with a unit operand: 986 of two constants, 214 scalings by a
-    non-unit and 2,175 in the loop.  Each branch meets unit coefficients
+    of ``Poly.__mul__`` and ``_times`` it forms 3,590 products, 3,496 of
+    them with a unit operand: 182 of two constants, 1,992 in scalings and
+    1,322 in the loop (4,645 and 4,535 without the set-up's product
+    table).  Each branch meets unit coefficients
     here; ``test_each_branch_forms_no_product_with_a_unit_coefficient``
     drives every branch with them directly."""
     assert verify_all() == 0  # warm: the algebras and caches are built
@@ -557,11 +558,12 @@ def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
     assert verify_all() == 0
     assert counts["unit products"] == 0
     assert counts["products"] <= 1000
-    # not vacuous: every branch meets unit coefficients (268 of two
-    # constants, 1,010 scalings and 526 in the loop), and the counter sees
-    # the products left (110, all in the loop and the scalings)
+    # not vacuous: every branch meets unit coefficients (182 of two
+    # constants, 900 scalings and 475 in the loop), and the counter sees
+    # the products left (94, all in the loop and the scalings; 110 before
+    # the set-up's product table formed each repeated free product once)
     assert min(unit_calls.values()) > 0, unit_calls
-    assert counts["products"] > 100
+    assert counts["products"] > 85
 
 
 # +1 and -1 as int and as Fraction
