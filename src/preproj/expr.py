@@ -571,11 +571,24 @@ class _Evaluation:
         return base.power(node.exponent, self.below)
 
     def product(self, node: Mul):
+        """The product of the factors, left to right.
+
+        A negated factor -u is read as the scalar -1 on u: the minus signs
+        are counted and the factor's own value is multiplied in.  Sound
+        because (-u)*v = -(u*v) = u*(-v), -1 being central, so an odd count
+        scales the whole product by -1 and an even one leaves it as it is.
+        This keeps u itself, a value held in the product table, where -u
+        would be a new element whose products the table cannot find.
+        """
         bound, arrow_index = self.bound, self.quiver.arrow_index
         scalar = None
+        negative = False
         product = None  # a Path, a FreeElement, or None before the first
         run: list[int] = []  # arrow indices of the bare arrows since the last other factor
         for f in node.factors:
+            while type(f) is Neg:
+                f = f.operand
+                negative = not negative
             if type(f) is Ident and f.name not in bound:
                 index = arrow_index.get(f.name)
                 if index is not None:
@@ -591,6 +604,8 @@ class _Evaluation:
             product = self.times(product, value)
         if run:
             product = self.join(product, run)
+        if negative:
+            scalar = Poly.const(-1) if scalar is None else -scalar
         if product is None:
             return scalar
         if scalar is None:

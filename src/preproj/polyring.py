@@ -158,13 +158,20 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         """The product; a constant operand scales the other one's coefficients.
 
+        Every coefficient product is taken by ``_times``, the one rule:
+        a +-1 coefficient forms no product, two integers multiply as
+        integers, and any other pair is one ``Fraction`` product.
+
         Two constants, each with the single monomial ``_ZERO_EXP``, give
-        ``{_ZERO_EXP: a * b}`` without the loop below.  This is the term the
-        loop computes: (0,...,0) + (0,...,0) = (0,...,0), and the loop
-        stores the first product at a monomial as it is (see
+        ``{_ZERO_EXP: _times(a, b)}`` without the loop below.  This is the
+        term the loop computes: (0,...,0) + (0,...,0) = (0,...,0), and the
+        loop stores the first product at a monomial as it is (see
         ``_unchecked``).  No other product of nonzero polynomials is a
-        constant.  A unit a or b returns an operand or its negation, as a
-        unit k does below.
+        constant.  When ``_times`` returns b itself, a is +1 and the
+        product is the other operand, so that ``Poly`` itself is returned;
+        when it returns a itself, b is +1 and ``self`` is returned.  No
+        other result of ``_times`` is an operand: every other one is a new
+        ``Fraction``.
 
         One constant operand k, a constant ``Poly`` or a bare ``int`` or
         ``Fraction``, gives {e: c * k} over the other operand's terms c*t^e,
@@ -178,7 +185,9 @@ class Poly:
 
         A unit k forms no product at all: for k = 1 the result is the other
         operand itself, and for k = -1 its negation, since 1*p = p and
-        (-1)*p = -p term by term.  Sharing the operand is sound because a
+        (-1)*p = -p term by term.  Whether k is a unit is read from its
+        numerator and denominator, as in ``_times``, with no ``Fraction``
+        comparison.  Sharing the operand is sound because a
         ``Poly`` is immutable and no code changes its ``terms`` in place;
         its coefficients are already nonzero ``Fraction``s, and so are their
         negations.  The change of generators is unitriangular and every
@@ -191,11 +200,12 @@ class Poly:
             b = other.terms
             if len(a) == 1 == len(b) and _ZERO_EXP in a and _ZERO_EXP in b:
                 ca, cb = a[_ZERO_EXP], b[_ZERO_EXP]
-                if ca == 1 or ca == -1:
-                    return other if ca == 1 else -other
-                if cb == 1 or cb == -1:
-                    return self if cb == 1 else -self
-                return Poly._unchecked({_ZERO_EXP: ca * cb})
+                c = _times(ca, cb)
+                if c is cb:
+                    return other
+                if c is ca:
+                    return self
+                return Poly._unchecked({_ZERO_EXP: c})
             if len(b) == 1 and _ZERO_EXP in b:
                 scaled, k = self, b[_ZERO_EXP]
             elif len(a) == 1 and _ZERO_EXP in a:
@@ -207,12 +217,11 @@ class Poly:
         else:
             return NotImplemented
         if k is not None:
-            if k == 1:
-                return scaled
-            if k == -1:
-                return -scaled
+            n, d = k.as_integer_ratio()
+            if d == 1 and (n == 1 or n == -1):
+                return scaled if n == 1 else -scaled
             k = _as_fraction(k)
-            return Poly._unchecked({e: _times(c, k) for e, c in scaled.terms.items()} if k else {})
+            return Poly._unchecked({e: _times(c, k) for e, c in scaled.terms.items()} if n else {})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -358,15 +367,34 @@ class Poly:
 
 
 def _times(ca: Fraction, cb: Fraction) -> Fraction:
-    """``ca * cb`` for nonzero Fractions, with no product when one is +-1.
+    """``ca * cb`` for nonzero Fractions: the one rule for every product of
+    two coefficients.
 
-    Sound because 1*c = c and (-1)*c = -c, and the other operand is an
-    immutable nonzero ``Fraction``, safe to share, as is its negation.
+    Each operand's numerator and denominator are read once, by one
+    ``as_integer_ratio`` call, and a unit is told from them, with no
+    ``Fraction`` comparison: c is +-1 exactly when its denominator is 1
+    and its numerator +-1, since a ``Fraction`` is kept in lowest terms
+    with a positive denominator.
+
+      * A +-1 operand forms no product: the result is the other operand
+        itself or its negation.  Sound because 1*c = c and (-1)*c = -c,
+        and the other operand is an immutable nonzero ``Fraction``, safe
+        to share, as is its negation.
+      * Two integers, both denominators 1, give ``Fraction(na * nb)``: an
+        integer over 1 is in lowest terms, so no gcd is taken (Knuth,
+        TAOCP vol. 2, 4.5.1), and the result equals ``ca * cb`` in value,
+        numerator and denominator.  It is nonzero, as Z is a domain.
+      * Any other pair is one ``Fraction`` product, reduced as ever.
     """
-    if ca == 1 or ca == -1:
-        return cb if ca == 1 else -cb
-    if cb == 1 or cb == -1:
-        return ca if cb == 1 else -ca
+    na, da = ca.as_integer_ratio()
+    if da == 1 and (na == 1 or na == -1):
+        return cb if na == 1 else -cb
+    nb, db = cb.as_integer_ratio()
+    if db == 1:
+        if nb == 1 or nb == -1:
+            return ca if nb == 1 else -ca
+        if da == 1:
+            return Fraction(na * nb)
     return ca * cb
 
 

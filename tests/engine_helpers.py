@@ -8,8 +8,9 @@ scope, ``text_inverse_constants`` and ``reference_inverse_constants``
 give the constants of the inverse formulas from their text and from
 Python arithmetic, ``assert_clean_poly`` checks a polynomial against
 its copy through the checking constructor, ``verify_all`` runs
-``preproj verify all`` in process, ``cyclic_garbage`` lists the objects
-that a call leaves in reference cycles, and
+``preproj verify all`` in process, ``reduce_text`` runs ``preproj
+reduce`` in process and returns what it prints, ``cyclic_garbage``
+lists the objects that a call leaves in reference cycles, and
 ``corner_embedding`` is the corner map x -> b0*a0, y -> b2*a2 as a
 ``GeneratorMap``, the reference for the text that the reports read.
 """
@@ -147,6 +148,15 @@ def verify_all():
     """``preproj verify all --quiet`` in process; returns its exit status."""
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.run(["verify", "all", "--quiet"])
+
+
+def reduce_text(algebra: str, text: str) -> str:
+    """``preproj reduce --algebra <algebra> -- <text>`` in process; the
+    normal form it prints, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["reduce", "--algebra", algebra, "--", text]) == 0
+    return out.getvalue().strip()
 
 
 def cyclic_garbage(fn) -> list:

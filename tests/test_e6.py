@@ -1568,7 +1568,9 @@ def test_the_product_table_changes_no_check(monkeypatch, argv):
 def test_a_warm_verify_all_forms_no_product_of_two_table_values_twice(monkeypatch):
     """In a warm ``verify all`` each product of two values of the set-up's
     table (its scope's values and the products in it) is formed once, and
-    the run forms at most 140 free products (199 without the table)."""
+    the run forms at most 80 free products: 75, where it formed 132 while
+    a negated factor such as the -x of -x*y was a new element that the
+    table could not find, and 199 without the table."""
     assert verify_all() == 0
     setups, formed, free_products, asked = [], Counter(), 0, 0
     init, times, form = SymbolicSetup.__init__, expr._Evaluation.times, expr._Evaluation.form
@@ -1604,7 +1606,7 @@ def test_a_warm_verify_all_forms_no_product_of_two_table_values_twice(monkeypatc
     assert verify_all() == 0
     assert len(setups) == 1
     assert max(formed.values()) == 1
-    assert free_products <= 140
+    assert free_products <= 80
     # not vacuous: the table is asked for more products than it forms
     assert asked > len(formed) > 0
 

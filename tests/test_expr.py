@@ -355,10 +355,16 @@ def run_asts(names):
         st.sampled_from(names).map(Ident),
         st.sampled_from([Num(Fraction(2)), Num(Fraction(-1, 2)), Ident("t1")]),
     )
+    def factors(children):
+        # a product's factor may be negated once or twice: -u*v, u*-(-v)
+        return st.one_of(
+            children, st.builds(Neg, st.one_of(children, st.builds(Neg, children)))
+        )
+
     return st.recursive(
         leaves,
         lambda children: st.one_of(
-            st.lists(children, min_size=2, max_size=6).map(lambda fs: Mul(tuple(fs))),
+            st.lists(factors(children), min_size=2, max_size=6).map(lambda fs: Mul(tuple(fs))),
             st.builds(Pow, children, st.integers(min_value=0, max_value=2)),
             st.lists(st.tuples(st.sampled_from([1, -1]), children), min_size=1, max_size=2).map(
                 lambda parts: Sum(tuple(parts))
@@ -624,6 +630,18 @@ def test_a_product_table_changes_no_value(evaluations):
             assert to_element(ast, L2, TABLE_SCOPE, below, table) == to_element(
                 ast, L2, TABLE_SCOPE, below
             )
+
+
+def test_a_negated_factor_finds_its_product_in_the_table():
+    """A negated factor is read as -1 on the held value itself, so -u*v,
+    u*-v, --u*v and -u*-v are +-(u*v), which the table forms once."""
+    table = ProductTable()
+    names = frozenset(TABLE_SCOPE)
+    uv = to_element(parse("u*v", names), L2, TABLE_SCOPE, None, table)
+    for text, sign in (("-u*v", -1), ("u*-v", -1), ("--u*v", 1), ("-u*-v", 1)):
+        value = to_element(parse(text, names), L2, TABLE_SCOPE, None, table)
+        assert value == uv.scale(sign) == to_element(parse(text, names), L2, TABLE_SCOPE)
+    assert len(table.formed) == 1
 
 
 def test_a_product_table_keys_both_operands_and_below():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import preproj
-from engine_helpers import assert_clean_poly as assert_clean, verify_all
+from engine_helpers import assert_clean_poly as assert_clean, reduce_text, verify_all
+from preproj import polyring
 from preproj.e6 import lemma_coefficients
 from preproj.freealg import FreeElement
-from preproj.polyring import _ZERO_EXP, NVARS, Poly, power
+from preproj.polyring import _ZERO_EXP, NVARS, Poly, _times, power
 from preproj.quiver import builtin_quiver
 
 T = [None] + [Poly.var(i) for i in range(1, 10)]
@@ -370,13 +371,36 @@ def test_sums_and_products_that_cancel_match_the_zero_seeded_loops(a, b, c):
 nonzero_fractions = st.fractions(max_denominator=10**12).filter(bool)
 
 
-@settings(max_examples=200, deadline=None)
-@given(nonzero_fractions, nonzero_fractions)
+# integers (some past 2^64, some negative), +-1 as Fraction, +-1/d, and
+# general fractions, all nonzero
+rule_coefficients = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80).filter(bool).map(Fraction),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2**64 + 1), Fraction(-(3**50))]),
+    st.builds(lambda d, s: Fraction(s, d), st.integers(2, 10**20), st.sampled_from([1, -1])),
+    nonzero_fractions,
+)
+
+
+def assert_same_fraction(got, want):
+    assert type(got) is Fraction
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_coefficients, rule_coefficients)
 def test_product_of_two_constants_is_one_fraction_product(a, b):
+    # the one coefficient-product rule gives Fraction's own product
+    assert_same_fraction(_times(a, b), a * b)
     for product in (Poly.const(a) * Poly.const(b), Poly.const(a) * b, b * Poly.const(a)):
-        assert product.terms == {_ZERO_EXP: a * b}
         ((exp, coeff),) = product.terms.items()
-        assert type(exp) is tuple and type(coeff) is Fraction
+        assert type(exp) is tuple and exp == _ZERO_EXP
+        assert_same_fraction(coeff, a * b)
+    # +1 forms no product: the other Poly itself; the left operand is read
+    # first, so a unit y times 1 is 1 or its negation
+    one, y = Poly.const(1), Poly.const(b)
+    assert one * y is y
+    assert y * one is y or b in (1, -1)
 
 
 def test_power_rejects_a_negative_or_non_integer_exponent():
@@ -434,6 +458,50 @@ def test_product_of_two_constants_never_iterates_their_terms(a, b):
     x = Poly._unchecked(_NotIterated({_ZERO_EXP: a}))
     y = Poly._unchecked(_NotIterated({_ZERO_EXP: b}))
     assert (x * y).terms == {_ZERO_EXP: a * b}
+
+
+def test_a_tail_query_forms_no_fraction_product_and_tests_no_unit_by_equality(monkeypatch):
+    """The pe6 tail query of the ``reduce`` stream, whose coefficients are
+    all integers: no ``Fraction`` product is formed, and ``Poly.__mul__``
+    calls no ``Fraction.__eq__``, since units are read from the numerator
+    and denominator."""
+    query = "(2*b0*a0 - 3*b2*a2 + a3*b3)^8"
+    assert reduce_text("pe6", query) == "0"  # warm: pe6 is built
+    counts = count_fraction_products(monkeypatch)
+    rule = {"integral pairs": 0}
+    times = polyring._times
+
+    def counting_times(a, b):
+        # read as ints: a Fraction comparison here would count as one in
+        # Poly.__mul__
+        (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+        rule["integral pairs"] += da == 1 == db and na not in (1, -1) and nb not in (1, -1)
+        return times(a, b)
+
+    inside = [0]
+    eq_inside = [0]
+    poly_mul, fraction_eq = Poly.__mul__, Fraction.__eq__
+
+    def mul(a, b):
+        inside[0] += 1
+        try:
+            return poly_mul(a, b)
+        finally:
+            inside[0] -= 1
+
+    def eq(a, b):
+        eq_inside[0] += inside[0] > 0
+        return fraction_eq(a, b)
+
+    monkeypatch.setattr(polyring, "_times", counting_times)
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    monkeypatch.setattr(Poly, "__rmul__", mul)
+    monkeypatch.setattr(Fraction, "__eq__", eq)
+    assert reduce_text("pe6", query) == "0"
+    assert counts["products"] == 0
+    assert eq_inside[0] == 0
+    # not vacuous: the rule multiplies integers other than +-1 here
+    assert rule["integral pairs"] > 1000, rule
 
 
 # -- hashing agrees with equality across Poly, int and Fraction --------------------
@@ -537,33 +605,47 @@ def count_fraction_products(monkeypatch) -> dict:
 
 def test_warm_verify_all_forms_no_product_with_a_unit_scalar(monkeypatch):
     """Every ``Fraction`` product of a warm ``verify all`` is counted,
-    whatever calls it; none has a +1 or -1 operand.  Without the unit rule
-    of ``Poly.__mul__`` and ``_times`` it forms 3,590 products, 3,496 of
-    them with a unit operand: 182 of two constants, 1,992 in scalings and
-    1,322 in the loop (4,645 and 4,535 without the set-up's product
-    table).  Each branch meets unit coefficients
+    whatever calls it: there is none, because every coefficient product
+    left after the unit rule has two integral operands, which
+    ``_times`` multiplies as integers.  The pairs ``_times`` multiplies
+    with no unit operand are counted instead.  Without the unit rule
+    of ``Poly.__mul__`` and ``_times`` it forms 3,533 products, 3,439 of
+    them with a unit operand: 125 of two constants, 1,992 in scalings and
+    1,322 in the loop (3,590 and 3,496 while a negated factor was a new
+    element, 4,645 and 4,535 without the set-up's product table).  Each
+    branch meets unit coefficients
     here; ``test_each_branch_forms_no_product_with_a_unit_coefficient``
     drives every branch with them directly."""
     assert verify_all() == 0  # warm: the algebras and caches are built
     unit_calls = {"two constants": 0, "scaling": 0, "loop": 0}
-    poly_mul = Poly.__mul__
+    rule = {"pairs": 0, "unit pairs": 0}
+    poly_mul, times = Poly.__mul__, polyring._times
 
     def mul(a, b):
         unit_calls[mul_branch(a, b)] += has_unit_coefficient(a, b)
         return poly_mul(a, b)
 
+    def counting_times(a, b):
+        rule["pairs"] += 1
+        rule["unit pairs"] += a in (1, -1) or b in (1, -1)
+        return times(a, b)
+
     counts = count_fraction_products(monkeypatch)
     monkeypatch.setattr(Poly, "__mul__", mul)
     monkeypatch.setattr(Poly, "__rmul__", mul)
+    monkeypatch.setattr(polyring, "_times", counting_times)
     assert verify_all() == 0
     assert counts["unit products"] == 0
-    assert counts["products"] <= 1000
-    # not vacuous: every branch meets unit coefficients (182 of two
-    # constants, 900 scalings and 475 in the loop), and the counter sees
-    # the products left (94, all in the loop and the scalings; 110 before
-    # the set-up's product table formed each repeated free product once)
+    assert counts["products"] == 0
+    non_unit_pairs = rule["pairs"] - rule["unit pairs"]
+    assert non_unit_pairs <= 1000
+    # not vacuous: every branch meets unit coefficients (125 of two
+    # constants, 900 scalings and 475 in the loop), and the rule meets the
+    # pairs that need a product (94, all in the loop and the scalings, all
+    # integral; 110 before the set-up's product table formed each repeated
+    # free product once)
     assert min(unit_calls.values()) > 0, unit_calls
-    assert counts["products"] > 85
+    assert non_unit_pairs > 85, rule
 
 
 # +1 and -1 as int and as Fraction
